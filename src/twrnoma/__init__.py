@@ -19,7 +19,8 @@ from .model import (ChannelDraw, ConfigError, SignalIndex, SinrSet, SystemConfig
 from .montecarlo import (McEstimate, ci_bounds, mc_ergodic, mc_oma_baseline,
                          mc_outage, oma_outage_exact)
 from .specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
-                      hypoexp_cdf, hypoexp_pdf, phi_weights, resolve_rates)
+                      hypoexp_cdf, hypoexp_laplace, hypoexp_pdf, phi_weights,
+                      resolve_rates)
 from .sweep import CSV_HEADER, MetricPoint, SweepSpec, emit_outputs, run_sweep
 from .validate import CheckResult, ValidationReport, validate
 
@@ -36,7 +37,7 @@ __all__ = [
     "ergodic_rate_strong_numeric", "ergodic_rate_strong_quadrature",
     "ergodic_rate_weak_highsnr", "ergodic_rate_weak_numeric",
     "gamma_threshold", "high_snr_slope_estimate", "hypoexp_cdf",
-    "hypoexp_pdf", "load_config",
+    "hypoexp_laplace", "hypoexp_pdf", "load_config",
     "mc_ergodic", "mc_oma_baseline", "mc_outage", "oma_outage_exact",
     "outage_asymptotic", "outage_probability", "parse_config", "phi_weights",
     "resolve_rates", "run_sweep", "sample_channel_draw", "signal_role",

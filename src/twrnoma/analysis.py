@@ -4,8 +4,8 @@ A strong user's exchange survives when the relay decodes its uplink symbol
 and the paired near user clears both downlink SIC stages.  A weak user's
 exchange additionally needs the relay's own SIC stage and the far user's
 direct decode.  Every stage is a Rayleigh SINR threshold test, so each
-probability reduces to exponential integrals of hypoexponential densities
-that close in elementary functions.
+probability reduces to exponential averages over hypoexponential
+interference, which close as products of its Laplace transform.
 
 Residual interference from imperfect SIC leaves both probabilities floored
 at high SNR; the asymptotic forms make the floor explicit and show the
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SignalIndex, SystemConfig, gamma_threshold, signal_role
-from .specfun import HypoExpParams, phi_weights, resolve_rates
+from .specfun import hypoexp_laplace
 
 _FLOOR_RHO = 1e12
 _UNIT_SLACK = 1e-9
@@ -34,6 +34,10 @@ class OutageIntermediates:
     it strips first; both exist only while the power split leaves the
     corresponding decode feasible, and are +inf otherwise.  theta_l is
     their maximum, varphi_t the composite rate of the far-user bound.
+    uplink_rates are the exponential rates of the relay's interference on
+    the strong uplink symbol, cross_rates those of its cross-antenna part
+    alone; with the cross layer off (varpi1 = 0) the latter is empty and
+    the former holds the in-pair rate only.
     """
 
     beta_l: float
@@ -42,8 +46,8 @@ class OutageIntermediates:
     xi_t: float
     theta_l: float
     varphi_t: float
-    uplink_rates: HypoExpParams | None
-    cross_rates: HypoExpParams | None
+    uplink_rates: tuple
+    cross_rates: tuple
     strong_feasible: bool
     weak_feasible: bool
 
@@ -94,19 +98,10 @@ def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex) -> Outa
 
     varphi_t = (omega_l + rho * beta_l * a_t * omega_t) / (omega_l * omega_t)
 
-    if config.varpi1 > 0:
-        uplink = resolve_rates([
-            1.0 / (rho * a_t * omega_t),
-            1.0 / (rho * config.varpi1 * a_k * omega_k),
-            1.0 / (rho * config.varpi1 * a_r * omega_r),
-        ])
-        cross = resolve_rates([
-            1.0 / (rho * config.varpi1 * a_k * omega_k),
-            1.0 / (rho * config.varpi1 * a_r * omega_r),
-        ])
-    else:
-        uplink = None
-        cross = None
+    cross = ((1.0 / (rho * config.varpi1 * a_k * omega_k),
+              1.0 / (rho * config.varpi1 * a_r * omega_r))
+             if config.varpi1 > 0 else ())
+    uplink = (1.0 / (rho * a_t * omega_t),) + cross
 
     return OutageIntermediates(
         beta_l=beta_l, beta_t=beta_t, tau_l=tau_l, xi_t=xi_t,
@@ -122,26 +117,17 @@ def _checked(raw: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _uplink_success(config, idx, inter):
+def _uplink_success(config, idx, inter, with_exp):
     """Probability the relay clears the strong user's uplink threshold.
 
-    E[exp(-(beta_l/Omega_l)(Z + 1)) ...] collapses to
-    exp(-beta_l/Omega_l) * prod(lam_i) * (Phi_1 Omega_l/(Omega_l lam_1 + beta_l)
-    - Phi_2 Omega_l/(Omega_l lam_2 + beta_l) + Phi_3 Omega_l/(Omega_l lam_3 + beta_l))
-    where Z is the composite interference with rates lam_i.  With the cross
-    layer off, Z is a single exponential and only the lam_1 factor remains.
+    With s = beta_l/Omega_l this is E[exp(-s (Z + 1))] = exp(-s) L_Z(s),
+    where Z is the composite interference and L_Z its Laplace transform.
+    with_exp=False sends the exponential prefactor to 1; every remaining
+    ratio is scale invariant in rho, so that already sits at the floor.
     """
-    omega_l = config.omega(idx.l)
-    beta_l = inter.beta_l
-    if inter.uplink_rates is None:
-        lam1 = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
-        return math.exp(-beta_l / omega_l) * lam1 / (lam1 + beta_l / omega_l)
-    l1, l2, l3 = inter.uplink_rates.lambdas
-    p1, p2, p3 = phi_weights(inter.uplink_rates)
-    bracket = (p1 * omega_l / (omega_l * l1 + beta_l)
-               - p2 * omega_l / (omega_l * l2 + beta_l)
-               + p3 * omega_l / (omega_l * l3 + beta_l))
-    return math.exp(-beta_l / omega_l) * l1 * l2 * l3 * bracket
+    s = inter.beta_l / config.omega(idx.l)
+    lead = math.exp(-s) if with_exp else 1.0
+    return lead * hypoexp_laplace(inter.uplink_rates, s)
 
 
 def _near_user_success(config, idx, inter):
@@ -168,7 +154,8 @@ def outage_strong(config: SystemConfig, idx: SignalIndex) -> OutageResult:
     inter = compute_outage_intermediates(config, idx)
     if not inter.strong_feasible:
         return OutageResult(1.0, 1.0, False, inter)
-    raw = 1.0 - _uplink_success(config, idx, inter) * _near_user_success(config, idx, inter)
+    raw = 1.0 - (_uplink_success(config, idx, inter, with_exp=True)
+                 * _near_user_success(config, idx, inter))
     asym = _asymptotic_strong_raw(config, idx, inter)
     return OutageResult(_checked(raw), asym, True, inter)
 
@@ -177,15 +164,9 @@ def _weak_theta1(config, idx, inter, with_exp):
     omega_l, omega_t = config.omega(idx.l), config.omega(idx.t)
     s = inter.beta_l / omega_l + inter.beta_t * inter.varphi_t
     scale = 1.0 + config.epsilon * inter.beta_t * config.rho * inter.varphi_t * config.omega_I
-    if inter.cross_rates is not None:
-        l1, l2 = inter.cross_rates.lambdas
-        mgf = (l1 * l2 / (l2 - l1)) * (
-            omega_l / (inter.beta_l + inter.beta_t * omega_l * inter.varphi_t + omega_l * l1)
-            - omega_l / (inter.beta_l + inter.beta_t * omega_l * inter.varphi_t + omega_l * l2))
-    else:
-        mgf = 1.0
     lead = math.exp(-s) if with_exp else 1.0
-    return lead * mgf / (inter.varphi_t * omega_t * scale)
+    return (lead * hypoexp_laplace(inter.cross_rates, s)
+            / (inter.varphi_t * omega_t * scale))
 
 
 def outage_weak(config: SystemConfig, idx: SignalIndex) -> OutageResult:
@@ -214,25 +195,8 @@ def outage_probability(config: SystemConfig, signal: int) -> OutageResult:
     return outage_weak(config, idx)
 
 
-def _uplink_success_floor(config, idx, inter):
-    # The uplink factor with the exponential prefactor sent to 1; every
-    # remaining ratio is scale invariant in rho, so this already sits at
-    # the floor.
-    omega_l = config.omega(idx.l)
-    beta_l = inter.beta_l
-    if inter.uplink_rates is None:
-        lam1 = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
-        return lam1 / (lam1 + beta_l / omega_l)
-    l1, l2, l3 = inter.uplink_rates.lambdas
-    p1, p2, p3 = phi_weights(inter.uplink_rates)
-    bracket = (p1 * omega_l / (omega_l * l1 + beta_l)
-               - p2 * omega_l / (omega_l * l2 + beta_l)
-               + p3 * omega_l / (omega_l * l3 + beta_l))
-    return l1 * l2 * l3 * bracket
-
-
 def _asymptotic_strong_raw(config, idx, inter):
-    up = _uplink_success_floor(config, idx, inter)
+    up = _uplink_success(config, idx, inter, with_exp=False)
     eps = config.epsilon
     if eps == 0.0:
         return 1.0 - up

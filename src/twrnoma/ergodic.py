@@ -12,8 +12,8 @@ the strong user's CCDF is exp(-x Psi) / ((1 + x L1)(1 + x L2)), which
 integrates in closed form through e^s Ei(-s); the weak user's CCDF is
 supported on (0, b_t/b_l) and is integrated numerically after a
 substitution that absorbs the endpoint singularity.  With leakage on, the
-strong user's CCDF itself is evaluated by nested quadrature over the two
-composite interference densities.
+strong user's CCDF is the product of the Laplace transforms of the two
+composite interference terms, closed form, so its rate is one quadrature.
 
 All quadratures run through QuadratureSpec so tolerances and the variable
 transform are pinned in one place.
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy import integrate
 
 from .model import SignalIndex, SystemConfig, signal_role
-from .specfun import EULER_GAMMA, expei_neg, hypoexp_pdf, resolve_rates
+from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace
 
 log = logging.getLogger(__name__)
 
@@ -97,11 +97,13 @@ class RateIntermediates:
     (a_l Omega_l) shape the CCDF denominator; lambda3 = eps Omega_I /
     (a_t Omega_t) plays the same role for the weak user's high-SNR limit.
     psi is the exponential decay rate.  a_coef, b_coef, c_coef are the
-    partial-fraction weights of 1/((1+u)(1+u lambda1)(1+u lambda2)) and sum
-    to 1.  w_rates holds the residual-plus-self interference rates of the
-    leakage path (None under perfect SIC where the residual leg vanishes).
-    phi and vartheta are the conditional composite rates of the two decode
-    stages given the interference pair (w, z).
+    partial-fraction weights of 1/((1+u)(1+u lambda1)(1+u lambda2)) on
+    1/(1+u), 1/(1+u lambda1) and 1/(1+u lambda2).  When lambda2 sits on the
+    unit pole the last two poles merge: c_coef is 0 and d_coef weights the
+    repeated pole 1/(1+u)^2; elsewhere d_coef is 0.  The four sum to 1.
+    w_rate_residual and w_rate_self are the residual and self interference
+    rates of the leakage path (the first infinite under perfect SIC, where
+    the residual leg vanishes).
     """
 
     lambda1: float
@@ -111,16 +113,20 @@ class RateIntermediates:
     a_coef: float
     b_coef: float
     c_coef: float
+    d_coef: float
     w_rate_residual: float
     w_rate_self: float
-    phi: object = field(repr=False)
-    vartheta: object = field(repr=False)
+
+
+def _on_unit_pole(lam):
+    return abs(lam - 1.0) < 1e-9
 
 
 def _separate(lam1, lam2):
     # The partial-fraction weights diverge when the two rates collide with
-    # each other or with the 1/(1+u) pole, so nudge collisions apart the
-    # same way the hypoexponential rates are handled.
+    # each other or lambda1 with the 1/(1+u) pole, so nudge those apart the
+    # way the hypoexponential density's rates are; lambda2 on the unit pole
+    # has an exact repeated-pole form instead.
     for _ in range(200):
         moved = False
         if abs(lam1 - lam2) < 1e-9 * max(abs(lam1), abs(lam2), 1e-300):
@@ -131,17 +137,11 @@ def _separate(lam1, lam2):
                 old, lam1 = lam1, lam1 * (1.0 - 1e-7)
                 log.debug("separated rate constants: first %.17g -> %.17g", old, lam1)
             moved = True
-        for name in ("lam1", "lam2"):
-            val = lam1 if name == "lam1" else lam2
-            if val > 0 and abs(val - 1.0) < 1e-9:
-                nudged = val * (1.0 - 1e-7)
-                log.debug("moved rate constant off the unit pole: %.17g -> %.17g",
-                          val, nudged)
-                if name == "lam1":
-                    lam1 = nudged
-                else:
-                    lam2 = nudged
-                moved = True
+        if _on_unit_pole(lam1):
+            old, lam1 = lam1, lam1 * (1.0 - 1e-7)
+            log.debug("moved rate constant off the unit pole: %.17g -> %.17g",
+                      old, lam1)
+            moved = True
         if not moved:
             return lam1, lam2
     raise ValueError(f"could not separate rate constants {lam1!r}, {lam2!r}")
@@ -158,32 +158,30 @@ def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIn
     lam2 = a_t * omega_t / (a_l * omega_l)
     if lam1 > 0:
         lam1, lam2 = _separate(lam1, lam2)
-    elif abs(lam2 - 1.0) < 1e-9:
-        lam2, _ = _separate(lam2, 2.0)
     lam3 = eps * config.omega_I / (a_t * omega_t)
     psi = (a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k)
 
-    a_coef = 1.0 / (lam1 * lam2 - lam2 - lam1 + 1.0)
-    b_coef = (a_coef * (lam1 - lam1 * lam2) - lam1) / (lam2 - lam1)
-    c_coef = 1.0 - a_coef - b_coef
+    if _on_unit_pole(lam2):
+        # 1/((1+u)^2 (1+u lambda1)) = a/(1+u) + d/(1+u)^2 + b/(1+u lambda1)
+        a_coef = -lam1 / (lam1 - 1.0) ** 2
+        b_coef = lam1 * lam1 / (lam1 - 1.0) ** 2
+        c_coef = 0.0
+        d_coef = 1.0 / (1.0 - lam1)
+    else:
+        a_coef = 1.0 / (lam1 * lam2 - lam2 - lam1 + 1.0)
+        b_coef = (a_coef * (lam1 - lam1 * lam2) - lam1) / (lam2 - lam1)
+        c_coef = 1.0 - a_coef - b_coef
+        d_coef = 0.0
 
     rho = config.rho
     w_residual = 1.0 / (eps * rho * config.omega_I) if eps > 0 else math.inf
     w_self = (1.0 / (rho * config.varpi2 * omega_k)
               if config.varpi2 > 0 else math.inf)
 
-    def phi(w, z):
-        num = a_l * (w + 1.0) * omega_l + b_l * (z + 1.0) * omega_k
-        return num / (a_l * (w + 1.0) * omega_l * omega_k)
-
-    def vartheta(w, z):
-        num = a_l * (w + 1.0) * omega_l + b_l * (z + 1.0) * omega_k
-        return num / (b_l * (z + 1.0) * omega_k * omega_l)
-
     return RateIntermediates(lambda1=lam1, lambda2=lam2, lambda3=lam3, psi=psi,
                              a_coef=a_coef, b_coef=b_coef, c_coef=c_coef,
-                             w_rate_residual=w_residual, w_rate_self=w_self,
-                             phi=phi, vartheta=vartheta)
+                             d_coef=d_coef, w_rate_residual=w_residual,
+                             w_rate_self=w_self)
 
 
 def strong_sinr_ccdf(inter: RateIntermediates, u):
@@ -216,15 +214,18 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
 
     R = -1/(2 ln 2) [ A e^psi Ei(-psi)
                       + (B/lambda1) e^{psi/lambda1} Ei(-psi/lambda1)
-                      + (C/lambda2) e^{psi/lambda2} Ei(-psi/lambda2) ].
+                      + (C/lambda2) e^{psi/lambda2} Ei(-psi/lambda2)
+                      - D (1 + psi e^psi Ei(-psi)) ].
 
     Under perfect SIC lambda1 = 0 and its partial-fraction weight B
     vanishes with it, so that term is dropped rather than evaluated as
-    0/0.
+    0/0.  The D term, integral_0^inf e^{-psi u}/(1+u)^2 du, is the repeated
+    pole left when lambda2 = 1 (then C = 0); elsewhere D = 0.
     """
     _require_no_leakage(config, "the closed-form strong-user rate")
     inter = compute_rate_intermediates(config, idx)
-    acc = inter.a_coef * expei_neg(inter.psi)
+    e_psi = expei_neg(inter.psi)
+    acc = inter.a_coef * e_psi - inter.d_coef * (1.0 + inter.psi * e_psi)
     if inter.lambda1 > 0.0:
         acc += (inter.b_coef / inter.lambda1) * expei_neg(inter.psi / inter.lambda1)
     acc += (inter.c_coef / inter.lambda2) * expei_neg(inter.psi / inter.lambda2)
@@ -248,53 +249,48 @@ def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
     return _integrate_semi_infinite(integrand, quad) / (2.0 * _LN2)
 
 
-def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x,
-                             quad: QuadratureSpec | None = None) -> float:
+def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
     """CCDF of the strong user's SINR with both leakage paths active.
 
     Conditioning on the downlink interference W = eps rho |g|^2 +
     rho w2 |h_k|^2 and the uplink interference Z = rho a_t |h_t|^2 +
-    rho w1 (a_k |h_k|^2 + a_r |h_r|^2), the two decode stages factor:
+    rho w1 (a_k |h_k|^2 + a_r |h_r|^2), the two decode stages factor into
+    exponential averages over W and Z, each a Laplace transform of a sum of
+    independent exponentials:
 
-      1 - F(x) = [int f_Z(z) e^{-x(z+1)/(rho a_l Omega_l)} dz]
-                 * [int f_W(w) e^{-x(w+1)/(rho b_l Omega_k)} dw].
+      1 - F(x) = E[e^{-s_z (Z+1)}] E[e^{-s_w (W+1)}]
+               = e^{-s_z - s_w} L_Z(s_z) L_W(s_w),
+
+    with s_z = x/(rho a_l Omega_l), s_w = x/(rho b_l Omega_k) and
+    L(s) = prod lam_i/(lam_i + s) over each term's rates.  The product is
+    exact at tied rates, so the raw rates are used as they are.
 
     The factorization treats the |h_k|^2 appearing inside W, Z, and the
     decode numerator as independent draws, the same simplification the
     closed analysis makes, so this is the right reference for it but is a
     biased (percent-level) approximation of the simulated system.
     """
-    quad = quad or QuadratureSpec()
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
-    if x == 0:
-        return 1.0
     rho = config.rho
-    z_params = resolve_rates([
-        1.0 / (rho * config.a(idx.t) * config.omega(idx.t)),
-        1.0 / (rho * config.varpi1 * config.a(idx.k) * config.omega(idx.k)),
-        1.0 / (rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r)),
-    ])
-    w_params = resolve_rates([
-        1.0 / (config.epsilon * rho * config.omega_I),
-        1.0 / (rho * config.varpi2 * config.omega(idx.k)),
-    ])
+    z_rates = (1.0 / (rho * config.a(idx.t) * config.omega(idx.t)),
+               1.0 / (rho * config.varpi1 * config.a(idx.k) * config.omega(idx.k)),
+               1.0 / (rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r)))
+    w_rates = (1.0 / (config.epsilon * rho * config.omega_I),
+               1.0 / (rho * config.varpi2 * config.omega(idx.k)))
     s_z = x / (rho * config.a(idx.l) * config.omega(idx.l))
     s_w = x / (rho * config.b(idx.l) * config.omega(idx.k))
-
-    def z_leg(z):
-        return hypoexp_pdf(z_params, z) * math.exp(-s_z * (z + 1.0))
-
-    def w_leg(w):
-        return hypoexp_pdf(w_params, w) * math.exp(-s_w * (w + 1.0))
-
-    return (_integrate_semi_infinite(z_leg, quad)
-            * _integrate_semi_infinite(w_leg, quad))
+    return (math.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
+            * hypoexp_laplace(w_rates, s_w))
 
 
 def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex,
                                 quad: QuadratureSpec | None = None) -> float:
-    """Strong-user ergodic rate with leakage, by nested quadrature.
+    """Strong-user ergodic rate with leakage, by a single quadrature.
+
+    R = 1/(2 ln 2) * integral_0^inf (1 - F(x)) / (1 + x) dx with the
+    closed-form CCDF of ``strong_rate_ccdf_leakage``, under ``quad``;
+    QuadratureError if it does not converge.
 
     Only the imperfect-SIC chain is covered: under perfect SIC the
     residual leg of W degenerates and the leakage-on rate has no published
@@ -311,7 +307,7 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex,
     quad = quad or QuadratureSpec()
 
     def integrand(x):
-        return strong_rate_ccdf_leakage(config, idx, x, quad) / (1.0 + x)
+        return strong_rate_ccdf_leakage(config, idx, x) / (1.0 + x)
 
     return _integrate_semi_infinite(integrand, quad) / (2.0 * _LN2)
 
@@ -373,7 +369,9 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
 
     Perfect SIC: the cap alone binds and the ceiling keeps a residual rho
     dependence, e^c (Ei(-c/b_l) - Ei(-c)) / (2 ln 2) with
-    c = 1/(rho a_t Omega_t), growing like log(rho).
+    c = 1/(rho a_t Omega_t), growing like log(rho).  Both terms are formed
+    as e^s Ei(-s) products, e^{c(1 - 1/b_l)} e^{c/b_l} Ei(-c/b_l) and
+    e^c Ei(-c), so a large c (low SNR, weak power share) cannot overflow.
     """
     inter = compute_rate_intermediates(config, idx)
     cap = config.b(idx.t) / config.b(idx.l)
@@ -392,8 +390,8 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
             return total / (2.0 * _LN2)
         return (math.log1p(cap) - math.log1p(cap * inter.lambda3)) / (2.0 * d * _LN2)
     c = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
-    from .specfun import expint_ei
-    return (math.exp(c) * (expint_ei(-c / config.b(idx.l)) - expint_ei(-c))
+    b_l = config.b(idx.l)
+    return ((math.exp(c * (1.0 - 1.0 / b_l)) * expei_neg(c / b_l) - expei_neg(c))
             / (2.0 * _LN2))
 
 
@@ -421,13 +419,16 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
     """High-SNR expansion of the strong user's closed-form rate.
 
     Replaces each e^s Ei(-s) factor by its small-argument expansion
-    -(1 + s)(ln s + gamma), leaving
+    (1 + s)(ln s + gamma), leaving
 
       -1/(2 ln 2) [ A (1 + psi)(ln psi + gamma)
                     + (B/lambda1)(1 + psi/lambda1)(ln(psi/lambda1) + gamma)
-                    + (C/lambda2)(1 + psi/lambda2)(ln(psi/lambda2) + gamma) ],
+                    + (C/lambda2)(1 + psi/lambda2)(ln(psi/lambda2) + gamma)
+                    - D (1 + psi + psi (ln psi + gamma)) ],
 
-    with the middle term absent under perfect SIC.  The residual channel
+    with the B term absent under perfect SIC and the D term present only
+    with lambda2 on the unit pole.  The D term is the limit of the A and C
+    terms as lambda2 -> 1, so the expansion is continuous across the pole.  The residual channel
     keeps lambda1 > 0 and caps the rate; with it removed the expression
     grows like (1/2) log2(rho), unit multiplexing gain over the two slots.
     """
@@ -437,7 +438,9 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
         s = inter.psi / lam
         return (coef / lam) * (1.0 + s) * (math.log(s) + EULER_GAMMA)
 
-    acc = inter.a_coef * (1.0 + inter.psi) * (math.log(inter.psi) + EULER_GAMMA)
+    log_psi = math.log(inter.psi) + EULER_GAMMA
+    acc = (inter.a_coef * (1.0 + inter.psi) * log_psi
+           - inter.d_coef * (1.0 + inter.psi + inter.psi * log_psi))
     if inter.lambda1 > 0.0:
         acc += piece(inter.b_coef, inter.lambda1)
     acc += piece(inter.c_coef, inter.lambda2)

@@ -2,14 +2,16 @@
 
 Two things live here.  The exponential integral Ei, needed by the no-leakage
 ergodic-rate expressions, implemented to better than 1e-10 relative error on
-|x| in [1e-8, 700].  And the hypoexponential family: the density of a sum of
-independent exponentials with distinct rates, which is the distribution of
-the composite uplink interference
+|x| in [1e-8, 700].  And the hypoexponential family: sums of independent
+exponentials, which is the distribution of the composite uplink interference
 
     Z  = rho a_t |h_t|^2 + rho w1 (a_k |h_k|^2 + a_r |h_r|^2)      (3 rates)
     Z' = rho w1 (a_k |h_k|^2 + a_r |h_r|^2)                        (2 rates)
 
-appearing in the outage denominators.
+appearing in the outage denominators.  The closed forms need only its
+Laplace transform, ``hypoexp_laplace``; the density and distribution
+function, with their partial fractions over distinct rates, serve the
+validation checks.
 """
 
 from __future__ import annotations
@@ -121,6 +123,20 @@ def expei_neg(s: float) -> float:
     if s <= _SERIES_NEG_LIMIT:
         return math.exp(s) * _ei_series(-s)
     return -_e1_continued_fraction(s)
+
+
+def hypoexp_laplace(rates, s: float) -> float:
+    """Laplace transform E[exp(-s Z)] of a sum Z of independent exponentials.
+
+    For positive rates lam_i and s >= 0 it is prod_i lam_i / (lam_i + s).
+    The product is exact whether or not rates tie, so unlike the density it
+    needs no partial fractions and no separation of near-equal rates.  An
+    empty ``rates`` is the sum of no terms, Z = 0, with transform 1.
+    """
+    out = 1.0
+    for lam in rates:
+        out *= lam / (lam + s)
+    return out
 
 
 @dataclass(frozen=True)

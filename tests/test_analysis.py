@@ -6,16 +6,15 @@ before this module existed, then cross-checked against Monte Carlo at
 10^6 draws.  Values are pinned to five decimals.
 """
 
-import logging
 import math
 
+import mpmath
 import pytest
 
 from twrnoma.analysis import (compute_outage_intermediates,
                               diversity_order_estimate, outage_asymptotic,
                               outage_probability)
-from twrnoma.model import SignalIndex, SystemConfig
-from twrnoma.specfun import phi_weights
+from twrnoma.model import SignalIndex, SystemConfig, gamma_threshold
 
 # (snr_db, signal, sic_mode) -> outage probability
 OUTAGE_TABLE = {
@@ -74,31 +73,33 @@ def test_group_relabeling_symmetry(baseline):
             outage_probability(cfg, 2).p_exact, rel=1e-12)
 
 
-def _mgf_route(cfg, idx, inter):
-    s = inter.beta_l / cfg.omega(idx.l)
+def _raw_uplink_rates(cfg, idx):
+    # rebuilt from the config fields, independent of the intermediates
+    rho = cfg.rho
+    return (1.0 / (rho * cfg.a(idx.t) * cfg.omega(idx.t)),
+            1.0 / (rho * cfg.varpi1 * cfg.a(idx.k) * cfg.omega(idx.k)),
+            1.0 / (rho * cfg.varpi1 * cfg.a(idx.r) * cfg.omega(idx.r)))
+
+
+def _mgf_route(cfg, idx):
+    s = gamma_threshold(cfg.rate(idx.l)) / (cfg.rho * cfg.a(idx.l) * cfg.omega(idx.l))
     mgf = math.exp(-s)
-    for lam in inter.uplink_rates.lambdas:
+    for lam in _raw_uplink_rates(cfg, idx):
         mgf *= lam / (lam + s)
     return mgf
 
 
 def test_uplink_factor_equals_mgf_product():
-    """The weighted-exponential form of the uplink success factor is an
-    expansion of the hypoexponential MGF; both routes must agree."""
+    """The uplink success factor is the hypoexponential MGF of the relay's
+    interference; it must agree with the product built from the raw
+    config, with well-separated rates and with the colliding defaults."""
     from twrnoma.analysis import _uplink_success
 
     idx = SignalIndex.for_signal(1)
-    # well-separated rates: the identity holds to full precision
-    cfg = SystemConfig(rho=100.0, a2=0.3)
-    inter = compute_outage_intermediates(cfg, idx)
-    assert _uplink_success(cfg, idx, inter) == pytest.approx(
-        _mgf_route(cfg, idx, inter), rel=1e-12)
-    # the default powers collide two rates; after the tie-break nudge the
-    # partial-fraction form keeps about nine digits
-    cfg = SystemConfig(rho=100.0)
-    inter = compute_outage_intermediates(cfg, idx)
-    assert _uplink_success(cfg, idx, inter) == pytest.approx(
-        _mgf_route(cfg, idx, inter), rel=1e-7)
+    for cfg in (SystemConfig(rho=100.0, a2=0.3), SystemConfig(rho=100.0)):
+        inter = compute_outage_intermediates(cfg, idx)
+        assert _uplink_success(cfg, idx, inter, with_exp=True) == pytest.approx(
+            _mgf_route(cfg, idx), rel=1e-12)
 
 
 def test_outage_decreases_with_snr(baseline):
@@ -145,23 +146,35 @@ def test_intermediates_structure(baseline):
         compute_outage_intermediates(baseline.with_rho(1e6),
                                      SignalIndex.for_signal(1)).varphi_t,
         rel=1e-12)
-    assert len(inter.uplink_rates.lambdas) == 3
-    assert len(inter.cross_rates.lambdas) == 2
+    assert len(inter.uplink_rates) == 3
+    assert len(inter.cross_rates) == 2
+    assert inter.uplink_rates[1:] == inter.cross_rates
+    no_cross = compute_outage_intermediates(SystemConfig(rho=10.0, varpi1=0.0),
+                                            SignalIndex.for_signal(1))
+    assert len(no_cross.uplink_rates) == 1
+    assert no_cross.cross_rates == ()
 
 
-def test_default_rates_collide_and_are_separated(baseline, caplog):
+def test_default_rates_collide_and_keep_the_exact_product(baseline):
     """With the default powers the in-pair and one cross-pair exponential
-    rate coincide exactly; the evaluation must renormalize, log it, and
-    still produce valid weights."""
-    with caplog.at_level(logging.DEBUG, logger="twrnoma.specfun"):
-        inter = compute_outage_intermediates(baseline.with_rho(10.0),
-                                             SignalIndex.for_signal(1))
-    assert any("separat" in r.message or "perturb" in r.message.lower()
-               for r in caplog.records)
-    lams = inter.uplink_rates.lambdas
-    assert len(set(lams)) == 3
-    weights = phi_weights(inter.uplink_rates)
-    assert all(math.isfinite(w) for w in weights)
+    rate coincide to round-off.  The rates are kept as they are, tie included,
+    and the uplink factor equals the 30-digit product of their transforms."""
+    from twrnoma.analysis import _uplink_success
+
+    idx = SignalIndex.for_signal(1)
+    cfg = baseline.with_rho(10.0)
+    inter = compute_outage_intermediates(cfg, idx)
+    raw = _raw_uplink_rates(cfg, idx)
+    assert inter.uplink_rates == raw
+    assert raw[1] == pytest.approx(raw[0], rel=1e-15)
+    with mpmath.workdps(30):
+        s = mpmath.mpf(gamma_threshold(cfg.rate(idx.l))) / (
+            mpmath.mpf(cfg.rho) * cfg.a(idx.l) * cfg.omega(idx.l))
+        exact = mpmath.exp(-s)
+        for lam in raw:
+            exact *= mpmath.mpf(lam) / (lam + s)
+        assert _uplink_success(cfg, idx, inter, with_exp=True) == pytest.approx(
+            float(exact), rel=1e-14)
 
 
 def test_perfect_sic_drops_residual_term(baseline):

@@ -75,6 +75,23 @@ def test_config_flag_and_errors(tmp_path, capsys):
                  "--config", str(tmp_path / "ghost.cfg")]) == 1
 
 
+def test_weak_psic_ceiling_at_a_small_power_share(tmp_path):
+    """At a2 = 0.1 and 0 dB, c = 1/(rho a2 Omega2) = 1000, past where e^c
+    overflows; the pSIC ceiling column must still be written."""
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text(DEFAULT_CONFIG_TEXT.replace("noma.a2 = 0.2", "noma.a2 = 0.1"))
+    code = run_in(tmp_path, ["sweep", "--config", str(cfg),
+                             "--metric", "ergodic_rate", "--signals", "x2",
+                             "--mode", "psic", "--snr", "0:10:10",
+                             "--with-asymptotic", "--iterations", "2000",
+                             "--out", "ceiling.csv"])
+    assert code == 0
+    with open(tmp_path / "ceiling.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(float(r["asymptotic"]) > 0.0 for r in rows)
+
+
 def test_preset_expands_variant_files(tmp_path):
     code = run_in(tmp_path, ["sweep", "--preset", "fig3", "--snr", "10:10:5",
                              "--iterations", "2000", "--seed", "2"])

@@ -9,6 +9,7 @@ route, not against themselves.
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from twrnoma.ergodic import (QuadratureSpec, compute_rate_intermediates,
                              high_snr_slope_estimate, strong_rate_ccdf_leakage,
                              strong_sinr_ccdf, weak_highsnr_sinr_cdf)
 from twrnoma.model import SignalIndex, SystemConfig
+
+from reference_routes import leakage_ccdf_nested, leakage_rate_nested
 
 IDX1 = SignalIndex.for_signal(1)
 IDX2 = SignalIndex.for_signal(2)
@@ -46,6 +49,10 @@ WEAK_RATE_TABLE = {
     (30, "psic"): 0.515484, (40, "psic"): 0.9999971,
     (50, "psic"): 1.1367636,
 }
+
+
+# a_2 Omega_2 = a_1 Omega_1: lambda2 sits exactly on the 1/(1+u) pole
+UNIT_POLE = dict(a1=0.5, a2=0.5, d1=3.0, d2=3.0)
 
 
 def _cfg(snr_db, mode, **kw):
@@ -75,6 +82,33 @@ def test_strong_closed_vs_quadrature(snr_db, mode):
     closed = ergodic_rate_strong_closed(cfg, IDX1)
     quad = ergodic_rate_strong_quadrature(cfg, IDX1)
     assert abs(closed - quad) / max(closed, quad) < 1e-8
+
+
+def _mp_strong_rate_no_leakage(cfg, idx):
+    # 30-digit quadrature of the no-leakage CCDF against 1/(1+u), with the
+    # rate constants rebuilt from the config fields
+    with mpmath.workdps(30):
+        a_l, om_l = mpmath.mpf(cfg.a(idx.l)), mpmath.mpf(cfg.omega(idx.l))
+        a_t, om_t = mpmath.mpf(cfg.a(idx.t)), mpmath.mpf(cfg.omega(idx.t))
+        b_l, om_k = mpmath.mpf(cfg.b(idx.l)), mpmath.mpf(cfg.omega(idx.k))
+        lam1 = cfg.epsilon * mpmath.mpf(cfg.omega_I) / (b_l * om_k)
+        lam2 = a_t * om_t / (a_l * om_l)
+        psi = (a_l * om_l + b_l * om_k) / (cfg.rho * a_l * b_l * om_l * om_k)
+        val = mpmath.quad(
+            lambda u: mpmath.exp(-psi * u) / ((1 + u) * (1 + lam1 * u) * (1 + lam2 * u)),
+            [0, 1, 10, 100, 1e3, mpmath.inf])
+        return float(val / (2 * mpmath.log(2)))
+
+
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+def test_strong_closed_at_the_unit_pole_matches_mpmath(mode):
+    cfg = _cfg(20, mode, **UNIT_POLE)
+    inter = compute_rate_intermediates(cfg, IDX1)
+    assert inter.lambda2 == 1.0
+    assert inter.c_coef == 0.0
+    assert inter.a_coef + inter.b_coef + inter.d_coef == pytest.approx(1.0, rel=1e-12)
+    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
 
 
 def test_rate_intermediates_frozen(baseline):
@@ -130,38 +164,82 @@ def test_strong_ccdf_is_a_valid_survival_function(baseline):
 
 
 def test_leakage_ccdf_matches_transform_product(baseline):
-    """The nested-quadrature survival function must reproduce the
-    Laplace-transform product of the two interference legs."""
-    from twrnoma.ergodic import _separate
-    from twrnoma.specfun import resolve_rates
-
+    """The survival function must reproduce the Laplace-transform product
+    of the two interference legs, built from the raw config rates (two of
+    the default uplink rates tie)."""
     cfg = baseline.with_rho(100.0)
     rho = cfg.rho
-    z_rates = resolve_rates((
-        1.0 / (rho * cfg.a2 * cfg.omega2),
-        1.0 / (rho * cfg.varpi1 * cfg.a3 * cfg.omega3),
-        1.0 / (rho * cfg.varpi1 * cfg.a4 * cfg.omega4)))
-    w_rates = resolve_rates((
-        1.0 / (rho * cfg.omega_I),
-        1.0 / (rho * cfg.varpi2 * cfg.omega1)))
+    z_rates = (1.0 / (rho * cfg.a2 * cfg.omega2),
+               1.0 / (rho * cfg.varpi1 * cfg.a3 * cfg.omega3),
+               1.0 / (rho * cfg.varpi1 * cfg.a4 * cfg.omega4))
+    w_rates = (1.0 / (rho * cfg.omega_I),
+               1.0 / (rho * cfg.varpi2 * cfg.omega1))
     for x in (0.5, 2.0, 10.0):
         s_z = x / (rho * cfg.a1 * cfg.omega1)
         s_w = x / (rho * cfg.b1 * cfg.omega1)
         expected = math.exp(-s_z - s_w)
-        for lam in z_rates.lambdas:
+        for lam in z_rates:
             expected *= lam / (lam + s_z)
-        for lam in w_rates.lambdas:
+        for lam in w_rates:
             expected *= lam / (lam + s_w)
         got = strong_rate_ccdf_leakage(cfg, IDX1, x)
-        assert got == pytest.approx(expected, rel=1e-9)
+        assert got == pytest.approx(expected, rel=1e-12)
     assert strong_rate_ccdf_leakage(cfg, IDX1, 0.0) == 1.0
     with pytest.raises(ValueError):
         strong_rate_ccdf_leakage(cfg, IDX1, -0.1)
 
 
+@pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 30.0])
+def test_leakage_ccdf_matches_nested_quadrature(baseline, x):
+    """The closed-form survival function against the average of each
+    interference leg over its hypoexponential density."""
+    cfg = baseline.with_rho(100.0)
+    assert strong_rate_ccdf_leakage(cfg, IDX1, x) == pytest.approx(
+        leakage_ccdf_nested(cfg, IDX1, x), rel=1e-7)
+
+
 def test_strong_numeric_leakage_frozen_value(baseline):
     got = ergodic_rate_strong_numeric(baseline.with_rho(100.0), IDX1)
     assert got == pytest.approx(0.6835001190752693, rel=1e-9)
+
+
+def _mp_leakage_rate(cfg, idx):
+    # 30-digit quadrature of the transform-product CCDF against 1/(1+x),
+    # rebuilt from the config fields
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(cfg.rho)
+        z_rates = [1 / (rho * cfg.a(idx.t) * cfg.omega(idx.t)),
+                   1 / (rho * cfg.varpi1 * cfg.a(idx.k) * cfg.omega(idx.k)),
+                   1 / (rho * cfg.varpi1 * cfg.a(idx.r) * cfg.omega(idx.r))]
+        w_rates = [1 / (rho * cfg.epsilon * cfg.omega_I),
+                   1 / (rho * cfg.varpi2 * cfg.omega(idx.k))]
+        cz = 1 / (rho * cfg.a(idx.l) * cfg.omega(idx.l))
+        cw = 1 / (rho * cfg.b(idx.l) * cfg.omega(idx.k))
+
+        def integrand(x):
+            s_z, s_w = x * cz, x * cw
+            out = mpmath.exp(-s_z - s_w) / (1 + x)
+            for lam in z_rates:
+                out *= lam / (lam + s_z)
+            for lam in w_rates:
+                out *= lam / (lam + s_w)
+            return out
+
+        breaks = [0] + [mpmath.mpf(10) ** k for k in range(-1, 7)] + [mpmath.inf]
+        return float(mpmath.quad(integrand, breaks) / (2 * mpmath.log(2)))
+
+
+@pytest.mark.parametrize("snr_db", [10, 20, 25, 40])
+def test_strong_numeric_leakage_matches_mpmath(baseline, snr_db):
+    cfg = baseline.with_rho(10.0 ** (snr_db / 10.0))
+    assert ergodic_rate_strong_numeric(cfg, IDX1) == pytest.approx(
+        _mp_leakage_rate(cfg, IDX1), rel=1e-10)
+
+
+def test_strong_numeric_leakage_matches_nested_quadrature(baseline):
+    cfg = baseline.with_rho(100.0)
+    assert ergodic_rate_strong_numeric(cfg, IDX1) == pytest.approx(
+        leakage_rate_nested(cfg, IDX1), rel=1e-8)
 
 
 def test_strong_numeric_sits_below_no_leakage_rate(baseline):
@@ -206,6 +284,22 @@ def test_weak_ceiling_frozen_values():
         1.0795731712516655394, rel=1e-11)
     assert ergodic_rate_weak_highsnr(_cfg(50, "psic"), IDX2) == pytest.approx(
         1.15239226130271, rel=1e-11)
+
+
+def _mp_weak_psic_ceiling(c, b_l):
+    with mpmath.workdps(30):
+        c = mpmath.mpf(c)
+        return float(mpmath.exp(c) * (mpmath.ei(-c / b_l) - mpmath.ei(-c))
+                     / (2 * mpmath.log(2)))
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 10.0, 700.0, 1e3, 1e4])
+def test_weak_psic_ceiling_matches_mpmath(c):
+    """c = 1/(rho a_t Omega_t) past ~709 overflows e^c taken on its own."""
+    cfg = SystemConfig(varpi1=0.0, varpi2=0.0, sic_mode="psic")
+    cfg = cfg.with_rho(1.0 / (c * cfg.a2 * cfg.omega2))
+    assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(
+        _mp_weak_psic_ceiling(c, cfg.b1), rel=1e-10)
 
 
 def test_weak_ceiling_near_unity_interference_ratio():
@@ -262,10 +356,11 @@ def test_strong_asymptote_frozen_values():
 
 
 def test_asymptote_approaches_closed_form():
-    for mode in ("ipsic", "psic"):
-        closed = ergodic_rate_strong_closed(_cfg(70, mode), IDX1)
-        asym = ergodic_rate_strong_asymptotic(_cfg(70, mode), IDX1)
-        assert abs(closed - asym) / closed < 5e-3
+    for kw in ({}, UNIT_POLE):
+        for mode in ("ipsic", "psic"):
+            closed = ergodic_rate_strong_closed(_cfg(70, mode, **kw), IDX1)
+            asym = ergodic_rate_strong_asymptotic(_cfg(70, mode, **kw), IDX1)
+            assert abs(closed - asym) / closed < 5e-3
 
 
 def test_high_snr_slope_estimate():

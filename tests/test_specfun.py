@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrnoma.specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
-                             hypoexp_cdf, hypoexp_pdf, phi_weights,
-                             resolve_rates)
+                             hypoexp_cdf, hypoexp_laplace, hypoexp_pdf,
+                             phi_weights, resolve_rates)
+
+from reference_routes import laplace_by_density
 
 # x -> Ei(x), mpmath mp.ei with mp.dps = 60
 EI_TABLE = {
@@ -174,3 +176,36 @@ def test_hypoexp_pdf_vectorizes():
     out = hypoexp_pdf(params, z)
     assert out.shape == z.shape
     assert np.all(out >= 0.0)
+
+
+_RATE = st.floats(min_value=0.05, max_value=20.0)
+
+
+@given(st.lists(_RATE, min_size=2, max_size=3),
+       st.floats(min_value=0.0, max_value=50.0))
+@settings(max_examples=40, deadline=None)
+def test_hypoexp_laplace_matches_density_quadrature(rates, s):
+    """The transform product against the quadrature of exp(-s z) over the
+    density, for well-separated rates."""
+    from hypothesis import assume
+    ordered = sorted(rates)
+    assume(all(b - a > 0.02 * ordered[-1] for a, b in zip(ordered, ordered[1:])))
+    assert hypoexp_laplace(rates, s) == pytest.approx(
+        laplace_by_density(rates, s), rel=1e-7, abs=1e-10)
+
+
+@given(_RATE, _RATE, st.floats(min_value=0.0, max_value=50.0))
+@settings(max_examples=60, deadline=None)
+def test_hypoexp_laplace_is_continuous_across_ties(lam, mu, s):
+    """An exact tie needs no nudge: the product takes the repeated-rate
+    value, and rates split by d move it by at most d relative."""
+    tied = hypoexp_laplace((lam, lam, mu), s)
+    assert tied == pytest.approx((lam / (lam + s)) ** 2 * mu / (mu + s), rel=1e-14)
+    for d in (1e-6, 1e-9, 1e-12):
+        assert hypoexp_laplace((lam, lam * (1.0 + d), mu), s) == pytest.approx(
+            tied, rel=d + 1e-15)
+
+
+def test_hypoexp_laplace_of_no_terms_is_one():
+    assert hypoexp_laplace((), 3.0) == 1.0
+    assert hypoexp_laplace((2.0, 5.0), 0.0) == 1.0
