@@ -8,7 +8,7 @@ to trade accuracy for speed.
 
 import argparse
 
-from twrnoma import (SystemConfig, diversity_order_estimate, mc_outage,
+from twrnoma import (SystemConfig, diversity_order_estimate, mc_point,
                      oma_outage_exact, outage_asymptotic, outage_probability)
 
 
@@ -17,12 +17,13 @@ def sweep(cfg, n_mc, seed=1729):
           f"{'simulated':>12} {'ci half':>10}")
     for point, db in enumerate(range(0, 45, 5)):
         c = cfg.with_rho(10.0 ** (db / 10.0))
+        # one simulation per point serves both signals and both SIC modes
+        sims = mc_point(c, n_mc, seed, point_index=point, workers=4,
+                        signals=(1, 2), modes=("ipsic", "psic"))
         for mode in ("ipsic", "psic"):
-            cm = c.with_mode(mode)
             for sig in (1, 2):
-                res = outage_probability(cm, sig)
-                est = mc_outage(cm, sig, n_mc, seed, point_index=point,
-                                workers=4)
+                res = outage_probability(c.with_mode(mode), sig)
+                est = sims["outage", mode, sig]
                 print(f"{db:>6} {sig:>4} {mode:>6} {res.p_exact:>12.6f} "
                       f"{est.mean:>12.6f} {est.half_width_95:>10.2e}")
 

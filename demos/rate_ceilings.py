@@ -12,33 +12,36 @@ import dataclasses
 from twrnoma import (SignalIndex, SystemConfig, ergodic_rate_strong_asymptotic,
                      ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
                      ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric,
-                     high_snr_slope_estimate, mc_ergodic)
+                     high_snr_slope_estimate, mc_point)
 
 IDX1 = SignalIndex.for_signal(1)
 IDX2 = SignalIndex.for_signal(2)
 
 
 def rate_table(cfg):
-    print("strong signal x1, bits/s/Hz (closed vs quadrature vs simulated):")
+    # one simulation per SNR point: x1 and x2 read the same channel draws
+    points = []
     for point, db in enumerate((10, 20, 30)):
         c = cfg.with_rho(10.0 ** (db / 10.0))
+        sims = mc_point(c, 400_000, 7, point_index=point, workers=4,
+                        signals=(1, 2), modes=("ipsic", "psic"))
+        points.append((db, c, sims))
+
+    print("strong signal x1, bits/s/Hz (closed vs quadrature vs simulated):")
+    for db, c, sims in points:
         for mode in ("ipsic", "psic"):
             cm = c.with_mode(mode)
             closed = ergodic_rate_strong_closed(cm, IDX1)
             quad = ergodic_rate_strong_quadrature(cm, IDX1)
-            sim = mc_ergodic(cm, 1, 400_000, 7, point_index=point, workers=4)
+            sim = sims["rate", mode, 1]
             print(f"  {db} dB {mode}: {closed:.6f}  {quad:.6f}  "
                   f"{sim.mean:.6f} (+/- {sim.half_width_95:.1e})")
 
     print("weak signal x2 (numeric integral vs simulated):")
-    for point, db in enumerate((10, 20, 30)):
-        c = cfg.with_rho(10.0 ** (db / 10.0))
+    for db, c, sims in points:
         for mode in ("ipsic", "psic"):
-            cm = c.with_mode(mode)
-            val = ergodic_rate_weak_numeric(cm, IDX2)
-            sim = mc_ergodic(cm, 2, 400_000, 7, point_index=point + 8,
-                             workers=4)
-            print(f"  {db} dB {mode}: {val:.6f}  {sim.mean:.6f}")
+            val = ergodic_rate_weak_numeric(c.with_mode(mode), IDX2)
+            print(f"  {db} dB {mode}: {val:.6f}  {sims['rate', mode, 2].mean:.6f}")
 
 
 def ceilings(cfg):

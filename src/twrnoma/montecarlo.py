@@ -7,10 +7,12 @@ with 95% confidence intervals.  Nothing here reuses the analytical
 manipulations, which is the point: agreement between the two routes is
 the evidence either one is right.
 
-Reproducibility is structural.  Every (sweep point, estimator, chunk)
-triple owns a counter-based substream, chunks have a fixed size, and
-reductions run in fixed chunk order, so results are bit-identical for any
-worker count.
+One kernel, ``mc_point``, serves a sweep point: each chunk draws the gains
+once for every signal, SIC mode and system sum (common random numbers),
+and the orthogonal baseline's fades once for all of its targets.  Every
+(sweep point, chunk) pair owns two counter-based substreams, NOMA and
+baseline; chunks have a fixed size and reductions run in fixed chunk
+order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ from .model import (SignalIndex, SystemConfig, gamma_threshold,
                     sample_channel_draw, signal_role, sinr_set)
 
 CHUNK = 1 << 17
-
-# Substream tags keep the estimators' random draws disjoint even when they
-# run at the same sweep point with the same master seed.
-_TAG_OUTAGE = {1: 1, 2: 2, 3: 3, 4: 4}
-_TAG_ERGODIC = {1: 5, 2: 6, 3: 7, 4: 8}
-_TAG_OMA = 9
 
 _Z95 = 1.959963984540054
 
@@ -82,7 +78,7 @@ def ci_bounds(successes: int, n: int):
 
 def chunk_generator(master_seed: int, effective_point_index: int,
                     chunk_index: int) -> np.random.Generator:
-    """Counter-based substream for one chunk of one estimator at one point."""
+    """Counter-based substream for one chunk at one effective point index."""
     seq = np.random.SeedSequence(master_seed,
                                  spawn_key=(effective_point_index, chunk_index))
     return np.random.Generator(np.random.Philox(seq))
@@ -98,13 +94,6 @@ def _chunk_sizes(n):
     return sizes
 
 
-def _require_run_shape(n, seed):
-    if n < 1000:
-        raise ValueError("Monte Carlo runs need at least 1000 samples")
-    if seed < 0:
-        raise ValueError("master seed must be nonnegative")
-
-
 def _map_chunks(sizes, worker_fn, workers):
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -112,77 +101,42 @@ def _map_chunks(sizes, worker_fn, workers):
     return [worker_fn(i, size) for i, size in enumerate(sizes)]
 
 
-def _success_mask(config, sinrs, idx, role):
+def _signal_samples(config, sinrs, idx, role):
+    """Per-draw success mask and rate, bits/s/Hz, of one signal's exchange."""
     gth_l = gamma_threshold(config.rate(idx.l))
     gth_t = gamma_threshold(config.rate(idx.t))
+    ok = (sinrs.relay_strong > gth_l) & (sinrs.near_decodes_weak > gth_t)
     if role == "strong":
-        return ((sinrs.relay_strong > gth_l)
-                & (sinrs.near_decodes_weak > gth_t)
-                & (sinrs.near_decodes_own > gth_l))
-    return ((sinrs.relay_weak > gth_t)
-            & (sinrs.relay_strong > gth_l)
-            & (sinrs.near_decodes_weak > gth_t)
-            & (sinrs.far_decodes_weak > gth_t))
-
-
-def mc_outage(config: SystemConfig, signal: int, n: int, seed: int,
-              point_index: int = 0, workers=None) -> McEstimate:
-    """Simulated outage probability of one signal's exchange."""
-    _require_run_shape(n, seed)
-    idx = SignalIndex.for_signal(signal)
-    role = signal_role(signal)
-    tag = _TAG_OUTAGE[signal]
-    effective = point_index * 16 + tag
-    sizes = _chunk_sizes(n)
-
-    def run(chunk_index, size):
-        stream = chunk_generator(seed, effective, chunk_index)
-        draw = sample_channel_draw(config, stream, size=size)
-        ok = _success_mask(config, sinr_set(config, draw, idx), idx, role)
-        return int(np.count_nonzero(ok))
-
-    successes = sum(_map_chunks(sizes, run, workers))
-    failures = n - successes
-    lo, hi = ci_bounds(failures, n)
-    return McEstimate(mean=failures / n, half_width_95=(hi - lo) / 2.0,
-                      n=n, seed=seed, ci_low=lo, ci_high=hi)
-
-
-def _rate_samples(config, sinrs, role):
-    if role == "strong":
+        ok &= sinrs.near_decodes_own > gth_l
         eff = np.minimum(sinrs.relay_strong, sinrs.near_decodes_own)
     else:
+        ok &= (sinrs.relay_weak > gth_t) & (sinrs.far_decodes_weak > gth_t)
         eff = np.minimum(np.minimum(sinrs.relay_weak, sinrs.near_decodes_weak),
                          sinrs.far_decodes_weak)
-    return 0.5 * np.log2(1.0 + eff)
+    return ok, 0.5 * np.log2(1.0 + eff)
 
 
-def mc_ergodic(config: SystemConfig, signal: int, n: int, seed: int,
-               point_index: int = 0, workers=None) -> McEstimate:
-    """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
-    _require_run_shape(n, seed)
-    idx = SignalIndex.for_signal(signal)
-    role = signal_role(signal)
-    effective = point_index * 16 + _TAG_ERGODIC[signal]
-    sizes = _chunk_sizes(n)
+def _moments(x):
+    """(n, mean, M2) of one chunk's samples; M2 sums squared deviations."""
+    mean = float(np.mean(x))
+    dev = x - mean
+    return x.size, mean, float(np.dot(dev, dev))
 
-    def run(chunk_index, size):
-        stream = chunk_generator(seed, effective, chunk_index)
-        draw = sample_channel_draw(config, stream, size=size)
-        r = _rate_samples(config, sinr_set(config, draw, idx), role)
-        return float(np.sum(r)), float(np.sum(r * r))
 
-    parts = _map_chunks(sizes, run, workers)
-    total = 0.0
-    total_sq = 0.0
-    for s, sq in parts:          # fixed order keeps the reduction bitwise stable
-        total += s
-        total_sq += sq
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    hw = _Z95 * math.sqrt(var / n)
-    return McEstimate(mean=mean, half_width_95=hw, n=n, seed=seed,
-                      ci_low=mean - hw, ci_high=mean + hw)
+def _merge_moments(parts):
+    """Merge per-chunk (n, mean, M2) triples in the order given.
+
+    The update of Chan, Golub and LeVeque (1979) forms no raw sum of squares,
+    so the variance keeps its digits when the spread is tiny next to the mean.
+    """
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        total = n + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * n * n_b / total
+        n = total
+    return n, mean, m2
 
 
 # Orthogonal baseline.  The same exchange takes five slots: all four
@@ -213,6 +167,102 @@ def oma_outage_exact(config: SystemConfig, signal) -> float:
     return -math.expm1(-exponent(signal))
 
 
+def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
+             workers=None, signals=(1, 2, 3, 4), modes=None, oma=False) -> dict:
+    """Every Monte Carlo estimate of one sweep point, from one draw per chunk.
+
+    Returns McEstimate values keyed ("outage" | "rate", mode, signal) for
+    each requested signal and SIC mode; ``modes`` defaults to the config's
+    own.  With all four signals requested it adds ("throughput_dl", mode)
+    and ("throughput_dt", mode), the per-draw system sums
+    sum_i 1{ok_i} R_i and sum_i rate_i, each with the interval of that sum.
+    With ``oma`` it adds ("oma_outage" | "oma_rate", target) for the
+    orthogonal baseline, target "system" or 1..4 as in ``mc_oma_baseline``.
+    """
+    if n < 1000:
+        raise ValueError("Monte Carlo runs need at least 1000 samples")
+    if seed < 0:
+        raise ValueError("master seed must be nonnegative")
+    pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
+    for s in signals:
+        pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
+    configs = [config.with_mode(m)
+               for m in ((config.sic_mode,) if modes is None else modes)]
+    system = set(signals) == {1, 2, 3, 4}
+    oma_gth = {i: oma_threshold(config.rate(i)) for i in (1, 2, 3, 4)}
+
+    def run(chunk_index, size):
+        stats = {}
+        if pairs:
+            # the gains depend on neither rho nor the SIC mode: one draw serves all
+            stream = chunk_generator(seed, 2 * point_index, chunk_index)
+            draw = sample_channel_draw(config, stream, size=size)
+            for cfg in configs:
+                mode = cfg.sic_mode
+                if system:
+                    delivered = np.zeros(size)
+                    summed = np.zeros(size)
+                for idx, members in pairs.items():
+                    sinrs = sinr_set(cfg, draw, idx)
+                    for s in members:
+                        ok, rate = _signal_samples(cfg, sinrs, idx, signal_role(s))
+                        stats["outage", mode, s] = size - int(np.count_nonzero(ok))
+                        stats["rate", mode, s] = _moments(rate)
+                        if system:
+                            np.add(delivered, cfg.rate(s), out=delivered, where=ok)
+                            summed += rate
+                    del sinrs    # one SINR set alive at a time bounds peak memory
+                if system:
+                    stats["throughput_dl", mode] = _moments(delivered)
+                    stats["throughput_dt", mode] = _moments(summed)
+        if oma:
+            stream = chunk_generator(seed, 2 * point_index + 1, chunk_index)
+            up = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
+            down = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
+            any_fail = np.zeros(size, dtype=bool)
+            summed = np.zeros(size)
+            for i in (1, 2, 3, 4):
+                snr = config.rho * np.minimum(up[i], down[_OMA_PARTNER[i]])
+                fail = snr <= oma_gth[i]
+                rate = 0.2 * np.log2(1.0 + snr)
+                stats["oma_outage", i] = int(np.count_nonzero(fail))
+                stats["oma_rate", i] = _moments(rate)
+                any_fail |= fail
+                summed += rate
+            stats["oma_outage", "system"] = int(np.count_nonzero(any_fail))
+            stats["oma_rate", "system"] = _moments(summed)
+        return stats
+
+    parts = _map_chunks(_chunk_sizes(n), run, workers)
+    estimates = {}
+    for key, first in parts[0].items():          # fixed chunk order throughout
+        if isinstance(first, int):               # failure count
+            failures = sum(part[key] for part in parts)
+            lo, hi = ci_bounds(failures, n)
+            mean, hw = failures / n, (hi - lo) / 2.0
+        else:                                    # (n, mean, M2) moments
+            _, mean, m2 = _merge_moments([part[key] for part in parts])
+            hw = _Z95 * math.sqrt(m2 / (n - 1) / n)
+            lo, hi = mean - hw, mean + hw
+        estimates[key] = McEstimate(mean=mean, half_width_95=hw, n=n, seed=seed,
+                                    ci_low=lo, ci_high=hi)
+    return estimates
+
+
+def mc_outage(config: SystemConfig, signal: int, n: int, seed: int,
+              point_index: int = 0, workers=None) -> McEstimate:
+    """Simulated outage probability of one signal's exchange."""
+    return mc_point(config, n, seed, point_index, workers,
+                    signals=(signal,))["outage", config.sic_mode, signal]
+
+
+def mc_ergodic(config: SystemConfig, signal: int, n: int, seed: int,
+               point_index: int = 0, workers=None) -> McEstimate:
+    """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
+    return mc_point(config, n, seed, point_index, workers,
+                    signals=(signal,))["rate", config.sic_mode, signal]
+
+
 def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
                     point_index: int = 0, workers=None):
     """Simulated orthogonal baseline: (outage, rate) estimate pair.
@@ -221,46 +271,7 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     system outage is the event any exchange fails, system rate the sum of
     the four per-slot-discounted rates.
     """
-    _require_run_shape(n, seed)
     if signal != "system" and signal not in (1, 2, 3, 4):
         raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
-    effective = point_index * 16 + _TAG_OMA
-    sizes = _chunk_sizes(n)
-    rho = config.rho
-    gth = {i: oma_threshold(config.rate(i)) for i in (1, 2, 3, 4)}
-
-    def run(chunk_index, size):
-        stream = chunk_generator(seed, effective, chunk_index)
-        up = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
-        down = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
-        snr = {i: rho * np.minimum(up[i], down[_OMA_PARTNER[i]]) for i in (1, 2, 3, 4)}
-        rates = {i: 0.2 * np.log2(1.0 + snr[i]) for i in (1, 2, 3, 4)}
-        if signal == "system":
-            fail = np.zeros(size, dtype=bool)
-            rate = np.zeros(size)
-            for i in (1, 2, 3, 4):
-                fail |= snr[i] <= gth[i]
-                rate += rates[i]
-        else:
-            fail = snr[signal] <= gth[signal]
-            rate = rates[signal]
-        return (int(np.count_nonzero(fail)), float(np.sum(rate)),
-                float(np.sum(rate * rate)))
-
-    parts = _map_chunks(sizes, run, workers)
-    failures = 0
-    total = 0.0
-    total_sq = 0.0
-    for f, s, sq in parts:
-        failures += f
-        total += s
-        total_sq += sq
-    lo, hi = ci_bounds(failures, n)
-    outage = McEstimate(mean=failures / n, half_width_95=(hi - lo) / 2.0,
-                        n=n, seed=seed, ci_low=lo, ci_high=hi)
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    hw = _Z95 * math.sqrt(var / n)
-    rate = McEstimate(mean=mean, half_width_95=hw, n=n, seed=seed,
-                      ci_low=mean - hw, ci_high=mean + hw)
-    return outage, rate
+    est = mc_point(config, n, seed, point_index, workers, signals=(), oma=True)
+    return est["oma_outage", signal], est["oma_rate", signal]

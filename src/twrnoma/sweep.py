@@ -1,10 +1,12 @@
 """SNR sweeps: one row per grid point and curve, with paired MC columns.
 
-Every row carries the analytical value and an independently seeded Monte
-Carlo estimate side by side; the CSV is the cross-validation record, not
-just plot fodder.  Row-level reproducibility comes from deriving each
-estimator's substream from (master seed, grid position, estimator tag),
-so reruns and different worker counts give identical bytes.
+Every row carries the analytical value and a seeded Monte Carlo estimate
+side by side; the CSV is the cross-validation record, not just plot
+fodder.  Each grid point makes one ``mc_point`` call: one channel draw per
+chunk serves every signal, SIC mode and system sum of that point, and the
+orthogonal baseline draws its own fades once for all of its rows.  The
+substreams derive from (master seed, grid position), so reruns and
+different worker counts give identical bytes.
 
 Rate-style metrics follow the reporting convention of the reference
 curves: the analytic column is the leakage-free closed form while the
@@ -24,7 +26,7 @@ from .analysis import outage_probability
 from .ergodic import (ergodic_rate_strong_asymptotic, ergodic_rate_strong_closed,
                       ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric)
 from .model import ConfigError, SignalIndex, SystemConfig, signal_role
-from .montecarlo import mc_ergodic, mc_oma_baseline, mc_outage
+from .montecarlo import mc_point
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
@@ -127,61 +129,43 @@ def _rate_asymptote(config, signal):
     return ergodic_rate_weak_highsnr(config, idx)
 
 
-def _outage_rows(spec, cfg, db, point_index, mode, first_mode, workers):
+def _mc_columns(est, scale=1.0):
+    return dict(mc_mean=est.mean * scale, mc_ci_low=est.ci_low * scale,
+                mc_ci_high=est.ci_high * scale)
+
+
+def _signal_rows(spec, cfg_point, db, ests):
+    """Per-signal rows for every mode, then the baseline rows once."""
+    outage = spec.metric == "outage"
+    kind = "outage" if outage else "rate"
     rows = []
-    for s in spec.signals:
-        res = outage_probability(cfg, s)
-        est = mc_outage(cfg, s, spec.mc_iterations, spec.master_seed,
-                        point_index=point_index, workers=workers)
-        rows.append(MetricPoint(
-            db, f"x{s}", spec.metric, mode,
-            analytic=res.p_exact,
-            asymptotic=res.p_asymptotic if spec.include_asymptotic else None,
-            mc_mean=est.mean, mc_ci_low=est.ci_low, mc_ci_high=est.ci_high,
-            feasible=res.feasible))
-    if spec.include_oma and first_mode:
-        targets = ["system"] + list(spec.signals)
-        for target in targets:
-            out_est, _ = mc_oma_baseline(cfg, target, spec.mc_iterations,
-                                         spec.master_seed,
-                                         point_index=point_index, workers=workers)
+    for mode in spec.modes:
+        cfg = cfg_point.with_mode(mode)
+        zero = _no_leakage(cfg)
+        for s in spec.signals:
+            if outage:
+                res = outage_probability(cfg, s)
+                analytic, feasible = res.p_exact, res.feasible
+                asym = res.p_asymptotic if spec.include_asymptotic else None
+            else:
+                analytic, feasible = _rate_closed(zero, s), True
+                asym = _rate_asymptote(zero, s) if spec.include_asymptotic else None
+            rows.append(MetricPoint(db, f"x{s}", spec.metric, mode, analytic, asym,
+                                    feasible=feasible,
+                                    **_mc_columns(ests[kind, mode, s])))
+    if spec.include_oma:
+        for target in ("system",) + spec.signals:
             name = "oma:system" if target == "system" else f"oma:x{target}"
             rows.append(MetricPoint(db, name, spec.metric, "oma", None, None,
-                                    out_est.mean, out_est.ci_low,
-                                    out_est.ci_high, True))
+                                    feasible=True,
+                                    **_mc_columns(ests[f"oma_{kind}", target])))
     return rows
 
 
-def _ergodic_rows(spec, cfg, db, point_index, mode, first_mode, workers):
-    zero = _no_leakage(cfg)
-    rows = []
-    for s in spec.signals:
-        est = mc_ergodic(cfg, s, spec.mc_iterations, spec.master_seed,
-                         point_index=point_index, workers=workers)
-        rows.append(MetricPoint(
-            db, f"x{s}", spec.metric, mode,
-            analytic=_rate_closed(zero, s),
-            asymptotic=_rate_asymptote(zero, s) if spec.include_asymptotic else None,
-            mc_mean=est.mean, mc_ci_low=est.ci_low, mc_ci_high=est.ci_high,
-            feasible=True))
-    if spec.include_oma and first_mode:
-        targets = ["system"] + list(spec.signals)
-        for target in targets:
-            _, rate_est = mc_oma_baseline(cfg, target, spec.mc_iterations,
-                                          spec.master_seed,
-                                          point_index=point_index, workers=workers)
-            name = "oma:system" if target == "system" else f"oma:x{target}"
-            rows.append(MetricPoint(db, name, spec.metric, "oma", None, None,
-                                    rate_est.mean, rate_est.ci_low,
-                                    rate_est.ci_high, True))
-    return rows
-
-
-def _system_row(spec, cfg, db, point_index, mode, workers):
-    delay_limited = spec.metric in ("throughput_dl", "ee_dl")
+def _system_row(spec, cfg, db, mode, ests):
     targets = (1, 2, 3, 4)
-    rates = [cfg.rate(s) for s in targets]
-    if delay_limited:
+    if spec.metric in ("throughput_dl", "ee_dl"):
+        rates = [cfg.rate(s) for s in targets]
         results = [outage_probability(cfg, s) for s in targets]
         feasible = all(r.feasible for r in results)
         analytic = metrics_mod.throughput_delay_limited(
@@ -190,12 +174,7 @@ def _system_row(spec, cfg, db, point_index, mode, workers):
         if spec.include_asymptotic:
             asym = sum((1.0 - r.p_asymptotic) * rate
                        for r, rate in zip(results, rates))
-        ests = [mc_outage(cfg, s, spec.mc_iterations, spec.master_seed,
-                          point_index=point_index, workers=workers)
-                for s in targets]
-        mc_value = sum((1.0 - e.mean) * rate for e, rate in zip(ests, rates))
-        hw = math.sqrt(sum((rate * e.half_width_95) ** 2
-                           for e, rate in zip(ests, rates)))
+        est = ests["throughput_dl", mode]
     else:
         zero = _no_leakage(cfg)
         feasible = True
@@ -204,37 +183,32 @@ def _system_row(spec, cfg, db, point_index, mode, workers):
         asym = None
         if spec.include_asymptotic:
             asym = sum(_rate_asymptote(zero, s) for s in targets)
-        ests = [mc_ergodic(cfg, s, spec.mc_iterations, spec.master_seed,
-                           point_index=point_index, workers=workers)
-                for s in targets]
-        mc_value = sum(e.mean for e in ests)
-        hw = math.sqrt(sum(e.half_width_95 ** 2 for e in ests))
+        est = ests["throughput_dt", mode]
+    scale = 1.0
     if spec.metric in ("ee_dl", "ee_dt"):
         scale = metrics_mod.energy_efficiency(1.0, cfg)
         analytic *= scale
-        mc_value *= scale
-        hw *= scale
         if asym is not None:
             asym *= scale
     return MetricPoint(db, "system", spec.metric, mode, analytic, asym,
-                       mc_value, mc_value - hw, mc_value + hw, feasible)
+                       feasible=feasible, **_mc_columns(est, scale))
 
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
+    per_signal = spec.metric in ("outage", "ergodic_rate")
     rows = []
     for point_index, db in enumerate(spec.grid_db()):
         cfg_point = config.with_rho(10.0 ** (db / 10.0))
-        for mode_pos, mode in enumerate(spec.modes):
-            cfg = cfg_point.with_mode(mode)
-            if spec.metric == "outage":
-                rows.extend(_outage_rows(spec, cfg, db, point_index, mode,
-                                         mode_pos == 0, workers))
-            elif spec.metric == "ergodic_rate":
-                rows.extend(_ergodic_rows(spec, cfg, db, point_index, mode,
-                                          mode_pos == 0, workers))
-            else:
-                rows.append(_system_row(spec, cfg, db, point_index, mode, workers))
+        ests = mc_point(cfg_point, spec.mc_iterations, spec.master_seed,
+                        point_index=point_index, workers=workers,
+                        signals=spec.signals if per_signal else (1, 2, 3, 4),
+                        modes=spec.modes, oma=spec.include_oma)
+        if per_signal:
+            rows.extend(_signal_rows(spec, cfg_point, db, ests))
+        else:
+            rows.extend(_system_row(spec, cfg_point.with_mode(mode), db, mode, ests)
+                        for mode in spec.modes)
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

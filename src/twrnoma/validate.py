@@ -20,7 +20,7 @@ from .analysis import diversity_order_estimate, outage_asymptotic, outage_probab
 from .ergodic import (ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
                       ergodic_rate_weak_numeric)
 from .model import SignalIndex, SystemConfig
-from .montecarlo import mc_ergodic, mc_oma_baseline, mc_outage
+from .montecarlo import mc_oma_baseline, mc_point
 from .specfun import HypoExpParams, expint_ei, hypoexp_pdf
 from .sweep import _no_leakage
 
@@ -70,15 +70,15 @@ def _rel(a, b):
 def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     worst, band = 0.0, math.inf
     for point, db in enumerate((10.0, 25.0, 40.0)):
+        cfg = config.with_rho(10.0 ** (db / 10.0))
+        ests = mc_point(cfg, iterations, seed, point_index=point, workers=workers,
+                        signals=(1, 2), modes=("ipsic", "psic"))
         for mode in ("ipsic", "psic"):
-            cfg = config.with_rho(10.0 ** (db / 10.0)).with_mode(mode)
             for s in (1, 2):
-                exact = outage_probability(cfg, s).p_exact
-                est = mc_outage(cfg, s, iterations, seed,
-                                point_index=point, workers=workers)
+                exact = outage_probability(cfg.with_mode(mode), s).p_exact
                 sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
                 allowed = scale * max(3.0 * sigma, 0.005)
-                gap = abs(est.mean - exact)
+                gap = abs(ests["outage", mode, s].mean - exact)
                 if gap * band > worst * allowed:
                     worst, band = gap, allowed
     return CheckResult("outage_closed_vs_mc", worst <= band, band, worst,
@@ -148,14 +148,14 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     tol = 0.02 * scale
     worst = 0.0
     cfg = _no_leakage(config).with_rho(100.0)
+    ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
+                    signals=(1, 2), modes=("ipsic", "psic"))
     for mode in ("ipsic", "psic"):
         mcfg = cfg.with_mode(mode)
         for s, fn in ((1, ergodic_rate_strong_closed),
                       (2, ergodic_rate_weak_numeric)):
             closed = fn(mcfg, SignalIndex.for_signal(s))
-            est = mc_ergodic(mcfg, s, iterations, seed, point_index=5,
-                             workers=workers)
-            worst = max(worst, _rel(closed, est.mean))
+            worst = max(worst, _rel(closed, ests["rate", mode, s].mean))
     return CheckResult("rate_closed_vs_mc", worst <= tol, tol, worst,
                        "20 dB, leakage off, x1/x2, both modes")
 

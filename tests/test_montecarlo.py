@@ -8,9 +8,10 @@ import pytest
 from twrnoma.analysis import outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
 from twrnoma.model import SignalIndex, SystemConfig
-from twrnoma.montecarlo import (McEstimate, chunk_generator, ci_bounds,
-                                mc_ergodic, mc_oma_baseline, mc_outage,
-                                oma_outage_exact, oma_threshold)
+from twrnoma.montecarlo import (McEstimate, _merge_moments, _moments,
+                                chunk_generator, ci_bounds, mc_ergodic,
+                                mc_oma_baseline, mc_outage, oma_outage_exact,
+                                oma_threshold)
 
 
 def test_estimate_invariant():
@@ -56,6 +57,20 @@ def test_ci_bounds_calibration():
         lo, hi = ci_bounds(int(k), 1000)
         hits += lo <= 0.3 <= hi
     assert hits / trials >= 0.93
+
+
+def test_moment_merge_keeps_digits_at_a_large_mean():
+    """Chunked (n, mean, M2) merge against the variance of the whole sample."""
+    rng = np.random.default_rng(3)
+    x = 1e6 + 1e-3 * rng.standard_normal(10_000)
+    cuts = [0, 7, 1500, 1501, 6200, 10_000]
+    n, mean, m2 = _merge_moments([_moments(x[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert n == x.size
+    assert mean == pytest.approx(np.mean(x), rel=1e-14)
+    assert m2 / (n - 1) == pytest.approx(np.var(x, ddof=1), rel=1e-9)
+    # the sum/sum-of-squares form keeps no correct digit at this spread
+    naive = (np.sum(x * x) - n * np.mean(x) ** 2) / (n - 1)
+    assert naive != pytest.approx(np.var(x, ddof=1), rel=0.5)
 
 
 def test_substreams_look_independent():

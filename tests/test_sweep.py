@@ -4,9 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from twrnoma.model import ConfigError, SystemConfig
+import twrnoma.montecarlo as montecarlo
+from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
+                           sample_channel_draw, sinr_set)
+from twrnoma.montecarlo import CHUNK, chunk_generator
 from twrnoma.sweep import (CSV_HEADER, MetricPoint, OutputError, SweepSpec,
                            emit_outputs, render_csv, run_sweep)
 
@@ -161,3 +165,76 @@ def test_ee_rows_scale_with_power_budget(baseline):
     dear_rows = run_sweep(spec, pricey)
     assert base_rows[0].analytic == pytest.approx(2.0 * dear_rows[0].analytic,
                                                   rel=1e-12)
+
+
+def test_one_channel_draw_per_sweep_point(baseline, monkeypatch):
+    """Every signal, SIC mode and the baseline read one NOMA draw per point."""
+    draws = []
+    original = montecarlo.sample_channel_draw
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs.get("size"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
+    spec = small_spec(snr_stop_db=5.0, signals=(1, 2, 3, 4), sic_mode="both",
+                      include_oma=True)
+    rows = run_sweep(spec, baseline)
+    assert len(rows) == 2 * (4 * 2 + 5)
+    assert draws == [spec.mc_iterations] * 2
+
+
+def _per_draw_system_sum(cfg, draw, metric):
+    """Independent rebuild of sum_i 1{ok_i} R_i or sum_i rate_i per draw."""
+    total = np.zeros(draw.g1.shape)
+    for s in (1, 2, 3, 4):
+        idx = SignalIndex.for_signal(s)
+        v = sinr_set(cfg, draw, idx)
+        th_l = gamma_threshold(cfg.rate(idx.l))
+        th_t = gamma_threshold(cfg.rate(idx.t))
+        if s in (1, 3):
+            ok = ((v.relay_strong > th_l) & (v.near_decodes_weak > th_t)
+                  & (v.near_decodes_own > th_l))
+            eff = np.minimum(v.relay_strong, v.near_decodes_own)
+        else:
+            ok = ((v.relay_weak > th_t) & (v.relay_strong > th_l)
+                  & (v.near_decodes_weak > th_t) & (v.far_decodes_weak > th_t))
+            eff = np.minimum(np.minimum(v.relay_weak, v.near_decodes_weak),
+                             v.far_decodes_weak)
+        if metric == "throughput_dl":
+            total += np.where(ok, cfg.rate(s), 0.0)
+        else:
+            total += 0.5 * np.log2(1.0 + eff)
+    return total
+
+
+@pytest.mark.parametrize("metric", ["throughput_dl", "throughput_dt"])
+def test_system_interval_is_that_of_the_per_draw_sum(baseline, metric):
+    """The four signals share draws, so the system row's interval comes from
+    the per-draw sum, not from combining per-signal half-widths."""
+    n, seed = 20_000, 5
+    spec = small_spec(metric=metric, snr_start_db=20.0, snr_stop_db=20.0,
+                      signals=(1, 2, 3, 4), sic_mode="both", mc_iterations=n,
+                      master_seed=seed)
+    rows = {r.mode: r for r in run_sweep(spec, baseline)}
+    cfg = baseline.with_rho(100.0)
+    # grid point 0, one chunk: the NOMA gains come from substream (0, 0)
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
+    for mode in ("ipsic", "psic"):
+        x = _per_draw_system_sum(cfg.with_mode(mode), draw, metric)
+        assert x.std() > 0.0
+        row = rows[mode]
+        half = (row.mc_ci_high - row.mc_ci_low) / 2.0
+        assert row.mc_mean == pytest.approx(x.mean(), rel=1e-12)
+        assert half == pytest.approx(1.959963984540054 * x.std(ddof=1) / np.sqrt(n),
+                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("metric, extra", [("outage", {"include_oma": True}),
+                                           ("ee_dl", {"signals": (1, 2, 3, 4)})])
+def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
+    """Three chunks per estimate, so the pool really splits the work."""
+    spec = small_spec(metric=metric, snr_start_db=10.0, snr_stop_db=10.0,
+                      sic_mode="both", mc_iterations=2 * CHUNK + 1000, **extra)
+    assert render_csv(run_sweep(spec, baseline, workers=1)) == \
+        render_csv(run_sweep(spec, baseline, workers=3))
