@@ -15,7 +15,8 @@ from .configio import DEFAULT_CONFIG_TEXT, PRESETS, load_config, parse_config
 from .metrics import (SystemThroughput, energy_efficiency,
                       throughput_delay_limited, throughput_delay_tolerant)
 from .model import (ChannelDraw, ConfigError, SignalIndex, SinrSet, SystemConfig,
-                    gamma_threshold, sample_channel_draw, signal_role, sinr_set)
+                    gamma_threshold, sample_channel_draw, signal_role, sinr_set,
+                    sinr_sets)
 from .montecarlo import (McEstimate, ci_bounds, mc_ergodic, mc_oma_baseline,
                          mc_outage, mc_point, oma_outage_exact)
 from .specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
@@ -41,6 +42,6 @@ __all__ = [
     "mc_ergodic", "mc_oma_baseline", "mc_outage", "mc_point", "oma_outage_exact",
     "outage_asymptotic", "outage_probability", "parse_config", "phi_weights",
     "resolve_rates", "run_sweep", "sample_channel_draw", "signal_role",
-    "sinr_set", "throughput_delay_limited", "throughput_delay_tolerant",
+    "sinr_set", "sinr_sets", "throughput_delay_limited", "throughput_delay_tolerant",
     "validate", "emit_outputs",
 ]

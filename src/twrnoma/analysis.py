@@ -15,6 +15,7 @@ diversity order is zero whenever any leakage path is active.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import SignalIndex, SystemConfig, gamma_threshold, signal_role
@@ -98,9 +99,12 @@ def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex) -> Outa
 
     varphi_t = (omega_l + rho * beta_l * a_t * omega_t) / (omega_l * omega_t)
 
-    cross = ((1.0 / (rho * config.varpi1 * a_k * omega_k),
-              1.0 / (rho * config.varpi1 * a_r * omega_r))
-             if config.varpi1 > 0 else ())
+    # a leakage term whose mean power is zero or subnormal (varpi1 = 0, or a
+    # level so small that the product underflows) is no term at all: its
+    # rate would be infinite and its Laplace factor is 1
+    cross = tuple(1.0 / mean for mean in (rho * config.varpi1 * a_k * omega_k,
+                                          rho * config.varpi1 * a_r * omega_r)
+                  if mean >= sys.float_info.min)
     uplink = (1.0 / (rho * a_t * omega_t),) + cross
 
     return OutageIntermediates(
@@ -141,7 +145,8 @@ def _near_user_success(config, idx, inter):
     omega_k = config.omega(idx.k)
     lead = math.exp(-inter.theta_l / omega_k)
     eps = config.epsilon
-    if eps == 0.0:
+    if eps == 0.0 or inter.tau_l == 0.0:
+        # a zero target rate (tau_l = 0) has nothing left to subtract
         return lead
     c = eps * config.rho * inter.tau_l * config.omega_I
     combined = math.exp(-inter.theta_l / omega_k
@@ -198,7 +203,7 @@ def outage_probability(config: SystemConfig, signal: int) -> OutageResult:
 def _asymptotic_strong_raw(config, idx, inter):
     up = _uplink_success(config, idx, inter, with_exp=False)
     eps = config.epsilon
-    if eps == 0.0:
+    if eps == 0.0 or inter.tau_l == 0.0:
         return 1.0 - up
     omega_k = config.omega(idx.k)
     c = eps * config.rho * inter.tau_l * config.omega_I

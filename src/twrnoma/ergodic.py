@@ -98,9 +98,12 @@ class RateIntermediates:
     (a_t Omega_t) plays the same role for the weak user's high-SNR limit.
     psi is the exponential decay rate.  a_coef, b_coef, c_coef are the
     partial-fraction weights of 1/((1+u)(1+u lambda1)(1+u lambda2)) on
-    1/(1+u), 1/(1+u lambda1) and 1/(1+u lambda2).  When lambda2 sits on the
-    unit pole the last two poles merge: c_coef is 0 and d_coef weights the
-    repeated pole 1/(1+u)^2; elsewhere d_coef is 0.  The four sum to 1.
+    1/(1+u), 1/(1+u lambda1) and 1/(1+u lambda2).  Near the unit pole,
+    |lambda2 - 1| < PAIR_WINDOW, the weights on 1/(1+u) and 1/(1+u lambda2)
+    grow like 1/(lambda2 - 1) and cancel, so the two poles are kept
+    together: c_coef is 0 and d_coef weights the pair 1/((1+u)(1+u lambda2)),
+    the repeated pole 1/(1+u)^2 at lambda2 = 1; elsewhere d_coef is 0.  The
+    four sum to 1.
     w_rate_residual and w_rate_self are the residual and self interference
     rates of the leakage path (the first infinite under perfect SIC, where
     the residual leg vanishes).
@@ -120,6 +123,18 @@ class RateIntermediates:
 
 def _on_unit_pole(lam):
     return abs(lam - 1.0) < 1e-9
+
+
+# Outside this distance of the unit pole the simple-pole weights lose at
+# most ~2e-15/|lambda2 - 1| of the rate to cancellation, 2e-14 at the edge;
+# inside it the pair term's 8-node Gauss-Legendre mean is exact to round-off.
+PAIR_WINDOW = 0.1
+# 8-node Gauss-Legendre rule on [-1, 1] as (node, weight) for the nodes
+# +-node; numpy.polynomial.legendre.leggauss(8) gives the same values
+GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
+                    (0.525532409916329, 0.3137066458778869),
+                    (0.7966664774136267, 0.22238103445337443),
+                    (0.9602898564975362, 0.10122853629037706))
 
 
 def _separate(lam1, lam2):
@@ -161,12 +176,13 @@ def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIn
     lam3 = eps * config.omega_I / (a_t * omega_t)
     psi = (a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k)
 
-    if _on_unit_pole(lam2):
-        # 1/((1+u)^2 (1+u lambda1)) = a/(1+u) + d/(1+u)^2 + b/(1+u lambda1)
-        a_coef = -lam1 / (lam1 - 1.0) ** 2
-        b_coef = lam1 * lam1 / (lam1 - 1.0) ** 2
+    if abs(lam2 - 1.0) < PAIR_WINDOW:
+        # 1/((1+u)(1+u lambda1)(1+u lambda2))
+        #     = a/(1+u) + b/(1+u lambda1) + d/((1+u)(1+u lambda2))
+        b_coef = lam1 * lam1 / ((lam1 - 1.0) * (lam1 - lam2))
+        a_coef = -lam1 / ((lam1 - 1.0) * (lam1 - lam2))
         c_coef = 0.0
-        d_coef = 1.0 / (1.0 - lam1)
+        d_coef = lam2 / (lam2 - lam1)
     else:
         a_coef = 1.0 / (lam1 * lam2 - lam2 - lam1 + 1.0)
         b_coef = (a_coef * (lam1 - lam1 * lam2) - lam1) / (lam2 - lam1)
@@ -209,6 +225,23 @@ def _require_no_leakage(config, who):
             "SIC) or the Monte Carlo estimator")
 
 
+def _pair_integral(inter: RateIntermediates, j2) -> float:
+    """integral_0^inf e^{-psi u} / ((1+u)(1+lambda2 u)) du, no cancellation.
+
+    With nu = 1/lambda2 and K(x) = integral_0^inf e^{-psi u}/(u+x) du, the
+    integral is nu (K(1) - K(nu))/(nu - 1): nu times the mean of
+    j2 = -K' over [1, nu], taken by Gauss-Legendre.  j2 is smooth on that
+    short interval, so the divided difference keeps its digits however
+    close lambda2 sits to 1.  Passing the -K' of an expansion of K gives
+    the same term of that expansion.
+    """
+    nu = 1.0 / inter.lambda2
+    mid, half = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
+    mean = sum(w * (j2(mid - half * t) + j2(mid + half * t))
+               for t, w in GAUSS_LEGENDRE_8)
+    return nu * 0.5 * mean
+
+
 def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
     """Closed-form strong-user ergodic rate, leakage off.
 
@@ -219,13 +252,18 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
 
     Under perfect SIC lambda1 = 0 and its partial-fraction weight B
     vanishes with it, so that term is dropped rather than evaluated as
-    0/0.  The D term, integral_0^inf e^{-psi u}/(1+u)^2 du, is the repeated
-    pole left when lambda2 = 1 (then C = 0); elsewhere D = 0.
+    0/0.  Near the unit pole (|lambda2 - 1| < PAIR_WINDOW, then C = 0) the
+    D term is the pair integral_0^inf e^{-psi u}/((1+u)(1+lambda2 u)) du,
+    1 + psi e^psi Ei(-psi) at lambda2 = 1; elsewhere D = 0.
     """
     _require_no_leakage(config, "the closed-form strong-user rate")
     inter = compute_rate_intermediates(config, idx)
-    e_psi = expei_neg(inter.psi)
-    acc = inter.a_coef * e_psi - inter.d_coef * (1.0 + inter.psi * e_psi)
+    psi = inter.psi
+    acc = inter.a_coef * expei_neg(psi)
+    if inter.d_coef:
+        # j2(x) = integral_0^inf e^{-psi u}/(u+x)^2 du = 1/x + psi e^{psi x} Ei(-psi x)
+        acc -= inter.d_coef * _pair_integral(
+            inter, lambda x: 1.0 / x + psi * expei_neg(psi * x))
     if inter.lambda1 > 0.0:
         acc += (inter.b_coef / inter.lambda1) * expei_neg(inter.psi / inter.lambda1)
     acc += (inter.c_coef / inter.lambda2) * expei_neg(inter.psi / inter.lambda2)
@@ -426,9 +464,11 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
                     + (C/lambda2)(1 + psi/lambda2)(ln(psi/lambda2) + gamma)
                     - D (1 + psi + psi (ln psi + gamma)) ],
 
-    with the B term absent under perfect SIC and the D term present only
-    with lambda2 on the unit pole.  The D term is the limit of the A and C
-    terms as lambda2 -> 1, so the expansion is continuous across the pole.  The residual channel
+    with the B term absent under perfect SIC and the D term, the pair
+    integral over the same expansion, present only near the unit pole; at
+    lambda2 = 1 it reads 1 + psi + psi (ln psi + gamma).  The D term equals
+    the A and C terms it replaces, so the expansion is continuous across
+    the window edge.  The residual channel
     keeps lambda1 > 0 and caps the rate; with it removed the expression
     grows like (1/2) log2(rho), unit multiplexing gain over the two slots.
     """
@@ -438,9 +478,12 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
         s = inter.psi / lam
         return (coef / lam) * (1.0 + s) * (math.log(s) + EULER_GAMMA)
 
-    log_psi = math.log(inter.psi) + EULER_GAMMA
-    acc = (inter.a_coef * (1.0 + inter.psi) * log_psi
-           - inter.d_coef * (1.0 + inter.psi + inter.psi * log_psi))
+    psi = inter.psi
+    acc = inter.a_coef * (1.0 + psi) * (math.log(psi) + EULER_GAMMA)
+    if inter.d_coef:
+        # -d/dx of the expansion -(1 + psi x)(ln(psi x) + gamma) of K(x)
+        acc -= inter.d_coef * _pair_integral(
+            inter, lambda x: 1.0 / x + psi * (1.0 + math.log(psi * x) + EULER_GAMMA))
     if inter.lambda1 > 0.0:
         acc += piece(inter.b_coef, inter.lambda1)
     acc += piece(inter.c_coef, inter.lambda2)

@@ -16,7 +16,9 @@ Imperfect SIC is modelled two ways:
   active only in ipSIC mode (epsilon = 1) and absent under pSIC (epsilon = 0).
 
 This module owns the configuration record, the signal-index convention, the
-channel sampler and the five SINR expressions every other module consumes.
+channel sampler and the five SINR expressions every other module consumes,
+evaluated for one pairing under several SIC modes at once (``sinr_sets``)
+or under the config's own (``sinr_set``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from dataclasses import dataclass
 
 class ConfigError(ValueError):
     """Raised when a configuration violates a named model invariant."""
+
+
+# residual-SIC switch per mode: the residual channel is present under ipSIC
+_EPSILON = {"ipsic": 1.0, "psic": 0.0}
 
 
 def _positive(name, value):
@@ -105,7 +111,7 @@ class SystemConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.sic_mode not in ("ipsic", "psic"):
+        if self.sic_mode not in _EPSILON:
             raise ConfigError(f"sic_mode must be 'ipsic' or 'psic', got {self.sic_mode!r}")
         # Fill in the distance-law variances, checking consistency when a
         # variance was supplied alongside the distance it must match.
@@ -125,7 +131,7 @@ class SystemConfig:
     @property
     def epsilon(self) -> float:
         """SIC-mode switch: 1.0 under ipSIC, 0.0 under pSIC."""
-        return 1.0 if self.sic_mode == "ipsic" else 0.0
+        return _EPSILON[self.sic_mode]
 
     def a(self, i):
         return getattr(self, f"a{i}")
@@ -258,8 +264,9 @@ def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:
     )
 
 
-def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrSet:
-    """Evaluate the five SINR expressions for one pairing.
+def sinr_sets(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
+              modes) -> tuple:
+    """Evaluate the five SINR expressions of one pairing under each SIC mode.
 
     With rho the transmit SNR, eps the SIC switch and w1, w2 the leakage
     levels, the uplink pair is
@@ -275,10 +282,15 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrS
 
     The user-node leakage term scales the user's own gain, which is kept
     verbatim rather than reinterpreted as an independent cross link.
+
+    Only the two residual-SIC denominators depend on the mode (eps is 1
+    under "ipsic", 0 under "psic"), so every other term is formed once and
+    the returned SinrSets, one per entry of ``modes`` in order, share those
+    arrays.  Under pSIC the residual term is 0 * rho * gI, which adds
+    exactly zero, so each set equals a one-mode evaluation bit for bit.
     Scalar and array gains are both accepted.
     """
     rho = config.rho
-    eps = config.epsilon
     a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
                           config.a(idx.t), config.a(idx.r))
     b_l, b_t = config.b(idx.l), config.b(idx.t)
@@ -286,15 +298,28 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrS
     g_t, g_r = draw.gain(idx.t), draw.gain(idx.r)
 
     cross = rho * config.varpi1 * (a_k * g_k + a_r * g_r)
-    relay_strong = rho * a_l * g_l / (rho * a_t * g_t + cross + 1.0)
-    relay_weak = rho * a_t * g_t / (eps * rho * draw.gI + cross + 1.0)
+    weak_up = rho * a_t * g_t
+    relay_strong = rho * a_l * g_l / (weak_up + cross + 1.0)
 
-    near_decodes_weak = (rho * g_k * b_t
-                         / (rho * g_k * b_l + rho * config.varpi2 * g_k + 1.0))
-    near_decodes_own = (rho * g_k * b_l
-                        / (eps * rho * draw.gI + rho * config.varpi2 * g_k + 1.0))
+    own_down = rho * g_k * b_l
+    leak_k = rho * config.varpi2 * g_k
+    near_decodes_weak = rho * g_k * b_t / (own_down + leak_k + 1.0)
     far_decodes_weak = (rho * g_r * b_t
                         / (rho * g_r * b_l + rho * config.varpi2 * g_r + 1.0))
 
-    return SinrSet(relay_strong, relay_weak, near_decodes_weak,
-                   near_decodes_own, far_decodes_weak)
+    sets = []
+    for mode in modes:
+        residual = _EPSILON[mode] * rho * draw.gI
+        sets.append(SinrSet(relay_strong, weak_up / (residual + cross + 1.0),
+                            near_decodes_weak,
+                            own_down / (residual + leak_k + 1.0),
+                            far_decodes_weak))
+    return tuple(sets)
+
+
+def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrSet:
+    """The five SINRs of one pairing under the config's own SIC mode.
+
+    The one-mode view of ``sinr_sets``, which holds the expressions.
+    """
+    return sinr_sets(config, draw, idx, (config.sic_mode,))[0]

@@ -2,11 +2,12 @@
 
 Every row carries the analytical value and a seeded Monte Carlo estimate
 side by side; the CSV is the cross-validation record, not just plot
-fodder.  Each grid point makes one ``mc_point`` call: one channel draw per
-chunk serves every signal, SIC mode and system sum of that point, and the
-orthogonal baseline draws its own fades once for all of its rows.  The
-substreams derive from (master seed, grid position), so reruns and
-different worker counts give identical bytes.
+fodder.  Each grid point makes one ``mc_point`` call for the one estimate
+kind its rows read: one channel draw per chunk serves every signal, SIC
+mode and system sum of that point, and the orthogonal baseline draws its
+own fades once for all of its rows.  The substreams derive from (master
+seed, grid position), so reruns and different worker counts give
+identical bytes.
 
 Rate-style metrics follow the reporting convention of the reference
 curves: the analytic column is the leakage-free closed form while the
@@ -30,6 +31,11 @@ from .montecarlo import mc_point
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
+
+# the one Monte Carlo estimate kind each metric's rows read
+_MC_KIND = {"outage": "outage", "ergodic_rate": "rate",
+            "throughput_dl": "throughput_dl", "throughput_dt": "throughput_dt",
+            "ee_dl": "throughput_dl", "ee_dt": "throughput_dt"}
 
 CSV_HEADER = ("snr_db,signal,metric,mode,analytic,asymptotic,"
               "mc_mean,mc_ci_low,mc_ci_high,feasible")
@@ -137,7 +143,7 @@ def _mc_columns(est, scale=1.0):
 def _signal_rows(spec, cfg_point, db, ests):
     """Per-signal rows for every mode, then the baseline rows once."""
     outage = spec.metric == "outage"
-    kind = "outage" if outage else "rate"
+    kind = _MC_KIND[spec.metric]
     rows = []
     for mode in spec.modes:
         cfg = cfg_point.with_mode(mode)
@@ -174,7 +180,6 @@ def _system_row(spec, cfg, db, mode, ests):
         if spec.include_asymptotic:
             asym = sum((1.0 - r.p_asymptotic) * rate
                        for r, rate in zip(results, rates))
-        est = ests["throughput_dl", mode]
     else:
         zero = _no_leakage(cfg)
         feasible = True
@@ -183,7 +188,6 @@ def _system_row(spec, cfg, db, mode, ests):
         asym = None
         if spec.include_asymptotic:
             asym = sum(_rate_asymptote(zero, s) for s in targets)
-        est = ests["throughput_dt", mode]
     scale = 1.0
     if spec.metric in ("ee_dl", "ee_dt"):
         scale = metrics_mod.energy_efficiency(1.0, cfg)
@@ -191,7 +195,8 @@ def _system_row(spec, cfg, db, mode, ests):
         if asym is not None:
             asym *= scale
     return MetricPoint(db, "system", spec.metric, mode, analytic, asym,
-                       feasible=feasible, **_mc_columns(est, scale))
+                       feasible=feasible,
+                       **_mc_columns(ests[_MC_KIND[spec.metric], mode], scale))
 
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
@@ -202,6 +207,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
         cfg_point = config.with_rho(10.0 ** (db / 10.0))
         ests = mc_point(cfg_point, spec.mc_iterations, spec.master_seed,
                         point_index=point_index, workers=workers,
+                        kinds=(_MC_KIND[spec.metric],),
                         signals=spec.signals if per_signal else (1, 2, 3, 4),
                         modes=spec.modes, oma=spec.include_oma)
         if per_signal:

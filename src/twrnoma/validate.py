@@ -20,7 +20,7 @@ from .analysis import diversity_order_estimate, outage_asymptotic, outage_probab
 from .ergodic import (ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
                       ergodic_rate_weak_numeric)
 from .model import SignalIndex, SystemConfig
-from .montecarlo import mc_oma_baseline, mc_point
+from .montecarlo import mc_point
 from .specfun import HypoExpParams, expint_ei, hypoexp_pdf
 from .sweep import _no_leakage
 
@@ -72,7 +72,7 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     for point, db in enumerate((10.0, 25.0, 40.0)):
         cfg = config.with_rho(10.0 ** (db / 10.0))
         ests = mc_point(cfg, iterations, seed, point_index=point, workers=workers,
-                        signals=(1, 2), modes=("ipsic", "psic"))
+                        kinds=("outage",), signals=(1, 2), modes=("ipsic", "psic"))
         for mode in ("ipsic", "psic"):
             for s in (1, 2):
                 exact = outage_probability(cfg.with_mode(mode), s).p_exact
@@ -149,7 +149,7 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     worst = 0.0
     cfg = _no_leakage(config).with_rho(100.0)
     ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
-                    signals=(1, 2), modes=("ipsic", "psic"))
+                    kinds=("rate",), signals=(1, 2), modes=("ipsic", "psic"))
     for mode in ("ipsic", "psic"):
         mcfg = cfg.with_mode(mode)
         for s, fn in ((1, ergodic_rate_strong_closed),
@@ -192,8 +192,8 @@ def _check_oma(config, scale, iterations, seed, workers):
     from .montecarlo import oma_outage_exact
     cfg = config.with_rho(10.0)
     exact = oma_outage_exact(cfg, "system")
-    est, _ = mc_oma_baseline(cfg, "system", iterations, seed,
-                             point_index=7, workers=workers)
+    est = mc_point(cfg, iterations, seed, point_index=7, workers=workers,
+                   kinds=("outage",), signals=(), oma=True)["oma_outage", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrnoma.ergodic import (QuadratureSpec, compute_rate_intermediates,
+from twrnoma.ergodic import (GAUSS_LEGENDRE_8, PAIR_WINDOW, QuadratureSpec,
+                             compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
                              ergodic_rate_strong_numeric,
@@ -109,6 +110,46 @@ def test_strong_closed_at_the_unit_pole_matches_mpmath(mode):
     assert inter.a_coef + inter.b_coef + inter.d_coef == pytest.approx(1.0, rel=1e-12)
     assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
         _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+
+
+def _near_pole(delta):
+    # a_2 Omega_2 = (1 + delta) a_1 Omega_1, so lambda2 = 1 + delta
+    return dict(a1=0.5, a2=0.5 * (1.0 + delta), a3=0.5, a4=0.5 * (1.0 + delta),
+                d1=3.0, d2=3.0)
+
+
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+@pytest.mark.parametrize("delta", [2e-9, 1e-8, 1e-6, 1e-4, 1e-3])
+def test_strong_closed_near_the_unit_pole_matches_mpmath(mode, delta):
+    """Just off the pole the simple-pole weights cancel (6e-7 relative error
+    at delta = 2e-9, 2e-11 at 1e-4); the pair form keeps round-off."""
+    cfg = _cfg(20, mode, **_near_pole(delta))
+    assert compute_rate_intermediates(cfg, IDX1).lambda2 == pytest.approx(
+        1.0 + delta, rel=1e-15)
+    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+@pytest.mark.parametrize("snr_db", [20, 50])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_strong_rate_is_continuous_across_the_pair_window(mode, snr_db, side):
+    """The pair form and the simple-pole form agree at the window edge, for
+    the closed form and for its high-SNR expansion."""
+    edge = side * PAIR_WINDOW
+    inside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 - 1e-12)))
+    outside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 + 1e-12)))
+    assert compute_rate_intermediates(inside, IDX1).d_coef != 0.0
+    assert compute_rate_intermediates(outside, IDX1).d_coef == 0.0
+    for fn in (ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic):
+        assert fn(inside, IDX1) == pytest.approx(fn(outside, IDX1), rel=1e-12)
+
+
+def test_gauss_legendre_table_matches_numpy():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    rule = [(-t, w) for t, w in reversed(GAUSS_LEGENDRE_8)] + list(GAUSS_LEGENDRE_8)
+    assert np.array_equal([t for t, _ in rule], nodes)
+    assert np.array_equal([w for _, w in rule], weights)
 
 
 def test_rate_intermediates_frozen(baseline):

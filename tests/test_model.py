@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrnoma.model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
-                           gamma_threshold, sinr_set, signal_role)
+from twrnoma.model import (ChannelDraw, ConfigError, SignalIndex, SinrSet,
+                           SystemConfig, gamma_threshold, sample_channel_draw,
+                           signal_role, sinr_set, sinr_sets)
 
 
 def test_gamma_threshold_frozen_values():
@@ -107,6 +109,42 @@ def test_residual_interference_only_hurts(g1, g2, g3, g4, gi):
     # branches that do not carry the residual term are untouched
     assert ip.relay_strong == p.relay_strong
     assert ip.far_decodes_weak == p.far_decodes_weak
+
+
+def _reference_sinrs(config, draw, idx):
+    """The five SINRs written out once per mode, as a reference."""
+    rho, eps = config.rho, config.epsilon
+    a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
+                          config.a(idx.t), config.a(idx.r))
+    b_l, b_t = config.b(idx.l), config.b(idx.t)
+    g_l, g_k, g_t, g_r = (draw.gain(idx.l), draw.gain(idx.k),
+                          draw.gain(idx.t), draw.gain(idx.r))
+    cross = rho * config.varpi1 * (a_k * g_k + a_r * g_r)
+    w2 = config.varpi2
+    return SinrSet(
+        rho * a_l * g_l / (rho * a_t * g_t + cross + 1.0),
+        rho * a_t * g_t / (eps * rho * draw.gI + cross + 1.0),
+        rho * g_k * b_t / (rho * g_k * b_l + rho * w2 * g_k + 1.0),
+        rho * g_k * b_l / (eps * rho * draw.gI + rho * w2 * g_k + 1.0),
+        rho * g_r * b_t / (rho * g_r * b_l + rho * w2 * g_r + 1.0))
+
+
+@pytest.mark.parametrize("signal", [1, 3])
+def test_sinr_sets_equal_the_per_mode_formulas(signal):
+    """Every mode's set matches its own evaluation bit for bit, and the
+    fields no SIC mode changes are one shared array."""
+    cfg = SystemConfig(rho=10.0 ** 2.5, varpi1=0.05, varpi2=0.02)
+    rng = np.random.default_rng(8)
+    draw = sample_channel_draw(cfg, rng, size=5000)
+    idx = SignalIndex.for_signal(signal)
+    ip, p = sinr_sets(cfg, draw, idx, ("ipsic", "psic"))
+    for mode, got in (("ipsic", ip), ("psic", p)):
+        want = _reference_sinrs(cfg.with_mode(mode), draw, idx)
+        for name in ("relay_strong", "relay_weak", "near_decodes_weak",
+                     "near_decodes_own", "far_decodes_weak"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("relay_strong", "near_decodes_weak", "far_decodes_weak"):
+        assert getattr(ip, name) is getattr(p, name)
 
 
 def test_group_exchange_symmetry():

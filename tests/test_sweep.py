@@ -1,5 +1,6 @@
 """Sweep driver and output writers."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import twrnoma.montecarlo as montecarlo
+from twrnoma.configio import PRESETS, apply_overrides
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
                            sample_channel_draw, sinr_set)
 from twrnoma.montecarlo import CHUNK, chunk_generator
@@ -184,27 +186,33 @@ def test_one_channel_draw_per_sweep_point(baseline, monkeypatch):
     assert draws == [spec.mc_iterations] * 2
 
 
+def _per_draw_samples(cfg, draw, s):
+    """Independent rebuild of signal s's success mask and rate per draw."""
+    idx = SignalIndex.for_signal(s)
+    v = sinr_set(cfg, draw, idx)
+    th_l = gamma_threshold(cfg.rate(idx.l))
+    th_t = gamma_threshold(cfg.rate(idx.t))
+    if s in (1, 3):
+        ok = ((v.relay_strong > th_l) & (v.near_decodes_weak > th_t)
+              & (v.near_decodes_own > th_l))
+        eff = np.minimum(v.relay_strong, v.near_decodes_own)
+    else:
+        ok = ((v.relay_weak > th_t) & (v.relay_strong > th_l)
+              & (v.near_decodes_weak > th_t) & (v.far_decodes_weak > th_t))
+        eff = np.minimum(np.minimum(v.relay_weak, v.near_decodes_weak),
+                         v.far_decodes_weak)
+    return ok, 0.5 * np.log2(1.0 + eff)
+
+
 def _per_draw_system_sum(cfg, draw, metric):
     """Independent rebuild of sum_i 1{ok_i} R_i or sum_i rate_i per draw."""
     total = np.zeros(draw.g1.shape)
     for s in (1, 2, 3, 4):
-        idx = SignalIndex.for_signal(s)
-        v = sinr_set(cfg, draw, idx)
-        th_l = gamma_threshold(cfg.rate(idx.l))
-        th_t = gamma_threshold(cfg.rate(idx.t))
-        if s in (1, 3):
-            ok = ((v.relay_strong > th_l) & (v.near_decodes_weak > th_t)
-                  & (v.near_decodes_own > th_l))
-            eff = np.minimum(v.relay_strong, v.near_decodes_own)
-        else:
-            ok = ((v.relay_weak > th_t) & (v.relay_strong > th_l)
-                  & (v.near_decodes_weak > th_t) & (v.far_decodes_weak > th_t))
-            eff = np.minimum(np.minimum(v.relay_weak, v.near_decodes_weak),
-                             v.far_decodes_weak)
+        ok, rate = _per_draw_samples(cfg, draw, s)
         if metric == "throughput_dl":
             total += np.where(ok, cfg.rate(s), 0.0)
         else:
-            total += 0.5 * np.log2(1.0 + eff)
+            total += rate
     return total
 
 
@@ -238,3 +246,80 @@ def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
                       sic_mode="both", mc_iterations=2 * CHUNK + 1000, **extra)
     assert render_csv(run_sweep(spec, baseline, workers=1)) == \
         render_csv(run_sweep(spec, baseline, workers=3))
+
+
+@pytest.mark.parametrize("kind", ["outage", "rate"])
+def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
+    """Counts and (n, mean, M2) moments over three chunks, rebuilt one mode
+    at a time from sinr_set, equal the kernel's bit for bit."""
+    n, seed, point = 2 * CHUNK + 1000, 3, 2
+    cfg = baseline.with_rho(10.0 ** 1.5)
+    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kinds=(kind,),
+                               modes=("ipsic", "psic"))
+    sizes = [CHUNK, CHUNK, 1000]
+    draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
+             for c, size in enumerate(sizes)]
+    assert len(ests) == 2 * 4
+    for mode in ("ipsic", "psic"):
+        for s in (1, 2, 3, 4):
+            parts = [_per_draw_samples(cfg.with_mode(mode), draw, s) for draw in draws]
+            est = ests[kind, mode, s]
+            if kind == "outage":
+                failures = sum(int(np.count_nonzero(~ok)) for ok, _ in parts)
+                lo, hi = montecarlo.ci_bounds(failures, n)
+                assert (est.mean, est.ci_low, est.ci_high) == (failures / n, lo, hi)
+            else:
+                total, mean, m2 = montecarlo._merge_moments(
+                    [montecarlo._moments(rate) for _, rate in parts])
+                assert total == n
+                assert est.mean == mean
+                assert est.half_width_95 == (1.959963984540054
+                                             * np.sqrt(m2 / (n - 1) / n))
+
+
+def test_outage_request_returns_only_outage_estimates(baseline):
+    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, kinds=("outage",),
+                               modes=("ipsic", "psic"), oma=True)
+    assert {key[0] for key in ests} == {"outage", "oma_outage"}
+    assert len(ests) == 2 * 4 + 5
+
+
+def test_kind_requests_are_checked(baseline):
+    with pytest.raises(ValueError, match="signals 1..4"):
+        montecarlo.mc_point(baseline, 2000, 1, kinds=("throughput_dl",),
+                            signals=(1, 2))
+    with pytest.raises(ValueError, match="signals 1..4"):
+        montecarlo.mc_point(baseline, 2000, 1, kinds=("outage", "throughput_dt"),
+                            signals=(1, 2, 3))
+    with pytest.raises(ValueError, match="kinds"):
+        montecarlo.mc_point(baseline, 2000, 1, kinds=("latency",))
+    with pytest.raises(ValueError, match="kinds"):
+        montecarlo.mc_point(baseline, 2000, 1, kinds=())
+    with pytest.raises(ValueError, match="modes"):
+        montecarlo.mc_point(baseline, 2000, 1, kinds=("outage",), modes=("sic",))
+
+
+# sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
+# every CSV of the preset, 2000 iterations, seed 11, default config.
+# Recorded before the kernel evaluated both SIC modes per pairing at once;
+# any kernel change that moves one byte of a Monte Carlo column fails here.
+MC_COLUMN_DIGESTS = {
+    "fig3": "4702aadb0ea0967e3f3525a29c23def275003fc48d80cf6cb301c5a0915d53da",
+    "fig8": "f1b62b5600c6dca4614b8f5dd3a68dbbba5afc1a711d468f27b81ab35ca66381",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_COLUMN_DIGESTS))
+def test_monte_carlo_columns_are_frozen(name):
+    preset = PRESETS[name]
+    digest = hashlib.sha256()
+    for variant in preset.variants:
+        spec = SweepSpec(*preset.snr, metric=variant.metric or preset.metric,
+                         signals=preset.signals, sic_mode="both",
+                         mc_iterations=2000, master_seed=11,
+                         include_asymptotic=preset.with_asymptotic,
+                         include_oma=preset.with_oma)
+        cfg = apply_overrides(SystemConfig(), variant.overrides)
+        for line in render_csv(run_sweep(spec, cfg)).splitlines():
+            digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
+    assert digest.hexdigest() == MC_COLUMN_DIGESTS[name]
