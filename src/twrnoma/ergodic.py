@@ -9,7 +9,9 @@ complementary CDF,
 
 everything reduces to knowing 1 - F_X.  With the cross-group leakage off
 the strong user's CCDF is exp(-x Psi) / ((1 + x L1)(1 + x L2)), which
-integrates in closed form through e^s Ei(-s); the weak user's CCDF is
+integrates in closed form through e^s Ei(-s): the rate is a divided
+difference of K(x) = -e^{Psi x} Ei(-Psi x) over the poles 1, 1/L1, 1/L2,
+taken by one helper that is exact where poles tie.  The weak user's CCDF is
 supported on (0, b_t/b_l) and is integrated numerically after a
 substitution that absorbs the endpoint singularity.  With leakage on, the
 strong user's CCDF is the product of the Laplace transforms of the two
@@ -21,7 +23,6 @@ transform are pinned in one place.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +30,6 @@ from scipy import integrate
 
 from .model import SignalIndex, SystemConfig, signal_role
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace
-
-log = logging.getLogger(__name__)
 
 _LN2 = math.log(2.0)
 
@@ -96,39 +95,17 @@ class RateIntermediates:
     lambda1 = eps Omega_I / (b_l Omega_k) and lambda2 = a_t Omega_t /
     (a_l Omega_l) shape the CCDF denominator; lambda3 = eps Omega_I /
     (a_t Omega_t) plays the same role for the weak user's high-SNR limit.
-    psi is the exponential decay rate.  a_coef, b_coef, c_coef are the
-    partial-fraction weights of 1/((1+u)(1+u lambda1)(1+u lambda2)) on
-    1/(1+u), 1/(1+u lambda1) and 1/(1+u lambda2).  Near the unit pole,
-    |lambda2 - 1| < PAIR_WINDOW, the weights on 1/(1+u) and 1/(1+u lambda2)
-    grow like 1/(lambda2 - 1) and cancel, so the two poles are kept
-    together: c_coef is 0 and d_coef weights the pair 1/((1+u)(1+u lambda2)),
-    the repeated pole 1/(1+u)^2 at lambda2 = 1; elsewhere d_coef is 0.  The
-    four sum to 1.
-    w_rate_residual and w_rate_self are the residual and self interference
-    rates of the leakage path (the first infinite under perfect SIC, where
-    the residual leg vanishes).
+    psi is the exponential decay rate.  All four come from the raw config
+    rates: the rate formulas take divided differences over the poles
+    1/lambda, which stay exact when rates tie with each other or with 1.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
     psi: float
-    a_coef: float
-    b_coef: float
-    c_coef: float
-    d_coef: float
-    w_rate_residual: float
-    w_rate_self: float
 
 
-def _on_unit_pole(lam):
-    return abs(lam - 1.0) < 1e-9
-
-
-# Outside this distance of the unit pole the simple-pole weights lose at
-# most ~2e-15/|lambda2 - 1| of the rate to cancellation, 2e-14 at the edge;
-# inside it the pair term's 8-node Gauss-Legendre mean is exact to round-off.
-PAIR_WINDOW = 0.1
 # 8-node Gauss-Legendre rule on [-1, 1] as (node, weight) for the nodes
 # +-node; numpy.polynomial.legendre.leggauss(8) gives the same values
 GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
@@ -136,30 +113,47 @@ GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
                     (0.7966664774136267, 0.22238103445337443),
                     (0.9602898564975362, 0.10122853629037706))
 
+# Nodes closer than this, relative to the larger, count as confluent.  Apart,
+# the recurrence amplifies round-off by at most ~1/_CONFLUENT; within it the
+# derivatives are smooth enough over the span for the 8-node rule to reach
+# round-off.
+_CONFLUENT = 0.1
 
-def _separate(lam1, lam2):
-    # The partial-fraction weights diverge when the two rates collide with
-    # each other or lambda1 with the 1/(1+u) pole, so nudge those apart the
-    # way the hypoexponential density's rates are; lambda2 on the unit pole
-    # has an exact repeated-pole form instead.
-    for _ in range(200):
-        moved = False
-        if abs(lam1 - lam2) < 1e-9 * max(abs(lam1), abs(lam2), 1e-300):
-            if lam2 <= lam1:
-                old, lam2 = lam2, lam2 * (1.0 - 1e-7)
-                log.debug("separated rate constants: second %.17g -> %.17g", old, lam2)
-            else:
-                old, lam1 = lam1, lam1 * (1.0 - 1e-7)
-                log.debug("separated rate constants: first %.17g -> %.17g", old, lam1)
-            moved = True
-        if _on_unit_pole(lam1):
-            old, lam1 = lam1, lam1 * (1.0 - 1e-7)
-            log.debug("moved rate constant off the unit pole: %.17g -> %.17g",
-                      old, lam1)
-            moved = True
-        if not moved:
-            return lam1, lam2
-    raise ValueError(f"could not separate rate constants {lam1!r}, {lam2!r}")
+
+def _gauss_mean(fn, a, b):
+    """Mean of fn over the segment from a to b, by 8-node Gauss-Legendre."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return 0.5 * sum(w * (fn(mid - half * t) + fn(mid + half * t))
+                     for t, w in GAUSS_LEGENDRE_8)
+
+
+def _confluent(lo, hi):
+    return hi - lo <= _CONFLUENT * max(abs(lo), abs(hi))
+
+
+def _divided_difference(nodes, f, df, d2f=None):
+    """f[x0, x1] or f[x0, x1, x2], exact at tied nodes.
+
+    Apart, the nodes take the recurrence f[a, b, c] = (f[b, c] - f[a, b]) /
+    (c - a) with a <= b <= c.  A confluent pair takes f[a, b], the mean of
+    f' over [a, b]; three confluent nodes take the Hermite-Genocchi form
+    f[a, b, c] = integral over the triangle s, t >= 0, s + t <= 1 of
+    f''(a + s (b - a) + t (c - a)), with t = (1 - s) v mapping it onto the
+    unit square.  Both reduce to derivatives at a tie, so no node is ever
+    moved.
+    """
+    if len(nodes) == 2:
+        a, b = sorted(nodes)
+        if _confluent(a, b):
+            return _gauss_mean(df, a, b)
+        return (f(b) - f(a)) / (b - a)
+    a, b, c = sorted(nodes)
+    if _confluent(a, c):
+        return _gauss_mean(
+            lambda s: (1.0 - s) * _gauss_mean(d2f, a + s * (b - a), c + s * (b - c)),
+            0.0, 1.0)
+    return (_divided_difference((b, c), f, df)
+            - _divided_difference((a, b), f, df)) / (c - a)
 
 
 def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIntermediates:
@@ -168,36 +162,11 @@ def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIn
     b_l = config.b(idx.l)
     omega_k = config.omega(idx.k)
     eps = config.epsilon
-
-    lam1 = eps * config.omega_I / (b_l * omega_k)
-    lam2 = a_t * omega_t / (a_l * omega_l)
-    if lam1 > 0:
-        lam1, lam2 = _separate(lam1, lam2)
-    lam3 = eps * config.omega_I / (a_t * omega_t)
-    psi = (a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k)
-
-    if abs(lam2 - 1.0) < PAIR_WINDOW:
-        # 1/((1+u)(1+u lambda1)(1+u lambda2))
-        #     = a/(1+u) + b/(1+u lambda1) + d/((1+u)(1+u lambda2))
-        b_coef = lam1 * lam1 / ((lam1 - 1.0) * (lam1 - lam2))
-        a_coef = -lam1 / ((lam1 - 1.0) * (lam1 - lam2))
-        c_coef = 0.0
-        d_coef = lam2 / (lam2 - lam1)
-    else:
-        a_coef = 1.0 / (lam1 * lam2 - lam2 - lam1 + 1.0)
-        b_coef = (a_coef * (lam1 - lam1 * lam2) - lam1) / (lam2 - lam1)
-        c_coef = 1.0 - a_coef - b_coef
-        d_coef = 0.0
-
-    rho = config.rho
-    w_residual = 1.0 / (eps * rho * config.omega_I) if eps > 0 else math.inf
-    w_self = (1.0 / (rho * config.varpi2 * omega_k)
-              if config.varpi2 > 0 else math.inf)
-
-    return RateIntermediates(lambda1=lam1, lambda2=lam2, lambda3=lam3, psi=psi,
-                             a_coef=a_coef, b_coef=b_coef, c_coef=c_coef,
-                             d_coef=d_coef, w_rate_residual=w_residual,
-                             w_rate_self=w_self)
+    return RateIntermediates(
+        lambda1=eps * config.omega_I / (b_l * omega_k),
+        lambda2=a_t * omega_t / (a_l * omega_l),
+        lambda3=eps * config.omega_I / (a_t * omega_t),
+        psi=(a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k))
 
 
 def strong_sinr_ccdf(inter: RateIntermediates, u):
@@ -225,49 +194,45 @@ def _require_no_leakage(config, who):
             "SIC) or the Monte Carlo estimator")
 
 
-def _pair_integral(inter: RateIntermediates, j2) -> float:
-    """integral_0^inf e^{-psi u} / ((1+u)(1+lambda2 u)) du, no cancellation.
-
-    With nu = 1/lambda2 and K(x) = integral_0^inf e^{-psi u}/(u+x) du, the
-    integral is nu (K(1) - K(nu))/(nu - 1): nu times the mean of
-    j2 = -K' over [1, nu], taken by Gauss-Legendre.  j2 is smooth on that
-    short interval, so the divided difference keeps its digits however
-    close lambda2 sits to 1.  Passing the -K' of an expansion of K gives
-    the same term of that expansion.
-    """
-    nu = 1.0 / inter.lambda2
-    mid, half = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
-    mean = sum(w * (j2(mid - half * t) + j2(mid + half * t))
-               for t, w in GAUSS_LEGENDRE_8)
-    return nu * 0.5 * mean
+def _strong_rate(inter: RateIntermediates, k, dk, d2k) -> float:
+    # integral_0^inf e^{-psi u} / ((1+u)(1+lambda1 u)(1+lambda2 u)) du over
+    # 2 ln 2, written through 1 + lambda u = lambda (u + nu), nu = 1/lambda,
+    # as a divided difference of K(x) = integral_0^inf e^{-psi u}/(u+x) du
+    # over its poles; k, dk, d2k are K (or an expansion of it) and its
+    # first two derivatives
+    nu1 = 1.0 / inter.lambda1 if inter.lambda1 > 0.0 else math.inf
+    nu2 = 1.0 / inter.lambda2
+    if nu1 == math.inf:
+        # perfect SIC, or a residual pole beyond the float range: the limit
+        # of nu1 K[1, nu1, nu2] as nu1 grows is -K[1, nu2]
+        integral = -nu2 * _divided_difference((1.0, nu2), k, dk)
+    else:
+        integral = nu2 * (nu1 * _divided_difference((1.0, nu1, nu2), k, dk, d2k))
+    return integral / (2.0 * _LN2)
 
 
 def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
     """Closed-form strong-user ergodic rate, leakage off.
 
-    R = -1/(2 ln 2) [ A e^psi Ei(-psi)
-                      + (B/lambda1) e^{psi/lambda1} Ei(-psi/lambda1)
-                      + (C/lambda2) e^{psi/lambda2} Ei(-psi/lambda2)
-                      - D (1 + psi e^psi Ei(-psi)) ].
+    With nu_i = 1/lambda_i and K(x) = -e^{psi x} Ei(-psi x),
 
-    Under perfect SIC lambda1 = 0 and its partial-fraction weight B
-    vanishes with it, so that term is dropped rather than evaluated as
-    0/0.  Near the unit pole (|lambda2 - 1| < PAIR_WINDOW, then C = 0) the
-    D term is the pair integral_0^inf e^{-psi u}/((1+u)(1+lambda2 u)) du,
-    1 + psi e^psi Ei(-psi) at lambda2 = 1; elsewhere D = 0.
+        R = nu1 nu2 K[1, nu1, nu2] / (2 ln 2),
+
+    the second divided difference of K over the three poles of the CCDF
+    integrand: the paper's sum of e^s Ei(-s) terms with partial-fraction
+    weights, evaluated without forming the weights, so it stays exact when
+    lambda1, lambda2 and 1 tie in any combination.  Under perfect SIC
+    lambda1 = 0, the residual pole is absent and R = -nu2 K[1, nu2] /
+    (2 ln 2).
     """
     _require_no_leakage(config, "the closed-form strong-user rate")
     inter = compute_rate_intermediates(config, idx)
     psi = inter.psi
-    acc = inter.a_coef * expei_neg(psi)
-    if inter.d_coef:
-        # j2(x) = integral_0^inf e^{-psi u}/(u+x)^2 du = 1/x + psi e^{psi x} Ei(-psi x)
-        acc -= inter.d_coef * _pair_integral(
-            inter, lambda x: 1.0 / x + psi * expei_neg(psi * x))
-    if inter.lambda1 > 0.0:
-        acc += (inter.b_coef / inter.lambda1) * expei_neg(inter.psi / inter.lambda1)
-    acc += (inter.c_coef / inter.lambda2) * expei_neg(inter.psi / inter.lambda2)
-    return -acc / (2.0 * _LN2)
+    return _strong_rate(
+        inter,
+        lambda x: -expei_neg(psi * x),
+        lambda x: -(1.0 / x + psi * expei_neg(psi * x)),
+        lambda x: 1.0 / (x * x) - psi / x - psi * psi * expei_neg(psi * x))
 
 
 def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
@@ -398,8 +363,9 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
 
     Imperfect SIC: the SINR converges to min(a_t |h_t|^2 / |g|^2, b_t/b_l)
     and the ceiling is [ln(1 + X) - ln(1 + X lambda3)] / (2 (1 - lambda3)
-    ln 2) with X = b_t/b_l, SNR-free.  Near lambda3 = 1 that ratio is a
-    0/0 cancellation and switches to its power series in (1 - lambda3).
+    ln 2) with X = b_t/b_l, SNR-free.  The ratio is the divided difference
+    f[lambda3, 1] of f(lam) = ln(1 + X lam), so it holds its digits as
+    lambda3 approaches 1, where it tends to X / (2 (1 + X) ln 2).
     The direct integral approaches this ceiling from below, with a gap
     that shrinks like ln(rho)/rho: on the reference config without
     leakage the ceiling sits 5.9% above it at 40 dB (inside 5% from about
@@ -414,19 +380,10 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
     inter = compute_rate_intermediates(config, idx)
     cap = config.b(idx.t) / config.b(idx.l)
     if config.epsilon > 0.0:
-        d = 1.0 - inter.lambda3
-        if abs(d) < 1e-9:
-            base = cap / (1.0 + cap)
-            total = 0.0
-            term = 1.0
-            for n in range(1, 60):
-                term = term * base if n > 1 else base
-                contrib = (d ** (n - 1)) * term / n
-                total += contrib
-                if abs(contrib) < 1e-18 * abs(total):
-                    break
-            return total / (2.0 * _LN2)
-        return (math.log1p(cap) - math.log1p(cap * inter.lambda3)) / (2.0 * d * _LN2)
+        return _divided_difference(
+            (inter.lambda3, 1.0),
+            lambda lam: math.log1p(cap * lam),
+            lambda lam: cap / (1.0 + cap * lam)) / (2.0 * _LN2)
     c = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
     b_l = config.b(idx.l)
     return ((math.exp(c * (1.0 - 1.0 / b_l)) * expei_neg(c / b_l) - expei_neg(c))
@@ -457,37 +414,23 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
     """High-SNR expansion of the strong user's closed-form rate.
 
     Replaces each e^s Ei(-s) factor by its small-argument expansion
-    (1 + s)(ln s + gamma), leaving
+    (1 + s)(ln s + gamma), that is K(x) by
 
-      -1/(2 ln 2) [ A (1 + psi)(ln psi + gamma)
-                    + (B/lambda1)(1 + psi/lambda1)(ln(psi/lambda1) + gamma)
-                    + (C/lambda2)(1 + psi/lambda2)(ln(psi/lambda2) + gamma)
-                    - D (1 + psi + psi (ln psi + gamma)) ],
+      K~(x) = -(1 + psi x)(ln(psi x) + gamma),
 
-    with the B term absent under perfect SIC and the D term, the pair
-    integral over the same expansion, present only near the unit pole; at
-    lambda2 = 1 it reads 1 + psi + psi (ln psi + gamma).  The D term equals
-    the A and C terms it replaces, so the expansion is continuous across
-    the window edge.  The residual channel
-    keeps lambda1 > 0 and caps the rate; with it removed the expression
-    grows like (1/2) log2(rho), unit multiplexing gain over the two slots.
+    and takes the same divided differences as the closed form:
+    nu1 nu2 K~[1, nu1, nu2] / (2 ln 2), or -nu2 K~[1, nu2] / (2 ln 2) under
+    perfect SIC.  The residual channel keeps lambda1 > 0 and caps the rate;
+    with it removed the expression grows like (1/2) log2(rho), unit
+    multiplexing gain over the two slots.
     """
     inter = compute_rate_intermediates(config, idx)
-
-    def piece(coef, lam):
-        s = inter.psi / lam
-        return (coef / lam) * (1.0 + s) * (math.log(s) + EULER_GAMMA)
-
     psi = inter.psi
-    acc = inter.a_coef * (1.0 + psi) * (math.log(psi) + EULER_GAMMA)
-    if inter.d_coef:
-        # -d/dx of the expansion -(1 + psi x)(ln(psi x) + gamma) of K(x)
-        acc -= inter.d_coef * _pair_integral(
-            inter, lambda x: 1.0 / x + psi * (1.0 + math.log(psi * x) + EULER_GAMMA))
-    if inter.lambda1 > 0.0:
-        acc += piece(inter.b_coef, inter.lambda1)
-    acc += piece(inter.c_coef, inter.lambda2)
-    return -acc / (2.0 * _LN2)
+    return _strong_rate(
+        inter,
+        lambda x: -(1.0 + psi * x) * (math.log(psi * x) + EULER_GAMMA),
+        lambda x: -(1.0 / x + psi * (1.0 + math.log(psi * x) + EULER_GAMMA)),
+        lambda x: 1.0 / (x * x) - psi / x)
 
 
 def high_snr_slope_estimate(rho_grid, rate_values) -> float:

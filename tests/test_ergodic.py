@@ -6,16 +6,18 @@ spot checks), so the closed forms are being compared against a second
 route, not against themselves.
 """
 
-import logging
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from twrnoma.ergodic import (GAUSS_LEGENDRE_8, PAIR_WINDOW, QuadratureSpec,
+from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureSpec,
+                             _confluent, _divided_difference,
                              compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
@@ -104,10 +106,7 @@ def _mp_strong_rate_no_leakage(cfg, idx):
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
 def test_strong_closed_at_the_unit_pole_matches_mpmath(mode):
     cfg = _cfg(20, mode, **UNIT_POLE)
-    inter = compute_rate_intermediates(cfg, IDX1)
-    assert inter.lambda2 == 1.0
-    assert inter.c_coef == 0.0
-    assert inter.a_coef + inter.b_coef + inter.d_coef == pytest.approx(1.0, rel=1e-12)
+    assert compute_rate_intermediates(cfg, IDX1).lambda2 == 1.0
     assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
         _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
 
@@ -121,8 +120,9 @@ def _near_pole(delta):
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
 @pytest.mark.parametrize("delta", [2e-9, 1e-8, 1e-6, 1e-4, 1e-3])
 def test_strong_closed_near_the_unit_pole_matches_mpmath(mode, delta):
-    """Just off the pole the simple-pole weights cancel (6e-7 relative error
-    at delta = 2e-9, 2e-11 at 1e-4); the pair form keeps round-off."""
+    """Just off the pole simple-pole partial-fraction weights would cancel
+    (6e-7 relative error at delta = 2e-9, 2e-11 at 1e-4); the divided
+    difference keeps round-off."""
     cfg = _cfg(20, mode, **_near_pole(delta))
     assert compute_rate_intermediates(cfg, IDX1).lambda2 == pytest.approx(
         1.0 + delta, rel=1e-15)
@@ -134,15 +134,98 @@ def test_strong_closed_near_the_unit_pole_matches_mpmath(mode, delta):
 @pytest.mark.parametrize("snr_db", [20, 50])
 @pytest.mark.parametrize("side", [1.0, -1.0])
 def test_strong_rate_is_continuous_across_the_pair_window(mode, snr_db, side):
-    """The pair form and the simple-pole form agree at the window edge, for
-    the closed form and for its high-SNR expansion."""
-    edge = side * PAIR_WINDOW
+    """The confluent-pair mean and the divided-difference recurrence agree
+    where the poles 1 and nu2 = 1/lambda2 cross the window edge, for the
+    closed form and for its high-SNR expansion."""
+    # |nu2 - 1| = _CONFLUENT max(1, nu2) at nu2 = 1 - _CONFLUENT (lambda2
+    # above 1) and at nu2 = 1/(1 - _CONFLUENT) (lambda2 below 1)
+    edge = 1.0 / (1.0 - _CONFLUENT) - 1.0 if side > 0 else -_CONFLUENT
     inside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 - 1e-12)))
     outside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 + 1e-12)))
-    assert compute_rate_intermediates(inside, IDX1).d_coef != 0.0
-    assert compute_rate_intermediates(outside, IDX1).d_coef == 0.0
+    for cfg, confluent in ((inside, True), (outside, False)):
+        nu2 = 1.0 / compute_rate_intermediates(cfg, IDX1).lambda2
+        assert _confluent(min(1.0, nu2), max(1.0, nu2)) is confluent
     for fn in (ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic):
         assert fn(inside, IDX1) == pytest.approx(fn(outside, IDX1), rel=1e-12)
+
+
+def _poles(lam1, lam2):
+    # equal distances put every Omega at 1/9, so lambda2 = a2/a1 and
+    # lambda1 = Omega_I/(b1 Omega3) = 45 Omega_I
+    return dict(a1=0.5, a2=0.5 * lam2, a3=0.5, a4=0.5 * lam2, d1=3.0, d2=3.0,
+                omega_I=lam1 * 0.2 / 9.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-10, 1e-8, 1e-6])
+def test_strong_closed_at_the_residual_unit_pole_matches_mpmath(delta):
+    """lambda1 = 1 + delta on the default config: the residual pole meets
+    the 1/(1+u) pole and is taken as it stands, not moved off it."""
+    cfg = _cfg(20, "ipsic", omega_I=0.05 * (1.0 + delta))
+    assert compute_rate_intermediates(cfg, IDX1).lambda1 == pytest.approx(
+        1.0 + delta, rel=1e-15)
+    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+
+
+@pytest.mark.parametrize("e1,e2", [(0.0, 0.0), (1e-7, -1e-7), (1e-9, 3e-9)])
+def test_strong_closed_at_the_triple_pole_matches_mpmath(e1, e2):
+    """lambda1 = 1 + e1 and lambda2 = 1 + e2: all three poles within the
+    window, taken by Hermite-Genocchi over the triangle."""
+    cfg = _cfg(20, "ipsic", **_poles(1.0 + e1, 1.0 + e2))
+    inter = compute_rate_intermediates(cfg, IDX1)
+    assert (inter.lambda1, inter.lambda2) == pytest.approx((1.0 + e1, 1.0 + e2),
+                                                           rel=1e-15)
+    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [20, 50])
+def test_strong_rate_is_continuous_across_the_triple_window(snr_db):
+    """With lambda1 = 1 the three poles leave the window together with nu2;
+    Hermite-Genocchi and the recurrence agree at the edge."""
+    edge = -_CONFLUENT
+    inside = _cfg(snr_db, "ipsic", **_poles(1.0, 1.0 + edge * (1.0 - 1e-12)))
+    outside = _cfg(snr_db, "ipsic", **_poles(1.0, 1.0 + edge * (1.0 + 1e-12)))
+    for cfg, confluent in ((inside, True), (outside, False)):
+        inter = compute_rate_intermediates(cfg, IDX1)
+        nodes = (1.0, 1.0 / inter.lambda1, 1.0 / inter.lambda2)
+        assert _confluent(min(nodes), max(nodes)) is confluent
+    for fn in (ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic):
+        assert fn(inside, IDX1) == pytest.approx(fn(outside, IDX1), rel=1e-12)
+
+
+# rate constants on and near 1 and each other: a shared anchor, 1 or free,
+# and two relative offsets that are often zero or tiny
+_ANCHOR = st.one_of(st.just(1.0), st.floats(min_value=0.02, max_value=20.0))
+_OFFSET = st.one_of(st.just(0.0),
+                    st.sampled_from([1e-12, -1e-12, 1e-9, -1e-9, 3e-9, 1e-7, -1e-7, 1e-4]),
+                    st.floats(min_value=-0.3, max_value=0.3))
+
+
+@st.composite
+def _tied_poles(draw):
+    anchor = draw(_ANCHOR)
+    return anchor * (1.0 + draw(_OFFSET)), anchor * (1.0 + draw(_OFFSET))
+
+
+@given(poles=_tied_poles(), snr_db=st.sampled_from([0.0, 20.0, 40.0]),
+       mode=st.sampled_from(["ipsic", "psic"]))
+@example(poles=(1.0, 0.01), snr_db=40.0, mode="ipsic")
+@example(poles=(0.01, 0.01), snr_db=40.0, mode="ipsic")
+@example(poles=(1.0 + 1e-9, 1.0 + 3e-9), snr_db=20.0, mode="ipsic")
+@settings(max_examples=120, deadline=None)
+def test_strong_closed_at_tied_poles_matches_quadrature(poles, snr_db, mode):
+    """The closed form holds validate's 1e-8 band against quadrature of the
+    CCDF wherever the rate constants tie, and its expansion stays within
+    5e-3 of it at 70 dB.  The examples are a residual pole on the unit
+    pole, lambda1 = lambda2, and all three poles within 3e-9 of each other."""
+    cfg = _cfg(snr_db, mode, **_poles(*poles))
+    closed = ergodic_rate_strong_closed(cfg, IDX1)
+    quad = ergodic_rate_strong_quadrature(cfg, IDX1)
+    assert abs(closed - quad) / quad < 1e-8
+    high = cfg.with_rho(1e7)
+    closed = ergodic_rate_strong_closed(high, IDX1)
+    assert abs(ergodic_rate_strong_asymptotic(high, IDX1) - closed) / closed < 5e-3
 
 
 def test_gauss_legendre_table_matches_numpy():
@@ -158,39 +241,58 @@ def test_rate_intermediates_frozen(baseline):
     assert inter.lambda2 == pytest.approx(0.01, rel=1e-12)
     assert inter.lambda3 == pytest.approx(5.0, rel=1e-12)
     assert inter.psi == pytest.approx(0.25, rel=1e-12)
-    assert inter.a_coef == pytest.approx(1.2626262626262625, rel=1e-12)
-    assert inter.b_coef == pytest.approx(-0.2631578947368421, rel=1e-12)
-    assert inter.c_coef == pytest.approx(0.0005316321105795496, rel=1e-9)
-    assert inter.a_coef + inter.b_coef + inter.c_coef == pytest.approx(1.0,
-                                                                       rel=1e-12)
+    # the rate constants and the decay rate are all there is: no weights
+    assert [f.name for f in dataclasses.fields(inter)] == [
+        "lambda1", "lambda2", "lambda3", "psi"]
 
 
 def test_perfect_sic_zeroes_the_residual_pole(baseline):
-    inter = compute_rate_intermediates(
-        baseline.with_mode("psic").with_rho(100.0), IDX1)
-    assert inter.lambda1 == 0.0
-    assert inter.b_coef == 0.0
-    assert math.isinf(inter.w_rate_residual)
+    cfg = dataclasses.replace(baseline.with_mode("psic").with_rho(100.0),
+                              varpi1=0.0, varpi2=0.0)
+    assert compute_rate_intermediates(cfg, IDX1).lambda1 == 0.0
+    # the two-pole divided difference against the CCDF with lambda1 = 0
+    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
 
 
-@given(u=st.floats(min_value=1e-6, max_value=50.0),
-       lam1=st.floats(min_value=0.0, max_value=2.0),
-       lam2=st.floats(min_value=0.001, max_value=2.0))
-@settings(max_examples=150, deadline=None)
-def test_partial_fraction_identity(u, lam1, lam2):
-    """1/((1+u)(1+u L1)(1+u L2)) splits into the three simple poles with
-    the stored coefficients."""
-    from hypothesis import assume
-    assume(abs(lam1 - lam2) > 1e-3)
-    assume(abs(lam1 - 1.0) > 1e-3 and abs(lam2 - 1.0) > 1e-3)
-    # synthesize intermediates through a config is clumsy here; rebuild the
-    # coefficients the way the module defines them
-    a = 1.0 / ((lam1 * lam2) - lam2 - lam1 + 1.0)
-    b = 0.0 if lam1 == 0.0 else (a * (lam1 - lam1 * lam2) - lam1) / (lam2 - lam1)
-    c = 1.0 - a - b
-    lhs = 1.0 / ((1.0 + u) * (1.0 + u * lam1) * (1.0 + u * lam2))
-    rhs = a / (1.0 + u) + b / (1.0 + u * lam1) + c / (1.0 + u * lam2)
-    assert rhs == pytest.approx(lhs, rel=1e-9, abs=1e-15)
+def test_residual_pole_beyond_the_float_range_is_perfect_sic():
+    """A residual power so small that 1/lambda1 overflows reads as the
+    perfect-SIC rate, the limit as lambda1 goes to 0."""
+    tiny = _cfg(20, "ipsic", omega_I=1e-310)
+    assert compute_rate_intermediates(tiny, IDX1).lambda1 > 0.0
+    assert ergodic_rate_strong_closed(tiny, IDX1) == pytest.approx(
+        ergodic_rate_strong_closed(_cfg(20, "psic"), IDX1), rel=1e-12)
+
+
+def _k_and_derivatives(psi):
+    # K(x) = integral_0^inf e^{-psi u}/(u + x) du = -e^{psi x} Ei(-psi x)
+    def k(x):
+        return float(-mpmath.exp(psi * x) * mpmath.ei(-psi * x))
+
+    return (k, lambda x: -(1.0 / x - psi * k(x)),
+            lambda x: 1.0 / (x * x) - psi / x + psi * psi * k(x))
+
+
+@given(psi=st.floats(min_value=1e-4, max_value=10.0),
+       lam1=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=5.0)),
+       lam2=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=5.0)),
+       tie=st.sampled_from(["none", "lam1=lam2", "lam2=1"]))
+@settings(max_examples=60, deadline=None)
+def test_partial_fraction_identity(psi, lam1, lam2, tie):
+    """The divided difference of K over the poles 1, 1/L1, 1/L2 is the
+    integral the partial-fraction weights once split into simple poles:
+    nu1 nu2 K[1, nu1, nu2] = integral_0^inf e^{-psi u} / ((1+u)(1+u L1)
+    (1+u L2)) du, at distinct and at tied poles alike."""
+    if tie == "lam1=lam2":
+        lam2 = lam1
+    elif tie == "lam2=1":
+        lam2 = 1.0
+    nu1, nu2 = 1.0 / lam1, 1.0 / lam2
+    got = nu1 * nu2 * _divided_difference((1.0, nu1, nu2), *_k_and_derivatives(psi))
+    direct, _ = integrate.quad(
+        lambda u: math.exp(-psi * u) / ((1.0 + u) * (1.0 + lam1 * u) * (1.0 + lam2 * u)),
+        0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert got == pytest.approx(direct, rel=1e-9)
 
 
 def test_strong_ccdf_is_a_valid_survival_function(baseline):
@@ -344,8 +446,8 @@ def test_weak_psic_ceiling_matches_mpmath(c):
 
 
 def test_weak_ceiling_near_unity_interference_ratio():
-    """Lambda3 -> 1 hits the removable singularity; the series branch must
-    agree with the closed ratio evaluated just outside the window."""
+    """Lambda3 -> 1 hits the removable singularity; the divided difference
+    there must agree with the closed ratio evaluated just off it."""
     # lambda3 = eps*Omega_I/(a_t Omega_t): tune Omega_I for exact unity
     base = dict(rho=1e4, varpi1=0.0, varpi2=0.0)
     at_one = SystemConfig(omega_I=0.002, **base)
@@ -354,6 +456,22 @@ def test_weak_ceiling_near_unity_interference_ratio():
     v2 = ergodic_rate_weak_highsnr(near, IDX2)
     assert v1 == pytest.approx(v2, rel=1e-5)
     assert math.isfinite(v1)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-6, -1e-7])
+def test_weak_ceiling_near_unity_matches_mpmath(gap):
+    """1 - lambda3 = gap: the ceiling against a 30-digit quadrature of the
+    limiting CCDF, integral_0^X dx / ((1 + x)(1 + x lambda3)) / (2 ln 2)."""
+    cfg = SystemConfig(rho=1e4, varpi1=0.0, varpi2=0.0, omega_I=0.002 * (1.0 - gap))
+    assert compute_rate_intermediates(cfg, IDX2).lambda3 == pytest.approx(
+        1.0 - gap, rel=1e-15)
+    with mpmath.workdps(30):
+        lam3 = (mpmath.mpf(cfg.omega_I)
+                / (mpmath.mpf(cfg.a(IDX2.t)) * mpmath.mpf(cfg.omega(IDX2.t))))
+        cap = mpmath.mpf(cfg.b(IDX2.t)) / mpmath.mpf(cfg.b(IDX2.l))
+        ref = float(mpmath.quad(lambda x: 1 / ((1 + x) * (1 + x * lam3)), [0, cap])
+                    / (2 * mpmath.log(2)))
+    assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(ref, rel=1e-12)
 
 
 def test_weak_highsnr_cdf_shape(baseline):
@@ -396,6 +514,29 @@ def test_strong_asymptote_frozen_values():
         pytest.approx(3.3002070208895367, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega_i", [1e-12, 1e-6, 0.01])
+def test_strong_asymptote_matches_mpmath(omega_i):
+    """The expansion -(1 + psi x)(ln(psi x) + gamma) of K taken over the
+    three distinct poles at 40 digits.  A small residual power puts nu1 far
+    from the other poles, where summing weighted simple-pole terms in
+    double precision loses up to 1e-5 relative."""
+    cfg = _cfg(20, "ipsic", omega_I=omega_i)
+    with mpmath.workdps(40):
+        idx = IDX1
+        a_l, om_l = mpmath.mpf(cfg.a(idx.l)), mpmath.mpf(cfg.omega(idx.l))
+        a_t, om_t = mpmath.mpf(cfg.a(idx.t)), mpmath.mpf(cfg.omega(idx.t))
+        b_l, om_k = mpmath.mpf(cfg.b(idx.l)), mpmath.mpf(cfg.omega(idx.k))
+        psi = (a_l * om_l + b_l * om_k) / (cfg.rho * a_l * b_l * om_l * om_k)
+        nodes = (mpmath.mpf(1), b_l * om_k / mpmath.mpf(cfg.omega_I),
+                 a_l * om_l / (a_t * om_t))
+        dd = mpmath.fsum(
+            -(1 + psi * x) * (mpmath.log(psi * x) + mpmath.euler)
+            / mpmath.fprod(x - y for j, y in enumerate(nodes) if j != i)
+            for i, x in enumerate(nodes))
+        ref = float(nodes[1] * nodes[2] * dd / (2 * mpmath.log(2)))
+    assert ergodic_rate_strong_asymptotic(cfg, IDX1) == pytest.approx(ref, rel=1e-12)
+
+
 def test_asymptote_approaches_closed_form():
     for kw in ({}, UNIT_POLE):
         for mode in ("ipsic", "psic"):
@@ -435,17 +576,18 @@ def test_quadrature_spec_validation():
     assert spec.transform == "rational"
 
 
-def test_rate_constant_collision_is_logged(caplog):
-    """Forcing lambda1 == lambda2 must trigger the separation nudge."""
+def test_rate_constant_collision_is_kept_raw():
+    """Forcing lambda1 == lambda2 leaves both rates as the config gives
+    them, and the rate at the tie still matches mpmath."""
     # lambda1 = eps Omega_I/(b_l Omega_k), lambda2 = a_t Omega_t/(a_l Omega_l)
     cfg = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0, omega_I=0.001)
     inter0 = compute_rate_intermediates(cfg, IDX1)
     assert inter0.lambda1 == pytest.approx(0.02, rel=1e-12)
     assert inter0.lambda2 == pytest.approx(0.01, rel=1e-12)
-    with caplog.at_level(logging.DEBUG, logger="twrnoma.ergodic"):
-        collide = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0,
-                               omega_I=0.0005)
-        inter = compute_rate_intermediates(collide, IDX1)
-    assert inter.lambda1 != inter.lambda2
-    assert any("separat" in r.message or "nudg" in r.message.lower()
-               for r in caplog.records)
+    collide = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0, omega_I=0.0005)
+    inter = compute_rate_intermediates(collide, IDX1)
+    assert inter.lambda1 == collide.epsilon * collide.omega_I / (collide.b1 * collide.omega3)
+    assert inter.lambda2 == collide.a2 * collide.omega2 / (collide.a1 * collide.omega1)
+    assert inter.lambda1 == pytest.approx(inter.lambda2, rel=1e-15)
+    assert ergodic_rate_strong_closed(collide, IDX1) == pytest.approx(
+        _mp_strong_rate_no_leakage(collide, IDX1), rel=1e-12)
