@@ -7,8 +7,6 @@ and the strong user's asymptote levels off because uplink interference
 from the paired signal never vanishes.
 """
 
-import dataclasses
-
 from twrnoma import (SignalIndex, SystemConfig, ergodic_rate_strong_asymptotic,
                      ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
                      ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric,
@@ -70,6 +68,6 @@ def ceilings(cfg):
 
 if __name__ == "__main__":
     # closed rate routes need the relay's residual leakage terms at zero
-    cfg = dataclasses.replace(SystemConfig(), varpi1=0.0, varpi2=0.0)
+    cfg = SystemConfig().without_leakage()
     rate_table(cfg)
     ceilings(cfg)

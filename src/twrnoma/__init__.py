@@ -7,13 +7,13 @@ cancellation, cross-validated against seeded Monte Carlo simulation.
 
 from .analysis import (AsymptoticOutage, OutageResult, diversity_order_estimate,
                        outage_asymptotic, outage_probability)
-from .ergodic import (QuadratureError, QuadratureSpec, ergodic_rate_strong_asymptotic,
+from .ergodic import (QuadratureError, ergodic_rate_strong_asymptotic,
                       ergodic_rate_strong_closed, ergodic_rate_strong_numeric,
                       ergodic_rate_strong_quadrature, ergodic_rate_weak_highsnr,
                       ergodic_rate_weak_numeric, high_snr_slope_estimate)
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, load_config, parse_config
-from .metrics import (SystemThroughput, energy_efficiency,
-                      throughput_delay_limited, throughput_delay_tolerant)
+from .metrics import (energy_efficiency, throughput_delay_limited,
+                      throughput_delay_tolerant)
 from .model import (ChannelDraw, ConfigError, SignalIndex, SinrSet, SystemConfig,
                     gamma_threshold, sample_channel_draw, signal_role, sinr_set,
                     sinr_sets)
@@ -31,8 +31,8 @@ __all__ = [
     "AsymptoticOutage", "ChannelDraw", "CheckResult", "ConfigError",
     "CSV_HEADER", "DEFAULT_CONFIG_TEXT", "EULER_GAMMA", "HypoExpParams",
     "McEstimate", "MetricPoint", "OutageResult", "PRESETS", "QuadratureError",
-    "QuadratureSpec", "SignalIndex", "SinrSet", "SweepSpec", "SystemConfig",
-    "SystemThroughput", "ValidationReport", "ci_bounds",
+    "SignalIndex", "SinrSet", "SweepSpec", "SystemConfig", "ValidationReport",
+    "ci_bounds",
     "diversity_order_estimate", "energy_efficiency", "expei_neg", "expint_ei",
     "ergodic_rate_strong_asymptotic", "ergodic_rate_strong_closed",
     "ergodic_rate_strong_numeric", "ergodic_rate_strong_quadrature",

@@ -9,12 +9,14 @@ library works in.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .configio import (DEFAULT_CONFIG_TEXT, PRESETS, apply_overrides,
-                       load_config)
+from .configio import (DEFAULT_CONFIG_TEXT, PRESETS, PresetVariant,
+                       apply_overrides, load_config)
+from .metrics import METRICS
 from .model import ConfigError, SystemConfig
-from .sweep import METRICS, OutputError, SweepSpec, emit_outputs, run_sweep
+from .sweep import OutputError, SweepSpec, emit_outputs, run_sweep
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
 
 
@@ -118,11 +120,10 @@ def _sweep_jobs(args, base_config):
         snr = _parse_snr(args.snr) if args.snr else (0.0, 40.0, 5.0)
         with_oma = args.with_oma
         with_asym = args.with_asymptotic
-        from .configio import PresetVariant
         variants = (PresetVariant("", {}),)
         stem = "sweep"
-    base_out = args.out or f"{stem}.csv"
-    root, ext = (base_out.rsplit(".", 1) + ["csv"])[:2]
+    root, ext = os.path.splitext(args.out or stem)
+    ext = ext or ".csv"
     jobs = []
     for variant in variants:
         spec = SweepSpec(
@@ -132,8 +133,7 @@ def _sweep_jobs(args, base_config):
             master_seed=args.seed if args.seed is not None else 1729,
             include_asymptotic=with_asym, include_oma=with_oma)
         cfg = apply_overrides(base_config, variant.overrides)
-        path = f"{root}.{ext}" if not variant.suffix else (
-            f"{root}_{variant.suffix}.{ext}")
+        path = f"{root}_{variant.suffix}{ext}" if variant.suffix else root + ext
         jobs.append((spec, cfg, path))
     return jobs
 
@@ -145,7 +145,7 @@ def _cmd_sweep(args):
         emit_outputs(table, "csv", path)
         print(f"wrote {path} ({len(table)} rows)")
         if args.emit_plot:
-            stem = path.rsplit(".", 1)[0]
+            stem = os.path.splitext(path)[0]
             script = emit_outputs(table, "plot-script", f"{stem}_plot.py",
                                   csv_path=path)
             print(f"wrote {script}")

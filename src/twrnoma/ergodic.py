@@ -17,8 +17,8 @@ substitution that absorbs the endpoint singularity.  With leakage on, the
 strong user's CCDF is the product of the Laplace transforms of the two
 composite interference terms, closed form, so its rate is one quadrature.
 
-All quadratures run through QuadratureSpec so tolerances and the variable
-transform are pinned in one place.
+Every quadrature runs through one helper, ``_quad``, whose tolerances and
+subdivision limit are module constants: one place pins them for all routes.
 """
 
 from __future__ import annotations
@@ -47,37 +47,25 @@ class QuadratureError(RuntimeError):
         self.abserr = abserr
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    transform: str = "rational"
-
-    def __post_init__(self):
-        if self.transform not in ("rational", "none"):
-            raise ValueError(f"unknown transform {self.transform!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+_QUAD_ABS_TOL = 1e-10
+_QUAD_REL_TOL = 1e-8
+_QUAD_MAX_SUBDIVISIONS = 2000
 
 
-def _quad(fn, a, b, spec):
-    out = integrate.quad(fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                         limit=spec.max_subdivisions, full_output=1)
+def _quad(fn, a, b):
+    out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                         limit=_QUAD_MAX_SUBDIVISIONS, full_output=1)
     if len(out) > 3:
         raise QuadratureError(out[3], estimate=out[0], abserr=out[1])
     return out[0]
 
 
-def _integrate_semi_infinite(fn, spec):
-    """integral_0^inf fn(x) dx under the configured transform.
+def _integrate_semi_infinite(fn):
+    """integral_0^inf fn(x) dx through the rational map x = t/(1-t).
 
-    The rational map x = t/(1-t) sends (0, 1) onto (0, inf) with Jacobian
-    1/(1-t)^2 and keeps exponentially decaying integrands well behaved at
-    both ends.
+    The map sends (0, 1) onto (0, inf) with Jacobian 1/(1-t)^2 and keeps
+    exponentially decaying integrands well behaved at both ends.
     """
-    if spec.transform == "none":
-        return _quad(fn, 0.0, math.inf, spec)
 
     def mapped(t):
         if t >= 1.0:
@@ -85,7 +73,7 @@ def _integrate_semi_infinite(fn, spec):
         onemt = 1.0 - t
         return fn(t / onemt) / (onemt * onemt)
 
-    return _quad(mapped, 0.0, 1.0, spec)
+    return _quad(mapped, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -235,21 +223,19 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
         lambda x: 1.0 / (x * x) - psi / x - psi * psi * expei_neg(psi * x))
 
 
-def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
-                                   quad: QuadratureSpec | None = None) -> float:
+def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex) -> float:
     """Strong-user rate by direct quadrature of the no-leakage CCDF.
 
     Independent of the Ei evaluation; agreement with the closed form is
     the primary correctness check for both.
     """
     _require_no_leakage(config, "the quadrature strong-user rate")
-    quad = quad or QuadratureSpec()
     inter = compute_rate_intermediates(config, idx)
 
     def integrand(u):
         return strong_sinr_ccdf(inter, u) / (1.0 + u)
 
-    return _integrate_semi_infinite(integrand, quad) / (2.0 * _LN2)
+    return _integrate_semi_infinite(integrand) / (2.0 * _LN2)
 
 
 def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
@@ -287,13 +273,12 @@ def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float
             * hypoexp_laplace(w_rates, s_w))
 
 
-def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex,
-                                quad: QuadratureSpec | None = None) -> float:
+def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     """Strong-user ergodic rate with leakage, by a single quadrature.
 
     R = 1/(2 ln 2) * integral_0^inf (1 - F(x)) / (1 + x) dx with the
-    closed-form CCDF of ``strong_rate_ccdf_leakage``, under ``quad``;
-    QuadratureError if it does not converge.
+    closed-form CCDF of ``strong_rate_ccdf_leakage``; QuadratureError if it
+    does not converge.
 
     Only the imperfect-SIC chain is covered: under perfect SIC the
     residual leg of W degenerates and the leakage-on rate has no published
@@ -307,16 +292,14 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex,
         raise ValueError("the leakage-path rate is derived for imperfect SIC "
                          "only; under perfect SIC use the Monte Carlo "
                          "estimator")
-    quad = quad or QuadratureSpec()
 
     def integrand(x):
         return strong_rate_ccdf_leakage(config, idx, x) / (1.0 + x)
 
-    return _integrate_semi_infinite(integrand, quad) / (2.0 * _LN2)
+    return _integrate_semi_infinite(integrand) / (2.0 * _LN2)
 
 
-def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex,
-                              quad: QuadratureSpec | None = None) -> float:
+def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     """Weak-user ergodic rate, leakage off, by stable quadrature.
 
     The SINR is capped at b_t/b_l, where the integrand has an essential
@@ -331,7 +314,6 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex,
     with the (1 + x lambda3) factor present only under imperfect SIC.
     """
     _require_no_leakage(config, "the weak-user rate integral")
-    quad = quad or QuadratureSpec()
     inter = compute_rate_intermediates(config, idx)
     rho = config.rho
     a_t, omega_t = config.a(idx.t), config.omega(idx.t)
@@ -355,7 +337,7 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex,
             val /= 1.0 + x * lam3
         return val
 
-    return _quad(mapped, 0.0, 1.0, quad) / (2.0 * _LN2)
+    return _quad(mapped, 0.0, 1.0) / (2.0 * _LN2)
 
 
 def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:

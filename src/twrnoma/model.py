@@ -151,6 +151,12 @@ class SystemConfig:
     def with_mode(self, sic_mode: str) -> "SystemConfig":
         return dataclasses.replace(self, sic_mode=sic_mode)
 
+    def without_leakage(self) -> "SystemConfig":
+        """This config with both leakage levels at zero; self if they are."""
+        if self.varpi1 == 0.0 and self.varpi2 == 0.0:
+            return self
+        return dataclasses.replace(self, varpi1=0.0, varpi2=0.0)
+
 
 _STRONG_PAIRS = {(1, 3), (3, 1)}
 _WEAK_PAIRS = {(2, 4), (4, 2)}

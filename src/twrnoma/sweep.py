@@ -7,30 +7,21 @@ kind its rows read: one channel draw per chunk serves every signal, SIC
 mode and system sum of that point, and the orthogonal baseline draws its
 own fades once for all of its rows.  The substreams derive from (master
 seed, grid position), so reruns and different worker counts give
-identical bytes.
-
-Rate-style metrics follow the reporting convention of the reference
-curves: the analytic column is the leakage-free closed form while the
-simulation runs the configured leakage, making the gap between the two
-columns the visible cost of cross-antenna interference.
+identical bytes.  The analytic and asymptotic columns come from
+``metrics.analytic``, which also owns the reporting convention for the
+rate-style metrics.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
 
-from . import metrics as metrics_mod
-from .analysis import outage_probability
-from .ergodic import (ergodic_rate_strong_asymptotic, ergodic_rate_strong_closed,
-                      ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric)
-from .model import ConfigError, SignalIndex, SystemConfig, signal_role
+from . import metrics
+from .metrics import METRICS
+from .model import ConfigError, SystemConfig
 from .montecarlo import mc_point
-
-METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
-           "ee_dl", "ee_dt")
 
 # the one Monte Carlo estimate kind each metric's rows read
 _MC_KIND = {"outage": "outage", "ergodic_rate": "rate",
@@ -57,7 +48,6 @@ class SweepSpec:
     master_seed: int = 1729
     include_asymptotic: bool = False
     include_oma: bool = False
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -115,50 +105,29 @@ class MetricPoint:
                 raise ValueError("confidence interval must bracket the mean")
 
 
-def _no_leakage(config):
-    if config.varpi1 == 0.0 and config.varpi2 == 0.0:
-        return config
-    return dataclasses.replace(config, varpi1=0.0, varpi2=0.0)
-
-
-def _rate_closed(config, signal):
-    idx = SignalIndex.for_signal(signal)
-    if signal_role(signal) == "strong":
-        return ergodic_rate_strong_closed(config, idx)
-    return ergodic_rate_weak_numeric(config, idx)
-
-
-def _rate_asymptote(config, signal):
-    idx = SignalIndex.for_signal(signal)
-    if signal_role(signal) == "strong":
-        return ergodic_rate_strong_asymptotic(config, idx)
-    return ergodic_rate_weak_highsnr(config, idx)
-
-
 def _mc_columns(est, scale=1.0):
     return dict(mc_mean=est.mean * scale, mc_ci_low=est.ci_low * scale,
                 mc_ci_high=est.ci_high * scale)
 
 
-def _signal_rows(spec, cfg_point, db, ests):
-    """Per-signal rows for every mode, then the baseline rows once."""
-    outage = spec.metric == "outage"
+def _point_rows(spec, cfg_point, db, ests):
+    """One grid point: a row per mode and target, then the baseline rows once."""
     kind = _MC_KIND[spec.metric]
+    targets = spec.signals if spec.metric in ("outage", "ergodic_rate") else ("system",)
+    # energy efficiency reads the throughput estimate, rescaled
+    scale = (metrics.energy_efficiency(1.0, cfg_point)
+             if spec.metric.startswith("ee_") else 1.0)
     rows = []
     for mode in spec.modes:
         cfg = cfg_point.with_mode(mode)
-        zero = _no_leakage(cfg)
-        for s in spec.signals:
-            if outage:
-                res = outage_probability(cfg, s)
-                analytic, feasible = res.p_exact, res.feasible
-                asym = res.p_asymptotic if spec.include_asymptotic else None
-            else:
-                analytic, feasible = _rate_closed(zero, s), True
-                asym = _rate_asymptote(zero, s) if spec.include_asymptotic else None
-            rows.append(MetricPoint(db, f"x{s}", spec.metric, mode, analytic, asym,
+        for target in targets:
+            value, asym, feasible = metrics.analytic(cfg, spec.metric, target,
+                                                     spec.include_asymptotic)
+            key = (kind, mode) if target == "system" else (kind, mode, target)
+            name = target if target == "system" else f"x{target}"
+            rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,
                                     feasible=feasible,
-                                    **_mc_columns(ests[kind, mode, s])))
+                                    **_mc_columns(ests[key], scale)))
     if spec.include_oma:
         for target in ("system",) + spec.signals:
             name = "oma:system" if target == "system" else f"oma:x{target}"
@@ -166,37 +135,6 @@ def _signal_rows(spec, cfg_point, db, ests):
                                     feasible=True,
                                     **_mc_columns(ests[f"oma_{kind}", target])))
     return rows
-
-
-def _system_row(spec, cfg, db, mode, ests):
-    targets = (1, 2, 3, 4)
-    if spec.metric in ("throughput_dl", "ee_dl"):
-        rates = [cfg.rate(s) for s in targets]
-        results = [outage_probability(cfg, s) for s in targets]
-        feasible = all(r.feasible for r in results)
-        analytic = metrics_mod.throughput_delay_limited(
-            [r.p_exact for r in results], rates).value
-        asym = None
-        if spec.include_asymptotic:
-            asym = sum((1.0 - r.p_asymptotic) * rate
-                       for r, rate in zip(results, rates))
-    else:
-        zero = _no_leakage(cfg)
-        feasible = True
-        analytic = metrics_mod.throughput_delay_tolerant(
-            [_rate_closed(zero, s) for s in targets]).value
-        asym = None
-        if spec.include_asymptotic:
-            asym = sum(_rate_asymptote(zero, s) for s in targets)
-    scale = 1.0
-    if spec.metric in ("ee_dl", "ee_dt"):
-        scale = metrics_mod.energy_efficiency(1.0, cfg)
-        analytic *= scale
-        if asym is not None:
-            asym *= scale
-    return MetricPoint(db, "system", spec.metric, mode, analytic, asym,
-                       feasible=feasible,
-                       **_mc_columns(ests[_MC_KIND[spec.metric], mode], scale))
 
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
@@ -210,11 +148,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
                         kinds=(_MC_KIND[spec.metric],),
                         signals=spec.signals if per_signal else (1, 2, 3, 4),
                         modes=spec.modes, oma=spec.include_oma)
-        if per_signal:
-            rows.extend(_signal_rows(spec, cfg_point, db, ests))
-        else:
-            rows.extend(_system_row(spec, cfg_point.with_mode(mode), db, mode, ests)
-                        for mode in spec.modes)
+        rows.extend(_point_rows(spec, cfg_point, db, ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .analysis import diversity_order_estimate, outage_asymptotic, outage_probability
-from .ergodic import (ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
-                      ergodic_rate_weak_numeric)
+from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
+from .metrics import analytic
 from .model import SignalIndex, SystemConfig
-from .montecarlo import mc_point
+from .montecarlo import mc_point, oma_outage_exact
 from .specfun import HypoExpParams, expint_ei, hypoexp_pdf
-from .sweep import _no_leakage
 
 PROFILES = {"default": 1.0, "strict": 0.5}
 
@@ -123,8 +121,8 @@ def _check_psic_limit(config, scale):
         for s in (1, 2):
             worst = max(worst, _rel(outage_probability(ip, s).p_exact,
                                     outage_probability(p, s).p_exact))
-    zip_cfg = _no_leakage(tiny).with_rho(100.0).with_mode("ipsic")
-    zp_cfg = _no_leakage(config).with_rho(100.0).with_mode("psic")
+    zip_cfg = tiny.without_leakage().with_rho(100.0).with_mode("ipsic")
+    zp_cfg = config.without_leakage().with_rho(100.0).with_mode("psic")
     idx = SignalIndex.for_signal(1)
     worst = max(worst, _rel(ergodic_rate_strong_closed(zip_cfg, idx),
                             ergodic_rate_strong_closed(zp_cfg, idx)))
@@ -137,7 +135,7 @@ def _check_rate_quadrature(config, scale):
     worst = 0.0
     idx = SignalIndex.for_signal(1)
     for mode in ("ipsic", "psic"):
-        cfg = _no_leakage(config).with_rho(100.0).with_mode(mode)
+        cfg = config.without_leakage().with_rho(100.0).with_mode(mode)
         worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx),
                                 ergodic_rate_strong_quadrature(cfg, idx)))
     return CheckResult("strong_rate_closed_vs_quadrature", worst <= tol, tol,
@@ -147,14 +145,13 @@ def _check_rate_quadrature(config, scale):
 def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     tol = 0.02 * scale
     worst = 0.0
-    cfg = _no_leakage(config).with_rho(100.0)
+    cfg = config.without_leakage().with_rho(100.0)
     ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
                     kinds=("rate",), signals=(1, 2), modes=("ipsic", "psic"))
     for mode in ("ipsic", "psic"):
         mcfg = cfg.with_mode(mode)
-        for s, fn in ((1, ergodic_rate_strong_closed),
-                      (2, ergodic_rate_weak_numeric)):
-            closed = fn(mcfg, SignalIndex.for_signal(s))
+        for s in (1, 2):
+            closed = analytic(mcfg, "ergodic_rate", s)[0]
             worst = max(worst, _rel(closed, ests["rate", mode, s].mean))
     return CheckResult("rate_closed_vs_mc", worst <= tol, tol, worst,
                        "20 dB, leakage off, x1/x2, both modes")
@@ -189,7 +186,6 @@ def _check_expint(scale):
 
 
 def _check_oma(config, scale, iterations, seed, workers):
-    from .montecarlo import oma_outage_exact
     cfg = config.with_rho(10.0)
     exact = oma_outage_exact(cfg, "system")
     est = mc_point(cfg, iterations, seed, point_index=7, workers=workers,
@@ -201,11 +197,8 @@ def _check_oma(config, scale, iterations, seed, workers):
                        "orthogonal baseline system outage at 10 dB")
 
 
-def _dt_throughput(config, rho):
-    cfg = _no_leakage(config).with_rho(rho)
-    from .sweep import _rate_closed
-    return metrics_mod.throughput_delay_tolerant(
-        [_rate_closed(cfg, s) for s in (1, 2, 3, 4)]).value
+def _system_value(config, metric, rho, mode):
+    return analytic(config.with_rho(rho).with_mode(mode), metric, "system")[0]
 
 
 def _check_throughput_ceiling(config, scale):
@@ -213,18 +206,11 @@ def _check_throughput_ceiling(config, scale):
     worst = 0.0
     for mode in ("ipsic", "psic"):
         cfg = config.with_mode(mode)
-        t50 = _dt_throughput(cfg, 1e5)
-        t60 = _dt_throughput(cfg, 1e6)
+        t50, t60 = (analytic(cfg.with_rho(rho), "throughput_dt", "system")[0]
+                    for rho in (1e5, 1e6))
         worst = max(worst, _rel(t50, t60))
     return CheckResult("throughput_ceiling", worst <= tol, tol, worst,
                        "delay tolerant throughput change from 50 to 60 dB")
-
-
-def _dl_throughput(config, rho, mode):
-    cfg = config.with_rho(rho).with_mode(mode)
-    outs = [outage_probability(cfg, s).p_exact for s in (1, 2, 3, 4)]
-    rates = [cfg.rate(s) for s in (1, 2, 3, 4)]
-    return metrics_mod.throughput_delay_limited(outs, rates).value
 
 
 def _check_ee(config, scale):
@@ -232,29 +218,18 @@ def _check_ee(config, scale):
     worst = 0.0
     for db in (0.0, 10.0, 20.0, 30.0, 40.0):
         rho = 10.0 ** (db / 10.0)
-        ip = metrics_mod.energy_efficiency(
-            _dl_throughput(config, rho, "ipsic"), config)
-        p = metrics_mod.energy_efficiency(
-            _dl_throughput(config, rho, "psic"), config)
+        ip, p = (_system_value(config, "ee_dl", rho, mode)
+                 for mode in ("ipsic", "psic"))
         worst = max(worst, _rel(ip, p))
-    gap = _check_ee_dt_gap(config)
+    # perfect SIC can only raise the delay tolerant efficiency
+    ordered = all(_system_value(config, "ee_dt", rho, "psic")
+                  >= _system_value(config, "ee_dt", rho, "ipsic")
+                  for rho in (1e3, 1e5))
     detail = "delay limited efficiency gap between SIC modes, 0 to 40 dB"
-    if gap < 0.0:
-        return CheckResult("energy_efficiency_modes", False, tol, worst,
-                           detail + "; delay tolerant ordering violated")
-    return CheckResult("energy_efficiency_modes", worst <= tol, tol, worst,
-                       detail)
-
-
-def _check_ee_dt_gap(config):
-    gap = math.inf
-    for rho in (1e3, 1e5):
-        ip = metrics_mod.energy_efficiency(
-            _dt_throughput(config.with_mode("ipsic"), rho), config)
-        p = metrics_mod.energy_efficiency(
-            _dt_throughput(config.with_mode("psic"), rho), config)
-        gap = min(gap, p - ip)
-    return gap
+    if not ordered:
+        detail += "; delay tolerant ordering violated"
+    return CheckResult("energy_efficiency_modes", ordered and worst <= tol, tol,
+                       worst, detail)
 
 
 def validate(config: SystemConfig, profile: str = "default",

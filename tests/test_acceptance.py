@@ -288,7 +288,7 @@ def _dl_throughput(config, rho, mode):
     cfg = config.with_rho(rho).with_mode(mode)
     outs = [outage_probability(cfg, s).p_exact for s in (1, 2, 3, 4)]
     rates = [cfg.rate(s) for s in (1, 2, 3, 4)]
-    return throughput_delay_limited(outs, rates).value
+    return throughput_delay_limited(outs, rates)
 
 
 def _dt_throughput(no_leak_config, rho, mode):

@@ -117,6 +117,29 @@ def test_preset_with_plot_scripts(tmp_path):
     assert all(r["asymptotic"] for r in noma)
 
 
+@pytest.mark.parametrize("out", ["runs.d/fig3", "../x/fig3"])
+def test_out_path_with_a_dot_in_a_directory(tmp_path, out):
+    """Only the last path component carries the extension."""
+    work = tmp_path / "work"
+    target = (work / out).parent
+    target.mkdir(parents=True)
+    code = run_in(work, ["sweep", "--preset", "fig3", "--snr", "10:10:5",
+                         "--iterations", "2000", "--seed", "2", "--out", out])
+    assert code == 0
+    assert sorted(p.name for p in target.iterdir()) == [
+        "fig3_varpi_0.01.csv", "fig3_varpi_0.1.csv", "fig3_varpi_0.csv"]
+
+
+def test_plot_script_sits_next_to_a_dotted_out_path(tmp_path):
+    (tmp_path / "runs.d").mkdir()
+    code = run_in(tmp_path, ["sweep", "--preset", "fig2", "--snr", "10:10:5",
+                             "--iterations", "2000", "--seed", "2",
+                             "--out", "runs.d/fig2", "--emit-plot"])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "runs.d").iterdir()) == [
+        "fig2.csv", "fig2_plot.py"]
+
+
 def test_explicit_flags_override_preset(tmp_path):
     code = run_in(tmp_path, ["sweep", "--preset", "fig6", "--snr", "20:20:5",
                              "--mode", "psic", "--signals", "x1",

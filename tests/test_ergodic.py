@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureSpec,
-                             _confluent, _divided_difference,
+from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
+                             _confluent, _divided_difference, _quad,
                              compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
@@ -567,13 +567,13 @@ def test_preconditions_route_to_the_right_entry_point(baseline):
                                     IDX1)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError, match="transform"):
-        QuadratureSpec(transform="spline")
-    with pytest.raises(ValueError, match="subdivisions"):
-        QuadratureSpec(max_subdivisions=0)
-    spec = QuadratureSpec()
-    assert spec.transform == "rational"
+def test_divergent_quadrature_raises_with_its_partial_estimate():
+    """1/x is not integrable at 0: the adaptive rule gives up, and the
+    error carries the finite estimate and error bound it reached."""
+    with pytest.raises(QuadratureError) as info:
+        _quad(lambda x: 1.0 / x, 0.0, 1.0)
+    assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
+    assert math.isfinite(info.value.abserr) and info.value.abserr > 0.0
 
 
 def test_rate_constant_collision_is_kept_raw():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twrnoma.analysis import outage_probability
 from twrnoma.ergodic import ergodic_rate_weak_numeric
-from twrnoma.metrics import (SystemThroughput, energy_efficiency,
+from twrnoma.metrics import (analytic, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
 from twrnoma.model import SystemConfig
@@ -17,14 +17,13 @@ from twrnoma.montecarlo import mc_outage
 
 def test_total_outage_means_zero_throughput():
     t = throughput_delay_limited((1.0, 1.0, 1.0, 1.0), (0.1, 0.01, 0.1, 0.01))
-    assert t.value == 0.0
-    assert t.mode == "delay_limited"
+    assert t == 0.0
 
 
 def test_no_outage_recovers_rate_sum(baseline):
     rates = (baseline.r1, baseline.r2, baseline.r3, baseline.r4)
     t = throughput_delay_limited((0.0, 0.0, 0.0, 0.0), rates)
-    assert t.value == pytest.approx(0.22, rel=1e-12)
+    assert t == pytest.approx(0.22, rel=1e-12)
     assert energy_efficiency(t, baseline) == pytest.approx(0.022, rel=1e-12)
 
 
@@ -34,7 +33,6 @@ def test_energy_scales_inversely_with_power(baseline):
     doubled = SystemConfig(pu_watts=20.0, pr_watts=20.0)
     assert energy_efficiency(t, baseline) == pytest.approx(
         2.0 * energy_efficiency(t, doubled), rel=1e-12)
-    # a bare float is accepted in place of the throughput record
     assert energy_efficiency(0.22, baseline) == pytest.approx(0.022, rel=1e-12)
 
 
@@ -47,8 +45,6 @@ def test_input_validation():
         throughput_delay_limited((0.5,), (-0.1,))
     with pytest.raises(ValueError, match="negative"):
         throughput_delay_tolerant((0.3, -0.2))
-    with pytest.raises(ValueError, match="mode"):
-        SystemThroughput("bursty", 1.0, ())
     with pytest.raises(ValueError, match="positive"):
         energy_efficiency(1.0, _bad_power())
 
@@ -68,15 +64,15 @@ def test_outage_can_only_reduce_throughput(pairs):
     outages = [p for p, _ in pairs]
     rates = [r for _, r in pairs]
     t = throughput_delay_limited(outages, rates)
-    assert t.value <= sum(rates) + 1e-12
-    assert t.value >= 0.0
-    assert t.value == pytest.approx(sum(t.contributions), rel=1e-12, abs=1e-12)
+    assert t <= sum(rates) + 1e-12
+    assert t >= 0.0
+    assert t == pytest.approx(sum((1.0 - p) * r for p, r in pairs),
+                              rel=1e-12, abs=1e-12)
 
 
 def test_delay_tolerant_sums_rates():
     t = throughput_delay_tolerant((0.2, 0.01, 0.2, 0.01))
-    assert t.value == pytest.approx(0.42, rel=1e-12)
-    assert t.mode == "delay_tolerant"
+    assert t == pytest.approx(0.42, rel=1e-12)
 
 
 def _dt_system(rho, mode):
@@ -120,4 +116,38 @@ def test_throughput_from_closed_outage_matches_simulation(baseline):
     t_closed = throughput_delay_limited(closed, rates)
     t_mc = throughput_delay_limited([e.mean for e in ests], rates)
     budget = sum(r * e.half_width_95 for r, e in zip(rates, ests))
-    assert abs(t_closed.value - t_mc.value) <= budget + 1e-4
+    assert abs(t_closed - t_mc) <= budget + 1e-4
+
+
+@pytest.mark.parametrize("metric, target, match", [
+    ("latency", 1, "unknown metric"),
+    ("throughput_dl", 1, "'system'"),
+    ("throughput_dt", 3, "'system'"),
+    ("ee_dl", 2, "'system'"),
+    ("ee_dt", 4, "'system'"),
+    ("outage", "system", "signal 1..4"),
+    ("ergodic_rate", "system", "signal 1..4"),
+])
+def test_analytic_rejects_a_target_the_metric_does_not_take(baseline, metric,
+                                                             target, match):
+    with pytest.raises(ValueError, match=match):
+        analytic(baseline, metric, target)
+
+
+def test_analytic_rate_is_the_leakage_free_closed_form(baseline):
+    """The rate route ignores the configured leakage, and the
+    delay-tolerant throughput sums exactly those four rates."""
+    cfg = baseline.with_rho(1e3)
+    assert cfg.varpi1 > 0.0 and cfg.varpi2 > 0.0
+    total = analytic(cfg, "throughput_dt", "system")[0]
+    assert total == pytest.approx(_dt_system(1e3, "ipsic"), rel=1e-12)
+    assert total == sum(analytic(cfg, "ergodic_rate", s)[0] for s in (1, 2, 3, 4))
+
+
+def test_analytic_energy_efficiency_rescales_throughput(baseline):
+    cfg = baseline.with_rho(1e2)
+    for base, ee in (("throughput_dl", "ee_dl"), ("throughput_dt", "ee_dt")):
+        t, t_asym, _ = analytic(cfg, base, "system", asymptotic=True)
+        e, e_asym, _ = analytic(cfg, ee, "system", asymptotic=True)
+        assert e == pytest.approx(energy_efficiency(t, cfg), rel=1e-14)
+        assert e_asym == pytest.approx(energy_efficiency(t_asym, cfg), rel=1e-14)

@@ -323,3 +323,34 @@ def test_monte_carlo_columns_are_frozen(name):
         for line in render_csv(run_sweep(spec, cfg)).splitlines():
             digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
     assert digest.hexdigest() == MC_COLUMN_DIGESTS[name]
+
+
+# sha256 over the snr_db..asymptotic and feasible columns (header included)
+# of every CSV of every preset, 2000 iterations, seed 11, asymptotes on,
+# default config.  Recorded before metrics.analytic became the one route to
+# the closed-form values; any change that moves one analytic byte fails here.
+ANALYTIC_COLUMN_DIGESTS = {
+    "fig2": "f92383b2a6a53df25a2b9b35a447b2704c4d6245a238081e981861ec361034fc",
+    "fig3": "a12a45ba5ef9cddd82b9e1b06cc00df62285b07d066691063cd5da24e0441d42",
+    "fig4": "aaacff51f61db58aaecefce87f61417b039d55505af87eb577d91c910c081290",
+    "fig5": "0c284f6916253978ed9c81cc87206b6cbdca154187692eeeb249c88f56085f67",
+    "fig6": "3df2c9a3da87fe28643724eef619028cc17e486fad15dfaf5bba5957b899bf09",
+    "fig7": "4ce206b9dc9ce68b20b220d1c8c69de7e502edbb0013fdfde9501f6ff1d39be0",
+    "fig8": "37821b6a516f6d70f8a4e7b8de3163096fb7eaca27244326faf4c54f132c5801",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_COLUMN_DIGESTS))
+def test_analytic_columns_are_frozen(name):
+    preset = PRESETS[name]
+    digest = hashlib.sha256()
+    for variant in preset.variants:
+        spec = SweepSpec(*preset.snr, metric=variant.metric or preset.metric,
+                         signals=preset.signals, sic_mode="both",
+                         mc_iterations=2000, master_seed=11,
+                         include_asymptotic=True, include_oma=preset.with_oma)
+        cfg = apply_overrides(SystemConfig(), variant.overrides)
+        for line in render_csv(run_sweep(spec, cfg)).splitlines():
+            fields = line.split(",")
+            digest.update((",".join(fields[0:6] + fields[9:10]) + "\n").encode())
+    assert digest.hexdigest() == ANALYTIC_COLUMN_DIGESTS[name]
