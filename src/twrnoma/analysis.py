@@ -15,11 +15,10 @@ diversity order is zero whenever any leakage path is active.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .model import SignalIndex, SystemConfig, gamma_threshold, signal_role
-from .specfun import hypoexp_laplace
+from .specfun import hypoexp_laplace, term_rates
 
 _FLOOR_RHO = 1e12
 _UNIT_SLACK = 1e-9
@@ -99,13 +98,9 @@ def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex) -> Outa
 
     varphi_t = (omega_l + rho * beta_l * a_t * omega_t) / (omega_l * omega_t)
 
-    # a leakage term whose mean power is zero or subnormal (varpi1 = 0, or a
-    # level so small that the product underflows) is no term at all: its
-    # rate would be infinite and its Laplace factor is 1
-    cross = tuple(1.0 / mean for mean in (rho * config.varpi1 * a_k * omega_k,
-                                          rho * config.varpi1 * a_r * omega_r)
-                  if mean >= sys.float_info.min)
-    uplink = (1.0 / (rho * a_t * omega_t),) + cross
+    cross = term_rates(rho * config.varpi1 * a_k * omega_k,
+                       rho * config.varpi1 * a_r * omega_r)
+    uplink = term_rates(rho * a_t * omega_t) + cross
 
     return OutageIntermediates(
         beta_l=beta_l, beta_t=beta_t, tau_l=tau_l, xi_t=xi_t,
@@ -228,22 +223,8 @@ def outage_asymptotic(config: SystemConfig, signal: int) -> AsymptoticOutage:
     can overshoot 1, and in_unit_interval flags that honestly rather than
     hiding it.
     """
-    idx = SignalIndex.for_signal(signal)
-    role = signal_role(signal)
-    inter = compute_outage_intermediates(config, idx)
-
-    def evaluate(cfg, itm):
-        if role == "strong":
-            if not itm.strong_feasible:
-                return 1.0
-            return _asymptotic_strong_raw(cfg, idx, itm)
-        if not itm.weak_feasible:
-            return 1.0
-        return _asymptotic_weak_raw(cfg, idx, itm)
-
-    value = evaluate(config, inter)
-    floor_cfg = config.with_rho(_FLOOR_RHO)
-    floor = evaluate(floor_cfg, compute_outage_intermediates(floor_cfg, idx))
+    value = outage_probability(config, signal).p_asymptotic
+    floor = outage_probability(config.with_rho(_FLOOR_RHO), signal).p_asymptotic
     return AsymptoticOutage(value=value, floor=floor,
                             in_unit_interval=0.0 <= value <= 1.0)
 

@@ -9,14 +9,14 @@ library works in.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-from .configio import (DEFAULT_CONFIG_TEXT, PRESETS, PresetVariant,
-                       apply_overrides, load_config)
+from .configio import DEFAULT_CONFIG_TEXT, PRESETS, Preset, load_config
 from .metrics import METRICS
 from .model import ConfigError, SystemConfig
-from .sweep import OutputError, SweepSpec, emit_outputs, run_sweep
+from .sweep import OutputError, emit_outputs, run_sweep
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
 
 
@@ -38,21 +38,31 @@ def _parse_signals(text):
         try:
             out.append(int(token))
         except ValueError:
-            raise ConfigError(f"cannot parse signal name {part.strip()!r}; "
-                              "expected x1..x4") from None
+            raise argparse.ArgumentTypeError(
+                f"cannot parse signal name {part.strip()!r}; expected x1..x4") from None
     if not out:
-        raise ConfigError("signal list is empty")
+        raise argparse.ArgumentTypeError("signal list is empty")
     return tuple(out)
 
 
 def _parse_snr(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--snr expects start:stop:step in dB, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects start:stop:step in dB, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"--snr values must be numeric, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"values must be numeric, got {text!r}") from None
+
+
+def _parse_mode(text):
+    if text == "both":
+        return ("ipsic", "psic")
+    if text in ("ipsic", "psic"):
+        return (text,)
+    raise argparse.ArgumentTypeError(f"choose from ipsic, psic, both; got {text!r}")
 
 
 def _build_parser():
@@ -68,15 +78,17 @@ def _build_parser():
     sweep.add_argument("--preset", choices=sorted(PRESETS),
                        help="bundled sweep configuration")
     sweep.add_argument("--metric", choices=METRICS)
-    sweep.add_argument("--signals", metavar="LIST",
+    sweep.add_argument("--signals", type=_parse_signals, metavar="LIST",
                        help="comma separated, e.g. x1,x2")
-    sweep.add_argument("--mode", choices=("ipsic", "psic", "both"))
-    sweep.add_argument("--snr", metavar="A:B:STEP",
+    sweep.add_argument("--mode", dest="modes", type=_parse_mode,
+                       metavar="{ipsic,psic,both}")
+    sweep.add_argument("--snr", type=_parse_snr, metavar="A:B:STEP",
                        help="SNR grid in dB, e.g. 0:40:5")
-    sweep.add_argument("--iterations", type=int, metavar="N")
-    sweep.add_argument("--seed", type=int, metavar="N")
-    sweep.add_argument("--with-oma", action="store_true")
-    sweep.add_argument("--with-asymptotic", action="store_true")
+    sweep.add_argument("--iterations", dest="mc_iterations", type=int,
+                       metavar="N")
+    sweep.add_argument("--seed", dest="master_seed", type=int, metavar="N")
+    sweep.add_argument("--with-oma", action="store_true", default=None)
+    sweep.add_argument("--with-asymptotic", action="store_true", default=None)
     sweep.add_argument("--out", metavar="PATH", help="output CSV path")
     sweep.add_argument("--emit-plot", action="store_true",
                        help="also write a standalone plot script")
@@ -100,41 +112,27 @@ def _load(args):
 
 
 def _sweep_jobs(args, base_config):
-    """Expand preset and flags into (spec, config, out path) jobs."""
+    """Expand a preset, or a bare metric, into (spec, config, out path) jobs.
+
+    A sweep flag's dest is the spec field it sets; each flag that was given
+    replaces its field, and every variant of the preset then makes one job.
+    """
     if args.preset:
-        preset = PRESETS[args.preset]
-        metric = args.metric or preset.metric
-        signals = _parse_signals(args.signals) if args.signals else preset.signals
-        mode = args.mode or ("both" if len(preset.modes) > 1 else preset.modes[0])
-        snr = _parse_snr(args.snr) if args.snr else preset.snr
-        with_oma = args.with_oma or preset.with_oma
-        with_asym = args.with_asymptotic or preset.with_asymptotic
-        variants = preset.variants
-        stem = args.preset
+        base = PRESETS[args.preset]
+    elif args.metric:
+        base = Preset(metric=args.metric)
     else:
-        if args.metric is None:
-            raise ConfigError("either --preset or --metric is required")
-        metric = args.metric
-        signals = _parse_signals(args.signals) if args.signals else (1, 2)
-        mode = args.mode or "both"
-        snr = _parse_snr(args.snr) if args.snr else (0.0, 40.0, 5.0)
-        with_oma = args.with_oma
-        with_asym = args.with_asymptotic
-        variants = (PresetVariant("", {}),)
-        stem = "sweep"
-    root, ext = os.path.splitext(args.out or stem)
+        raise ConfigError("either --preset or --metric is required")
+    spec = dataclasses.replace(base, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+        if getattr(args, f.name, None) is not None})
+    root, ext = os.path.splitext(args.out or args.preset or "sweep")
     ext = ext or ".csv"
     jobs = []
-    for variant in variants:
-        spec = SweepSpec(
-            snr_start_db=snr[0], snr_stop_db=snr[1], snr_step_db=snr[2],
-            metric=variant.metric or metric, signals=signals, sic_mode=mode,
-            mc_iterations=args.iterations or 1_000_000,
-            master_seed=args.seed if args.seed is not None else 1729,
-            include_asymptotic=with_asym, include_oma=with_oma)
-        cfg = apply_overrides(base_config, variant.overrides)
+    for variant in spec.variants:
         path = f"{root}_{variant.suffix}{ext}" if variant.suffix else root + ext
-        jobs.append((spec, cfg, path))
+        jobs.append((dataclasses.replace(spec, metric=variant.metric or spec.metric),
+                     dataclasses.replace(base_config, **variant.overrides), path))
     return jobs
 
 

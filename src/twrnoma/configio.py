@@ -10,10 +10,10 @@ not a config key: it is the sweep axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import ConfigError, SystemConfig
+from .sweep import SweepSpec
 
 SCHEMA_VERSION = 1
 
@@ -38,7 +38,7 @@ noma.varpi1 = 0.01
 noma.varpi2 = 0.01
 noma.omega_i_db = -20
 
-# geometry: variances follow d^-alpha unless channel.omegaN overrides them
+# geometry: each link's mean gain is d^-alpha of its user's distance
 channel.alpha = 2
 channel.d1 = 2
 channel.d2 = 10
@@ -81,8 +81,6 @@ _KEYS = {
     "noma.omega_i_db": ("omega_I", lambda raw: 10.0 ** (_as_float(raw) / 10.0)),
     "channel.alpha": ("alpha", _as_float),
     "channel.d1": ("d1", _as_float), "channel.d2": ("d2", _as_float),
-    "channel.omega1": ("omega1", _as_float), "channel.omega2": ("omega2", _as_float),
-    "channel.omega3": ("omega3", _as_float), "channel.omega4": ("omega4", _as_float),
     "rates.r1": ("r1", _as_float), "rates.r2": ("r2", _as_float),
     "rates.r3": ("r3", _as_float), "rates.r4": ("r4", _as_float),
     "sic.mode": ("sic_mode", _as_mode),
@@ -143,55 +141,32 @@ class PresetVariant:
 
 
 @dataclass(frozen=True)
-class Preset:
-    name: str
-    metric: str
-    signals: tuple
-    modes: tuple
-    snr: tuple                     # (start_db, stop_db, step_db)
-    with_oma: bool = False
-    with_asymptotic: bool = False
+class Preset(SweepSpec):
+    """A bundled sweep: its spec plus the config variants, one CSV each."""
+
     variants: tuple = (PresetVariant("", {}),)
 
 
-_BOTH = ("ipsic", "psic")
-
 PRESETS = {
-    "fig2": Preset("fig2", "outage", (1, 2), _BOTH, (0.0, 40.0, 5.0),
-                   with_oma=True, with_asymptotic=True),
-    "fig3": Preset("fig3", "outage", (1, 2), _BOTH, (0.0, 40.0, 5.0),
-                   variants=(
-                       PresetVariant("varpi_0", {"varpi1": 0.0, "varpi2": 0.0}),
-                       PresetVariant("varpi_0.01", {"varpi1": 0.01, "varpi2": 0.01}),
-                       PresetVariant("varpi_0.1", {"varpi1": 0.1, "varpi2": 0.1}),
-                   )),
-    "fig4": Preset("fig4", "outage", (1, 2), ("ipsic",), (0.0, 40.0, 5.0),
-                   variants=(
-                       PresetVariant("omegaI_-20dB",
-                                     {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1e-2}),
-                       PresetVariant("omegaI_-10dB",
-                                     {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1e-1}),
-                       PresetVariant("omegaI_0dB",
-                                     {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1.0}),
-                   )),
-    "fig5": Preset("fig5", "throughput_dl", (1, 2, 3, 4), _BOTH, (0.0, 40.0, 5.0),
-                   variants=(
-                       PresetVariant("omegaI_-20dB", {"omega_I": 1e-2}),
-                       PresetVariant("omegaI_-10dB", {"omega_I": 1e-1}),
-                   )),
-    "fig6": Preset("fig6", "ergodic_rate", (1, 2), _BOTH, (0.0, 50.0, 5.0)),
-    "fig7": Preset("fig7", "throughput_dt", (1, 2, 3, 4), _BOTH, (0.0, 50.0, 5.0)),
-    "fig8": Preset("fig8", "ee_dl", (1, 2, 3, 4), _BOTH, (0.0, 50.0, 5.0),
-                   variants=(
-                       PresetVariant("dl", {}, metric="ee_dl"),
-                       PresetVariant("dt", {}, metric="ee_dt"),
-                   )),
+    "fig2": Preset("outage", with_oma=True, with_asymptotic=True),
+    "fig3": Preset("outage", variants=(
+        PresetVariant("varpi_0", {"varpi1": 0.0, "varpi2": 0.0}),
+        PresetVariant("varpi_0.01", {"varpi1": 0.01, "varpi2": 0.01}),
+        PresetVariant("varpi_0.1", {"varpi1": 0.1, "varpi2": 0.1}),
+    )),
+    "fig4": Preset("outage", modes=("ipsic",), variants=(
+        PresetVariant("omegaI_-20dB", {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1e-2}),
+        PresetVariant("omegaI_-10dB", {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1e-1}),
+        PresetVariant("omegaI_0dB", {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1.0}),
+    )),
+    "fig5": Preset("throughput_dl", signals=(1, 2, 3, 4), variants=(
+        PresetVariant("omegaI_-20dB", {"omega_I": 1e-2}),
+        PresetVariant("omegaI_-10dB", {"omega_I": 1e-1}),
+    )),
+    "fig6": Preset("ergodic_rate", snr=(0.0, 50.0, 5.0)),
+    "fig7": Preset("throughput_dt", signals=(1, 2, 3, 4), snr=(0.0, 50.0, 5.0)),
+    "fig8": Preset("ee_dl", signals=(1, 2, 3, 4), snr=(0.0, 50.0, 5.0), variants=(
+        PresetVariant("dl", {}, metric="ee_dl"),
+        PresetVariant("dt", {}, metric="ee_dt"),
+    )),
 }
-
-
-def apply_overrides(config: SystemConfig, overrides: dict) -> SystemConfig:
-    import dataclasses
-
-    if not overrides:
-        return config
-    return dataclasses.replace(config, **overrides)

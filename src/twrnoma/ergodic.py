@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .model import SignalIndex, SystemConfig, signal_role
-from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace
+from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
 _LN2 = math.log(2.0)
 
@@ -252,7 +252,8 @@ def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float
 
     with s_z = x/(rho a_l Omega_l), s_w = x/(rho b_l Omega_k) and
     L(s) = prod lam_i/(lam_i + s) over each term's rates.  The product is
-    exact at tied rates, so the raw rates are used as they are.
+    exact at tied rates, so the raw rates are used as they are; a term whose
+    power underflows drops out (``term_rates``).
 
     The factorization treats the |h_k|^2 appearing inside W, Z, and the
     decode numerator as independent draws, the same simplification the
@@ -261,14 +262,14 @@ def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float
     """
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
-    rho = config.rho
-    z_rates = (1.0 / (rho * config.a(idx.t) * config.omega(idx.t)),
-               1.0 / (rho * config.varpi1 * config.a(idx.k) * config.omega(idx.k)),
-               1.0 / (rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r)))
-    w_rates = (1.0 / (config.epsilon * rho * config.omega_I),
-               1.0 / (rho * config.varpi2 * config.omega(idx.k)))
+    rho, omega_k = config.rho, config.omega(idx.k)
+    z_rates = term_rates(rho * config.a(idx.t) * config.omega(idx.t),
+                         rho * config.varpi1 * config.a(idx.k) * omega_k,
+                         rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r))
+    w_rates = term_rates(config.epsilon * rho * config.omega_I,
+                         rho * config.varpi2 * omega_k)
     s_z = x / (rho * config.a(idx.l) * config.omega(idx.l))
-    s_w = x / (rho * config.b(idx.l) * config.omega(idx.k))
+    s_w = x / (rho * config.b(idx.l) * omega_k)
     return (math.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
             * hypoexp_laplace(w_rates, s_w))
 

@@ -48,9 +48,10 @@ class SystemConfig:
     ``rho`` is the linear transmit SNR.  It is stored linear; dB conversion
     happens once, at the command-line boundary.  ``a1..a4`` are the uplink
     power-allocation coefficients, ``b1..b4`` the downlink ones (only the b's
-    carry the sum-to-one pairing constraint).  ``omega1..omega4`` default to
-    the distance law d^-alpha and may be overridden, in which case they must
-    still agree with the stored distances when both are supplied.
+    carry the sum-to-one pairing constraint).  The link variances are not
+    settable: ``omega(i)`` derives Omega_i = d^-alpha from the distance of
+    user i (``d1`` for users 1 and 3, ``d2`` for users 2 and 4), and the
+    constructor refuses a distance whose d^-alpha is zero or not finite.
 
     ``t_slot``, ``pu_watts`` and ``pr_watts`` only matter for the energy
     efficiency metric and never enter the statistical model.
@@ -71,10 +72,6 @@ class SystemConfig:
     alpha: float = 2.0
     d1: float = 2.0
     d2: float = 10.0
-    omega1: float | None = None
-    omega2: float | None = None
-    omega3: float | None = None
-    omega4: float | None = None
     r1: float = 0.1
     r2: float = 0.01
     r3: float = 0.1
@@ -113,20 +110,15 @@ class SystemConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
         if self.sic_mode not in _EPSILON:
             raise ConfigError(f"sic_mode must be 'ipsic' or 'psic', got {self.sic_mode!r}")
-        # Fill in the distance-law variances, checking consistency when a
-        # variance was supplied alongside the distance it must match.
-        derived = {1: self.d1 ** -self.alpha, 2: self.d2 ** -self.alpha,
-                   3: self.d1 ** -self.alpha, 4: self.d2 ** -self.alpha}
-        for i in (1, 2, 3, 4):
-            given = getattr(self, f"omega{i}")
-            if given is None:
-                object.__setattr__(self, f"omega{i}", derived[i])
-            else:
-                _positive(f"omega{i}", given)
-                if abs(given - derived[i]) > 1e-9 * derived[i]:
-                    raise ConfigError(
-                        f"omega{i}={given!r} conflicts with the distance law "
-                        f"d^-alpha = {derived[i]!r}; drop one of the two")
+        for user, name in ((1, "d1"), (2, "d2")):
+            try:
+                gain = self.omega(user)
+            except OverflowError:
+                gain = math.inf
+            if not 0.0 < gain < math.inf:
+                raise ConfigError(f"{name}^-alpha must be positive and finite, "
+                                  f"got {name}={getattr(self, name)!r}, "
+                                  f"alpha={self.alpha!r}")
 
     @property
     def epsilon(self) -> float:
@@ -140,7 +132,8 @@ class SystemConfig:
         return getattr(self, f"b{i}")
 
     def omega(self, i):
-        return getattr(self, f"omega{i}")
+        """Mean gain of user i's link, d^-alpha of its distance."""
+        return (self.d1 if i in (1, 3) else self.d2) ** -self.alpha
 
     def rate(self, i):
         return getattr(self, f"r{i}")
@@ -262,10 +255,10 @@ def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:
     identical draws, which is what the reproducibility contract rests on.
     """
     return ChannelDraw(
-        g1=stream.exponential(config.omega1, size),
-        g2=stream.exponential(config.omega2, size),
-        g3=stream.exponential(config.omega3, size),
-        g4=stream.exponential(config.omega4, size),
+        g1=stream.exponential(config.omega(1), size),
+        g2=stream.exponential(config.omega(2), size),
+        g3=stream.exponential(config.omega(3), size),
+        g4=stream.exponential(config.omega(4), size),
         gI=stream.exponential(config.omega_I, size),
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -137,6 +138,25 @@ def hypoexp_laplace(rates, s: float) -> float:
     for lam in rates:
         out *= lam / (lam + s)
     return out
+
+
+_SMALLEST_NORMAL = sys.float_info.min
+
+
+def term_rates(*means) -> tuple:
+    """Exponential rates 1/mean of interference terms with the given means.
+
+    A term whose mean power is zero or subnormal (a leakage level of 0, or
+    one so small that the product underflows) is no term at all: its rate
+    would be infinite and its Laplace factor is 1, so it is dropped.
+    """
+    # a plain loop: this runs at every quadrature node of the leakage rate,
+    # where it costs less than a comprehension
+    rates = ()
+    for mean in means:
+        if mean >= _SMALLEST_NORMAL:
+            rates += (1.0 / mean,)
+    return rates
 
 
 @dataclass(frozen=True)

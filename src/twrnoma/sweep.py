@@ -38,25 +38,34 @@ class OutputError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    snr_start_db: float = 0.0
-    snr_stop_db: float = 40.0
-    snr_step_db: float = 5.0
+    """Everything a sweep CSV depends on besides the SystemConfig.
+
+    ``snr`` is the (start, stop, step) grid in dB and ``modes`` the SIC
+    modes that get rows; the defaults are the command line's.
+    """
+
     metric: str = "outage"
     signals: tuple = (1, 2)
-    sic_mode: str = "both"
+    modes: tuple = ("ipsic", "psic")
+    snr: tuple = (0.0, 40.0, 5.0)
+    with_oma: bool = False
+    with_asymptotic: bool = False
     mc_iterations: int = 1_000_000
     master_seed: int = 1729
-    include_asymptotic: bool = False
-    include_oma: bool = False
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; "
                               f"choose from {METRICS}")
-        if self.snr_start_db > self.snr_stop_db:
+        if len(self.snr) != 3:
+            raise ConfigError(f"SNR grid must be (start, stop, step) in dB, "
+                              f"got {self.snr!r}")
+        start, stop, step = (float(v) for v in self.snr)
+        if start > stop:
             raise ConfigError("SNR grid start exceeds stop")
-        if self.snr_step_db <= 0:
+        if step <= 0:
             raise ConfigError("SNR grid step must be positive")
+        object.__setattr__(self, "snr", (start, stop, step))
         if self.mc_iterations < 1000:
             raise ConfigError("mc_iterations below 1000 is too coarse to "
                               "state a confidence interval")
@@ -67,23 +76,21 @@ class SweepSpec:
             if s not in (1, 2, 3, 4):
                 raise ConfigError(f"signals must be in 1..4, got {s}")
         object.__setattr__(self, "signals", sigs)
-        if self.sic_mode not in ("ipsic", "psic", "both"):
-            raise ConfigError(f"sic_mode must be ipsic, psic or both, "
-                              f"got {self.sic_mode!r}")
+        modes = tuple(sorted(set(self.modes)))
+        if not modes or not set(modes) <= {"ipsic", "psic"}:
+            raise ConfigError(f"modes must be a nonempty subset of "
+                              f"('ipsic', 'psic'), got {self.modes!r}")
+        object.__setattr__(self, "modes", modes)
         if self.master_seed < 0:
             raise ConfigError("master seed must be nonnegative")
-        if self.include_oma and self.metric not in ("outage", "ergodic_rate"):
+        if self.with_oma and self.metric not in ("outage", "ergodic_rate"):
             raise ConfigError("the orthogonal baseline is defined for outage "
                               "and ergodic_rate sweeps only")
 
-    @property
-    def modes(self):
-        return ("ipsic", "psic") if self.sic_mode == "both" else (self.sic_mode,)
-
     def grid_db(self):
-        count = int(math.floor((self.snr_stop_db - self.snr_start_db)
-                               / self.snr_step_db + 1e-9)) + 1
-        return [self.snr_start_db + i * self.snr_step_db for i in range(count)]
+        start, stop, step = self.snr
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        return [start + i * step for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -122,13 +129,13 @@ def _point_rows(spec, cfg_point, db, ests):
         cfg = cfg_point.with_mode(mode)
         for target in targets:
             value, asym, feasible = metrics.analytic(cfg, spec.metric, target,
-                                                     spec.include_asymptotic)
+                                                     spec.with_asymptotic)
             key = (kind, mode) if target == "system" else (kind, mode, target)
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,
                                     feasible=feasible,
                                     **_mc_columns(ests[key], scale)))
-    if spec.include_oma:
+    if spec.with_oma:
         for target in ("system",) + spec.signals:
             name = "oma:system" if target == "system" else f"oma:x{target}"
             rows.append(MetricPoint(db, name, spec.metric, "oma", None, None,
@@ -147,7 +154,7 @@ def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
                         point_index=point_index, workers=workers,
                         kinds=(_MC_KIND[spec.metric],),
                         signals=spec.signals if per_signal else (1, 2, 3, 4),
-                        modes=spec.modes, oma=spec.include_oma)
+                        modes=spec.modes, oma=spec.with_oma)
         rows.extend(_point_rows(spec, cfg_point, db, ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows

@@ -5,6 +5,8 @@ Each check compares an analytical quantity with an independent route
 pass/fail line.  The default profile is sized so a healthy build passes
 with the pinned seed; the strict profile halves every tolerance band and
 is expected to surface the checks that sit close to their band edge.
+Every check returns (passed, tolerance, observed, detail) and is named in
+``validate``'s table, so a check that raises is reported under its name.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .analysis import diversity_order_estimate, outage_asymptotic, outage_probability
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
 from .metrics import analytic
-from .model import SignalIndex, SystemConfig
+from .model import ConfigError, SignalIndex, SystemConfig
 from .montecarlo import mc_point, oma_outage_exact
 from .specfun import HypoExpParams, expint_ei, hypoexp_pdf
 
@@ -79,8 +81,8 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
                 gap = abs(ests["outage", mode, s].mean - exact)
                 if gap * band > worst * allowed:
                     worst, band = gap, allowed
-    return CheckResult("outage_closed_vs_mc", worst <= band, band, worst,
-                       "worst |mc - exact| over 10/25/40 dB, x1/x2, both modes")
+    return (worst <= band, band, worst,
+            "worst |mc - exact| over 10/25/40 dB, x1/x2, both modes")
 
 
 def _check_floor(config, scale):
@@ -93,8 +95,7 @@ def _check_floor(config, scale):
             exact = outage_probability(cfg, s).p_exact
             asym = outage_asymptotic(cfg, s).floor
             worst = max(worst, _rel(exact, asym))
-    return CheckResult("outage_floor_vs_asymptote", worst <= tol, tol, worst,
-                       "60 dB exact vs floor, x1/x2, both modes")
+    return worst <= tol, tol, worst, "60 dB exact vs floor, x1/x2, both modes"
 
 
 def _check_diversity(config, scale):
@@ -106,8 +107,8 @@ def _check_diversity(config, scale):
             probs = [outage_probability(config.with_rho(r).with_mode(mode),
                                         s).p_exact for r in rhos]
             worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
-    return CheckResult("diversity_order_zero", worst <= tol, tol, worst,
-                       "|slope| of log outage between 50 and 60 dB")
+    return (worst <= tol, tol, worst,
+            "|slope| of log outage between 50 and 60 dB")
 
 
 def _check_psic_limit(config, scale):
@@ -126,8 +127,8 @@ def _check_psic_limit(config, scale):
     idx = SignalIndex.for_signal(1)
     worst = max(worst, _rel(ergodic_rate_strong_closed(zip_cfg, idx),
                             ergodic_rate_strong_closed(zp_cfg, idx)))
-    return CheckResult("psic_limit_recovery", worst <= tol, tol, worst,
-                       "residual power 1e-12 reproduces perfect SIC")
+    return (worst <= tol, tol, worst,
+            "residual power 1e-12 reproduces perfect SIC")
 
 
 def _check_rate_quadrature(config, scale):
@@ -138,8 +139,7 @@ def _check_rate_quadrature(config, scale):
         cfg = config.without_leakage().with_rho(100.0).with_mode(mode)
         worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx),
                                 ergodic_rate_strong_quadrature(cfg, idx)))
-    return CheckResult("strong_rate_closed_vs_quadrature", worst <= tol, tol,
-                       worst, "20 dB, leakage off, both modes")
+    return worst <= tol, tol, worst, "20 dB, leakage off, both modes"
 
 
 def _check_rate_vs_mc(config, scale, iterations, seed, workers):
@@ -153,8 +153,7 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
         for s in (1, 2):
             closed = analytic(mcfg, "ergodic_rate", s)[0]
             worst = max(worst, _rel(closed, ests["rate", mode, s].mean))
-    return CheckResult("rate_closed_vs_mc", worst <= tol, tol, worst,
-                       "20 dB, leakage off, x1/x2, both modes")
+    return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
 
 def _check_hypoexp(scale, seed):
@@ -170,8 +169,8 @@ def _check_hypoexp(scale, seed):
         total, _err = quad(lambda z: hypoexp_pdf(params, z), 0.0, np.inf,
                            limit=400)
         worst = max(worst, abs(total - 1.0))
-    return CheckResult("hypoexp_normalization", worst <= tol, tol, worst,
-                       "pdf integrates to one for random rate triples")
+    return (worst <= tol, tol, worst,
+            "pdf integrates to one for random rate triples")
 
 
 def _check_expint(scale):
@@ -181,8 +180,8 @@ def _check_expint(scale):
     worst = 0.0
     for x in np.concatenate([-grid, grid]):
         worst = max(worst, _rel(expint_ei(float(x)), float(expi(x))))
-    return CheckResult("expint_vs_scipy", worst <= tol, tol, worst,
-                       "exponential integral against scipy.special.expi")
+    return (worst <= tol, tol, worst,
+            "exponential integral against scipy.special.expi")
 
 
 def _check_oma(config, scale, iterations, seed, workers):
@@ -193,8 +192,7 @@ def _check_oma(config, scale, iterations, seed, workers):
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)
-    return CheckResult("oma_baseline_mc_vs_exact", gap <= band, band, gap,
-                       "orthogonal baseline system outage at 10 dB")
+    return gap <= band, band, gap, "orthogonal baseline system outage at 10 dB"
 
 
 def _system_value(config, metric, rho, mode):
@@ -209,8 +207,8 @@ def _check_throughput_ceiling(config, scale):
         t50, t60 = (analytic(cfg.with_rho(rho), "throughput_dt", "system")[0]
                     for rho in (1e5, 1e6))
         worst = max(worst, _rel(t50, t60))
-    return CheckResult("throughput_ceiling", worst <= tol, tol, worst,
-                       "delay tolerant throughput change from 50 to 60 dB")
+    return (worst <= tol, tol, worst,
+            "delay tolerant throughput change from 50 to 60 dB")
 
 
 def _check_ee(config, scale):
@@ -228,8 +226,7 @@ def _check_ee(config, scale):
     detail = "delay limited efficiency gap between SIC modes, 0 to 40 dB"
     if not ordered:
         detail += "; delay tolerant ordering violated"
-    return CheckResult("energy_efficiency_modes", ordered and worst <= tol, tol,
-                       worst, detail)
+    return ordered and worst <= tol, tol, worst, detail
 
 
 def validate(config: SystemConfig, profile: str = "default",
@@ -239,25 +236,32 @@ def validate(config: SystemConfig, profile: str = "default",
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
+    if iterations < 1000:
+        raise ConfigError("iterations below 1000 are too few to state a "
+                          "confidence interval")
     scale = PROFILES[profile]
     checks = (
-        lambda: _check_outage_vs_mc(config, scale, iterations, seed, workers),
-        lambda: _check_floor(config, scale),
-        lambda: _check_diversity(config, scale),
-        lambda: _check_psic_limit(config, scale),
-        lambda: _check_rate_quadrature(config, scale),
-        lambda: _check_rate_vs_mc(config, scale, iterations, seed, workers),
-        lambda: _check_hypoexp(scale, seed),
-        lambda: _check_expint(scale),
-        lambda: _check_oma(config, scale, iterations, seed, workers),
-        lambda: _check_throughput_ceiling(config, scale),
-        lambda: _check_ee(config, scale),
+        ("outage_closed_vs_mc",
+         lambda: _check_outage_vs_mc(config, scale, iterations, seed, workers)),
+        ("outage_floor_vs_asymptote", lambda: _check_floor(config, scale)),
+        ("diversity_order_zero", lambda: _check_diversity(config, scale)),
+        ("psic_limit_recovery", lambda: _check_psic_limit(config, scale)),
+        ("strong_rate_closed_vs_quadrature",
+         lambda: _check_rate_quadrature(config, scale)),
+        ("rate_closed_vs_mc",
+         lambda: _check_rate_vs_mc(config, scale, iterations, seed, workers)),
+        ("hypoexp_normalization", lambda: _check_hypoexp(scale, seed)),
+        ("expint_vs_scipy", lambda: _check_expint(scale)),
+        ("oma_baseline_mc_vs_exact",
+         lambda: _check_oma(config, scale, iterations, seed, workers)),
+        ("throughput_ceiling", lambda: _check_throughput_ceiling(config, scale)),
+        ("energy_efficiency_modes", lambda: _check_ee(config, scale)),
     )
     results = []
-    for check in checks:
+    for name, check in checks:
         try:
-            results.append(check())
+            results.append(CheckResult(name, *check()))
         except Exception as exc:
-            results.append(CheckResult(type(exc).__name__, False, 0.0,
-                                       math.nan, str(exc)))
+            results.append(CheckResult(name, False, 0.0, math.nan,
+                                       f"{type(exc).__name__}: {exc}"))
     return ValidationReport(profile, tuple(results))

@@ -340,10 +340,9 @@ def test_a10_energy_efficiency_ordering(baseline, no_leakage):
 
 
 def test_a11_sweep_determinism_across_worker_counts(baseline):
-    spec = SweepSpec(snr_start_db=0.0, snr_stop_db=40.0, snr_step_db=5.0,
-                     metric="outage", signals=(1, 2), sic_mode="both",
-                     mc_iterations=100_000, master_seed=1729,
-                     include_asymptotic=True, include_oma=True)
+    spec = SweepSpec(snr=(0.0, 40.0, 5.0), metric="outage", signals=(1, 2),
+                     modes=("ipsic", "psic"), mc_iterations=100_000,
+                     master_seed=1729, with_asymptotic=True, with_oma=True)
     outputs = [render_csv(run_sweep(spec, baseline, workers=w))
                for w in (1, 4, 8)]
     ok = outputs[0] == outputs[1] == outputs[2]

@@ -10,6 +10,7 @@ import pytest
 from twrnoma.cli import main
 from twrnoma.configio import DEFAULT_CONFIG_TEXT, parse_config
 from twrnoma.model import SystemConfig
+from twrnoma.sweep import SweepSpec, render_csv, run_sweep
 
 
 def run_in(tmp_path, argv):
@@ -153,6 +154,47 @@ def test_explicit_flags_override_preset(tmp_path):
     assert rows[0]["metric"] == "ergodic_rate"
 
 
+def test_zero_iterations_are_refused(tmp_path, capsys):
+    code = run_in(tmp_path, ["sweep", "--metric", "outage", "--signals", "x1",
+                             "--mode", "ipsic", "--snr", "0:0:5",
+                             "--iterations", "0"])
+    assert code == 1
+    assert "mc_iterations" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_mode_flag_replaces_a_single_mode_preset(tmp_path):
+    code = run_in(tmp_path, ["sweep", "--preset", "fig4", "--mode", "both",
+                             "--snr", "10:10:5", "--iterations", "2000"])
+    assert code == 0
+    for name in ("fig4_omegaI_-20dB.csv", "fig4_omegaI_-10dB.csv",
+                 "fig4_omegaI_0dB.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            assert {r["mode"] for r in csv.DictReader(fh)} == {"ipsic", "psic"}
+
+
+@pytest.mark.parametrize("metric", ["outage", "throughput_dt", "ee_dl"])
+def test_flag_only_sweep_is_the_default_spec(tmp_path, metric):
+    """Without a preset, the flags replace fields of SweepSpec's defaults."""
+    code = run_in(tmp_path, ["sweep", "--metric", metric, "--snr", "0:10:10",
+                             "--iterations", "2000", "--out", "flags.csv"])
+    assert code == 0
+    spec = SweepSpec(metric=metric, snr=(0.0, 10.0, 10.0), mc_iterations=2000)
+    assert ((tmp_path / "flags.csv").read_text()
+            == render_csv(run_sweep(spec, SystemConfig())))
+
+
+@pytest.mark.parametrize("key, value", [("channel.d1", "1e-200"),
+                                        ("channel.d2", "1e200")])
+def test_distance_beyond_the_float_range_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"schema_version = 1\n{key} = {value}\n")
+    code = run_in(tmp_path, ["sweep", "--metric", "outage", "--config", str(cfg),
+                             "--iterations", "2000"])
+    assert code == 1
+    assert key.split(".")[1] in capsys.readouterr().err
+
+
 def test_unwritable_out_path_exits_one(capsys):
     assert main(["sweep", "--metric", "outage", "--signals", "x1",
                  "--mode", "ipsic", "--snr", "0:0:5", "--iterations", "2000",
@@ -171,6 +213,14 @@ def test_validate_exit_codes(capsys):
                  "--profile", "strict"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "check(s) failed" in out
+
+
+def test_validate_refuses_too_few_iterations(capsys):
+    assert main(["validate", "--iterations", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_validate_rejects_bad_config(tmp_path, capsys):

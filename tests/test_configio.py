@@ -2,9 +2,10 @@
 
 import pytest
 
-from twrnoma.configio import (DEFAULT_CONFIG_TEXT, PRESETS, apply_overrides,
+from twrnoma.configio import (DEFAULT_CONFIG_TEXT, PRESETS, Preset, PresetVariant,
                               load_config, parse_config)
 from twrnoma.model import ConfigError, SystemConfig
+from twrnoma.sweep import SweepSpec
 
 
 def test_default_text_round_trips_to_defaults():
@@ -21,6 +22,10 @@ def test_decibel_variance_conversion():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("schema_version = 1\nnoma.zeta = 3\n")
+    # the link variances follow from the distances; no key restates them
+    for i in (1, 2, 3, 4):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"schema_version = 1\nchannel.omega{i} = 0.25\n")
 
 
 def test_duplicate_key_rejected():
@@ -66,12 +71,6 @@ def test_load_config_missing_file(tmp_path):
     assert load_config(str(target)) == SystemConfig()
 
 
-def test_apply_overrides():
-    cfg = apply_overrides(SystemConfig(), {"varpi1": 0.0, "varpi2": 0.0})
-    assert cfg.varpi1 == 0.0 and cfg.varpi2 == 0.0
-    assert apply_overrides(cfg, {}) == cfg
-
-
 def test_preset_catalog_shape():
     assert set(PRESETS) == {f"fig{i}" for i in range(2, 9)}
     for name, preset in PRESETS.items():
@@ -79,6 +78,15 @@ def test_preset_catalog_shape():
         assert preset.snr[2] > 0
         assert preset.signals
         assert preset.variants
+
+
+def test_presets_are_validated_sweep_specs():
+    for preset in PRESETS.values():
+        assert isinstance(preset, SweepSpec)
+    # a preset is checked like any spec when it is built
+    with pytest.raises(ConfigError, match="baseline"):
+        Preset(metric="throughput_dl", with_oma=True)
+    assert Preset(metric="outage").variants == (PresetVariant("", {}),)
 
 
 def test_reference_outage_preset_bundles_baselines():

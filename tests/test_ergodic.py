@@ -312,14 +312,14 @@ def test_leakage_ccdf_matches_transform_product(baseline):
     the default uplink rates tie)."""
     cfg = baseline.with_rho(100.0)
     rho = cfg.rho
-    z_rates = (1.0 / (rho * cfg.a2 * cfg.omega2),
-               1.0 / (rho * cfg.varpi1 * cfg.a3 * cfg.omega3),
-               1.0 / (rho * cfg.varpi1 * cfg.a4 * cfg.omega4))
+    z_rates = (1.0 / (rho * cfg.a2 * cfg.omega(2)),
+               1.0 / (rho * cfg.varpi1 * cfg.a3 * cfg.omega(3)),
+               1.0 / (rho * cfg.varpi1 * cfg.a4 * cfg.omega(4)))
     w_rates = (1.0 / (rho * cfg.omega_I),
-               1.0 / (rho * cfg.varpi2 * cfg.omega1))
+               1.0 / (rho * cfg.varpi2 * cfg.omega(1)))
     for x in (0.5, 2.0, 10.0):
-        s_z = x / (rho * cfg.a1 * cfg.omega1)
-        s_w = x / (rho * cfg.b1 * cfg.omega1)
+        s_z = x / (rho * cfg.a1 * cfg.omega(1))
+        s_w = x / (rho * cfg.b1 * cfg.omega(1))
         expected = math.exp(-s_z - s_w)
         for lam in z_rates:
             expected *= lam / (lam + s_z)
@@ -385,6 +385,18 @@ def test_strong_numeric_leakage_matches_nested_quadrature(baseline):
         leakage_rate_nested(cfg, IDX1), rel=1e-8)
 
 
+@pytest.mark.parametrize("field", ["varpi1", "varpi2", "omega_I"])
+def test_strong_numeric_leakage_when_a_term_power_underflows(baseline, field):
+    """A leakage or residual power of 1e-320 is subnormal: its term drops
+    out, and the rate equals that at its 1e-300 neighbour, whose term is
+    already too weak to move a digit."""
+    cfg = baseline.with_rho(100.0)
+    tiny, neighbour = (dataclasses.replace(cfg, **{field: v})
+                       for v in (1e-320, 1e-300))
+    assert (ergodic_rate_strong_numeric(tiny, IDX1)
+            == ergodic_rate_strong_numeric(neighbour, IDX1))
+
+
 def test_strong_numeric_sits_below_no_leakage_rate(baseline):
     with_leak = ergodic_rate_strong_numeric(baseline.with_rho(100.0), IDX1)
     without = ergodic_rate_strong_closed(_cfg(20, "ipsic"), IDX1)
@@ -440,7 +452,7 @@ def _mp_weak_psic_ceiling(c, b_l):
 def test_weak_psic_ceiling_matches_mpmath(c):
     """c = 1/(rho a_t Omega_t) past ~709 overflows e^c taken on its own."""
     cfg = SystemConfig(varpi1=0.0, varpi2=0.0, sic_mode="psic")
-    cfg = cfg.with_rho(1.0 / (c * cfg.a2 * cfg.omega2))
+    cfg = cfg.with_rho(1.0 / (c * cfg.a2 * cfg.omega(2)))
     assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(
         _mp_weak_psic_ceiling(c, cfg.b1), rel=1e-10)
 
@@ -586,8 +598,8 @@ def test_rate_constant_collision_is_kept_raw():
     assert inter0.lambda2 == pytest.approx(0.01, rel=1e-12)
     collide = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0, omega_I=0.0005)
     inter = compute_rate_intermediates(collide, IDX1)
-    assert inter.lambda1 == collide.epsilon * collide.omega_I / (collide.b1 * collide.omega3)
-    assert inter.lambda2 == collide.a2 * collide.omega2 / (collide.a1 * collide.omega1)
+    assert inter.lambda1 == collide.epsilon * collide.omega_I / (collide.b1 * collide.omega(3))
+    assert inter.lambda2 == collide.a2 * collide.omega(2) / (collide.a1 * collide.omega(1))
     assert inter.lambda1 == pytest.approx(inter.lambda2, rel=1e-15)
     assert ergodic_rate_strong_closed(collide, IDX1) == pytest.approx(
         _mp_strong_rate_no_leakage(collide, IDX1), rel=1e-12)

@@ -20,17 +20,21 @@ def test_gamma_threshold_frozen_values():
 
 
 def test_default_config_variances_follow_distance_law(baseline):
-    assert baseline.omega1 == pytest.approx(0.25)
-    assert baseline.omega2 == pytest.approx(0.01)
-    assert baseline.omega3 == pytest.approx(0.25)
-    assert baseline.omega4 == pytest.approx(0.01)
+    assert baseline.omega(1) == pytest.approx(0.25)
+    assert baseline.omega(2) == pytest.approx(0.01)
+    assert baseline.omega(3) == pytest.approx(0.25)
+    assert baseline.omega(4) == pytest.approx(0.01)
 
 
-def test_explicit_variance_must_match_distance_law():
-    with pytest.raises(ConfigError, match="conflicts with the distance law"):
-        SystemConfig(omega1=0.3)
-    # consistent value is accepted
-    assert SystemConfig(omega1=0.25).omega1 == 0.25
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(d1=1e-200), "d1"),       # d^-alpha overflows
+    (dict(d2=1e200), "d2"),        # d^-alpha underflows to zero
+    (dict(d1=1e-5, alpha=100.0), "d1"),
+    (dict(d2=10.0, alpha=400.0), "d2"),
+])
+def test_distance_law_gain_must_be_positive_and_finite(kwargs, name):
+    with pytest.raises(ConfigError, match=f"{name}\\^-alpha"):
+        SystemConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs,fragment", [

@@ -1,5 +1,6 @@
 """Sweep driver and output writers."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import twrnoma.montecarlo as montecarlo
-from twrnoma.configio import PRESETS, apply_overrides
+from twrnoma.configio import PRESETS
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
                            sample_channel_draw, sinr_set)
 from twrnoma.montecarlo import CHUNK, chunk_generator
@@ -17,10 +18,10 @@ from twrnoma.sweep import (CSV_HEADER, MetricPoint, OutputError, SweepSpec,
                            emit_outputs, render_csv, run_sweep)
 
 
-def small_spec(**kw):
-    base = dict(snr_start_db=0.0, snr_stop_db=40.0, snr_step_db=5.0,
-                metric="outage", signals=(1, 2), sic_mode="ipsic",
-                mc_iterations=2000, master_seed=11)
+def small_spec(stop_db=40.0, start_db=0.0, step_db=5.0, **kw):
+    base = dict(snr=(start_db, stop_db, step_db), metric="outage",
+                signals=(1, 2), modes=("ipsic",), mc_iterations=2000,
+                master_seed=11)
     base.update(kw)
     return SweepSpec(**base)
 
@@ -37,9 +38,9 @@ def test_grid_and_row_count(baseline):
 
 def test_spec_validation():
     with pytest.raises(ConfigError, match="start exceeds stop"):
-        small_spec(snr_start_db=50.0)
+        small_spec(start_db=50.0)
     with pytest.raises(ConfigError, match="step"):
-        small_spec(snr_step_db=0.0)
+        small_spec(step_db=0.0)
     with pytest.raises(ConfigError, match="not be empty"):
         small_spec(signals=())
     with pytest.raises(ConfigError, match="1..4"):
@@ -48,10 +49,14 @@ def test_spec_validation():
         small_spec(mc_iterations=10)
     with pytest.raises(ConfigError, match="metric"):
         small_spec(metric="latency")
-    with pytest.raises(ConfigError, match="sic_mode"):
-        small_spec(sic_mode="off")
+    with pytest.raises(ConfigError, match="modes"):
+        small_spec(modes=("off",))
+    with pytest.raises(ConfigError, match="modes"):
+        small_spec(modes=())
+    with pytest.raises(ConfigError, match="start, stop, step"):
+        small_spec(snr=(0.0, 40.0))
     with pytest.raises(ConfigError, match="baseline"):
-        small_spec(metric="throughput_dl", include_oma=True)
+        small_spec(metric="throughput_dl", with_oma=True)
 
 
 def test_metric_point_interval_invariant():
@@ -61,7 +66,7 @@ def test_metric_point_interval_invariant():
 
 
 def test_rerun_is_byte_identical(baseline):
-    spec = small_spec(snr_stop_db=10.0)
+    spec = small_spec(stop_db=10.0)
     a = render_csv(run_sweep(spec, baseline))
     b = render_csv(run_sweep(spec, baseline))
     c = render_csv(run_sweep(spec, baseline, workers=3))
@@ -69,7 +74,7 @@ def test_rerun_is_byte_identical(baseline):
 
 
 def test_csv_layout(baseline, tmp_path):
-    spec = small_spec(snr_stop_db=5.0, include_asymptotic=False)
+    spec = small_spec(stop_db=5.0, with_asymptotic=False)
     rows = run_sweep(spec, baseline)
     path = tmp_path / "out.csv"
     emit_outputs(rows, "csv", str(path))
@@ -89,7 +94,7 @@ def test_csv_layout(baseline, tmp_path):
 
 def test_infeasible_rows_are_reported_not_raised(tmp_path):
     cfg = SystemConfig(r1=3.0, r3=3.0)
-    rows = run_sweep(small_spec(snr_stop_db=0.0, signals=(1,)), cfg)
+    rows = run_sweep(small_spec(stop_db=0.0, signals=(1,)), cfg)
     assert len(rows) == 1
     assert rows[0].analytic == 1.0
     assert not rows[0].feasible
@@ -98,7 +103,7 @@ def test_infeasible_rows_are_reported_not_raised(tmp_path):
 
 
 def test_oma_rows_emitted_once_per_grid_point(baseline):
-    spec = small_spec(snr_stop_db=0.0, sic_mode="both", include_oma=True)
+    spec = small_spec(stop_db=0.0, modes=("ipsic", "psic"), with_oma=True)
     rows = run_sweep(spec, baseline)
     oma = [r for r in rows if r.mode == "oma"]
     assert [r.signal for r in oma] == ["oma:system", "oma:x1", "oma:x2"]
@@ -111,9 +116,9 @@ def test_oma_rows_emitted_once_per_grid_point(baseline):
 
 
 def test_throughput_rows_collapse_to_system(baseline):
-    spec = small_spec(metric="throughput_dl", snr_stop_db=5.0,
-                      sic_mode="both", signals=(1, 2, 3, 4),
-                      include_asymptotic=True)
+    spec = small_spec(metric="throughput_dl", stop_db=5.0,
+                      modes=("ipsic", "psic"), signals=(1, 2, 3, 4),
+                      with_asymptotic=True)
     rows = run_sweep(spec, baseline)
     assert len(rows) == 4  # two grid points, two modes
     assert all(r.signal == "system" for r in rows)
@@ -126,20 +131,20 @@ def test_empty_table_refused(tmp_path):
 
 
 def test_unknown_format_refused(baseline, tmp_path):
-    rows = run_sweep(small_spec(snr_stop_db=0.0), baseline)
+    rows = run_sweep(small_spec(stop_db=0.0), baseline)
     with pytest.raises(ValueError, match="format"):
         emit_outputs(rows, "parquet", str(tmp_path / "x.bin"))
 
 
 def test_unwritable_path_reports_the_path(baseline):
-    rows = run_sweep(small_spec(snr_stop_db=0.0), baseline)
+    rows = run_sweep(small_spec(stop_db=0.0), baseline)
     bad = "/nonexistent_dir_for_test/out.csv"
     with pytest.raises(OutputError, match="nonexistent_dir_for_test"):
         emit_outputs(rows, "csv", bad)
 
 
 def test_plot_script_is_selfcontained(baseline, tmp_path):
-    spec = small_spec(snr_stop_db=10.0, sic_mode="both")
+    spec = small_spec(stop_db=10.0, modes=("ipsic", "psic"))
     rows = run_sweep(spec, baseline)
     csv_path = tmp_path / "curves.csv"
     script_path = tmp_path / "curves_plot.py"
@@ -160,7 +165,7 @@ def test_plot_script_is_selfcontained(baseline, tmp_path):
 
 
 def test_ee_rows_scale_with_power_budget(baseline):
-    spec = small_spec(metric="ee_dt", snr_stop_db=0.0, sic_mode="ipsic",
+    spec = small_spec(metric="ee_dt", stop_db=0.0, modes=("ipsic",),
                       signals=(1, 2, 3, 4))
     base_rows = run_sweep(spec, baseline)
     pricey = SystemConfig(pu_watts=20.0, pr_watts=20.0)
@@ -179,8 +184,8 @@ def test_one_channel_draw_per_sweep_point(baseline, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
-    spec = small_spec(snr_stop_db=5.0, signals=(1, 2, 3, 4), sic_mode="both",
-                      include_oma=True)
+    spec = small_spec(stop_db=5.0, signals=(1, 2, 3, 4), modes=("ipsic", "psic"),
+                      with_oma=True)
     rows = run_sweep(spec, baseline)
     assert len(rows) == 2 * (4 * 2 + 5)
     assert draws == [spec.mc_iterations] * 2
@@ -221,8 +226,8 @@ def test_system_interval_is_that_of_the_per_draw_sum(baseline, metric):
     """The four signals share draws, so the system row's interval comes from
     the per-draw sum, not from combining per-signal half-widths."""
     n, seed = 20_000, 5
-    spec = small_spec(metric=metric, snr_start_db=20.0, snr_stop_db=20.0,
-                      signals=(1, 2, 3, 4), sic_mode="both", mc_iterations=n,
+    spec = small_spec(metric=metric, start_db=20.0, stop_db=20.0,
+                      signals=(1, 2, 3, 4), modes=("ipsic", "psic"), mc_iterations=n,
                       master_seed=seed)
     rows = {r.mode: r for r in run_sweep(spec, baseline)}
     cfg = baseline.with_rho(100.0)
@@ -238,12 +243,12 @@ def test_system_interval_is_that_of_the_per_draw_sum(baseline, metric):
                                      rel=1e-12)
 
 
-@pytest.mark.parametrize("metric, extra", [("outage", {"include_oma": True}),
+@pytest.mark.parametrize("metric, extra", [("outage", {"with_oma": True}),
                                            ("ee_dl", {"signals": (1, 2, 3, 4)})])
 def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
     """Three chunks per estimate, so the pool really splits the work."""
-    spec = small_spec(metric=metric, snr_start_db=10.0, snr_stop_db=10.0,
-                      sic_mode="both", mc_iterations=2 * CHUNK + 1000, **extra)
+    spec = small_spec(metric=metric, start_db=10.0, stop_db=10.0,
+                      modes=("ipsic", "psic"), mc_iterations=2 * CHUNK + 1000, **extra)
     assert render_csv(run_sweep(spec, baseline, workers=1)) == \
         render_csv(run_sweep(spec, baseline, workers=3))
 
@@ -314,12 +319,10 @@ def test_monte_carlo_columns_are_frozen(name):
     preset = PRESETS[name]
     digest = hashlib.sha256()
     for variant in preset.variants:
-        spec = SweepSpec(*preset.snr, metric=variant.metric or preset.metric,
-                         signals=preset.signals, sic_mode="both",
-                         mc_iterations=2000, master_seed=11,
-                         include_asymptotic=preset.with_asymptotic,
-                         include_oma=preset.with_oma)
-        cfg = apply_overrides(SystemConfig(), variant.overrides)
+        spec = dataclasses.replace(preset, metric=variant.metric or preset.metric,
+                                   modes=("ipsic", "psic"), mc_iterations=2000,
+                                   master_seed=11)
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
         for line in render_csv(run_sweep(spec, cfg)).splitlines():
             digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
     assert digest.hexdigest() == MC_COLUMN_DIGESTS[name]
@@ -345,11 +348,10 @@ def test_analytic_columns_are_frozen(name):
     preset = PRESETS[name]
     digest = hashlib.sha256()
     for variant in preset.variants:
-        spec = SweepSpec(*preset.snr, metric=variant.metric or preset.metric,
-                         signals=preset.signals, sic_mode="both",
-                         mc_iterations=2000, master_seed=11,
-                         include_asymptotic=True, include_oma=preset.with_oma)
-        cfg = apply_overrides(SystemConfig(), variant.overrides)
+        spec = dataclasses.replace(preset, metric=variant.metric or preset.metric,
+                                   modes=("ipsic", "psic"), mc_iterations=2000,
+                                   master_seed=11, with_asymptotic=True)
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
         for line in render_csv(run_sweep(spec, cfg)).splitlines():
             fields = line.split(",")
             digest.update((",".join(fields[0:6] + fields[9:10]) + "\n").encode())
