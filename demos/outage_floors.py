@@ -19,7 +19,7 @@ def sweep(cfg, n_mc, seed=1729):
         c = cfg.with_rho(10.0 ** (db / 10.0))
         # one simulation per point serves both signals and both SIC modes
         sims = mc_point(c, n_mc, seed, point_index=point, workers=4,
-                        kinds=("outage",), signals=(1, 2),
+                        kind="outage", signals=(1, 2),
                         modes=("ipsic", "psic"))
         for mode in ("ipsic", "psic"):
             for sig in (1, 2):

@@ -22,7 +22,7 @@ def rate_table(cfg):
     for point, db in enumerate((10, 20, 30)):
         c = cfg.with_rho(10.0 ** (db / 10.0))
         sims = mc_point(c, 400_000, 7, point_index=point, workers=4,
-                        kinds=("rate",), signals=(1, 2),
+                        kind="rate", signals=(1, 2),
                         modes=("ipsic", "psic"))
         points.append((db, c, sims))
 

@@ -161,13 +161,12 @@ def _cmd_validate(args):
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--print-default-config" in raw:
-        print(DEFAULT_CONFIG_TEXT, end="")
-        return 0
     parser = _build_parser()
     try:
-        args = parser.parse_args(raw)
+        args = parser.parse_args(argv)
+        if args.print_default_config:
+            print(DEFAULT_CONFIG_TEXT, end="")
+            return 0
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "validate":

@@ -4,8 +4,9 @@ The on-disk format is flat `key = value` text with dotted section prefixes
 and # comments, diff-able and stable enough to check into a repo next to
 the CSV it produced.  Values map one-to-one onto SystemConfig fields; the
 only unit conversion, residual-interference dB to linear variance, happens
-here so the model layer never sees decibels.  Transmit SNR is deliberately
-not a config key: it is the sweep axis.
+here so the model layer never sees decibels.  Transmit SNR and the SIC
+mode are deliberately not config keys: they are sweep axes (``SweepSpec.snr``
+and ``SweepSpec.modes``).
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ SCHEMA_VERSION = 1
 
 DEFAULT_CONFIG_TEXT = """\
 # Two-way-relay NOMA baseline parameters.
-# Transmit SNR is not set here; sweeps supply it per grid point.
+# Transmit SNR and the SIC mode are not set here; sweeps supply them.
 schema_version = 1
 
-# uplink and downlink power allocation per signal
+# uplink power allocation per signal
 noma.a1 = 0.8
 noma.a2 = 0.2
 noma.a3 = 0.8
 noma.a4 = 0.2
+# downlink power share of x1 and x3, in (0, 0.5); the far user's share
+# is 1 - b1 (and 1 - b3)
 noma.b1 = 0.2
-noma.b2 = 0.8
 noma.b3 = 0.2
-noma.b4 = 0.8
 
 # cross-antenna leakage at the relay and at the users, and the
 # residual-interference variance left by imperfect cancellation
@@ -49,8 +50,6 @@ rates.r2 = 0.01
 rates.r3 = 0.1
 rates.r4 = 0.01
 
-sic.mode = ipsic
-
 # energy-efficiency denominator
 power.pu_watts = 10
 power.pr_watts = 10
@@ -65,25 +64,17 @@ def _as_float(raw):
         raise ConfigError(f"expected a number, got {raw!r}") from None
 
 
-def _as_mode(raw):
-    if raw not in ("ipsic", "psic"):
-        raise ConfigError(f"sic.mode must be 'ipsic' or 'psic', got {raw!r}")
-    return raw
-
-
 # dotted key -> (SystemConfig field, converter)
 _KEYS = {
     "noma.a1": ("a1", _as_float), "noma.a2": ("a2", _as_float),
     "noma.a3": ("a3", _as_float), "noma.a4": ("a4", _as_float),
-    "noma.b1": ("b1", _as_float), "noma.b2": ("b2", _as_float),
-    "noma.b3": ("b3", _as_float), "noma.b4": ("b4", _as_float),
+    "noma.b1": ("b1", _as_float), "noma.b3": ("b3", _as_float),
     "noma.varpi1": ("varpi1", _as_float), "noma.varpi2": ("varpi2", _as_float),
     "noma.omega_i_db": ("omega_I", lambda raw: 10.0 ** (_as_float(raw) / 10.0)),
     "channel.alpha": ("alpha", _as_float),
     "channel.d1": ("d1", _as_float), "channel.d2": ("d2", _as_float),
     "rates.r1": ("r1", _as_float), "rates.r2": ("r2", _as_float),
     "rates.r3": ("r3", _as_float), "rates.r4": ("r4", _as_float),
-    "sic.mode": ("sic_mode", _as_mode),
     "power.pu_watts": ("pu_watts", _as_float),
     "power.pr_watts": ("pr_watts", _as_float),
     "power.t": ("t_slot", _as_float),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .model import SignalIndex, SystemConfig, signal_role
+from .model import SignalIndex, SystemConfig
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
 _LN2 = math.log(2.0)

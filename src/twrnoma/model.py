@@ -47,11 +47,15 @@ class SystemConfig:
 
     ``rho`` is the linear transmit SNR.  It is stored linear; dB conversion
     happens once, at the command-line boundary.  ``a1..a4`` are the uplink
-    power-allocation coefficients, ``b1..b4`` the downlink ones (only the b's
-    carry the sum-to-one pairing constraint).  The link variances are not
-    settable: ``omega(i)`` derives Omega_i = d^-alpha from the distance of
-    user i (``d1`` for users 1 and 3, ``d2`` for users 2 and 4), and the
-    constructor refuses a distance whose d^-alpha is zero or not finite.
+    power-allocation coefficients.  ``b1`` and ``b3`` are the downlink
+    power shares of x1 and x3, the near users' signals, each in (0, 0.5).
+    The far users' shares are not settable: ``b(2)`` is 1 - b1 and ``b(4)``
+    is 1 - b3, so each downlink split sums to one and favours the far user.
+    Nor are the link variances: ``omega(i)`` derives Omega_i = d^-alpha from
+    the distance of user i (``d1`` for users 1 and 3, ``d2`` for users 2
+    and 4), and the constructor refuses a distance whose d^-alpha is zero
+    or not finite.  ``sic_mode`` is the mode of the single-mode routes;
+    sweeps set it per row, and config files do not set it.
 
     ``t_slot``, ``pu_watts`` and ``pr_watts`` only matter for the energy
     efficiency metric and never enter the statistical model.
@@ -63,9 +67,7 @@ class SystemConfig:
     a3: float = 0.8
     a4: float = 0.2
     b1: float = 0.2
-    b2: float = 0.8
     b3: float = 0.2
-    b4: float = 0.8
     varpi1: float = 0.01
     varpi2: float = 0.01
     omega_I: float = 0.01
@@ -92,18 +94,14 @@ class SystemConfig:
         _positive("pr_watts", self.pr_watts)
         for i in (1, 2, 3, 4):
             _positive(f"a{i}", getattr(self, f"a{i}"))
-            _positive(f"b{i}", getattr(self, f"b{i}"))
             rate = getattr(self, f"r{i}")
             if rate < 0 or not math.isfinite(rate):
                 raise ConfigError(f"r{i} must be a finite rate >= 0, got {rate!r}")
-        if abs(self.b1 + self.b2 - 1.0) > 1e-12:
-            raise ConfigError("downlink coefficients must satisfy b1 + b2 = 1")
-        if abs(self.b3 + self.b4 - 1.0) > 1e-12:
-            raise ConfigError("downlink coefficients must satisfy b3 + b4 = 1")
-        if not self.b2 > self.b1:
-            raise ConfigError("downlink ordering requires b2 > b1 (far user gets more power)")
-        if not self.b4 > self.b3:
-            raise ConfigError("downlink ordering requires b4 > b3")
+        for name in ("b1", "b3"):
+            share = getattr(self, name)
+            if not 0.0 < share < 0.5:
+                raise ConfigError(f"{name} must lie in (0, 0.5) so the far user "
+                                  f"gets more downlink power, got {share!r}")
         for name in ("varpi1", "varpi2"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -129,6 +127,9 @@ class SystemConfig:
         return getattr(self, f"a{i}")
 
     def b(self, i):
+        """Downlink power share of signal i; the far user's is 1 - b1 or 1 - b3."""
+        if i in (2, 4):
+            return 1.0 - getattr(self, f"b{i - 1}")
         return getattr(self, f"b{i}")
 
     def omega(self, i):

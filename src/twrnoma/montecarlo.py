@@ -10,8 +10,8 @@ the evidence either one is right.
 One kernel, ``mc_point``, serves a sweep point: each chunk draws the gains
 once for every signal, SIC mode and system sum (common random numbers),
 and the orthogonal baseline's fades once for all of its targets.  The
-caller names the estimate kinds it reads, and the kernel builds only
-those: failure masks for counted kinds, log2 rates for rate kinds.  Per
+caller names the one estimate kind it reads, and the kernel builds only
+that: failure masks for counted kinds, log2 rates for rate kinds.  Per
 pairing, the terms no SIC mode changes are evaluated once for all modes.
 Every (sweep point, chunk) pair owns two counter-based substreams, NOMA
 and baseline; chunks have a fixed size and reductions run in fixed chunk
@@ -158,33 +158,32 @@ def oma_outage_exact(config: SystemConfig, signal) -> float:
 KINDS = ("outage", "rate", "throughput_dl", "throughput_dt")
 
 
-def _pairing_stats(config, draw, idx, members, modes, kinds, delivered, summed):
-    """Failure counts and rate moments of one pairing's signals, every mode.
+def _pairing_stats(config, draw, idx, members, modes, kind, totals):
+    """Failure counts or rate moments of one pairing's signals, every mode.
 
     Per draw, signal s succeeds when every decode along its chain clears
     its threshold; the relay's decode of x_l and the near user's decode of
     x_t (and, for the weak signal, the far user's) do not depend on the
-    mode, so that half of each test is formed once.  Adds each success to
-    ``delivered[mode]`` and each rate to ``summed[mode]`` when those system
-    sums are kept.
+    mode, so that half of each test is formed once.  "outage" and "rate"
+    return their per-signal statistics; the system kinds return none and
+    add each signal's delivered rate ("throughput_dl") or rate sample
+    ("throughput_dt") into ``totals[mode]`` instead.
 
     Peak memory is bounded by one pairing: its three mode-free SINRs, two
     per mode, and the mode-free mask and rate terms, all freed on return
     before the next pairing is evaluated.
     """
     stats = {}
-    size = draw.g1.size
-    counted = "outage" in kinds or bool(delivered)
-    rated = "rate" in kinds or bool(summed)
+    counted = kind in ("outage", "throughput_dl")
     sets = sinr_sets(config, draw, idx, modes)
     free = sets[0]                              # mode-free fields are shared
-    gth_l = gamma_threshold(config.rate(idx.l))
-    gth_t = gamma_threshold(config.rate(idx.t))
     if counted:
+        gth_l = gamma_threshold(config.rate(idx.l))
+        gth_t = gamma_threshold(config.rate(idx.t))
         ok_pair = (free.relay_strong > gth_l) & (free.near_decodes_weak > gth_t)
         if idx.t in members:
             ok_weak = ok_pair & (free.far_decodes_weak > gth_t)
-    if rated and idx.t in members:
+    elif idx.t in members:
         weak_floor = np.minimum(free.near_decodes_weak, free.far_decodes_weak)
     for mode, sinrs in zip(modes, sets):
         for s in members:
@@ -192,76 +191,73 @@ def _pairing_stats(config, draw, idx, members, modes, kinds, delivered, summed):
             if counted:
                 ok = (ok_pair & (sinrs.near_decodes_own > gth_l) if strong
                       else ok_weak & (sinrs.relay_weak > gth_t))
-                if "outage" in kinds:
-                    stats["outage", mode, s] = size - int(np.count_nonzero(ok))
-                if delivered:
-                    np.add(delivered[mode], config.rate(s), out=delivered[mode],
-                           where=ok)
-            if rated:
+                if kind == "outage":
+                    stats["outage", mode, s] = ok.size - int(np.count_nonzero(ok))
+                else:
+                    np.add(totals[mode], config.rate(s), out=totals[mode], where=ok)
+            else:
                 eff = (np.minimum(sinrs.relay_strong, sinrs.near_decodes_own)
                        if strong else np.minimum(sinrs.relay_weak, weak_floor))
                 rate = 0.5 * np.log2(1.0 + eff)
-                if "rate" in kinds:
+                if kind == "rate":
                     stats["rate", mode, s] = _moments(rate)
-                if summed:
-                    summed[mode] += rate
+                else:
+                    totals[mode] += rate
     return stats
 
 
-def _oma_stats(config, stream, size, kinds):
-    """Orthogonal-baseline failure counts and rate moments for every target."""
+def _oma_stats(config, stream, size, kind):
+    """Orthogonal-baseline failure counts or rate moments for every target."""
     stats = {}
     up = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
     down = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
-    any_fail = np.zeros(size, dtype=bool)
-    summed = np.zeros(size)
+    counted = kind == "outage"
+    total = np.zeros(size, dtype=bool if counted else float)  # any fail | rate sum
     for i in (1, 2, 3, 4):
         snr = config.rho * np.minimum(up[i], down[_OMA_PARTNER[i]])
-        if "outage" in kinds:
+        if counted:
             fail = snr <= oma_threshold(config.rate(i))
             stats["oma_outage", i] = int(np.count_nonzero(fail))
-            any_fail |= fail
-        if "rate" in kinds:
+            total |= fail
+        else:
             rate = 0.2 * np.log2(1.0 + snr)
             stats["oma_rate", i] = _moments(rate)
-            summed += rate
-    if "outage" in kinds:
-        stats["oma_outage", "system"] = int(np.count_nonzero(any_fail))
-    if "rate" in kinds:
-        stats["oma_rate", "system"] = _moments(summed)
+            total += rate
+    stats[f"oma_{kind}", "system"] = (int(np.count_nonzero(total)) if counted
+                                      else _moments(total))
     return stats
 
 
 def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
-             workers=None, *, kinds, signals=(1, 2, 3, 4), modes=None,
+             workers=None, *, kind, signals=(1, 2, 3, 4), modes=None,
              oma=False) -> dict:
-    """The Monte Carlo estimates of one sweep point that ``kinds`` names.
+    """The Monte Carlo estimates of one sweep point for one estimate kind.
 
-    ``kinds`` is drawn from KINDS.  "outage" and "rate" give McEstimate
-    values keyed ("outage" | "rate", mode, signal) for each requested
-    signal and SIC mode; ``modes`` defaults to the config's own.
-    "throughput_dl" and "throughput_dt" need signals 1..4 and give
-    (kind, mode): the per-draw system sums sum_i 1{ok_i} R_i and
-    sum_i rate_i, each with the interval of that sum.  With ``oma`` the
-    orthogonal baseline follows the per-signal kinds: ("oma_outage" |
-    "oma_rate", target), target "system" or 1..4 as in ``mc_oma_baseline``.
+    ``kind`` is one of KINDS.  "outage" and "rate" give McEstimate values
+    keyed (kind, mode, signal) for each signal in ``signals`` and each
+    SIC mode in ``modes``, which defaults to the config's own.
+    "throughput_dl" and "throughput_dt" give (kind, mode): the per-draw
+    system sums sum_i 1{ok_i} R_i and sum_i rate_i over x1..x4, each with
+    the interval of that sum; ``signals`` does not apply to them.  With
+    ``oma`` (per-signal kinds only) the orthogonal baseline follows:
+    ("oma_outage" | "oma_rate", target), target "system" or 1..4 as in
+    ``mc_oma_baseline``.
 
-    Each chunk draws the gains once for every signal and mode; failure
-    masks are built only for counted kinds and log2 rates only for rate
-    kinds.
+    Each chunk draws the gains once for every signal and mode, so calls
+    that differ only in ``kind`` share their draws.
     """
     if n < 1000:
         raise ValueError("Monte Carlo runs need at least 1000 samples")
     if seed < 0:
         raise ValueError("master seed must be nonnegative")
-    kinds = frozenset(kinds)
-    if not kinds or not kinds <= set(KINDS):
-        raise ValueError(f"kinds must be a nonempty subset of {KINDS}, "
-                         f"got {sorted(kinds)!r}")
-    system = kinds & {"throughput_dl", "throughput_dt"}
-    if system and set(signals) != {1, 2, 3, 4}:
-        raise ValueError(f"{sorted(system)} need signals 1..4, "
-                         f"got {tuple(signals)!r}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    system = kind in ("throughput_dl", "throughput_dt")
+    if system:
+        if oma:
+            raise ValueError(f"the orthogonal baseline has outage and rate "
+                             f"estimates only, not {kind!r}")
+        signals = (1, 2, 3, 4)
     pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
     for s in signals:
         pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
@@ -275,19 +271,15 @@ def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
             # the gains depend on neither rho nor the SIC mode: one draw serves all
             stream = chunk_generator(seed, 2 * point_index, chunk_index)
             draw = sample_channel_draw(config, stream, size=size)
-            # per-mode system sums, kept only when asked for
-            delivered, summed = ({m: np.zeros(size) for m in modes} if kind in kinds else {}
-                                 for kind in ("throughput_dl", "throughput_dt"))
+            totals = {m: np.zeros(size) for m in modes} if system else {}
             for idx, members in pairs.items():
                 stats.update(_pairing_stats(config, draw, idx, members, modes,
-                                            kinds, delivered, summed))
-            for mode, total in delivered.items():
-                stats["throughput_dl", mode] = _moments(total)
-            for mode, total in summed.items():
-                stats["throughput_dt", mode] = _moments(total)
+                                            kind, totals))
+            for mode, total in totals.items():            # system kinds only
+                stats[kind, mode] = _moments(total)
         if oma:
             stream = chunk_generator(seed, 2 * point_index + 1, chunk_index)
-            stats.update(_oma_stats(config, stream, size, kinds))
+            stats.update(_oma_stats(config, stream, size, kind))
         return stats
 
     parts = _map_chunks(_chunk_sizes(n), run, workers)
@@ -309,14 +301,14 @@ def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
 def mc_outage(config: SystemConfig, signal: int, n: int, seed: int,
               point_index: int = 0, workers=None) -> McEstimate:
     """Simulated outage probability of one signal's exchange."""
-    return mc_point(config, n, seed, point_index, workers, kinds=("outage",),
+    return mc_point(config, n, seed, point_index, workers, kind="outage",
                     signals=(signal,))["outage", config.sic_mode, signal]
 
 
 def mc_ergodic(config: SystemConfig, signal: int, n: int, seed: int,
                point_index: int = 0, workers=None) -> McEstimate:
     """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
-    return mc_point(config, n, seed, point_index, workers, kinds=("rate",),
+    return mc_point(config, n, seed, point_index, workers, kind="rate",
                     signals=(signal,))["rate", config.sic_mode, signal]
 
 
@@ -330,6 +322,7 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     """
     if signal != "system" and signal not in (1, 2, 3, 4):
         raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
-    est = mc_point(config, n, seed, point_index, workers,
-                   kinds=("outage", "rate"), signals=(), oma=True)
-    return est["oma_outage", signal], est["oma_rate", signal]
+    # one call per kind on the same substream: both read the same fades
+    return tuple(mc_point(config, n, seed, point_index, workers, kind=kind,
+                          signals=(), oma=True)[f"oma_{kind}", signal]
+                 for kind in ("outage", "rate"))

@@ -28,6 +28,9 @@ _MC_KIND = {"outage": "outage", "ergodic_rate": "rate",
             "throughput_dl": "throughput_dl", "throughput_dt": "throughput_dt",
             "ee_dl": "throughput_dl", "ee_dt": "throughput_dt"}
 
+# more SNR points than any figure needs; a larger grid is refused unbuilt
+MAX_GRID_POINTS = 10_000
+
 CSV_HEADER = ("snr_db,signal,metric,mode,analytic,asymptotic,"
               "mc_mean,mc_ci_low,mc_ci_high,feasible")
 
@@ -40,8 +43,10 @@ class OutputError(RuntimeError):
 class SweepSpec:
     """Everything a sweep CSV depends on besides the SystemConfig.
 
-    ``snr`` is the (start, stop, step) grid in dB and ``modes`` the SIC
-    modes that get rows; the defaults are the command line's.
+    ``snr`` is the (start, stop, step) grid in dB, at most MAX_GRID_POINTS
+    points, and ``modes`` the SIC modes that get rows.  ``signals`` applies
+    only to the per-signal metrics (outage, ergodic_rate); the system
+    metrics always sum x1..x4.  The defaults are the command line's.
     """
 
     metric: str = "outage"
@@ -61,10 +66,16 @@ class SweepSpec:
             raise ConfigError(f"SNR grid must be (start, stop, step) in dB, "
                               f"got {self.snr!r}")
         start, stop, step = (float(v) for v in self.snr)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"SNR grid values must be finite, got {self.snr!r}")
         if start > stop:
             raise ConfigError("SNR grid start exceeds stop")
         if step <= 0:
             raise ConfigError("SNR grid step must be positive")
+        # grid_db makes floor(steps) + 1 points: past the cap iff steps >= it
+        if _steps(start, stop, step) >= MAX_GRID_POINTS:
+            raise ConfigError(f"SNR grid from {start!r} to {stop!r} dB in steps "
+                              f"of {step!r} has more than {MAX_GRID_POINTS} points")
         object.__setattr__(self, "snr", (start, stop, step))
         if self.mc_iterations < 1000:
             raise ConfigError("mc_iterations below 1000 is too coarse to "
@@ -89,8 +100,13 @@ class SweepSpec:
 
     def grid_db(self):
         start, stop, step = self.snr
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = int(math.floor(_steps(start, stop, step))) + 1
         return [start + i * step for i in range(count)]
+
+
+def _steps(start, stop, step):
+    """Steps from start to stop, with slack so a rounded stop still counts."""
+    return (stop - start) / step + 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,14 +162,12 @@ def _point_rows(spec, cfg_point, db, ests):
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
-    per_signal = spec.metric in ("outage", "ergodic_rate")
     rows = []
     for point_index, db in enumerate(spec.grid_db()):
         cfg_point = config.with_rho(10.0 ** (db / 10.0))
         ests = mc_point(cfg_point, spec.mc_iterations, spec.master_seed,
                         point_index=point_index, workers=workers,
-                        kinds=(_MC_KIND[spec.metric],),
-                        signals=spec.signals if per_signal else (1, 2, 3, 4),
+                        kind=_MC_KIND[spec.metric], signals=spec.signals,
                         modes=spec.modes, oma=spec.with_oma)
         rows.extend(_point_rows(spec, cfg_point, db, ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))

@@ -72,7 +72,7 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     for point, db in enumerate((10.0, 25.0, 40.0)):
         cfg = config.with_rho(10.0 ** (db / 10.0))
         ests = mc_point(cfg, iterations, seed, point_index=point, workers=workers,
-                        kinds=("outage",), signals=(1, 2), modes=("ipsic", "psic"))
+                        kind="outage", signals=(1, 2), modes=("ipsic", "psic"))
         for mode in ("ipsic", "psic"):
             for s in (1, 2):
                 exact = outage_probability(cfg.with_mode(mode), s).p_exact
@@ -147,7 +147,7 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     worst = 0.0
     cfg = config.without_leakage().with_rho(100.0)
     ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
-                    kinds=("rate",), signals=(1, 2), modes=("ipsic", "psic"))
+                    kind="rate", signals=(1, 2), modes=("ipsic", "psic"))
     for mode in ("ipsic", "psic"):
         mcfg = cfg.with_mode(mode)
         for s in (1, 2):
@@ -188,7 +188,7 @@ def _check_oma(config, scale, iterations, seed, workers):
     cfg = config.with_rho(10.0)
     exact = oma_outage_exact(cfg, "system")
     est = mc_point(cfg, iterations, seed, point_index=7, workers=workers,
-                   kinds=("outage",), signals=(), oma=True)["oma_outage", "system"]
+                   kind="outage", signals=(), oma=True)["oma_outage", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)

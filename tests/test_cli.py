@@ -29,6 +29,13 @@ def test_print_default_config(capsys):
     assert parse_config(out) == SystemConfig()
 
 
+def test_print_default_config_is_a_top_level_flag(capsys):
+    assert main(["sweep", "--print-default-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "sweep" in capsys.readouterr().out
@@ -69,9 +76,9 @@ def test_config_flag_and_errors(tmp_path, capsys):
                              "--out", "cfg.csv"])
     assert code == 0
     bad = tmp_path / "bad.cfg"
-    bad.write_text("schema_version = 1\nnoma.b2 = 0.7\n")
+    bad.write_text("schema_version = 1\nnoma.b1 = 0.7\n")
     assert main(["sweep", "--metric", "outage", "--config", str(bad)]) == 1
-    assert "b1 + b2" in capsys.readouterr().err
+    assert "b1 must lie in" in capsys.readouterr().err
     assert main(["sweep", "--metric", "outage",
                  "--config", str(tmp_path / "ghost.cfg")]) == 1
 
@@ -184,6 +191,23 @@ def test_flag_only_sweep_is_the_default_spec(tmp_path, metric):
             == render_csv(run_sweep(spec, SystemConfig())))
 
 
+@pytest.mark.parametrize("grid", ["0:inf:5", "nan:10:5", "-inf:0:5", "0:10:inf",
+                                  "0:1e9:1e-9", "0:10000:1", "-1e308:1e308:1"])
+def test_unbounded_snr_grid_exits_one(tmp_path, capsys, monkeypatch, grid):
+    def no_grid(spec):
+        raise AssertionError("the grid must be refused before it is built")
+
+    monkeypatch.setattr(SweepSpec, "grid_db", no_grid)
+    code = run_in(tmp_path, ["sweep", "--metric", "outage", f"--snr={grid}",
+                             "--iterations", "2000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SNR grid ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key, value", [("channel.d1", "1e-200"),
                                         ("channel.d2", "1e200")])
 def test_distance_beyond_the_float_range_exits_one(tmp_path, capsys, key, value):
@@ -225,9 +249,9 @@ def test_validate_refuses_too_few_iterations(capsys):
 
 def test_validate_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("schema_version = 1\nnoma.b4 = 0.1\n")
+    bad.write_text("schema_version = 1\nnoma.b3 = 0.7\n")
     assert main(["validate", "--config", str(bad)]) == 1
-    assert "b3 + b4" in capsys.readouterr().err
+    assert "b3 must lie in" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

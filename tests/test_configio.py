@@ -2,8 +2,8 @@
 
 import pytest
 
-from twrnoma.configio import (DEFAULT_CONFIG_TEXT, PRESETS, Preset, PresetVariant,
-                              load_config, parse_config)
+from twrnoma.configio import (_KEYS, DEFAULT_CONFIG_TEXT, PRESETS, Preset,
+                              PresetVariant, load_config, parse_config)
 from twrnoma.model import ConfigError, SystemConfig
 from twrnoma.sweep import SweepSpec
 
@@ -22,10 +22,19 @@ def test_decibel_variance_conversion():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         parse_config("schema_version = 1\nnoma.zeta = 3\n")
-    # the link variances follow from the distances; no key restates them
-    for i in (1, 2, 3, 4):
+    # the link variances follow from the distances and the far users'
+    # downlink shares from b1 and b3; the SIC mode is a sweep axis
+    derived = [f"channel.omega{i} = 0.25" for i in (1, 2, 3, 4)]
+    for line in derived + ["noma.b2 = 0.8", "noma.b4 = 0.8", "sic.mode = ipsic"]:
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(f"schema_version = 1\nchannel.omega{i} = 0.25\n")
+            parse_config(f"schema_version = 1\n{line}\n")
+
+
+def test_default_text_states_every_key():
+    stated = {line.split("=", 1)[0].strip()
+              for line in DEFAULT_CONFIG_TEXT.splitlines()
+              if line.strip() and not line.startswith("#")}
+    assert stated - {"schema_version"} == set(_KEYS)
 
 
 def test_duplicate_key_rejected():
@@ -57,10 +66,10 @@ noma.varpi1 = 0.05  # trailing comment
 
 
 def test_invalid_values_surface_model_errors():
-    with pytest.raises(ConfigError, match="b1 \\+ b2"):
-        parse_config("schema_version = 1\nnoma.b2 = 0.7\n")
-    with pytest.raises(ConfigError, match="sic"):
-        parse_config("schema_version = 1\nsic.mode = maybe\n")
+    with pytest.raises(ConfigError, match="b1 must lie in"):
+        parse_config("schema_version = 1\nnoma.b1 = 0.7\n")
+    with pytest.raises(ConfigError, match="b3 must lie in"):
+        parse_config("schema_version = 1\nnoma.b3 = nan\n")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -488,7 +488,7 @@ def test_weak_ceiling_near_unity_matches_mpmath(gap):
 
 def test_weak_highsnr_cdf_shape(baseline):
     cfg = baseline.with_rho(1e5)
-    cap = cfg.b2 / cfg.b1
+    cap = cfg.b(2) / cfg.b(1)
     xs = np.linspace(0.0, cap * 1.2, 50)
     cdf = weak_highsnr_sinr_cdf(cfg, IDX2, xs)
     assert cdf[0] == pytest.approx(0.0, abs=1e-12)

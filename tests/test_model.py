@@ -38,14 +38,21 @@ def test_distance_law_gain_must_be_positive_and_finite(kwargs, name):
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
-    (dict(b2=0.7), "b1 \\+ b2 = 1"),
-    (dict(b3=0.3, b4=0.6), "b3 \\+ b4 = 1"),
-    (dict(b1=0.8, b2=0.2), "b2 > b1"),
+    # the far users' downlink shares are 1 - b1 and 1 - b3, so b1 and b3
+    # must lie in (0, 0.5) for the far user to get more power
+    (dict(b1=0.7), "b1 must lie in"),
+    (dict(b3=0.5), "b3 must lie in"),
+    (dict(b1=math.nan), "b1 must lie in"),
     (dict(rho=-1.0), "rho must be positive"),
     (dict(omega_I=0.0), "omega_I must be positive"),
     (dict(varpi1=1.5), "varpi1 must lie in"),
     (dict(r2=-0.1), "r2 must be a finite rate"),
     (dict(sic_mode="perfect"), "sic_mode must be"),
+    (dict(b1=0.0), "b1 must lie in"),
+    (dict(b1=0.5), "b1 must lie in"),
+    (dict(b3=0.0), "b3 must lie in"),
+    (dict(b3=0.7), "b3 must lie in"),
+    (dict(b3=math.nan), "b3 must lie in"),
 ])
 def test_bad_configs_are_rejected_by_name(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):

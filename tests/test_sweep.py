@@ -14,8 +14,8 @@ from twrnoma.configio import PRESETS
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
                            sample_channel_draw, sinr_set)
 from twrnoma.montecarlo import CHUNK, chunk_generator
-from twrnoma.sweep import (CSV_HEADER, MetricPoint, OutputError, SweepSpec,
-                           emit_outputs, render_csv, run_sweep)
+from twrnoma.sweep import (CSV_HEADER, MAX_GRID_POINTS, MetricPoint, OutputError,
+                           SweepSpec, emit_outputs, render_csv, run_sweep)
 
 
 def small_spec(stop_db=40.0, start_db=0.0, step_db=5.0, **kw):
@@ -57,6 +57,15 @@ def test_spec_validation():
         small_spec(snr=(0.0, 40.0))
     with pytest.raises(ConfigError, match="baseline"):
         small_spec(metric="throughput_dl", with_oma=True)
+    with pytest.raises(ConfigError, match="finite"):
+        small_spec(stop_db=float("inf"))
+    # the cap counts points with grid_db's own formula, without building them
+    with pytest.raises(ConfigError, match=f"more than {MAX_GRID_POINTS} points"):
+        small_spec(stop_db=1e9, step_db=1e-9)
+    with pytest.raises(ConfigError, match=f"more than {MAX_GRID_POINTS} points"):
+        small_spec(stop_db=float(MAX_GRID_POINTS), step_db=1.0)
+    largest = small_spec(stop_db=float(MAX_GRID_POINTS - 1), step_db=1.0)
+    assert len(largest.grid_db()) == MAX_GRID_POINTS
 
 
 def test_metric_point_interval_invariant():
@@ -259,7 +268,7 @@ def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
     at a time from sinr_set, equal the kernel's bit for bit."""
     n, seed, point = 2 * CHUNK + 1000, 3, 2
     cfg = baseline.with_rho(10.0 ** 1.5)
-    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kinds=(kind,),
+    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kind=kind,
                                modes=("ipsic", "psic"))
     sizes = [CHUNK, CHUNK, 1000]
     draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
@@ -283,25 +292,30 @@ def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
 
 
 def test_outage_request_returns_only_outage_estimates(baseline):
-    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, kinds=("outage",),
+    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, kind="outage",
                                modes=("ipsic", "psic"), oma=True)
     assert {key[0] for key in ests} == {"outage", "oma_outage"}
     assert len(ests) == 2 * 4 + 5
 
 
+@pytest.mark.parametrize("kind", ["throughput_dl", "throughput_dt"])
+def test_system_kinds_always_sum_the_four_signals(baseline, kind):
+    cfg = baseline.with_rho(10.0)
+    whole = montecarlo.mc_point(cfg, 2000, 1, kind=kind, signals=(1, 2, 3, 4),
+                                modes=("ipsic", "psic"))
+    assert montecarlo.mc_point(cfg, 2000, 1, kind=kind, signals=(1, 2),
+                               modes=("ipsic", "psic")) == whole
+    assert set(whole) == {(kind, "ipsic"), (kind, "psic")}
+
+
 def test_kind_requests_are_checked(baseline):
-    with pytest.raises(ValueError, match="signals 1..4"):
-        montecarlo.mc_point(baseline, 2000, 1, kinds=("throughput_dl",),
-                            signals=(1, 2))
-    with pytest.raises(ValueError, match="signals 1..4"):
-        montecarlo.mc_point(baseline, 2000, 1, kinds=("outage", "throughput_dt"),
-                            signals=(1, 2, 3))
-    with pytest.raises(ValueError, match="kinds"):
-        montecarlo.mc_point(baseline, 2000, 1, kinds=("latency",))
-    with pytest.raises(ValueError, match="kinds"):
-        montecarlo.mc_point(baseline, 2000, 1, kinds=())
+    with pytest.raises(ValueError, match="kind"):
+        montecarlo.mc_point(baseline, 2000, 1, kind="latency")
     with pytest.raises(ValueError, match="modes"):
-        montecarlo.mc_point(baseline, 2000, 1, kinds=("outage",), modes=("sic",))
+        montecarlo.mc_point(baseline, 2000, 1, kind="outage", modes=("sic",))
+    for kind in ("throughput_dl", "throughput_dt"):
+        with pytest.raises(ValueError, match="orthogonal baseline"):
+            montecarlo.mc_point(baseline, 2000, 1, kind=kind, oma=True)
 
 
 # sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
