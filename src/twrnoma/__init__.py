@@ -17,8 +17,8 @@ from .metrics import (energy_efficiency, throughput_delay_limited,
 from .model import (ChannelDraw, ConfigError, SignalIndex, SinrSet, SystemConfig,
                     gamma_threshold, sample_channel_draw, signal_role, sinr_set,
                     sinr_sets)
-from .montecarlo import (McEstimate, ci_bounds, mc_ergodic, mc_oma_baseline,
-                         mc_outage, mc_point, oma_outage_exact)
+from .montecarlo import (McEstimate, ci_bounds, mc_ergodic, mc_grid,
+                         mc_oma_baseline, mc_outage, mc_point, oma_outage_exact)
 from .specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
                       hypoexp_cdf, hypoexp_laplace, hypoexp_pdf, phi_weights,
                       resolve_rates)
@@ -39,7 +39,8 @@ __all__ = [
     "ergodic_rate_weak_highsnr", "ergodic_rate_weak_numeric",
     "gamma_threshold", "high_snr_slope_estimate", "hypoexp_cdf",
     "hypoexp_laplace", "hypoexp_pdf", "load_config",
-    "mc_ergodic", "mc_oma_baseline", "mc_outage", "mc_point", "oma_outage_exact",
+    "mc_ergodic", "mc_grid", "mc_oma_baseline", "mc_outage", "mc_point",
+    "oma_outage_exact",
     "outage_asymptotic", "outage_probability", "parse_config", "phi_weights",
     "resolve_rates", "run_sweep", "sample_channel_draw", "signal_role",
     "sinr_set", "sinr_sets", "throughput_delay_limited", "throughput_delay_tolerant",

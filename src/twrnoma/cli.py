@@ -83,7 +83,7 @@ def _build_parser():
     sweep.add_argument("--mode", dest="modes", type=_parse_mode,
                        metavar="{ipsic,psic,both}")
     sweep.add_argument("--snr", type=_parse_snr, metavar="A:B:STEP",
-                       help="SNR grid in dB, e.g. 0:40:5")
+                       help="SNR grid in dB, e.g. 0:40:5 or -10:0:5")
     sweep.add_argument("--iterations", dest="mc_iterations", type=int,
                        metavar="N")
     sweep.add_argument("--seed", dest="master_seed", type=int, metavar="N")
@@ -160,10 +160,27 @@ def _cmd_validate(args):
     return 0 if report.passed else 2
 
 
+def _attach_grids(argv):
+    """Join ``--snr`` (or its abbreviation ``--sn``) to a grid that starts
+    with a minus sign.
+
+    argparse takes a separate ``-10:0:5`` for an option, so the flag would
+    find no value; ``--snr=-10:0:5`` is read as intended.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--sn", "--snr") and len(token) > 1 \
+                and token[0] == "-" and token[1] in "0123456789.":
+            out[-1] = f"--snr={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
         if args.print_default_config:
             print(DEFAULT_CONFIG_TEXT, end="")
             return 0

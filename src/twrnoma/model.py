@@ -18,7 +18,8 @@ Imperfect SIC is modelled two ways:
 This module owns the configuration record, the signal-index convention, the
 channel sampler and the five SINR expressions every other module consumes,
 evaluated for one pairing under several SIC modes at once (``sinr_sets``)
-or under the config's own (``sinr_set``).
+or under the config's own (``sinr_set``), and the same expressions read as
+per-draw inverse critical SNRs (``inverse_critical_snrs``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -323,3 +326,50 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrS
     The one-mode view of ``sinr_sets``, which holds the expressions.
     """
     return sinr_sets(config, draw, idx, (config.sic_mode,))[0]
+
+
+def inverse_threshold(gamma):
+    """1/gamma, and +inf for a zero target, which every positive SINR clears."""
+    return 1.0 / gamma if gamma > 0 else math.inf
+
+
+def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
+                          idx: SignalIndex, modes) -> tuple:
+    """Per draw, the inverse critical SNR of one pairing's two signals under
+    each SIC mode.
+
+    Every SINR of ``sinr_sets`` has the form rho A / (rho B + 1) with A and B
+    free of rho, so it exceeds gamma exactly when 1/rho < A/gamma - B.  A
+    signal's chain succeeds at rho exactly when 1/rho is below u, the least
+    of these margins over its decodes; its critical SNR is rho* = 1/u, and
+    +inf where u <= 0, when some decode fails at every SNR.  The strong
+    signal x_l needs the relay's decode of x_l and both of the near user's
+    decodes; the weak signal x_t needs the relay's two decodes, the near
+    user's strip of x_t and the far user's decode.  ``config.rho`` is not
+    read.
+
+    Returns one (u_l, u_t) pair of arrays per entry of ``modes``; the terms
+    no mode changes are formed once for all of them.
+    """
+    a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
+                          config.a(idx.t), config.a(idx.r))
+    b_l, b_t = config.b(idx.l), config.b(idx.t)
+    g_l, g_k = draw.gain(idx.l), draw.gain(idx.k)
+    g_t, g_r = draw.gain(idx.t), draw.gain(idx.r)
+    inv_l = inverse_threshold(gamma_threshold(config.rate(idx.l)))
+    inv_t = inverse_threshold(gamma_threshold(config.rate(idx.t)))
+
+    cross = config.varpi1 * (a_k * g_k + a_r * g_r)
+    # the downlink decodes scale with the decoding user's own gain alone
+    strip = b_t * inv_t - b_l - config.varpi2       # x_t beside x_l, per unit gain
+    shared = np.minimum(a_l * inv_l * g_l - (a_t * g_t + cross),  # relay: x_l
+                        strip * g_k)                              # D_k strips x_t
+    weak_free = np.minimum(shared, strip * g_r)                   # D_r: x_t
+    own = (b_l * inv_l - config.varpi2) * g_k                     # D_k: x_l
+    relay_weak = a_t * inv_t * g_t - cross                        # relay: x_t
+    pairs = []
+    for mode in modes:
+        residual = _EPSILON[mode] * draw.gI
+        pairs.append((np.minimum(shared, own - residual),
+                      np.minimum(weak_free, relay_weak - residual)))
+    return tuple(pairs)

@@ -2,11 +2,12 @@
 
 Every row carries the analytical value and a seeded Monte Carlo estimate
 side by side; the CSV is the cross-validation record, not just plot
-fodder.  Each grid point makes one ``mc_point`` call for the one estimate
-kind its rows read: one channel draw per chunk serves every signal, SIC
-mode and system sum of that point, and the orthogonal baseline draws its
-own fades once for all of its rows.  The substreams derive from (master
-seed, grid position), so reruns and different worker counts give
+fodder.  A sweep makes one ``mc_grid`` call for the one estimate kind its
+rows read: one channel draw per chunk serves every grid point, signal,
+SIC mode and system sum, and the orthogonal baseline draws its own fades
+once for all of its rows.  The substreams derive from the master seed
+and point index 0 alone, so every grid point reads the same draws
+(common random numbers), and reruns and different worker counts give
 identical bytes.  The analytic and asymptotic columns come from
 ``metrics.analytic``, which also owns the reporting convention for the
 rate-style metrics.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from . import metrics
 from .metrics import METRICS
 from .model import ConfigError, SystemConfig
-from .montecarlo import mc_point
+from .montecarlo import mc_grid
 
 # the one Monte Carlo estimate kind each metric's rows read
 _MC_KIND = {"outage": "outage", "ergodic_rate": "rate",
@@ -162,14 +163,14 @@ def _point_rows(spec, cfg_point, db, ests):
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
+    grid = spec.grid_db()
+    points = [config.with_rho(10.0 ** (db / 10.0)) for db in grid]
+    ests = mc_grid(config, [cfg.rho for cfg in points], spec.mc_iterations,
+                   spec.master_seed, workers=workers, kind=_MC_KIND[spec.metric],
+                   signals=spec.signals, modes=spec.modes, oma=spec.with_oma)
     rows = []
-    for point_index, db in enumerate(spec.grid_db()):
-        cfg_point = config.with_rho(10.0 ** (db / 10.0))
-        ests = mc_point(cfg_point, spec.mc_iterations, spec.master_seed,
-                        point_index=point_index, workers=workers,
-                        kind=_MC_KIND[spec.metric], signals=spec.signals,
-                        modes=spec.modes, oma=spec.with_oma)
-        rows.extend(_point_rows(spec, cfg_point, db, ests))
+    for db, cfg_point, point_ests in zip(grid, points, ests):
+        rows.extend(_point_rows(spec, cfg_point, db, point_ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

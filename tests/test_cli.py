@@ -67,6 +67,26 @@ def test_snr_flag_parsing(tmp_path, capsys):
                  "--snr", "0:10:5"]) == 1
 
 
+def test_snr_grid_below_zero_db_in_every_form(tmp_path, capsys):
+    """A grid whose start is negative reads the same after --snr, --snr=
+    and the abbreviation --sn."""
+    texts = {}
+    for name, flag in (("separate", ["--snr", "-10:0:5"]),
+                       ("joined", ["--snr=-10:0:5"]),
+                       ("abbreviated", ["--sn", "-10:0:5"])):
+        code = run_in(tmp_path, ["sweep", "--metric", "outage", "--signals", "x1",
+                                 "--mode", "ipsic", *flag, "--iterations", "2000",
+                                 "--out", f"{name}.csv"])
+        assert code == 0, capsys.readouterr().err
+        texts[name] = (tmp_path / f"{name}.csv").read_text()
+    assert texts["separate"] == texts["joined"] == texts["abbreviated"]
+    with open(tmp_path / "separate.csv", newline="") as fh:
+        assert [r["snr_db"] for r in csv.DictReader(fh)] == ["-10.0", "-5.0", "0.0"]
+    # an option after --snr is still an option, not a grid
+    assert main(["sweep", "--metric", "outage", "--snr", "--seed", "3"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_config_flag_and_errors(tmp_path, capsys):
     good = tmp_path / "ok.cfg"
     good.write_text("schema_version = 1\nnoma.varpi1 = 0.0\nnoma.varpi2 = 0.0\n")

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from twrnoma.analysis import outage_probability
+import twrnoma.montecarlo as montecarlo
+from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
-from twrnoma.model import SignalIndex, SystemConfig
-from twrnoma.montecarlo import (McEstimate, _merge_moments, _moments,
+from twrnoma.model import (SignalIndex, SystemConfig, inverse_critical_snrs,
+                           sample_channel_draw)
+from twrnoma.montecarlo import (CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
-                                mc_oma_baseline, mc_outage, oma_outage_exact,
-                                oma_threshold)
+                                mc_oma_baseline, mc_outage, mc_point,
+                                oma_outage_exact, oma_threshold)
 
 
 def test_estimate_invariant():
@@ -183,3 +185,47 @@ def test_oma_baseline_is_deterministic_across_workers(baseline):
     a = mc_oma_baseline(cfg, "system", 150_000, 13, workers=1)
     b = mc_oma_baseline(cfg, "system", 150_000, 13, workers=6)
     assert a == b
+
+
+@pytest.mark.parametrize("target", ["system", 1, 4])
+def test_oma_pair_equals_the_two_kind_requests(baseline, target):
+    """One draw of the fades gives both estimates, bit for bit those of the
+    two single-kind requests on the same substream."""
+    cfg = baseline.with_rho(100.0)
+    n, seed, point = 2 * CHUNK + 1000, 13, 2
+    pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
+    assert pair == tuple(
+        mc_point(cfg, n, seed, point, kind=kind, signals=(), oma=True)[
+            f"oma_{kind}", target] for kind in ("outage", "rate"))
+
+
+def test_oma_pair_draws_the_fades_once(baseline, monkeypatch):
+    streams = []
+    original = montecarlo.chunk_generator
+
+    def counting(*args):
+        streams.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, "chunk_generator", counting)
+    mc_oma_baseline(baseline.with_rho(10.0), "system", 2 * CHUNK + 1000, 13,
+                    point_index=2)
+    assert streams == [(13, 5, 0), (13, 5, 1), (13, 5, 2)]
+
+
+@pytest.mark.parametrize("varpi", [0.0, 0.01])
+def test_share_of_draws_that_never_decode_is_the_outage_floor(varpi):
+    """A draw whose critical SNR is +inf (inverse critical SNR u <= 0) fails
+    at every SNR, so their share is a Monte Carlo estimate of the error
+    floor the asymptote states."""
+    n = 1 << 18
+    cfg = SystemConfig(varpi1=varpi, varpi2=varpi)
+    draw = sample_channel_draw(cfg, chunk_generator(2024, 0, 0), size=n)
+    modes = ("ipsic", "psic")
+    for mode, margins in zip(modes, inverse_critical_snrs(
+            cfg, draw, SignalIndex.for_signal(1), modes)):
+        for s, u in zip((1, 2), margins):
+            floor = outage_asymptotic(cfg.with_mode(mode), s).floor
+            sigma = math.sqrt(floor * (1.0 - floor) / n)
+            assert floor > 0.0
+            assert abs(np.count_nonzero(u <= 0.0) / n - floor) <= 4.0 * sigma

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twrnoma.montecarlo as montecarlo
 from twrnoma.configio import PRESETS
@@ -183,21 +185,42 @@ def test_ee_rows_scale_with_power_budget(baseline):
                                                   rel=1e-12)
 
 
-def test_one_channel_draw_per_sweep_point(baseline, monkeypatch):
-    """Every signal, SIC mode and the baseline read one NOMA draw per point."""
-    draws = []
-    original = montecarlo.sample_channel_draw
+@pytest.mark.parametrize("metric", ["outage", "ergodic_rate"])
+def test_one_channel_draw_per_sweep(baseline, monkeypatch, metric):
+    """Every grid point, signal and SIC mode read one NOMA draw per chunk,
+    and the baseline one draw of its fades, for the whole sweep."""
+    draws, streams = [], []
+    original_draw = montecarlo.sample_channel_draw
+    original_stream = montecarlo.chunk_generator
 
-    def counting(*args, **kwargs):
+    def counting_draw(*args, **kwargs):
         draws.append(kwargs.get("size"))
-        return original(*args, **kwargs)
+        return original_draw(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
-    spec = small_spec(stop_db=5.0, signals=(1, 2, 3, 4), modes=("ipsic", "psic"),
-                      with_oma=True)
+    def counting_stream(*args):
+        streams.append(args)
+        return original_stream(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting_draw)
+    monkeypatch.setattr(montecarlo, "chunk_generator", counting_stream)
+    spec = small_spec(metric=metric, stop_db=5.0, signals=(1, 2, 3, 4),
+                      modes=("ipsic", "psic"), with_oma=True)
     rows = run_sweep(spec, baseline)
     assert len(rows) == 2 * (4 * 2 + 5)
-    assert draws == [spec.mc_iterations] * 2
+    assert draws == [spec.mc_iterations]
+    assert streams == [(spec.master_seed, 0, 0), (spec.master_seed, 1, 0)]
+
+
+def test_outage_curves_fall_with_snr(baseline):
+    """Every grid point reads the same draws, and a draw that decodes at one
+    SNR decodes at every higher one, so each simulated outage curve (the
+    baseline's too) is non-increasing, even at 2000 samples."""
+    spec = small_spec(signals=(1, 2, 3, 4), modes=("ipsic", "psic"), with_oma=True)
+    rows = run_sweep(spec, baseline)
+    for curve in {(r.signal, r.mode) for r in rows}:
+        means = [r.mc_mean for r in rows if (r.signal, r.mode) == curve]
+        assert len(means) == 9
+        assert means == sorted(means, reverse=True)
 
 
 def _per_draw_samples(cfg, draw, s):
@@ -291,6 +314,49 @@ def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
                                              * np.sqrt(m2 / (n - 1) / n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(varpi=st.sampled_from([0.0, 0.01, 0.3]), omega_I=st.sampled_from([1e-2, 1.0]),
+       zero_rate=st.sampled_from([None, 1, 2, 3, 4]),
+       dbs=st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32), point=st.integers(0, 3))
+def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
+                                                      dbs, seed, point):
+    """On one shared draw, mc_grid's counts at every grid SNR, in any order,
+    equal masks rebuilt from sinr_set at that SNR, both modes; the delivered
+    throughput equals the per-draw sum's mean and interval."""
+    n = 3000
+    zero = {f"r{zero_rate}": 0.0} if zero_rate else {}
+    cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I, **zero)
+    rhos = [10.0 ** (db / 10.0) for db in dbs]
+    modes = ("ipsic", "psic")
+    outage = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="outage", modes=modes)
+    delivered = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="throughput_dl",
+                                   modes=modes)
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
+    for rho, counts, system in zip(rhos, outage, delivered):
+        for mode in modes:
+            mcfg = cfg.with_rho(rho).with_mode(mode)
+            for s in (1, 2, 3, 4):
+                ok, _ = _per_draw_samples(mcfg, draw, s)
+                assert counts["outage", mode, s].mean == np.count_nonzero(~ok) / n
+            x = _per_draw_system_sum(mcfg, draw, "throughput_dl")
+            est = system["throughput_dl", mode]
+            assert est.mean == pytest.approx(x.mean(), rel=1e-12, abs=1e-15)
+            assert est.half_width_95 == pytest.approx(
+                1.959963984540054 * x.std(ddof=1) / np.sqrt(n), rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", montecarlo.KINDS)
+def test_grid_estimates_do_not_depend_on_the_worker_count(baseline, kind):
+    """Three grid SNRs over three chunks: counts, co-counts and moments."""
+    args = (baseline, [1.0, 10.0 ** 1.5, 1e3], 2 * CHUNK + 1000, 9)
+    extra = dict(kind=kind, modes=("ipsic", "psic"),
+                 oma=kind in ("outage", "rate"))
+    serial = montecarlo.mc_grid(*args, workers=1, **extra)
+    assert serial == montecarlo.mc_grid(*args, workers=3, **extra)
+    assert len(serial) == 3 and serial[0] != serial[2]
+
+
 def test_outage_request_returns_only_outage_estimates(baseline):
     ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, kind="outage",
                                modes=("ipsic", "psic"), oma=True)
@@ -316,15 +382,18 @@ def test_kind_requests_are_checked(baseline):
     for kind in ("throughput_dl", "throughput_dt"):
         with pytest.raises(ValueError, match="orthogonal baseline"):
             montecarlo.mc_point(baseline, 2000, 1, kind=kind, oma=True)
+    for rhos in ([], [1.0, 0.0], [float("inf")], [[1.0]]):
+        with pytest.raises(ValueError, match="rhos"):
+            montecarlo.mc_grid(baseline, rhos, 2000, 1, kind="outage")
 
 
 # sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
 # every CSV of the preset, 2000 iterations, seed 11, default config.
-# Recorded before the kernel evaluated both SIC modes per pairing at once;
+# Recorded when a sweep began reading one substream for its whole grid;
 # any kernel change that moves one byte of a Monte Carlo column fails here.
 MC_COLUMN_DIGESTS = {
-    "fig3": "4702aadb0ea0967e3f3525a29c23def275003fc48d80cf6cb301c5a0915d53da",
-    "fig8": "f1b62b5600c6dca4614b8f5dd3a68dbbba5afc1a711d468f27b81ab35ca66381",
+    "fig3": "17c1268a17b858f0002a76c15f8d5f2b70adc7fd9c2363c52664b1597245f26c",
+    "fig8": "6377857e7bbe8094d82c919f99974ec2f2006eef975040e24a2e9903555540c4",
 }
 
 
