@@ -1,18 +1,17 @@
-"""Numerical backbone: exponential integral and hypoexponential law.
+"""Numerical backbone: exponential integral and the hypoexponential transform.
 
-Checks Ei against scipy on both half-lines, then compares the
-hypoexponential density of a three-stage exponential sum with a large
-simulated sample, including the near-degenerate rate case that gets
-resolved by perturbation.
+Checks Ei against scipy on both half-lines, then the Laplace transform
+E[exp(-sZ)] of a sum Z of independent exponentials, the one quantity the
+closed-form outages read: against a large simulated sample, and at tied
+rates, where it stays exact with no rate separation.
 """
 
-import logging
+import math
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
-from twrnoma import (HypoExpParams, expint_ei, hypoexp_cdf, hypoexp_pdf,
-                     resolve_rates)
+from twrnoma import expint_ei, hypoexp_laplace
 
 
 def check_ei():
@@ -25,39 +24,46 @@ def check_ei():
     print(f"Ei vs scipy over {len(pts)} points: worst rel {worst:.2e}")
 
 
-def check_hypoexp():
-    lams = (0.8, 2.0, 9.0)
-    params = HypoExpParams(lams)
+def check_laplace_sample():
+    rates = (0.8, 2.0, 9.0)
     rng = np.random.default_rng(99)
     n = 500_000
-    z = sum(rng.exponential(1.0 / lam, size=n) for lam in lams)
-
-    mean_exact = sum(1.0 / lam for lam in lams)
-    print(f"mean: exact {mean_exact:.6f}  sample {z.mean():.6f}")
-
-    for q in (0.5, 1.5, 3.0):
-        emp = float(np.mean(z <= q))
-        print(f"P(Z <= {q}): model {hypoexp_cdf(params, q):.6f}  "
-              f"sample {emp:.6f}")
-
-    # density at the mode, eyeballed against a narrow histogram bin
-    grid = np.linspace(0.1, 6.0, 400)
-    dens = [hypoexp_pdf(params, g) for g in grid]
-    mode = grid[int(np.argmax(dens))]
-    h = 0.05
-    emp_dens = float(np.mean((z > mode - h) & (z <= mode + h))) / (2 * h)
-    print(f"density at mode {mode:.3f}: model {max(dens):.5f}  "
-          f"sample {emp_dens:.5f}")
+    z = sum(rng.exponential(1.0 / lam, size=n) for lam in rates)
+    print(f"rates {rates}: sample mean of exp(-sZ) over {n} draws")
+    for s in (0.5, 2.0, 8.0):
+        sample = np.exp(-s * z)
+        half = 1.96 * sample.std() / math.sqrt(n)
+        print(f"  s = {s}: transform {hypoexp_laplace(rates, s):.6f}  "
+              f"sample {sample.mean():.6f} +- {half:.6f}")
 
 
-def check_tie_resolution():
-    logging.basicConfig(level=logging.DEBUG, format="%(message)s")
-    # two equal rates would make the partial-fraction weights blow up
-    resolved = resolve_rates((2.0, 2.0, 5.0))
-    print(f"tied rates (2, 2, 5) resolved to {resolved}")
+def check_tie():
+    # Z = Erlang(2, lam) + Exp(mu) has the density
+    # lam^2 mu (e^{-mu z} - e^{-lam z} (1 + d z)) / d^2 with d = lam - mu
+    lam, mu = 2.0, 5.0
+    d = lam - mu
+
+    def density(z):
+        return lam * lam * mu * (math.exp(-mu * z)
+                                 - math.exp(-lam * z) * (1.0 + d * z)) / (d * d)
+
+    print(f"tied rates ({lam}, {lam}, {mu}): transform against the "
+          "integral over the Erlang-stage density")
+    for s in (0.5, 2.0, 8.0):
+        ref, _ = integrate.quad(lambda z: math.exp(-s * z) * density(z),
+                                0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+        got = hypoexp_laplace((lam, lam, mu), s)
+        print(f"  s = {s}: transform {got:.15f}  integral {ref:.15f}  "
+              f"rel gap {abs(got - ref) / ref:.1e}")
+    # no separation of near-equal rates: the product moves continuously
+    for rel in (1e-6, 1e-12):
+        near = hypoexp_laplace((lam, lam * (1.0 + rel), mu), 2.0)
+        tied = hypoexp_laplace((lam, lam, mu), 2.0)
+        print(f"  second rate {lam} (1 + {rel:.0e}): transform at s = 2 "
+              f"moves by {abs(near - tied) / tied:.1e} relative")
 
 
 if __name__ == "__main__":
     check_ei()
-    check_hypoexp()
-    check_tie_resolution()
+    check_laplace_sample()
+    check_tie()

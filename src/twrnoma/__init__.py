@@ -14,35 +14,27 @@ from .ergodic import (QuadratureError, ergodic_rate_strong_asymptotic,
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, load_config, parse_config
 from .metrics import (energy_efficiency, throughput_delay_limited,
                       throughput_delay_tolerant)
-from .model import (ChannelDraw, ConfigError, SignalIndex, SinrSet, SystemConfig,
-                    gamma_threshold, sample_channel_draw, signal_role, sinr_set,
-                    sinr_sets)
-from .montecarlo import (McEstimate, ci_bounds, mc_ergodic, mc_grid,
-                         mc_oma_baseline, mc_outage, mc_point, oma_outage_exact)
-from .specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
-                      hypoexp_cdf, hypoexp_laplace, hypoexp_pdf, phi_weights,
-                      resolve_rates)
+from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
+                    gamma_threshold, sample_channel_draw, sinr_sets)
+from .montecarlo import McEstimate, ci_bounds, mc_grid, mc_point, oma_outage_exact
+from .specfun import EULER_GAMMA, expei_neg, expint_ei, hypoexp_laplace
 from .sweep import CSV_HEADER, MetricPoint, SweepSpec, emit_outputs, run_sweep
-from .validate import CheckResult, ValidationReport, validate
+from .validate import CheckResult, ValidationReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticOutage", "ChannelDraw", "CheckResult", "ConfigError",
-    "CSV_HEADER", "DEFAULT_CONFIG_TEXT", "EULER_GAMMA", "HypoExpParams",
-    "McEstimate", "MetricPoint", "OutageResult", "PRESETS", "QuadratureError",
-    "SignalIndex", "SinrSet", "SweepSpec", "SystemConfig", "ValidationReport",
-    "ci_bounds",
-    "diversity_order_estimate", "energy_efficiency", "expei_neg", "expint_ei",
-    "ergodic_rate_strong_asymptotic", "ergodic_rate_strong_closed",
-    "ergodic_rate_strong_numeric", "ergodic_rate_strong_quadrature",
-    "ergodic_rate_weak_highsnr", "ergodic_rate_weak_numeric",
-    "gamma_threshold", "high_snr_slope_estimate", "hypoexp_cdf",
-    "hypoexp_laplace", "hypoexp_pdf", "load_config",
-    "mc_ergodic", "mc_grid", "mc_oma_baseline", "mc_outage", "mc_point",
-    "oma_outage_exact",
-    "outage_asymptotic", "outage_probability", "parse_config", "phi_weights",
-    "resolve_rates", "run_sweep", "sample_channel_draw", "signal_role",
-    "sinr_set", "sinr_sets", "throughput_delay_limited", "throughput_delay_tolerant",
-    "validate", "emit_outputs",
+    "CSV_HEADER", "DEFAULT_CONFIG_TEXT", "EULER_GAMMA", "McEstimate",
+    "MetricPoint", "OutageResult", "PRESETS", "QuadratureError",
+    "SignalIndex", "SweepSpec", "SystemConfig", "ValidationReport",
+    "ci_bounds", "diversity_order_estimate", "emit_outputs",
+    "energy_efficiency", "ergodic_rate_strong_asymptotic",
+    "ergodic_rate_strong_closed", "ergodic_rate_strong_numeric",
+    "ergodic_rate_strong_quadrature", "ergodic_rate_weak_highsnr",
+    "ergodic_rate_weak_numeric", "expei_neg", "expint_ei", "gamma_threshold",
+    "high_snr_slope_estimate", "hypoexp_laplace", "load_config", "mc_grid",
+    "mc_point", "oma_outage_exact", "outage_asymptotic", "outage_probability",
+    "parse_config", "run_sweep", "sample_channel_draw", "sinr_sets",
+    "throughput_delay_limited", "throughput_delay_tolerant",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SignalIndex, SystemConfig, gamma_threshold, signal_role
+from .model import SignalIndex, SystemConfig, gamma_threshold
 from .specfun import hypoexp_laplace, term_rates
 
 _FLOOR_RHO = 1e12
@@ -190,7 +190,7 @@ def outage_weak(config: SystemConfig, idx: SignalIndex) -> OutageResult:
 
 def outage_probability(config: SystemConfig, signal: int) -> OutageResult:
     idx = SignalIndex.for_signal(signal)
-    if signal_role(signal) == "strong":
+    if idx.l == signal:
         return outage_strong(config, idx)
     return outage_weak(config, idx)
 

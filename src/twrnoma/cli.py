@@ -16,7 +16,7 @@ import sys
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, Preset, load_config
 from .metrics import METRICS
 from .model import ConfigError, SystemConfig
-from .sweep import OutputError, emit_outputs, run_sweep
+from .sweep import OutputError, emit_outputs, emit_plot_script, run_sweep
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
 
 
@@ -140,12 +140,10 @@ def _cmd_sweep(args):
     base_config = _load(args)
     for spec, cfg, path in _sweep_jobs(args, base_config):
         table = run_sweep(spec, cfg, workers=max(1, args.workers))
-        emit_outputs(table, "csv", path)
+        emit_outputs(table, path)
         print(f"wrote {path} ({len(table)} rows)")
         if args.emit_plot:
-            stem = os.path.splitext(path)[0]
-            script = emit_outputs(table, "plot-script", f"{stem}_plot.py",
-                                  csv_path=path)
+            script = emit_plot_script(path, f"{os.path.splitext(path)[0]}_plot.py")
             print(f"wrote {script}")
     return 0
 

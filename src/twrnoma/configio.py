@@ -64,13 +64,20 @@ def _as_float(raw):
         raise ConfigError(f"expected a number, got {raw!r}") from None
 
 
+def _db_to_linear(raw):
+    try:
+        return 10.0 ** (_as_float(raw) / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{raw} dB overflows the linear scale") from None
+
+
 # dotted key -> (SystemConfig field, converter)
 _KEYS = {
     "noma.a1": ("a1", _as_float), "noma.a2": ("a2", _as_float),
     "noma.a3": ("a3", _as_float), "noma.a4": ("a4", _as_float),
     "noma.b1": ("b1", _as_float), "noma.b3": ("b3", _as_float),
     "noma.varpi1": ("varpi1", _as_float), "noma.varpi2": ("varpi2", _as_float),
-    "noma.omega_i_db": ("omega_I", lambda raw: 10.0 ** (_as_float(raw) / 10.0)),
+    "noma.omega_i_db": ("omega_I", _db_to_linear),
     "channel.alpha": ("alpha", _as_float),
     "channel.d1": ("d1", _as_float), "channel.d2": ("d2", _as_float),
     "rates.r1": ("r1", _as_float), "rates.r2": ("r2", _as_float),
@@ -104,7 +111,10 @@ def parse_config(text: str) -> SystemConfig:
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field, convert = _KEYS[key]
-        fields[field] = convert(raw)
+        try:
+            fields[field] = convert(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     if version is None:
         raise ConfigError("config text must declare schema_version = 1")
     if _as_float(version) != SCHEMA_VERSION:

@@ -373,26 +373,6 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
             / (2.0 * _LN2))
 
 
-def weak_highsnr_sinr_cdf(config: SystemConfig, idx: SignalIndex, x):
-    """Limiting CDF of the weak user's SINR under imperfect SIC.
-
-    F(x) = 1 - 1/(1 + x lambda3) on 0 <= x < b_t/b_l, with the remaining
-    mass 1/(1 + lambda3 b_t/b_l) landing as an atom at the cap.
-    """
-    import numpy as np
-
-    inter = compute_rate_intermediates(config, idx)
-    if inter.lambda3 <= 0.0:
-        raise ValueError("the limiting distribution is degenerate at the cap "
-                         "under perfect SIC")
-    cap = config.b(idx.t) / config.b(idx.l)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("SINR argument must be nonnegative")
-    out = np.where(x < cap, 1.0 - 1.0 / (1.0 + x * inter.lambda3), 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> float:
     """High-SNR expansion of the strong user's closed-form rate.
 

@@ -23,7 +23,7 @@ import functools
 from .analysis import outage_probability
 from .ergodic import (ergodic_rate_strong_asymptotic, ergodic_rate_strong_closed,
                       ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric)
-from .model import SignalIndex, SystemConfig, signal_role
+from .model import SignalIndex, SystemConfig
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
@@ -73,7 +73,7 @@ def energy_efficiency(throughput: float, config: SystemConfig) -> float:
 
 def _rate(config, signal, asymptotic):
     idx = SignalIndex.for_signal(signal)
-    if signal_role(signal) == "strong":
+    if idx.l == signal:
         closed, limit = ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic
     else:
         closed, limit = ergodic_rate_weak_numeric, ergodic_rate_weak_highsnr

@@ -15,11 +15,12 @@ Imperfect SIC is modelled two ways:
 * a residual channel g (variance ``omega_I``) left behind by the SIC stage,
   active only in ipSIC mode (epsilon = 1) and absent under pSIC (epsilon = 0).
 
-This module owns the configuration record, the signal-index convention, the
-channel sampler and the five SINR expressions every other module consumes,
-evaluated for one pairing under several SIC modes at once (``sinr_sets``)
-or under the config's own (``sinr_set``), and the same expressions read as
-per-draw inverse critical SNRs (``inverse_critical_snrs``).
+This module owns the configuration record, the signal-index convention,
+the SINR thresholds of a target rate, the channel sampler and the five SINR
+expressions every other module consumes, evaluated for one pairing under
+several SIC modes at once (``sinr_sets``) or under the config's own
+(``sinr_set``), and the same expressions read as per-draw inverse critical
+SNRs (``inverse_critical_snrs``).
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class SystemConfig:
             rate = getattr(self, f"r{i}")
             if rate < 0 or not math.isfinite(rate):
                 raise ConfigError(f"r{i} must be a finite rate >= 0, got {rate!r}")
+            try:
+                oma_threshold(rate)     # the steepest threshold a rate sets
+            except OverflowError:
+                raise ConfigError(f"r{i} = {rate!r} is too large: the SINR "
+                                  f"threshold 2^(5 r{i}) - 1 overflows") from None
         for name in ("b1", "b3"):
             share = getattr(self, name)
             if not 0.0 < share < 0.5:
@@ -185,7 +191,8 @@ class SignalIndex:
         """Index tuple under which signal ``signal`` is analysed.
 
         Signals 1 and 3 are the strong members of their exchanges, signals
-        2 and 4 the weak ones.  x1 and x2 travel toward group two, x3 and x4
+        2 and 4 the weak ones: a signal is its index's ``l`` when strong and
+        its ``t`` when weak.  x1 and x2 travel toward group two, x3 and x4
         back the other way.
         """
         if signal in (1, 2):
@@ -193,15 +200,6 @@ class SignalIndex:
         if signal in (3, 4):
             return cls(l=3, k=1, t=4, r=2)
         raise ValueError(f"signal must be 1..4, got {signal!r}")
-
-
-def signal_role(signal: int) -> str:
-    """'strong' for signals 1 and 3, 'weak' for 2 and 4."""
-    if signal in (1, 3):
-        return "strong"
-    if signal in (2, 4):
-        return "weak"
-    raise ValueError(f"signal must be 1..4, got {signal!r}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +247,16 @@ def gamma_threshold(rate_bpcu):
     if rate_bpcu < 0:
         raise ValueError(f"target rate must be >= 0, got {rate_bpcu!r}")
     return 2.0 ** (2.0 * rate_bpcu) - 1.0
+
+
+def oma_threshold(rate_bpcu: float) -> float:
+    """SNR threshold of the orthogonal baseline for a target rate: 2^(5 R) - 1.
+
+    The baseline spends five slots on the exchange that NOMA does in two.
+    It is the steepest threshold a rate sets, so a rate whose baseline
+    threshold is finite has a finite ``gamma_threshold`` too.
+    """
+    return 2.0 ** (5.0 * rate_bpcu) - 1.0
 
 
 def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SignalIndex, SystemConfig, inverse_critical_snrs,
-                    inverse_threshold, sample_channel_draw, sinr_sets)
+                    inverse_threshold, oma_threshold, sample_channel_draw,
+                    sinr_sets)
 
 CHUNK = 1 << 17
 
@@ -142,10 +143,6 @@ def _merge_moments(parts):
 # threshold reflects the 5x bandwidth expansion, 2^{5 R} - 1.
 
 _OMA_PARTNER = {1: 3, 2: 4, 3: 1, 4: 2}
-
-
-def oma_threshold(rate_bpcu: float) -> float:
-    return 2.0 ** (5.0 * rate_bpcu) - 1.0
 
 
 def oma_outage_exact(config: SystemConfig, signal) -> float:

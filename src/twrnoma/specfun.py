@@ -9,9 +9,9 @@ exponentials, which is the distribution of the composite uplink interference
     Z' = rho w1 (a_k |h_k|^2 + a_r |h_r|^2)                        (2 rates)
 
 appearing in the outage denominators.  The closed forms need only its
-Laplace transform, ``hypoexp_laplace``; the density and distribution
-function, with their partial fractions over distinct rates, serve the
-validation checks.
+Laplace transform, ``hypoexp_laplace``, which is exact at tied rates.  The
+density, with its partial fractions over distinct rates, has no library
+caller.
 """
 
 from __future__ import annotations
@@ -159,6 +159,10 @@ def term_rates(*means) -> tuple:
     return rates
 
 
+# The density family below has no library caller.  It stays in this module
+# because perfbench/tracing.py patches hypoexp_pdf and resolve_rates here by
+# name, and tests/reference_routes.py and the acceptance tests use the
+# density as a route independent of the transform.
 @dataclass(frozen=True)
 class HypoExpParams:
     """Rates of a sum of 2 or 3 independent exponentials.
@@ -219,28 +223,16 @@ def resolve_rates(rates) -> HypoExpParams:
     return HypoExpParams(lambdas=tuple(work))
 
 
-def phi_weights(params: HypoExpParams):
-    """Partial-fraction weights (Phi_1, Phi_2, Phi_3) of the 3-rate density.
-
-    Phi_1 = 1/((l2-l1)(l3-l1)), Phi_2 = 1/((l3-l2)(l2-l1)),
-    Phi_3 = 1/((l3-l1)(l3-l2)); the density combines them with alternating
-    signs, f(z) = l1 l2 l3 (Phi_1 e^{-l1 z} - Phi_2 e^{-l2 z} + Phi_3 e^{-l3 z}).
-    """
-    if len(params.lambdas) != 3:
-        raise ValueError("phi weights are defined for the 3-rate form only")
-    l1, l2, l3 = params.lambdas
-    return (1.0 / ((l2 - l1) * (l3 - l1)),
-            1.0 / ((l3 - l2) * (l2 - l1)),
-            1.0 / ((l3 - l1) * (l3 - l2)))
-
-
 def hypoexp_pdf(params: HypoExpParams, z):
     """Density of the sum of independent exponentials at z >= 0.
 
     Vectorized over z.  Two rates use
     f(z) = l1 l2 (e^{-l1 z} - e^{-l2 z}) / (l2 - l1); three rates use the
-    alternating Phi form above.  Mild negative round-off from cancellation
-    between nearly equal rates is clipped at zero.
+    partial fractions f(z) = l1 l2 l3 (Phi_1 e^{-l1 z} - Phi_2 e^{-l2 z}
+    + Phi_3 e^{-l3 z}), with Phi_1 = 1/((l2-l1)(l3-l1)),
+    Phi_2 = 1/((l3-l2)(l2-l1)) and Phi_3 = 1/((l3-l1)(l3-l2)).  Mild
+    negative round-off from cancellation between nearly equal rates is
+    clipped at zero.
     """
     import numpy as np
 
@@ -254,30 +246,11 @@ def hypoexp_pdf(params: HypoExpParams, z):
         out = l1 * l2 * (np.exp(-l1 * z) - np.exp(-l2 * z)) / (l2 - l1)
     else:
         l1, l2, l3 = params.lambdas
-        p1, p2, p3 = phi_weights(params)
+        p1 = 1.0 / ((l2 - l1) * (l3 - l1))
+        p2 = 1.0 / ((l3 - l2) * (l2 - l1))
+        p3 = 1.0 / ((l3 - l1) * (l3 - l2))
         out = l1 * l2 * l3 * (p1 * np.exp(-l1 * z) - p2 * np.exp(-l2 * z)
                               + p3 * np.exp(-l3 * z))
     out = np.maximum(out, 0.0)
     return float(out) if out.ndim == 0 else out
 
-
-def hypoexp_cdf(params: HypoExpParams, z):
-    """Distribution function matching hypoexp_pdf.
-
-    F(z) = 1 - sum_i (prod_{j != i} l_j/(l_j - l_i)) e^{-l_i z}; exact bin
-    masses from this are what the histogram validation compares against.
-    """
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    lams = params.lambdas
-    acc = np.zeros_like(z, dtype=float)
-    for i, li in enumerate(lams):
-        coef = 1.0
-        for j, lj in enumerate(lams):
-            if j != i:
-                coef *= lj / (lj - li)
-        acc += coef * np.exp(-li * z)
-    out = 1.0 - acc
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out

@@ -232,28 +232,29 @@ print("wrote __PNG__")
 '''
 
 
-def render_plot_script(csv_name: str) -> str:
-    png_name = os.path.splitext(csv_name)[0] + ".png"
-    return (_PLOT_TEMPLATE
-            .replace("__CSV__", csv_name)
-            .replace("__PNG__", png_name))
-
-
-def emit_outputs(table, format: str, path, csv_path=None) -> str:
-    """Write the table as CSV, or a plot script that reads that CSV."""
-    if not table:
-        raise ValueError("refusing to write an empty table")
-    if format == "csv":
-        content = render_csv(table)
-    elif format == "plot-script":
-        name = os.path.basename(csv_path) if csv_path else (
-            os.path.splitext(os.path.basename(path))[0] + ".csv")
-        content = render_plot_script(name)
-    else:
-        raise ValueError(f"unknown output format {format!r}")
+def _write(path, content) -> str:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
     except OSError as exc:
         raise OutputError(f"cannot write output file {path}: {exc}") from exc
     return str(path)
+
+
+def emit_outputs(table, path) -> str:
+    """Write the table as CSV to ``path`` and return the path."""
+    if not table:
+        raise ValueError("refusing to write an empty table")
+    return _write(path, render_csv(table))
+
+
+def emit_plot_script(csv_path, path) -> str:
+    """Write a standalone script that plots the CSV at ``csv_path``.
+
+    The script reads the CSV by its file name from its own directory, so
+    the two files travel together.  Returns ``path``.
+    """
+    csv_name = os.path.basename(csv_path)
+    png_name = os.path.splitext(csv_name)[0] + ".png"
+    return _write(path, _PLOT_TEMPLATE.replace("__CSV__", csv_name)
+                  .replace("__PNG__", png_name))

@@ -30,7 +30,7 @@ from twrnoma.ergodic import (ergodic_rate_strong_asymptotic,
 from twrnoma.metrics import energy_efficiency, throughput_delay_limited
 from twrnoma.model import SignalIndex, SystemConfig
 from twrnoma.montecarlo import mc_ergodic, mc_oma_baseline, mc_outage
-from twrnoma.specfun import HypoExpParams, expint_ei, hypoexp_cdf, hypoexp_pdf
+from twrnoma.specfun import HypoExpParams, expint_ei, hypoexp_pdf
 from twrnoma.sweep import SweepSpec, render_csv, run_sweep
 
 GRID_DB = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
@@ -221,8 +221,8 @@ def test_a06_hypoexponential_density_normalization_and_histogram():
     z = sum(sample_rng.exponential(1.0 / lam, size=n) for lam in lams)
     edges = np.linspace(0.0, float(np.quantile(z, 0.9995)), 101)
     counts, _ = np.histogram(z, bins=edges)
-    cdf = np.array([hypoexp_cdf(params, e) for e in edges])
-    p = np.diff(cdf)
+    p = np.array([quad(lambda t: hypoexp_pdf(params, t), lo, hi)[0]
+                  for lo, hi in zip(edges[:-1], edges[1:])])
     sigma = np.sqrt(n * p * (1.0 - p))
     max_dev = float(np.max(np.abs(counts - n * p) / sigma))
 

@@ -267,6 +267,38 @@ def test_validate_refuses_too_few_iterations(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_validate_refuses_a_negative_seed(capsys, monkeypatch):
+    import twrnoma.validate as battery
+
+    def unreachable(*args):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(battery, "_check_outage_vs_mc", unreachable)
+    assert main(["validate", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("text, argv, key", [
+    ("noma.omega_i_db = 4000", ["sweep", "--metric", "outage"], "noma.omega_i_db"),
+    ("rates.r1 = 600", ["sweep", "--metric", "outage"], "r1"),
+    ("rates.r1 = 300", ["sweep", "--preset", "fig2"], "r1"),
+    ("rates.r1 = 600", ["validate"], "r1"),
+])
+def test_overflowing_config_values_exit_one(tmp_path, capsys, text, argv, key):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"schema_version = 1\n{text}\n")
+    assert run_in(tmp_path, [*argv, "--config", str(cfg),
+                             "--iterations", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert key in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
+
 def test_validate_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("schema_version = 1\nnoma.b3 = 0.7\n")

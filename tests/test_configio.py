@@ -70,6 +70,17 @@ def test_invalid_values_surface_model_errors():
         parse_config("schema_version = 1\nnoma.b1 = 0.7\n")
     with pytest.raises(ConfigError, match="b3 must lie in"):
         parse_config("schema_version = 1\nnoma.b3 = nan\n")
+    with pytest.raises(ConfigError, match="^line 3: noma.a1: expected a number, "
+                                          "got 'abc'$"):
+        parse_config("schema_version = 1\n\nnoma.a1 = abc\n")
+
+
+def test_overflowing_values_are_refused_by_key():
+    with pytest.raises(ConfigError, match="^line 2: noma.omega_i_db: 4000 dB "
+                                          "overflows"):
+        parse_config("schema_version = 1\nnoma.omega_i_db = 4000\n")
+    with pytest.raises(ConfigError, match="r1 = 600.0 is too large"):
+        parse_config("schema_version = 1\nrates.r1 = 600\n")
 
 
 def test_load_config_missing_file(tmp_path):

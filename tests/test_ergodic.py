@@ -26,7 +26,7 @@ from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
                              ergodic_rate_weak_highsnr,
                              ergodic_rate_weak_numeric,
                              high_snr_slope_estimate, strong_rate_ccdf_leakage,
-                             strong_sinr_ccdf, weak_highsnr_sinr_cdf)
+                             strong_sinr_ccdf)
 from twrnoma.model import SignalIndex, SystemConfig
 
 from reference_routes import leakage_ccdf_nested, leakage_rate_nested
@@ -484,39 +484,6 @@ def test_weak_ceiling_near_unity_matches_mpmath(gap):
         ref = float(mpmath.quad(lambda x: 1 / ((1 + x) * (1 + x * lam3)), [0, cap])
                     / (2 * mpmath.log(2)))
     assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(ref, rel=1e-12)
-
-
-def test_weak_highsnr_cdf_shape(baseline):
-    cfg = baseline.with_rho(1e5)
-    cap = cfg.b(2) / cfg.b(1)
-    xs = np.linspace(0.0, cap * 1.2, 50)
-    cdf = weak_highsnr_sinr_cdf(cfg, IDX2, xs)
-    assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-    assert np.all(np.diff(cdf) >= -1e-12)
-    assert cdf[-1] == 1.0
-    # atom at the cap: the limit from the left stays strictly below one
-    assert weak_highsnr_sinr_cdf(cfg, IDX2, cap * 0.999999) < 1.0
-    with pytest.raises(ValueError, match="perfect SIC"):
-        weak_highsnr_sinr_cdf(baseline.with_mode("psic"), IDX2, 1.0)
-
-
-def test_weak_highsnr_cdf_against_simulation():
-    """At very high SNR the weak user's end-to-end SINR (worst of the three
-    decode branches) settles on the limiting law."""
-    from twrnoma.model import sample_channel_draw, sinr_set
-    import numpy.random as npr
-
-    cfg = _cfg(80, "ipsic")
-    rng = npr.Generator(npr.Philox(12345))
-    draw = sample_channel_draw(cfg, rng, size=200_000)
-    s = sinr_set(cfg, draw, IDX2)
-    sinr = np.minimum(np.minimum(s.relay_weak, s.near_decodes_weak),
-                      s.far_decodes_weak)
-    for x in (0.5, 1.5, 3.0):
-        emp = float(np.mean(sinr <= x))
-        model = float(weak_highsnr_sinr_cdf(cfg, IDX2, x))
-        sigma = math.sqrt(model * (1.0 - model) / sinr.size)
-        assert abs(emp - model) < 4.0 * sigma + 1e-3
 
 
 def test_strong_asymptote_frozen_values():

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+package exports exactly what ``__init__.py`` imports.
 
 No lint tool runs in this project's test suite, so an import left behind
-by a removal would otherwise go unnoticed.  ``__init__.py`` is skipped: it
-imports names to re-export them.
+by a removal would otherwise go unnoticed.  ``__init__.py`` imports names
+to re-export them, so it is checked against ``__all__`` instead.
 """
 
 import ast
@@ -38,3 +39,18 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    """``__init__.py`` imports each exported name once, and ``__all__``
+    lists exactly those names, so dropping a name from one without the
+    other fails here."""
+    import twrnoma
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert len(twrnoma.__all__) == len(set(twrnoma.__all__))
+    assert sorted(twrnoma.__all__) == sorted(imported)
+    assert all(hasattr(twrnoma, name) for name in twrnoma.__all__)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twrnoma.model import (ChannelDraw, ConfigError, SignalIndex, SinrSet,
                            SystemConfig, gamma_threshold, sample_channel_draw,
-                           signal_role, sinr_set, sinr_sets)
+                           sinr_set, sinr_sets)
 
 
 def test_gamma_threshold_frozen_values():
@@ -53,6 +53,9 @@ def test_distance_law_gain_must_be_positive_and_finite(kwargs, name):
     (dict(b3=0.0), "b3 must lie in"),
     (dict(b3=0.7), "b3 must lie in"),
     (dict(b3=math.nan), "b3 must lie in"),
+    # 2^(2 r) - 1 overflows past r = 512, the baseline's 2^(5 r) - 1 earlier
+    (dict(r1=600.0), "r1 = 600.0 is too large"),
+    (dict(r3=300.0), "r3 = 300.0 is too large"),
 ])
 def test_bad_configs_are_rejected_by_name(kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -64,10 +67,11 @@ def test_signal_index_pairings():
     assert SignalIndex.for_signal(2) == SignalIndex(1, 3, 2, 4)
     assert SignalIndex.for_signal(3) == SignalIndex(3, 1, 4, 2)
     assert SignalIndex.for_signal(4) == SignalIndex(3, 1, 4, 2)
-    assert signal_role(1) == "strong"
-    assert signal_role(2) == "weak"
-    assert signal_role(3) == "strong"
-    assert signal_role(4) == "weak"
+    # a strong signal is its index's l, a weak one its t
+    for s in (1, 3):
+        assert SignalIndex.for_signal(s).l == s
+    for s in (2, 4):
+        assert SignalIndex.for_signal(s).t == s
     with pytest.raises(ValueError):
         SignalIndex.for_signal(5)
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrnoma.specfun import (EULER_GAMMA, HypoExpParams, expei_neg, expint_ei,
-                             hypoexp_cdf, hypoexp_laplace, hypoexp_pdf,
-                             phi_weights, resolve_rates)
+                             hypoexp_laplace, hypoexp_pdf, resolve_rates)
 
 from reference_routes import laplace_by_density
 
@@ -118,12 +117,7 @@ def test_resolve_rates_keeps_distinct_rates_verbatim():
 
 def test_phi_weights_make_density_vanish_at_origin():
     params = HypoExpParams((1.0, 2.5, 7.0))
-    p1, p2, p3 = phi_weights(params)
-    l1, l2, l3 = params.lambdas
-    assert l1 * l2 * l3 * (p1 - p2 + p3) == pytest.approx(0.0, abs=1e-12)
     assert hypoexp_pdf(params, 0.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="3-rate"):
-        phi_weights(HypoExpParams((1.0, 2.0)))
 
 
 def test_hypoexp_pdf_rejects_bad_support():
@@ -148,26 +142,6 @@ def test_hypoexp_pdf_normalizes(rates):
     params = resolve_rates(rates)
     total, err = quad(lambda z: hypoexp_pdf(params, z), 0.0, np.inf, limit=300)
     assert total == pytest.approx(1.0, abs=max(1e-9, 10.0 * err))
-
-
-@given(st.tuples(st.floats(min_value=0.05, max_value=20.0),
-                 st.floats(min_value=0.05, max_value=20.0)))
-@settings(max_examples=60, deadline=None)
-def test_hypoexp_cdf_is_a_distribution(rates):
-    params = resolve_rates(rates)
-    zs = np.linspace(0.0, 40.0 / min(params.lambdas), 80)
-    cdf = np.array([hypoexp_cdf(params, z) for z in zs])
-    assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-    assert np.all(np.diff(cdf) >= -1e-12)
-    assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_hypoexp_cdf_matches_pdf_numerically():
-    from scipy.integrate import quad
-    params = HypoExpParams((0.8, 2.0, 4.0))
-    for z in (0.3, 1.0, 2.7):
-        mass, _ = quad(lambda t: hypoexp_pdf(params, t), 0.0, z)
-        assert hypoexp_cdf(params, z) == pytest.approx(mass, abs=1e-10)
 
 
 def test_hypoexp_pdf_vectorizes():

@@ -17,7 +17,8 @@ from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_thresho
                            sample_channel_draw, sinr_set)
 from twrnoma.montecarlo import CHUNK, chunk_generator
 from twrnoma.sweep import (CSV_HEADER, MAX_GRID_POINTS, MetricPoint, OutputError,
-                           SweepSpec, emit_outputs, render_csv, run_sweep)
+                           SweepSpec, emit_outputs, emit_plot_script, render_csv,
+                           run_sweep)
 
 
 def small_spec(stop_db=40.0, start_db=0.0, step_db=5.0, **kw):
@@ -88,7 +89,7 @@ def test_csv_layout(baseline, tmp_path):
     spec = small_spec(stop_db=5.0, with_asymptotic=False)
     rows = run_sweep(spec, baseline)
     path = tmp_path / "out.csv"
-    emit_outputs(rows, "csv", str(path))
+    emit_outputs(rows, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == ("snr_db,signal,metric,mode,analytic,asymptotic,"
@@ -138,20 +139,16 @@ def test_throughput_rows_collapse_to_system(baseline):
 
 def test_empty_table_refused(tmp_path):
     with pytest.raises(ValueError, match="empty"):
-        emit_outputs([], "csv", str(tmp_path / "x.csv"))
-
-
-def test_unknown_format_refused(baseline, tmp_path):
-    rows = run_sweep(small_spec(stop_db=0.0), baseline)
-    with pytest.raises(ValueError, match="format"):
-        emit_outputs(rows, "parquet", str(tmp_path / "x.bin"))
+        emit_outputs([], str(tmp_path / "x.csv"))
 
 
 def test_unwritable_path_reports_the_path(baseline):
     rows = run_sweep(small_spec(stop_db=0.0), baseline)
     bad = "/nonexistent_dir_for_test/out.csv"
     with pytest.raises(OutputError, match="nonexistent_dir_for_test"):
-        emit_outputs(rows, "csv", bad)
+        emit_outputs(rows, bad)
+    with pytest.raises(OutputError, match="nonexistent_dir_for_test"):
+        emit_plot_script("out.csv", bad)
 
 
 def test_plot_script_is_selfcontained(baseline, tmp_path):
@@ -159,8 +156,8 @@ def test_plot_script_is_selfcontained(baseline, tmp_path):
     rows = run_sweep(spec, baseline)
     csv_path = tmp_path / "curves.csv"
     script_path = tmp_path / "curves_plot.py"
-    emit_outputs(rows, "csv", str(csv_path))
-    emit_outputs(rows, "plot-script", str(script_path), csv_path=str(csv_path))
+    emit_outputs(rows, str(csv_path))
+    emit_plot_script(str(csv_path), str(script_path))
     source = script_path.read_text()
     compile(source, str(script_path), "exec")  # syntactically sound
     # one curve per (signal, mode): 2 signals x 2 modes

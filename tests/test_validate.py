@@ -1,13 +1,9 @@
 """The self-check battery's report."""
 
-import importlib
-
 import pytest
 
+from twrnoma import validate as battery
 from twrnoma.model import ConfigError, SystemConfig
-
-# the package re-exports the function validate() over its module's name
-battery = importlib.import_module("twrnoma.validate")
 
 
 def test_a_raising_check_is_reported_under_its_own_name(monkeypatch):
@@ -27,3 +23,30 @@ def test_a_raising_check_is_reported_under_its_own_name(monkeypatch):
 def test_too_few_iterations_are_refused_up_front():
     with pytest.raises(ConfigError, match="1000"):
         battery.validate(SystemConfig(), iterations=999)
+
+
+def test_negative_seed_is_refused_up_front(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(battery, "_check_outage_vs_mc", unreachable)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        battery.validate(SystemConfig(), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [battery.DEFAULT_VALIDATE_SEED, 1, 2])
+@pytest.mark.parametrize("profile", sorted(battery.PROFILES))
+def test_laplace_check_passes_at_three_seeds(seed, profile):
+    passed, band, gap, _ = battery._check_laplace(battery.PROFILES[profile], seed)
+    assert passed and 0.0 <= gap <= band
+
+
+def test_laplace_check_catches_a_wrong_transform(monkeypatch):
+    """Dropping one rate's factor, or mishandling the tie or the empty
+    sum, moves the transform far outside the sample-mean band."""
+    real = battery.hypoexp_laplace
+    for wrong in (lambda rates, s: real(rates[:-1], s),
+                  lambda rates, s: real(tuple(set(rates)), s),
+                  lambda rates, s: real(rates, s) if rates else 0.0):
+        monkeypatch.setattr(battery, "hypoexp_laplace", wrong)
+        assert not battery._check_laplace(1.0, battery.DEFAULT_VALIDATE_SEED)[0]
