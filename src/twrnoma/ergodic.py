@@ -7,15 +7,17 @@ complementary CDF,
 
     R = 1/(2 ln 2) * integral_0^inf (1 - F_X(x)) / (1 + x) dx,
 
-everything reduces to knowing 1 - F_X.  With the cross-group leakage off
-the strong user's CCDF is exp(-x Psi) / ((1 + x L1)(1 + x L2)), which
+everything reduces to knowing 1 - F_X.  The strong user's CCDF is one
+expression at every leakage level and under both SIC modes, built by
+``_strong_ccdf`` from the Laplace transforms of its two interference legs.
+With the leakage off it is exp(-x Psi) / ((1 + x L1)(1 + x L2)), which
 integrates in closed form through e^s Ei(-s): the rate is a divided
 difference of K(x) = -e^{Psi x} Ei(-Psi x) over the poles 1, 1/L1, 1/L2,
-taken by one helper that is exact where poles tie.  The weak user's CCDF is
-supported on (0, b_t/b_l) and is integrated numerically after a
-substitution that absorbs the endpoint singularity.  With leakage on, the
-strong user's CCDF is the product of the Laplace transforms of the two
-composite interference terms, closed form, so its rate is one quadrature.
+taken by one helper that is exact where poles tie.  With leakage on the
+rate is one quadrature of the same CCDF, and that quadrature at zero
+leakage cross-checks the closed form.  The weak user's CCDF is supported on
+(0, b_t/b_l) and is integrated numerically after a substitution that
+absorbs the endpoint singularity.
 
 Every quadrature runs through one helper, ``_quad``, whose tolerances and
 subdivision limit are module constants: one place pins them for all routes.
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
+from .analysis import compute_outage_intermediates
 from .model import SignalIndex, SystemConfig
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
@@ -157,23 +160,6 @@ def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIn
         psi=(a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k))
 
 
-def strong_sinr_ccdf(inter: RateIntermediates, u):
-    """No-leakage CCDF of the strong user's end-to-end SINR.
-
-    1 - F(u) = exp(-u psi) / ((1 + u lambda1)(1 + u lambda2)), valid on
-    u >= 0.  This is the function whose weighted integral the closed form
-    reproduces, so it doubles as the independent cross-check route.
-    """
-    import numpy as np
-
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("SINR argument must be nonnegative")
-    out = np.exp(-u * inter.psi) / ((1.0 + u * inter.lambda1)
-                                    * (1.0 + u * inter.lambda2))
-    return float(out) if out.ndim == 0 else out
-
-
 def _require_no_leakage(config, who):
     if config.varpi1 != 0.0 or config.varpi2 != 0.0:
         raise ValueError(
@@ -223,67 +209,78 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
         lambda x: 1.0 / (x * x) - psi / x - psi * psi * expei_neg(psi * x))
 
 
-def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex) -> float:
-    """Strong-user rate by direct quadrature of the no-leakage CCDF.
+def _strong_ccdf(config: SystemConfig, idx: SignalIndex):
+    """The strong user's SINR CCDF, x -> 1 - F(x), at any leakage and SIC mode.
 
-    Independent of the Ei evaluation; agreement with the closed form is
-    the primary correctness check for both.
-    """
-    _require_no_leakage(config, "the quadrature strong-user rate")
-    inter = compute_rate_intermediates(config, idx)
-
-    def integrand(u):
-        return strong_sinr_ccdf(inter, u) / (1.0 + u)
-
-    return _integrate_semi_infinite(integrand) / (2.0 * _LN2)
-
-
-def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
-    """CCDF of the strong user's SINR with both leakage paths active.
-
-    Conditioning on the downlink interference W = eps rho |g|^2 +
-    rho w2 |h_k|^2 and the uplink interference Z = rho a_t |h_t|^2 +
-    rho w1 (a_k |h_k|^2 + a_r |h_r|^2), the two decode stages factor into
-    exponential averages over W and Z, each a Laplace transform of a sum of
-    independent exponentials:
+    Conditioning on the uplink interference Z = rho a_t |h_t|^2 +
+    rho w1 (a_k |h_k|^2 + a_r |h_r|^2) and the downlink interference
+    W = eps rho |g|^2 + rho w2 |h_k|^2, the two decode stages factor into
+    exponential averages, each a Laplace transform of a sum of exponentials:
 
       1 - F(x) = E[e^{-s_z (Z+1)}] E[e^{-s_w (W+1)}]
                = e^{-s_z - s_w} L_Z(s_z) L_W(s_w),
 
     with s_z = x/(rho a_l Omega_l), s_w = x/(rho b_l Omega_k) and
-    L(s) = prod lam_i/(lam_i + s) over each term's rates.  The product is
-    exact at tied rates, so the raw rates are used as they are; a term whose
-    power underflows drops out (``term_rates``).
-
-    The factorization treats the |h_k|^2 appearing inside W, Z, and the
-    decode numerator as independent draws, the same simplification the
-    closed analysis makes, so this is the right reference for it but is a
-    biased (percent-level) approximation of the simulated system.
+    L(s) = prod lam_i/(lam_i + s), exact at tied rates.  A term of zero
+    power drops out (``term_rates``): with no leakage this is
+    exp(-x psi) / ((1 + x lambda1)(1 + x lambda2)), and under perfect SIC
+    the residual leg of W goes away.  Rates and scales are formed once; the
+    returned function does only the per-x arithmetic.
     """
-    if x < 0:
-        raise ValueError("SINR argument must be nonnegative")
     rho, omega_k = config.rho, config.omega(idx.k)
-    z_rates = term_rates(rho * config.a(idx.t) * config.omega(idx.t),
-                         rho * config.varpi1 * config.a(idx.k) * omega_k,
-                         rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r))
+    z_rates = compute_outage_intermediates(config, idx).uplink_rates
     w_rates = term_rates(config.epsilon * rho * config.omega_I,
                          rho * config.varpi2 * omega_k)
-    s_z = x / (rho * config.a(idx.l) * config.omega(idx.l))
-    s_w = x / (rho * config.b(idx.l) * omega_k)
-    return (math.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
-            * hypoexp_laplace(w_rates, s_w))
+    d_z = rho * config.a(idx.l) * config.omega(idx.l)
+    d_w = rho * config.b(idx.l) * omega_k
+
+    def ccdf(x):
+        s_z = x / d_z
+        s_w = x / d_w
+        return (math.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
+                * hypoexp_laplace(w_rates, s_w))
+
+    return ccdf
+
+
+def _strong_rate_by_quadrature(config, idx):
+    ccdf = _strong_ccdf(config, idx)
+    return _integrate_semi_infinite(lambda x: ccdf(x) / (1.0 + x)) / (2.0 * _LN2)
+
+
+def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex) -> float:
+    """Strong-user rate by direct quadrature of the no-leakage CCDF.
+
+    Reads neither the Ei evaluation nor ``compute_rate_intermediates``, so
+    agreement with the closed form is the primary correctness check for both.
+    """
+    _require_no_leakage(config, "the quadrature strong-user rate")
+    return _strong_rate_by_quadrature(config, idx)
+
+
+def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
+    """The strong user's SINR CCDF of ``_strong_ccdf`` at one point x >= 0."""
+    if x < 0:
+        raise ValueError("SINR argument must be nonnegative")
+    return _strong_ccdf(config, idx)(x)
 
 
 def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     """Strong-user ergodic rate with leakage, by a single quadrature.
 
     R = 1/(2 ln 2) * integral_0^inf (1 - F(x)) / (1 + x) dx with the
-    closed-form CCDF of ``strong_rate_ccdf_leakage``; QuadratureError if it
-    does not converge.
+    closed-form CCDF of ``_strong_ccdf``; QuadratureError if it does not
+    converge.
 
     Only the imperfect-SIC chain is covered: under perfect SIC the
     residual leg of W degenerates and the leakage-on rate has no published
     reduction, so that combination is deliberately routed to Monte Carlo.
+
+    The CCDF treats the near user's gain in W, Z and the decode numerator
+    as independent draws, as the closed analysis does, which biases the
+    rate above the simulated system: for x1 at 25 dB the simulator (2^18
+    draws, seed 99) gives 0.87534 against 0.89662 at the default leakage
+    0.01, z = +22.7, and the gap reaches z = +168 at leakage 0.1.
     """
     if config.varpi1 <= 0.0 or config.varpi2 <= 0.0:
         raise ValueError("the leakage-path rate needs both leakage fractions "
@@ -293,11 +290,7 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float
         raise ValueError("the leakage-path rate is derived for imperfect SIC "
                          "only; under perfect SIC use the Monte Carlo "
                          "estimator")
-
-    def integrand(x):
-        return strong_rate_ccdf_leakage(config, idx, x) / (1.0 + x)
-
-    return _integrate_semi_infinite(integrand) / (2.0 * _LN2)
+    return _strong_rate_by_quadrature(config, idx)
 
 
 def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:

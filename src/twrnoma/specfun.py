@@ -150,13 +150,7 @@ def term_rates(*means) -> tuple:
     one so small that the product underflows) is no term at all: its rate
     would be infinite and its Laplace factor is 1, so it is dropped.
     """
-    # a plain loop: this runs at every quadrature node of the leakage rate,
-    # where it costs less than a comprehension
-    rates = ()
-    for mean in means:
-        if mean >= _SMALLEST_NORMAL:
-            rates += (1.0 / mean,)
-    return rates
+    return tuple(1.0 / mean for mean in means if mean >= _SMALLEST_NORMAL)
 
 
 # The density family below has no library caller.  It stays in this module

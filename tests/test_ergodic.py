@@ -18,15 +18,14 @@ from scipy import integrate
 
 from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
                              _confluent, _divided_difference, _quad,
-                             compute_rate_intermediates,
+                             _strong_ccdf, compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
                              ergodic_rate_strong_numeric,
                              ergodic_rate_strong_quadrature,
                              ergodic_rate_weak_highsnr,
                              ergodic_rate_weak_numeric,
-                             high_snr_slope_estimate, strong_rate_ccdf_leakage,
-                             strong_sinr_ccdf)
+                             high_snr_slope_estimate, strong_rate_ccdf_leakage)
 from twrnoma.model import SignalIndex, SystemConfig
 
 from reference_routes import leakage_ccdf_nested, leakage_rate_nested
@@ -296,14 +295,32 @@ def test_partial_fraction_identity(psi, lam1, lam2, tie):
 
 
 def test_strong_ccdf_is_a_valid_survival_function(baseline):
-    inter = compute_rate_intermediates(baseline.with_rho(100.0), IDX1)
+    """Leakage on and off, under both SIC modes: 1 at zero, nonincreasing,
+    and vanishing in the tail."""
     u = np.linspace(0.0, 200.0, 400)
-    vals = strong_sinr_ccdf(inter, u)
-    assert vals[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.all(np.diff(vals) <= 1e-15)
-    assert vals[-1] < 1e-8
+    for cfg in (baseline, baseline.without_leakage()):
+        for mode in ("ipsic", "psic"):
+            ccdf = _strong_ccdf(cfg.with_rho(100.0).with_mode(mode), IDX1)
+            vals = np.array([ccdf(x) for x in u])
+            assert vals[0] == 1.0
+            assert np.all(np.diff(vals) <= 1e-15)
+            assert vals[-1] < 1e-8
     with pytest.raises(ValueError):
-        strong_sinr_ccdf(inter, -1.0)
+        strong_rate_ccdf_leakage(baseline, IDX1, -1.0)
+
+
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+def test_strong_ccdf_without_leakage_is_the_closed_form_integrand(baseline, mode):
+    """At zero leakage the zero-power terms drop out, leaving
+    exp(-u psi) / ((1 + u lambda1)(1 + u lambda2)) with the constants of
+    compute_rate_intermediates (lambda1 = 0 under perfect SIC)."""
+    cfg = baseline.without_leakage().with_rho(100.0).with_mode(mode)
+    inter = compute_rate_intermediates(cfg, IDX1)
+    ccdf = _strong_ccdf(cfg, IDX1)
+    for u in (0.0, 1e-3, 0.5, 2.0, 10.0, 60.0):
+        expected = math.exp(-u * inter.psi) / ((1.0 + u * inter.lambda1)
+                                               * (1.0 + u * inter.lambda2))
+        assert ccdf(u) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_leakage_ccdf_matches_transform_product(baseline):
@@ -395,6 +412,19 @@ def test_strong_numeric_leakage_when_a_term_power_underflows(baseline, field):
                        for v in (1e-320, 1e-300))
     assert (ergodic_rate_strong_numeric(tiny, IDX1)
             == ergodic_rate_strong_numeric(neighbour, IDX1))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the leakage CCDF treats the near user's gain g_k in W, Z and the decode "
+    "numerator as independent draws (ROADMAP open item 2): Monte Carlo "
+    "0.87534 against 0.89662, z = +22.7"))
+def test_strong_numeric_leakage_matches_simulation():
+    from twrnoma.montecarlo import _Z95, mc_point
+
+    cfg = SystemConfig(rho=10.0 ** 2.5, sic_mode="ipsic")
+    est = mc_point(cfg, 2 ** 18, 99, kind="rate", signals=(1,))["rate", "ipsic", 1]
+    z = (ergodic_rate_strong_numeric(cfg, IDX1) - est.mean) / (est.half_width_95 / _Z95)
+    assert abs(z) <= 4.0
 
 
 def test_strong_numeric_sits_below_no_leakage_rate(baseline):

@@ -26,3 +26,12 @@ def test_every_traced_name_resolves():
     missing = [(module, name) for module, name, *_ in targets
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_traced_names_are_distinct_functions():
+    """The tracer matches functions by identity, so two traced names bound
+    to one function object would wrap it twice."""
+    targets = _load_tracing()._targets()
+    objects = [getattr(importlib.import_module(module), name)
+               for module, name, *_ in targets]
+    assert len({id(fn) for fn in objects}) == len(objects)

@@ -1,7 +1,10 @@
 """The self-check battery's report."""
 
+import dataclasses
+
 import pytest
 
+from twrnoma import ergodic
 from twrnoma import validate as battery
 from twrnoma.model import ConfigError, SystemConfig
 
@@ -50,3 +53,19 @@ def test_laplace_check_catches_a_wrong_transform(monkeypatch):
                   lambda rates, s: real(rates, s) if rates else 0.0):
         monkeypatch.setattr(battery, "hypoexp_laplace", wrong)
         assert not battery._check_laplace(1.0, battery.DEFAULT_VALIDATE_SEED)[0]
+
+
+def test_rate_quadrature_check_catches_wrong_rate_intermediates(monkeypatch):
+    """The quadrature builds its CCDF from the config's interference rates,
+    not from compute_rate_intermediates, so an error there moves the closed
+    form alone and the check sees it."""
+    assert battery._check_rate_quadrature(SystemConfig(), 1.0)[0]
+    real = ergodic.compute_rate_intermediates
+
+    def skewed(config, idx):
+        inter = real(config, idx)
+        return dataclasses.replace(inter, lambda2=inter.lambda2 * 1.01)
+
+    monkeypatch.setattr(ergodic, "compute_rate_intermediates", skewed)
+    passed, band, gap, _ = battery._check_rate_quadrature(SystemConfig(), 1.0)
+    assert not passed and gap > band
