@@ -15,7 +15,7 @@ from .configio import DEFAULT_CONFIG_TEXT, PRESETS, load_config, parse_config
 from .metrics import (energy_efficiency, throughput_delay_limited,
                       throughput_delay_tolerant)
 from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
-                    gamma_threshold, sample_channel_draw, sinr_sets)
+                    gamma_threshold, sample_channel_draw)
 from .montecarlo import McEstimate, ci_bounds, mc_grid, mc_point, oma_outage_exact
 from .specfun import EULER_GAMMA, expei_neg, expint_ei, hypoexp_laplace
 from .sweep import CSV_HEADER, MetricPoint, SweepSpec, emit_outputs, run_sweep
@@ -35,6 +35,6 @@ __all__ = [
     "ergodic_rate_weak_numeric", "expei_neg", "expint_ei", "gamma_threshold",
     "high_snr_slope_estimate", "hypoexp_laplace", "load_config", "mc_grid",
     "mc_point", "oma_outage_exact", "outage_asymptotic", "outage_probability",
-    "parse_config", "run_sweep", "sample_channel_draw", "sinr_sets",
+    "parse_config", "run_sweep", "sample_channel_draw",
     "throughput_delay_limited", "throughput_delay_tolerant",
 ]

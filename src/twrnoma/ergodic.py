@@ -314,6 +314,7 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     b_l, b_t = config.b(idx.l), config.b(idx.t)
     omega_k, omega_r = config.omega(idx.k), config.omega(idx.r)
     lam3 = inter.lambda3
+    den_t, den_k, den_r = rho * a_t * omega_t, rho * omega_k, rho * omega_r
 
     def mapped(t):
         # fold the rational map and the SINR substitution together so the
@@ -323,8 +324,7 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
         onemt = 1.0 - t
         v = t / onemt
         x = b_t * v / (1.0 + b_l * v)
-        expo = (-x / (rho * a_t * omega_t)
-                - v / (rho * omega_k) - v / (rho * omega_r))
+        expo = -x / den_t - v / den_k - v / den_r
         denom_map = onemt + b_l * t          # (1 - t)(1 + b_l v)
         val = math.exp(expo) * b_t / ((1.0 + x) * (denom_map * denom_map))
         if lam3 > 0.0:

@@ -17,10 +17,10 @@ Imperfect SIC is modelled two ways:
 
 This module owns the configuration record, the signal-index convention,
 the SINR thresholds of a target rate, the channel sampler and the five SINR
-expressions every other module consumes, evaluated for one pairing under
-several SIC modes at once (``sinr_sets``) or under the config's own
-(``sinr_set``), and the same expressions read as per-draw inverse critical
-SNRs (``inverse_critical_snrs``).
+expressions every other module consumes: at the config's SNR and SIC mode
+(``sinr_set``), and per draw, for every SIC mode at once, as the rho-free
+(A, B) of each decode, whose SINR is A / (B + 1/rho) at any SNR
+(``sinr_coefficients``), and as inverse critical SNRs (``inverse_critical_snrs``).
 """
 
 from __future__ import annotations
@@ -275,9 +275,15 @@ def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:
     )
 
 
-def sinr_sets(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
-              modes) -> tuple:
-    """Evaluate the five SINR expressions of one pairing under each SIC mode.
+def _pairing(config, draw, idx):
+    """(a_l, a_k, a_t, a_r, b_l, b_t) and (g_l, g_k, g_t, g_r) of one pairing."""
+    order = (idx.l, idx.k, idx.t, idx.r)
+    return ((*(config.a(i) for i in order), config.b(idx.l), config.b(idx.t)),
+            tuple(draw.gain(i) for i in order))
+
+
+def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrSet:
+    """The five SINRs of one pairing under the config's own SIC mode.
 
     With rho the transmit SNR, eps the SIC switch and w1, w2 the leakage
     levels, the uplink pair is
@@ -292,48 +298,51 @@ def sinr_sets(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
         far_decodes_weak  = rho g_r b_t / (rho g_r b_l + rho w2 g_r + 1)
 
     The user-node leakage term scales the user's own gain, which is kept
-    verbatim rather than reinterpreted as an independent cross link.
-
-    Only the two residual-SIC denominators depend on the mode (eps is 1
-    under "ipsic", 0 under "psic"), so every other term is formed once and
-    the returned SinrSets, one per entry of ``modes`` in order, share those
-    arrays.  Under pSIC the residual term is 0 * rho * gI, which adds
-    exactly zero, so each set equals a one-mode evaluation bit for bit.
-    Scalar and array gains are both accepted.
+    verbatim rather than reinterpreted as an independent cross link.  Only
+    the two residual-SIC denominators depend on the mode (eps is 1 under
+    "ipsic", 0 under "psic").  Scalar and array gains are both accepted.
     """
     rho = config.rho
-    a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
-                          config.a(idx.t), config.a(idx.r))
-    b_l, b_t = config.b(idx.l), config.b(idx.t)
-    g_l, g_k = draw.gain(idx.l), draw.gain(idx.k)
-    g_t, g_r = draw.gain(idx.t), draw.gain(idx.r)
+    (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
 
     cross = rho * config.varpi1 * (a_k * g_k + a_r * g_r)
     weak_up = rho * a_t * g_t
-    relay_strong = rho * a_l * g_l / (weak_up + cross + 1.0)
-
     own_down = rho * g_k * b_l
     leak_k = rho * config.varpi2 * g_k
-    near_decodes_weak = rho * g_k * b_t / (own_down + leak_k + 1.0)
-    far_decodes_weak = (rho * g_r * b_t
-                        / (rho * g_r * b_l + rho * config.varpi2 * g_r + 1.0))
-
-    sets = []
-    for mode in modes:
-        residual = _EPSILON[mode] * rho * draw.gI
-        sets.append(SinrSet(relay_strong, weak_up / (residual + cross + 1.0),
-                            near_decodes_weak,
-                            own_down / (residual + leak_k + 1.0),
-                            far_decodes_weak))
-    return tuple(sets)
+    residual = config.epsilon * rho * draw.gI
+    return SinrSet(
+        relay_strong=rho * a_l * g_l / (weak_up + cross + 1.0),
+        relay_weak=weak_up / (residual + cross + 1.0),
+        near_decodes_weak=rho * g_k * b_t / (own_down + leak_k + 1.0),
+        near_decodes_own=own_down / (residual + leak_k + 1.0),
+        far_decodes_weak=rho * g_r * b_t / (rho * g_r * b_l + rho * config.varpi2 * g_r + 1.0))
 
 
-def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrSet:
-    """The five SINRs of one pairing under the config's own SIC mode.
+def sinr_coefficients(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
+                      modes) -> tuple:
+    """Per draw, the rho-free (A, B) of each decode in one pairing's two
+    chains: every SINR of ``sinr_set`` is A / (B + 1/rho), and a chain's
+    SINR is the least over its decodes.  ``config.rho`` is not read.
 
-    The one-mode view of ``sinr_sets``, which holds the expressions.
+    Returns (mode_free, per_mode).  mode_free holds the strong chain's relay
+    decode of x_l, (a_l g_l, a_t g_t + cross), and the weak chain's strips
+    of x_t, b_t g / ((b_l + w2) g + 1/rho) at g = g_k and g_r, which rises
+    with g and so folds into (b_t m, (b_l + w2) m) on m = min(g_k, g_r).
+    per_mode holds, per mode, the near user's own decode (b_l g_k,
+    eps gI + w2 g_k) and the relay's decode of x_t (a_t g_t, eps gI + cross),
+    cross = w1 (a_k g_k + a_r g_r); arrays no mode changes are shared.
     """
-    return sinr_sets(config, draw, idx, (config.sic_mode,))[0]
+    (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
+    cross = config.varpi1 * (a_k * g_k + a_r * g_r)
+    weak_up = a_t * g_t
+    weaker = np.minimum(g_k, g_r)
+    mode_free = ((a_l * g_l, weak_up + cross),
+                 (b_t * weaker, (b_l + config.varpi2) * weaker))
+    own_down, leak_k = b_l * g_k, config.varpi2 * g_k
+    per_mode = tuple(((own_down, draw.gI + leak_k), (weak_up, draw.gI + cross))
+                     if _EPSILON[mode] else ((own_down, leak_k), (weak_up, cross))
+                     for mode in modes)
+    return mode_free, per_mode
 
 
 def inverse_threshold(gamma):
@@ -346,24 +355,19 @@ def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
     """Per draw, the inverse critical SNR of one pairing's two signals under
     each SIC mode.
 
-    Every SINR of ``sinr_sets`` has the form rho A / (rho B + 1) with A and B
-    free of rho, so it exceeds gamma exactly when 1/rho < A/gamma - B.  A
-    signal's chain succeeds at rho exactly when 1/rho is below u, the least
-    of these margins over its decodes; its critical SNR is rho* = 1/u, and
-    +inf where u <= 0, when some decode fails at every SNR.  The strong
-    signal x_l needs the relay's decode of x_l and both of the near user's
-    decodes; the weak signal x_t needs the relay's two decodes, the near
-    user's strip of x_t and the far user's decode.  ``config.rho`` is not
-    read.
+    Each SINR, A / (B + 1/rho) as in ``sinr_coefficients``, exceeds gamma
+    exactly when 1/rho < A/gamma - B.  A signal's chain succeeds at rho
+    exactly when 1/rho is below u, the least of these margins over its
+    decodes; its critical SNR is rho* = 1/u, and +inf where u <= 0, when
+    some decode fails at every SNR.  The strong signal x_l needs the relay's
+    decode of x_l and both of the near user's decodes; the weak signal x_t
+    needs the relay's two decodes, the near user's strip of x_t and the far
+    user's decode.  ``config.rho`` is not read.
 
     Returns one (u_l, u_t) pair of arrays per entry of ``modes``; the terms
     no mode changes are formed once for all of them.
     """
-    a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
-                          config.a(idx.t), config.a(idx.r))
-    b_l, b_t = config.b(idx.l), config.b(idx.t)
-    g_l, g_k = draw.gain(idx.l), draw.gain(idx.k)
-    g_t, g_r = draw.gain(idx.t), draw.gain(idx.r)
+    (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
     inv_l = inverse_threshold(gamma_threshold(config.rate(idx.l)))
     inv_t = inverse_threshold(gamma_threshold(config.rate(idx.t)))
 

@@ -15,9 +15,9 @@ estimate kind it reads, and the kernel builds only that.  Counted kinds
 (outage, delay-limited throughput) read each draw's inverse critical SNR:
 every SINR is rho A / (rho B + 1) with A and B free of rho, so one draw
 decides its outcome at every grid SNR at once, and the failures at each
-grid SNR are one comparison count.  Rate kinds evaluate the SINRs at each grid
-SNR on the shared draw; per pairing, the terms no SIC mode changes are
-evaluated once for all modes.
+grid SNR are one comparison count.  Rate kinds read the same A and B, formed
+once per chunk: at each grid SNR a chain's SINR is the least A / (B + 1/rho)
+over its decodes, and a decode no SIC mode changes is evaluated once.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Chunks have a fixed
@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import (SignalIndex, SystemConfig, inverse_critical_snrs,
                     inverse_threshold, oma_threshold, sample_channel_draw,
-                    sinr_sets)
+                    sinr_coefficients)
 
 CHUNK = 1 << 17
 
@@ -203,51 +203,46 @@ def _counted_stats(config, draw, pairs, modes, kind, rhos):
     return stats
 
 
-def _pairing_rates(config, draw, idx, members, modes, kind, totals):
-    """Rate moments of one pairing's signals at config.rho, every mode.
-
-    "rate" returns each signal's (n, mean, M2); "throughput_dt" returns
-    none and adds each signal's rate sample into ``totals[mode]`` instead.
-    The weak signal's mode-free decodes are formed once.  Peak memory is
-    bounded by one pairing: its three mode-free SINRs, two per mode, and
-    the mode-free floor, all freed on return.
-    """
-    stats = {}
-    sets = sinr_sets(config, draw, idx, modes)
-    if idx.t in members:                        # mode-free fields are shared
-        weak_floor = np.minimum(sets[0].near_decodes_weak, sets[0].far_decodes_weak)
-    for mode, sinrs in zip(modes, sets):
-        for s in members:
-            eff = (np.minimum(sinrs.relay_strong, sinrs.near_decodes_own)
-                   if s == idx.l else np.minimum(sinrs.relay_weak, weak_floor))
-            rate = 0.5 * np.log2(1.0 + eff)
-            if kind == "rate":
-                stats["rate", mode, s] = _moments(rate)
-            else:
-                totals[mode] += rate
-    return stats
-
-
-def _point_rates(config, draw, pairs, modes, kind):
-    """Rate moments of every key at config.rho."""
-    totals = ({m: np.zeros(draw.g1.size) for m in modes}
-              if kind == "throughput_dt" else {})
-    stats = {}
-    for idx, members in pairs.items():
-        stats.update(_pairing_rates(config, draw, idx, members, modes, kind, totals))
-    for mode, total in totals.items():
-        stats[kind, mode] = _moments(total)
-    return stats
-
-
 def _rate_stats(config, draw, pairs, modes, kind, rhos):
-    """Per grid SNR, in grid order, the rate moments of every key."""
+    """Per grid SNR, in grid order, the rate moments of each signal ("rate")
+    or of the per-draw sum of all four ("throughput_dt"); a chain's SINR is
+    its least A / (B + 1/rho).  Peak memory: one chunk's coefficients, at
+    most ten arrays per pairing (the gains are freed once these are formed,
+    if the caller holds no reference), a mode-free SINR, a rate sample and
+    one sum per mode.
+    """
+    chains = {idx: sinr_coefficients(config, draw, idx, modes) for idx in pairs}
+    size = draw.g1.size
+    del draw                        # not read again: free it before the grid loop
     stats = {}
     for rho in rhos:
-        point = _point_rates(config.with_rho(float(rho)), draw, pairs, modes, kind)
-        for key, value in point.items():
-            stats.setdefault(key, []).append(value)
+        u = 1.0 / rho
+        totals = {m: np.zeros(size) for m in modes if kind == "throughput_dt"}
+        for idx, members in pairs.items():
+            mode_free, per_mode = chains[idx]
+            for s in members:
+                chain = 0 if s == idx.l else 1             # strong, weak
+                free = _sinr(mode_free[chain], u)
+                for mode, decodes in zip(modes, per_mode):
+                    rate = _sinr(decodes[chain], u)
+                    np.minimum(rate, free, out=rate)
+                    rate += 1.0
+                    np.log2(rate, out=rate)
+                    rate *= 0.5                     # 0.5 log2(1 + SINR)
+                    if kind == "rate":
+                        stats.setdefault(("rate", mode, s), []).append(_moments(rate))
+                    else:
+                        totals[mode] += rate
+        for mode, total in totals.items():
+            stats.setdefault((kind, mode), []).append(_moments(total))
     return stats
+
+
+def _sinr(coefficients, u):
+    """A / (B + u): the SINR of one decode's (A, B) pair at 1/rho = u."""
+    a, b = coefficients
+    out = b + u
+    return np.divide(a, out, out=out)
 
 
 def _oma_fades(config, stream, size):
@@ -386,11 +381,11 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     def run(chunk_index, size):
         stats = {}
         if pairs:
-            # the gains depend on neither rho nor the SIC mode: one draw serves all
+            # one draw serves every rho and mode; no local, so _rate_stats can free it
             stream = chunk_generator(seed, 2 * point_index, chunk_index)
-            draw = sample_channel_draw(config, stream, size=size)
             stats.update((_counted_stats if counted else _rate_stats)(
-                config, draw, pairs, modes, kind, rhos))
+                config, sample_channel_draw(config, stream, size=size), pairs,
+                modes, kind, rhos))
         if oma:
             stream = chunk_generator(seed, 2 * point_index + 1, chunk_index)
             stats.update(_oma_stats(config, _oma_fades(config, stream, size),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twrnoma.model import (ChannelDraw, ConfigError, SignalIndex, SinrSet,
                            SystemConfig, gamma_threshold, sample_channel_draw,
-                           sinr_set, sinr_sets)
+                           sinr_coefficients, sinr_set)
 
 
 def test_gamma_threshold_frozen_values():
@@ -145,21 +145,43 @@ def _reference_sinrs(config, draw, idx):
 
 
 @pytest.mark.parametrize("signal", [1, 3])
-def test_sinr_sets_equal_the_per_mode_formulas(signal):
-    """Every mode's set matches its own evaluation bit for bit, and the
-    fields no SIC mode changes are one shared array."""
+def test_sinr_set_equals_the_per_mode_formulas(signal):
+    """Under each SIC mode the set matches its own written-out evaluation
+    bit for bit."""
     cfg = SystemConfig(rho=10.0 ** 2.5, varpi1=0.05, varpi2=0.02)
     rng = np.random.default_rng(8)
     draw = sample_channel_draw(cfg, rng, size=5000)
     idx = SignalIndex.for_signal(signal)
-    ip, p = sinr_sets(cfg, draw, idx, ("ipsic", "psic"))
-    for mode, got in (("ipsic", ip), ("psic", p)):
+    for mode in ("ipsic", "psic"):
+        got = sinr_set(cfg.with_mode(mode), draw, idx)
         want = _reference_sinrs(cfg.with_mode(mode), draw, idx)
         for name in ("relay_strong", "relay_weak", "near_decodes_weak",
                      "near_decodes_own", "far_decodes_weak"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-    for name in ("relay_strong", "near_decodes_weak", "far_decodes_weak"):
-        assert getattr(ip, name) is getattr(p, name)
+
+
+@pytest.mark.parametrize("varpi", [0.0, 0.05])
+@pytest.mark.parametrize("signal", [1, 3])
+def test_sinr_coefficients_give_each_chain_at_any_snr(signal, varpi):
+    """A / (B + 1/rho), least over a chain's decodes, is that chain's SINR
+    from sinr_set at every rho, both modes; the mode-free pairs and the
+    arrays no mode changes are shared."""
+    cfg = SystemConfig(varpi1=varpi, varpi2=varpi)
+    draw = sample_channel_draw(cfg, np.random.default_rng(3), size=5000)
+    idx = SignalIndex.for_signal(signal)
+    modes = ("ipsic", "psic")
+    mode_free, per_mode = sinr_coefficients(cfg, draw, idx, modes)
+    assert per_mode[0][0][0] is per_mode[1][0][0]       # b_l g_k
+    assert per_mode[0][1][0] is per_mode[1][1][0]       # a_t g_t
+    for rho in (0.1, 10.0 ** 1.5, 1e6):
+        for mode, decodes in zip(modes, per_mode):
+            v = sinr_set(cfg.with_rho(rho).with_mode(mode), draw, idx)
+            wants = (np.minimum(v.relay_strong, v.near_decodes_own),
+                     np.minimum(np.minimum(v.relay_weak, v.near_decodes_weak),
+                                v.far_decodes_weak))
+            for want, free, own in zip(wants, mode_free, decodes):
+                got = np.minimum(*(a / (b + 1.0 / rho) for a, b in (free, own)))
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_group_exchange_symmetry():

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twrnoma.montecarlo as montecarlo
@@ -284,8 +284,10 @@ def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
 
 @pytest.mark.parametrize("kind", ["outage", "rate"])
 def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
-    """Counts and (n, mean, M2) moments over three chunks, rebuilt one mode
-    at a time from sinr_set, equal the kernel's bit for bit."""
+    """Counts over three chunks, rebuilt one mode at a time from sinr_set,
+    equal the kernel's bit for bit.  The (n, mean, M2) moments agree to
+    round-off: the kernel forms each SINR as A / (B + 1/rho), sinr_set as
+    rho A / (rho B + 1)."""
     n, seed, point = 2 * CHUNK + 1000, 3, 2
     cfg = baseline.with_rho(10.0 ** 1.5)
     ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kind=kind,
@@ -306,9 +308,9 @@ def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
                 total, mean, m2 = montecarlo._merge_moments(
                     [montecarlo._moments(rate) for _, rate in parts])
                 assert total == n
-                assert est.mean == mean
-                assert est.half_width_95 == (1.959963984540054
-                                             * np.sqrt(m2 / (n - 1) / n))
+                assert est.mean == pytest.approx(mean, rel=1e-12)
+                assert est.half_width_95 == pytest.approx(
+                    1.959963984540054 * np.sqrt(m2 / (n - 1) / n), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,6 +343,55 @@ def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
             assert est.mean == pytest.approx(x.mean(), rel=1e-12, abs=1e-15)
             assert est.half_width_95 == pytest.approx(
                 1.959963984540054 * x.std(ddof=1) / np.sqrt(n), rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(varpi=st.sampled_from([0.0, 0.01, 0.3]), omega_I=st.sampled_from([1e-2, 1.0]),
+       dbs=st.lists(st.sampled_from([-10.0, 0.0, 25.0, 60.0]) | st.floats(-10.0, 60.0),
+                    min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32), point=st.integers(0, 3))
+@example(varpi=0.0, omega_I=1e-2, dbs=[60.0, -10.0, 60.0], seed=0, point=0)
+def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, point):
+    """On one shared draw, mc_grid's rate and delay-tolerant throughput
+    estimates at every grid SNR, in any order and with repeats, equal the
+    means and intervals of per-draw samples rebuilt from sinr_set at that
+    SNR, both modes.  At zero leakage under pSIC the relay's decode of x_t
+    has B = 0, so its SINR is A / (1/rho)."""
+    n = 3000
+    cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I)
+    rhos = [10.0 ** (db / 10.0) for db in dbs]
+    modes = ("ipsic", "psic")
+    rates = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="rate", modes=modes)
+    sums = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="throughput_dt",
+                              modes=modes)
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
+
+    def assert_agrees(est, x):
+        assert est.mean == pytest.approx(x.mean(), rel=1e-12)
+        assert est.half_width_95 == pytest.approx(
+            1.959963984540054 * x.std(ddof=1) / np.sqrt(n), rel=1e-12)
+
+    for rho, per_signal, system in zip(rhos, rates, sums):
+        for mode in modes:
+            mcfg = cfg.with_rho(rho).with_mode(mode)
+            for s in (1, 2, 3, 4):
+                assert_agrees(per_signal["rate", mode, s],
+                              _per_draw_samples(mcfg, draw, s)[1])
+            assert_agrees(system["throughput_dt", mode],
+                          _per_draw_system_sum(mcfg, draw, "throughput_dt"))
+
+
+@pytest.mark.parametrize("kind", ["rate", "throughput_dt"])
+def test_grid_entries_equal_one_point_runs_bit_for_bit(baseline, kind):
+    """Over two chunks, entry j of mc_grid is mc_point at rhos[j] exactly:
+    a grid SNR's estimate reads nothing of the other grid SNRs."""
+    rhos = [10.0 ** 3.2, 1.0, 10.0 ** 1.5, 1.0]
+    n, seed = CHUNK + 1000, 4
+    grid = montecarlo.mc_grid(baseline, rhos, n, seed, 1, kind=kind,
+                              modes=("ipsic", "psic"))
+    for rho, ests in zip(rhos, grid):
+        assert ests == montecarlo.mc_point(baseline.with_rho(rho), n, seed, 1,
+                                           kind=kind, modes=("ipsic", "psic"))
 
 
 @pytest.mark.parametrize("kind", montecarlo.KINDS)
@@ -386,11 +437,13 @@ def test_kind_requests_are_checked(baseline):
 
 # sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
 # every CSV of the preset, 2000 iterations, seed 11, default config.
-# Recorded when a sweep began reading one substream for its whole grid;
-# any kernel change that moves one byte of a Monte Carlo column fails here.
+# Recorded when a sweep began reading one substream for its whole grid, and
+# fig8 again when rates became A / (B + 1/rho) (its ee_dt cells moved by at
+# most 3.5e-16 relative); any kernel change that moves one byte of a Monte
+# Carlo column fails here.
 MC_COLUMN_DIGESTS = {
     "fig3": "17c1268a17b858f0002a76c15f8d5f2b70adc7fd9c2363c52664b1597245f26c",
-    "fig8": "6377857e7bbe8094d82c919f99974ec2f2006eef975040e24a2e9903555540c4",
+    "fig8": "4f12cfbb8bfc5c17920b78ea9a460563b8eb70c460f2fbf94e6a78ecbefa4958",
 }
 
 
