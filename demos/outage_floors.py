@@ -8,19 +8,19 @@ to trade accuracy for speed.
 
 import argparse
 
-from twrnoma import (SystemConfig, diversity_order_estimate, mc_point,
+from twrnoma import (SystemConfig, diversity_order_estimate, mc_grid,
                      oma_outage_exact, outage_asymptotic, outage_probability)
 
 
 def sweep(cfg, n_mc, seed=1729):
     print(f"{'SNR dB':>6} {'sig':>4} {'mode':>6} {'closed':>12} "
           f"{'simulated':>12} {'ci half':>10}")
-    for point, db in enumerate(range(0, 45, 5)):
-        c = cfg.with_rho(10.0 ** (db / 10.0))
-        # one simulation per point serves both signals and both SIC modes
-        sims = mc_point(c, n_mc, seed, point_index=point, workers=4,
-                        kind="outage", signals=(1, 2),
-                        modes=("ipsic", "psic"))
+    grid = range(0, 45, 5)
+    points = [cfg.with_rho(10.0 ** (db / 10.0)) for db in grid]
+    # one simulation serves every SNR, both signals and both SIC modes
+    grid_sims = mc_grid(cfg, [c.rho for c in points], n_mc, seed, workers=4,
+                        kind="outage", signals=(1, 2), modes=("ipsic", "psic"))
+    for db, c, sims in zip(grid, points, grid_sims):
         for mode in ("ipsic", "psic"):
             for sig in (1, 2):
                 res = outage_probability(c.with_mode(mode), sig)

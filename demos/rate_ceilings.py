@@ -10,21 +10,19 @@ from the paired signal never vanishes.
 from twrnoma import (SignalIndex, SystemConfig, ergodic_rate_strong_asymptotic,
                      ergodic_rate_strong_closed, ergodic_rate_strong_quadrature,
                      ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric,
-                     high_snr_slope_estimate, mc_point)
+                     high_snr_slope_estimate, mc_grid)
 
 IDX1 = SignalIndex.for_signal(1)
 IDX2 = SignalIndex.for_signal(2)
 
 
 def rate_table(cfg):
-    # one simulation per SNR point: x1 and x2 read the same channel draws
-    points = []
-    for point, db in enumerate((10, 20, 30)):
-        c = cfg.with_rho(10.0 ** (db / 10.0))
-        sims = mc_point(c, 400_000, 7, point_index=point, workers=4,
-                        kind="rate", signals=(1, 2),
-                        modes=("ipsic", "psic"))
-        points.append((db, c, sims))
+    # one simulation serves every SNR: x1 and x2 read the same channel draws
+    grid = (10, 20, 30)
+    cfgs = [cfg.with_rho(10.0 ** (db / 10.0)) for db in grid]
+    grid_sims = mc_grid(cfg, [c.rho for c in cfgs], 400_000, 7, workers=4,
+                        kind="rate", signals=(1, 2), modes=("ipsic", "psic"))
+    points = list(zip(grid, cfgs, grid_sims))
 
     print("strong signal x1, bits/s/Hz (closed vs quadrature vs simulated):")
     for db, c, sims in points:

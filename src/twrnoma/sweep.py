@@ -45,7 +45,8 @@ class SweepSpec:
     """Everything a sweep CSV depends on besides the SystemConfig.
 
     ``snr`` is the (start, stop, step) grid in dB, at most MAX_GRID_POINTS
-    points, and ``modes`` the SIC modes that get rows.  ``signals`` applies
+    points; at each point the linear SNR and its reciprocal are finite
+    floats.  ``modes`` are the SIC modes that get rows.  ``signals`` applies
     only to the per-signal metrics (outage, ergodic_rate); the system
     metrics always sum x1..x4.  The defaults are the command line's.
     """
@@ -78,6 +79,13 @@ class SweepSpec:
             raise ConfigError(f"SNR grid from {start!r} to {stop!r} dB in steps "
                               f"of {step!r} has more than {MAX_GRID_POINTS} points")
         object.__setattr__(self, "snr", (start, stop, step))
+        # the first and last points of grid_db, without building it
+        for db in (start, start + math.floor(_steps(start, stop, step)) * step):
+            rho = _linear(db)
+            # both the SNR and its reciprocal, which the simulator reads
+            if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+                raise ConfigError(f"SNR grid point {db!r} dB is beyond the float "
+                                  f"range of a linear SNR")
         if self.mc_iterations < 1000:
             raise ConfigError("mc_iterations below 1000 is too coarse to "
                               "state a confidence interval")
@@ -103,6 +111,14 @@ class SweepSpec:
         start, stop, step = self.snr
         count = int(math.floor(_steps(start, stop, step))) + 1
         return [start + i * step for i in range(count)]
+
+
+def _linear(db):
+    """The linear SNR of db decibels; inf where it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _steps(start, stop, step):
@@ -164,7 +180,7 @@ def _point_rows(spec, cfg_point, db, ests):
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
     grid = spec.grid_db()
-    points = [config.with_rho(10.0 ** (db / 10.0)) for db in grid]
+    points = [config.with_rho(_linear(db)) for db in grid]
     ests = mc_grid(config, [cfg.rho for cfg in points], spec.mc_iterations,
                    spec.master_seed, workers=workers, kind=_MC_KIND[spec.metric],
                    signals=spec.signals, modes=spec.modes, oma=spec.with_oma)

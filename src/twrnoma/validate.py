@@ -7,6 +7,11 @@ with the pinned seed; the strict profile halves every tolerance band and
 is expected to surface the checks that sit close to their band edge.
 Every check returns (passed, tolerance, observed, detail) and is named in
 ``validate``'s table, so a check that raises is reported under its name.
+
+The simulation checks read their own substreams of the master seed: the
+outage check reads point index 0 for all three of its SNRs, from one
+``mc_grid`` draw (common random numbers), the rate check point index 5
+and the orthogonal-baseline check point index 7.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .analysis import diversity_order_estimate, outage_asymptotic, outage_probab
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
 from .metrics import analytic
 from .model import ConfigError, SignalIndex, SystemConfig
-from .montecarlo import mc_point, oma_outage_exact
+from .montecarlo import mc_grid, mc_point, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
 
 PROFILES = {"default": 1.0, "strict": 0.5}
@@ -68,11 +73,12 @@ def _rel(a, b):
 
 
 def _check_outage_vs_mc(config, scale, iterations, seed, workers):
+    cfgs = [config.with_rho(10.0 ** (db / 10.0)) for db in (10.0, 25.0, 40.0)]
+    grid = mc_grid(config, [cfg.rho for cfg in cfgs], iterations, seed,
+                   workers=workers, kind="outage", signals=(1, 2),
+                   modes=("ipsic", "psic"))
     worst, band = 0.0, math.inf
-    for point, db in enumerate((10.0, 25.0, 40.0)):
-        cfg = config.with_rho(10.0 ** (db / 10.0))
-        ests = mc_point(cfg, iterations, seed, point_index=point, workers=workers,
-                        kind="outage", signals=(1, 2), modes=("ipsic", "psic"))
+    for cfg, ests in zip(cfgs, grid):
         for mode in ("ipsic", "psic"):
             for s in (1, 2):
                 exact = outage_probability(cfg.with_mode(mode), s).p_exact

@@ -29,7 +29,7 @@ from twrnoma.ergodic import (ergodic_rate_strong_asymptotic,
                              high_snr_slope_estimate)
 from twrnoma.metrics import energy_efficiency, throughput_delay_limited
 from twrnoma.model import SignalIndex, SystemConfig
-from twrnoma.montecarlo import mc_ergodic, mc_oma_baseline, mc_outage
+from twrnoma.montecarlo import mc_grid, mc_oma_baseline, mc_outage
 from twrnoma.specfun import HypoExpParams, expint_ei, hypoexp_pdf
 from twrnoma.sweep import SweepSpec, render_csv, run_sweep
 
@@ -54,13 +54,15 @@ def test_a01_outage_closed_forms_track_simulation(baseline):
     """Closed-form outage vs a million-draw simulation over the SNR grid."""
     start = time.perf_counter()
     worst = 0.0
-    for point, db in enumerate(GRID_DB):
+    # one draw serves the whole grid, both signals and both modes
+    grid = mc_grid(baseline, [_rho(db) for db in GRID_DB], N_MC, 1729,
+                   workers=WORKERS, kind="outage", signals=(1, 2), modes=MODES)
+    for db, ests in zip(GRID_DB, grid):
         for mode in MODES:
             cfg = baseline.with_rho(_rho(db)).with_mode(mode)
             for signal in (1, 2):
                 exact = outage_probability(cfg, signal).p_exact
-                est = mc_outage(cfg, signal, N_MC, 1729, point_index=point,
-                                workers=WORKERS)
+                est = ests["outage", mode, signal]
                 sigma = math.sqrt(exact * (1.0 - exact) / N_MC)
                 band = max(3.0 * sigma, 0.005)
                 worst = max(worst, abs(est.mean - exact) / band)
@@ -123,19 +125,19 @@ def test_a03_vanishing_residual_recovers_perfect_sic(baseline):
 def test_a04_rate_closed_forms_track_quadrature_and_simulation(no_leakage):
     worst_quad = 0.0
     worst_mc = 0.0
-    for point, db in enumerate((10.0, 20.0, 30.0)):
+    grid_db = (10.0, 20.0, 30.0)
+    grid = mc_grid(no_leakage, [_rho(db) for db in grid_db], N_MC, 1729,
+                   workers=WORKERS, kind="rate", signals=(1, 2), modes=MODES)
+    for db, ests in zip(grid_db, grid):
         for mode in MODES:
             cfg = no_leakage.with_rho(_rho(db)).with_mode(mode)
             closed = ergodic_rate_strong_closed(cfg, IDX1)
             quad = ergodic_rate_strong_quadrature(cfg, IDX1)
             worst_quad = max(worst_quad, abs(closed - quad) / closed)
-            est = mc_ergodic(cfg, 1, N_MC, 1729, point_index=point,
-                             workers=WORKERS)
-            worst_mc = max(worst_mc, abs(closed - est.mean) / closed)
+            worst_mc = max(worst_mc,
+                           abs(closed - ests["rate", mode, 1].mean) / closed)
             weak = ergodic_rate_weak_numeric(cfg, IDX2)
-            est2 = mc_ergodic(cfg, 2, N_MC, 1729, point_index=point,
-                              workers=WORKERS)
-            worst_mc = max(worst_mc, abs(weak - est2.mean) / weak)
+            worst_mc = max(worst_mc, abs(weak - ests["rate", mode, 2].mean) / weak)
     ok = worst_quad <= 1e-8 and worst_mc <= 0.02
     assert _report(
         "rates vs quadrature and simulation", ok,

@@ -87,6 +87,24 @@ def test_snr_grid_below_zero_db_in_every_form(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, db", [("3000:3100:100", "3100.0"),
+                                      ("0:3100:3100", "3100.0"),
+                                      ("-4000:-3900:100", "-4000.0"),
+                                      ("-3100:-3000:100", "-3100.0")])
+def test_snr_grid_beyond_the_float_range_exits_one(tmp_path, capsys, grid, db):
+    """A grid point whose linear SNR overflows, or underflows so far that it
+    or its reciprocal leaves the float range, is refused with one line that
+    names it, not a traceback."""
+    code = run_in(tmp_path, ["sweep", "--metric", "outage", f"--snr={grid}",
+                             "--iterations", "2000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: SNR grid point {db} dB is beyond the float "
+                            f"range of a linear SNR\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_flag_and_errors(tmp_path, capsys):
     good = tmp_path / "ok.cfg"
     good.write_text("schema_version = 1\nnoma.varpi1 = 0.0\nnoma.varpi2 = 0.0\n")

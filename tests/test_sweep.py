@@ -67,8 +67,14 @@ def test_spec_validation():
         small_spec(stop_db=1e9, step_db=1e-9)
     with pytest.raises(ConfigError, match=f"more than {MAX_GRID_POINTS} points"):
         small_spec(stop_db=float(MAX_GRID_POINTS), step_db=1.0)
-    largest = small_spec(stop_db=float(MAX_GRID_POINTS - 1), step_db=1.0)
+    # the largest grid must also fit the float range of a linear SNR
+    largest = small_spec(start_db=-2500.0, stop_db=2499.5, step_db=0.5)
     assert len(largest.grid_db()) == MAX_GRID_POINTS
+    # the last grid point, not the stop, is what must fit that range
+    edge = small_spec(start_db=3080.0, stop_db=3090.0, step_db=100.0)
+    assert edge.grid_db() == [3080.0]
+    with pytest.raises(ConfigError, match="3090.0 dB"):
+        small_spec(start_db=3080.0, stop_db=3090.0, step_db=10.0)
 
 
 def test_metric_point_interval_invariant():

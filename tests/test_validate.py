@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from twrnoma import ergodic
+from twrnoma import ergodic, montecarlo
 from twrnoma import validate as battery
 from twrnoma.model import ConfigError, SystemConfig
+from twrnoma.montecarlo import mc_point
 
 
 def test_a_raising_check_is_reported_under_its_own_name(monkeypatch):
@@ -69,3 +70,47 @@ def test_rate_quadrature_check_catches_wrong_rate_intermediates(monkeypatch):
     monkeypatch.setattr(ergodic, "compute_rate_intermediates", skewed)
     passed, band, gap, _ = battery._check_rate_quadrature(SystemConfig(), 1.0)
     assert not passed and gap > band
+
+
+def test_outage_check_draws_once_for_all_three_snrs(monkeypatch):
+    calls = []
+    real = montecarlo.sample_channel_draw
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
+    assert battery._check_outage_vs_mc(SystemConfig(), 1.0, 2000,
+                                       battery.DEFAULT_VALIDATE_SEED, 1)[0]
+    assert calls == [2000]
+    # the whole battery draws channels for the outage and the rate check only
+    calls.clear()
+    assert battery.validate(SystemConfig(), iterations=2000).passed
+    assert calls == [2000, 2000]
+
+
+def test_outage_check_reads_point_index_zero_at_10_db(monkeypatch):
+    """The 10 dB cells are the one-point estimates of point index 0, bit for
+    bit: a grid adds SNRs to a draw, it does not change the draw."""
+    grids = []
+    real = battery.mc_grid
+
+    def keep(*args, **kwargs):
+        grids.append(real(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(battery, "mc_grid", keep)
+    cfg = SystemConfig()
+    battery._check_outage_vs_mc(cfg, 1.0, 3000, 11, 1)
+    assert len(grids) == 1 and len(grids[0]) == 3
+    assert grids[0][0] == mc_point(cfg.with_rho(10.0), 3000, 11, point_index=0,
+                                   kind="outage", signals=(1, 2),
+                                   modes=("ipsic", "psic"))
+
+
+@pytest.mark.parametrize("seed", [battery.DEFAULT_VALIDATE_SEED, 1, 2])
+def test_outage_check_passes_at_three_seeds(seed):
+    passed, band, gap, _ = battery._check_outage_vs_mc(
+        SystemConfig(), battery.PROFILES["default"], 200_000, seed, 1)
+    assert passed and 0.0 <= gap <= band
