@@ -8,7 +8,7 @@ to trade accuracy for speed.
 
 import argparse
 
-from twrnoma import (SystemConfig, diversity_order_estimate, mc_grid,
+from twrnoma import (SIC_MODES, SystemConfig, diversity_order_estimate, mc_grid,
                      oma_outage_exact, outage_asymptotic, outage_probability)
 
 
@@ -19,11 +19,11 @@ def sweep(cfg, n_mc, seed=1729):
     points = [cfg.with_rho(10.0 ** (db / 10.0)) for db in grid]
     # one simulation serves every SNR, both signals and both SIC modes
     grid_sims = mc_grid(cfg, [c.rho for c in points], n_mc, seed, workers=4,
-                        kind="outage", signals=(1, 2), modes=("ipsic", "psic"))
+                        kind="outage", signals=(1, 2), modes=SIC_MODES)
     for db, c, sims in zip(grid, points, grid_sims):
-        for mode in ("ipsic", "psic"):
+        for mode in SIC_MODES:
             for sig in (1, 2):
-                res = outage_probability(c.with_mode(mode), sig)
+                res = outage_probability(c, sig, mode)
                 est = sims["outage", mode, sig]
                 print(f"{db:>6} {sig:>4} {mode:>6} {res.p_exact:>12.6f} "
                       f"{est.mean:>12.6f} {est.half_width_95:>10.2e}")
@@ -32,16 +32,15 @@ def sweep(cfg, n_mc, seed=1729):
 def floors(cfg):
     print("\nerror floors at 60 dB (exact vs asymptotic):")
     c = cfg.with_rho(1e6)
-    for mode in ("ipsic", "psic"):
-        cm = c.with_mode(mode)
+    for mode in SIC_MODES:
         for sig in (1, 2):
-            exact = outage_probability(cm, sig).p_exact
-            floor = outage_asymptotic(cm, sig).floor
+            exact = outage_probability(c, sig, mode).p_exact
+            floor = outage_asymptotic(c, sig, mode).floor
             print(f"  x{sig} {mode}: exact {exact:.6e}  floor {floor:.6e}")
 
     rhos = [1e5, 1e6]
-    for mode in ("ipsic", "psic"):
-        probs = [outage_probability(cfg.with_rho(r).with_mode(mode), 1).p_exact
+    for mode in SIC_MODES:
+        probs = [outage_probability(cfg.with_rho(r), 1, mode).p_exact
                  for r in rhos]
         d = diversity_order_estimate(rhos, probs)
         print(f"  diversity order, x1 {mode}: {d:+.4f}")
@@ -52,7 +51,7 @@ def oma_crossover(cfg):
     print("\northogonal baseline comparison (system outage):")
     for db in (10, 20, 30, 40):
         c = cfg.with_rho(10.0 ** (db / 10.0))
-        noma = outage_probability(c, 1).p_exact
+        noma = outage_probability(c, 1, "ipsic").p_exact
         oma = oma_outage_exact(c, "system")
         tag = "noma ahead" if noma < oma else "baseline ahead"
         print(f"  {db} dB: noma x1 {noma:.5f}  baseline {oma:.5f}  ({tag})")

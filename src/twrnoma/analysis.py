@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SignalIndex, SystemConfig, gamma_threshold
+from .model import SignalIndex, SystemConfig, gamma_threshold, sic_epsilon
 from .specfun import hypoexp_laplace, term_rates
 
 _FLOOR_RHO = 1e12
@@ -129,17 +129,16 @@ def _uplink_success(config, idx, inter, with_exp):
     return lead * hypoexp_laplace(inter.uplink_rates, s)
 
 
-def _near_user_success(config, idx, inter):
+def _near_user_success(config, idx, inter, eps):
     """Probability the near user strips the weak symbol and decodes its own.
 
-    Under perfect SIC this is exp(-theta_l/Omega_k).  The residual channel
-    subtracts a second term whose exponent is kept combined,
+    Under perfect SIC (eps = 0) this is exp(-theta_l/Omega_k).  The residual
+    channel subtracts a second term whose exponent is kept combined,
     exp(-theta_l/Omega_k - (theta_l - tau_l)/(eps rho tau_l Omega_I)),
     which stays bounded even when Omega_I is driven to zero.
     """
     omega_k = config.omega(idx.k)
     lead = math.exp(-inter.theta_l / omega_k)
-    eps = config.epsilon
     if eps == 0.0 or inter.tau_l == 0.0:
         # a zero target rate (tau_l = 0) has nothing left to subtract
         return lead
@@ -149,27 +148,28 @@ def _near_user_success(config, idx, inter):
     return lead - (c / (omega_k + c)) * combined
 
 
-def outage_strong(config: SystemConfig, idx: SignalIndex) -> OutageResult:
+def outage_strong(config: SystemConfig, idx: SignalIndex, mode: str) -> OutageResult:
     """Exact outage probability of the strong user in the given pairing."""
+    eps = sic_epsilon(mode)
     inter = compute_outage_intermediates(config, idx)
     if not inter.strong_feasible:
         return OutageResult(1.0, 1.0, False, inter)
     raw = 1.0 - (_uplink_success(config, idx, inter, with_exp=True)
-                 * _near_user_success(config, idx, inter))
-    asym = _asymptotic_strong_raw(config, idx, inter)
+                 * _near_user_success(config, idx, inter, eps))
+    asym = _asymptotic_strong_raw(config, idx, inter, eps)
     return OutageResult(_checked(raw), asym, True, inter)
 
 
-def _weak_theta1(config, idx, inter, with_exp):
+def _weak_theta1(config, idx, inter, eps, with_exp):
     omega_l, omega_t = config.omega(idx.l), config.omega(idx.t)
     s = inter.beta_l / omega_l + inter.beta_t * inter.varphi_t
-    scale = 1.0 + config.epsilon * inter.beta_t * config.rho * inter.varphi_t * config.omega_I
+    scale = 1.0 + eps * inter.beta_t * config.rho * inter.varphi_t * config.omega_I
     lead = math.exp(-s) if with_exp else 1.0
     return (lead * hypoexp_laplace(inter.cross_rates, s)
             / (inter.varphi_t * omega_t * scale))
 
 
-def outage_weak(config: SystemConfig, idx: SignalIndex) -> OutageResult:
+def outage_weak(config: SystemConfig, idx: SignalIndex, mode: str) -> OutageResult:
     """Exact outage probability of the weak user in the given pairing.
 
     The weak symbol must clear its threshold at the relay, at the paired
@@ -177,27 +177,28 @@ def outage_weak(config: SystemConfig, idx: SignalIndex) -> OutageResult:
     fold into the single composite rate varphi_t, leaving
     1 - Theta_1 exp(-xi_t/Omega_k - xi_t/Omega_r).
     """
+    eps = sic_epsilon(mode)
     inter = compute_outage_intermediates(config, idx)
     if not inter.weak_feasible:
         return OutageResult(1.0, 1.0, False, inter)
-    theta1 = _weak_theta1(config, idx, inter, with_exp=True)
+    theta1 = _weak_theta1(config, idx, inter, eps, with_exp=True)
     tail = math.exp(-inter.xi_t / config.omega(idx.k)
                     - inter.xi_t / config.omega(idx.r))
     raw = 1.0 - theta1 * tail
-    asym = _asymptotic_weak_raw(config, idx, inter)
+    asym = _asymptotic_weak_raw(config, idx, inter, eps)
     return OutageResult(_checked(raw), asym, True, inter)
 
 
-def outage_probability(config: SystemConfig, signal: int) -> OutageResult:
+def outage_probability(config: SystemConfig, signal: int, mode: str) -> OutageResult:
+    """Exact outage probability of signal 1..4 under SIC mode ``mode``."""
     idx = SignalIndex.for_signal(signal)
     if idx.l == signal:
-        return outage_strong(config, idx)
-    return outage_weak(config, idx)
+        return outage_strong(config, idx, mode)
+    return outage_weak(config, idx, mode)
 
 
-def _asymptotic_strong_raw(config, idx, inter):
+def _asymptotic_strong_raw(config, idx, inter, eps):
     up = _uplink_success(config, idx, inter, with_exp=False)
-    eps = config.epsilon
     if eps == 0.0 or inter.tau_l == 0.0:
         return 1.0 - up
     omega_k = config.omega(idx.k)
@@ -207,13 +208,13 @@ def _asymptotic_strong_raw(config, idx, inter):
     return 1.0 - up * near
 
 
-def _asymptotic_weak_raw(config, idx, inter):
+def _asymptotic_weak_raw(config, idx, inter, eps):
     # Both trailing exponentials tend to 1; what is left of Theta_1 is
     # rho-free, so again value and floor coincide up to O(1/rho) terms.
-    return 1.0 - _weak_theta1(config, idx, inter, with_exp=False)
+    return 1.0 - _weak_theta1(config, idx, inter, eps, with_exp=False)
 
 
-def outage_asymptotic(config: SystemConfig, signal: int) -> AsymptoticOutage:
+def outage_asymptotic(config: SystemConfig, signal: int, mode: str) -> AsymptoticOutage:
     """High-SNR outage approximation and the induced error floor.
 
     The exact expressions linearize around 1/rho = 0: exponential factors
@@ -223,8 +224,8 @@ def outage_asymptotic(config: SystemConfig, signal: int) -> AsymptoticOutage:
     can overshoot 1, and in_unit_interval flags that honestly rather than
     hiding it.
     """
-    value = outage_probability(config, signal).p_asymptotic
-    floor = outage_probability(config.with_rho(_FLOOR_RHO), signal).p_asymptotic
+    value = outage_probability(config, signal, mode).p_asymptotic
+    floor = outage_probability(config.with_rho(_FLOOR_RHO), signal, mode).p_asymptotic
     return AsymptoticOutage(value=value, floor=floor,
                             in_unit_interval=0.0 <= value <= 1.0)
 

@@ -15,7 +15,7 @@ import sys
 
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, Preset, load_config
 from .metrics import METRICS
-from .model import ConfigError, SystemConfig
+from .model import SIC_MODES, ConfigError, SystemConfig
 from .sweep import OutputError, emit_outputs, emit_plot_script, run_sweep
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
 
@@ -58,11 +58,8 @@ def _parse_snr(text):
 
 
 def _parse_mode(text):
-    if text == "both":
-        return ("ipsic", "psic")
-    if text in ("ipsic", "psic"):
-        return (text,)
-    raise argparse.ArgumentTypeError(f"choose from ipsic, psic, both; got {text!r}")
+    """One SIC mode, or "both"; the spec checks the name."""
+    return SIC_MODES if text == "both" else (text,)
 
 
 def _build_parser():

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .analysis import compute_outage_intermediates
-from .model import SignalIndex, SystemConfig
+from .model import SignalIndex, SystemConfig, sic_epsilon
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
 _LN2 = math.log(2.0)
@@ -147,12 +147,13 @@ def _divided_difference(nodes, f, df, d2f=None):
             - _divided_difference((a, b), f, df)) / (c - a)
 
 
-def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex) -> RateIntermediates:
+def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex,
+                               mode: str) -> RateIntermediates:
     a_l, omega_l = config.a(idx.l), config.omega(idx.l)
     a_t, omega_t = config.a(idx.t), config.omega(idx.t)
     b_l = config.b(idx.l)
     omega_k = config.omega(idx.k)
-    eps = config.epsilon
+    eps = sic_epsilon(mode)
     return RateIntermediates(
         lambda1=eps * config.omega_I / (b_l * omega_k),
         lambda2=a_t * omega_t / (a_l * omega_l),
@@ -185,7 +186,7 @@ def _strong_rate(inter: RateIntermediates, k, dk, d2k) -> float:
     return integral / (2.0 * _LN2)
 
 
-def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
+def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
     """Closed-form strong-user ergodic rate, leakage off.
 
     With nu_i = 1/lambda_i and K(x) = -e^{psi x} Ei(-psi x),
@@ -200,7 +201,7 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
     (2 ln 2).
     """
     _require_no_leakage(config, "the closed-form strong-user rate")
-    inter = compute_rate_intermediates(config, idx)
+    inter = compute_rate_intermediates(config, idx, mode)
     psi = inter.psi
     return _strong_rate(
         inter,
@@ -209,7 +210,7 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex) -> float:
         lambda x: 1.0 / (x * x) - psi / x - psi * psi * expei_neg(psi * x))
 
 
-def _strong_ccdf(config: SystemConfig, idx: SignalIndex):
+def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
     """The strong user's SINR CCDF, x -> 1 - F(x), at any leakage and SIC mode.
 
     Conditioning on the uplink interference Z = rho a_t |h_t|^2 +
@@ -229,7 +230,7 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex):
     """
     rho, omega_k = config.rho, config.omega(idx.k)
     z_rates = compute_outage_intermediates(config, idx).uplink_rates
-    w_rates = term_rates(config.epsilon * rho * config.omega_I,
+    w_rates = term_rates(sic_epsilon(mode) * rho * config.omega_I,
                          rho * config.varpi2 * omega_k)
     d_z = rho * config.a(idx.l) * config.omega(idx.l)
     d_w = rho * config.b(idx.l) * omega_k
@@ -243,26 +244,27 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex):
     return ccdf
 
 
-def _strong_rate_by_quadrature(config, idx):
-    ccdf = _strong_ccdf(config, idx)
+def _strong_rate_by_quadrature(config, idx, mode):
+    ccdf = _strong_ccdf(config, idx, mode)
     return _integrate_semi_infinite(lambda x: ccdf(x) / (1.0 + x)) / (2.0 * _LN2)
 
 
-def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex) -> float:
+def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
+                                   mode: str) -> float:
     """Strong-user rate by direct quadrature of the no-leakage CCDF.
 
     Reads neither the Ei evaluation nor ``compute_rate_intermediates``, so
     agreement with the closed form is the primary correctness check for both.
     """
     _require_no_leakage(config, "the quadrature strong-user rate")
-    return _strong_rate_by_quadrature(config, idx)
+    return _strong_rate_by_quadrature(config, idx, mode)
 
 
 def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
-    """The strong user's SINR CCDF of ``_strong_ccdf`` at one point x >= 0."""
+    """The ipSIC CCDF of ``_strong_ccdf``, which the leakage rate integrates, at x >= 0."""
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
-    return _strong_ccdf(config, idx)(x)
+    return _strong_ccdf(config, idx, "ipsic")(x)
 
 
 def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float:
@@ -272,9 +274,10 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float
     closed-form CCDF of ``_strong_ccdf``; QuadratureError if it does not
     converge.
 
-    Only the imperfect-SIC chain is covered: under perfect SIC the
-    residual leg of W degenerates and the leakage-on rate has no published
-    reduction, so that combination is deliberately routed to Monte Carlo.
+    Only the imperfect-SIC chain is covered, so the route takes no mode:
+    under perfect SIC the residual leg of W degenerates and the leakage-on
+    rate has no published reduction, so that combination is deliberately
+    routed to Monte Carlo.
 
     The CCDF treats the near user's gain in W, Z and the decode numerator
     as independent draws, as the closed analysis does, which biases the
@@ -286,14 +289,10 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float
         raise ValueError("the leakage-path rate needs both leakage fractions "
                          "positive; with them at zero use "
                          "ergodic_rate_strong_closed")
-    if config.sic_mode != "ipsic":
-        raise ValueError("the leakage-path rate is derived for imperfect SIC "
-                         "only; under perfect SIC use the Monte Carlo "
-                         "estimator")
-    return _strong_rate_by_quadrature(config, idx)
+    return _strong_rate_by_quadrature(config, idx, "ipsic")
 
 
-def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
+def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
     """Weak-user ergodic rate, leakage off, by stable quadrature.
 
     The SINR is capped at b_t/b_l, where the integrand has an essential
@@ -308,7 +307,7 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     with the (1 + x lambda3) factor present only under imperfect SIC.
     """
     _require_no_leakage(config, "the weak-user rate integral")
-    inter = compute_rate_intermediates(config, idx)
+    inter = compute_rate_intermediates(config, idx, mode)
     rho = config.rho
     a_t, omega_t = config.a(idx.t), config.omega(idx.t)
     b_l, b_t = config.b(idx.l), config.b(idx.t)
@@ -334,7 +333,7 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     return _quad(mapped, 0.0, 1.0) / (2.0 * _LN2)
 
 
-def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
+def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
     """Weak-user rate ceiling as rho grows without bound.
 
     Imperfect SIC: the SINR converges to min(a_t |h_t|^2 / |g|^2, b_t/b_l)
@@ -353,11 +352,10 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
     as e^s Ei(-s) products, e^{c(1 - 1/b_l)} e^{c/b_l} Ei(-c/b_l) and
     e^c Ei(-c), so a large c (low SNR, weak power share) cannot overflow.
     """
-    inter = compute_rate_intermediates(config, idx)
     cap = config.b(idx.t) / config.b(idx.l)
-    if config.epsilon > 0.0:
+    if sic_epsilon(mode) > 0.0:
         return _divided_difference(
-            (inter.lambda3, 1.0),
+            (compute_rate_intermediates(config, idx, mode).lambda3, 1.0),
             lambda lam: math.log1p(cap * lam),
             lambda lam: cap / (1.0 + cap * lam)) / (2.0 * _LN2)
     c = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
@@ -366,7 +364,8 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex) -> float:
             / (2.0 * _LN2))
 
 
-def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> float:
+def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex,
+                                   mode: str) -> float:
     """High-SNR expansion of the strong user's closed-form rate.
 
     Replaces each e^s Ei(-s) factor by its small-argument expansion
@@ -380,7 +379,7 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex) -> fl
     with it removed the expression grows like (1/2) log2(rho), unit
     multiplexing gain over the two slots.
     """
-    inter = compute_rate_intermediates(config, idx)
+    inter = compute_rate_intermediates(config, idx, mode)
     psi = inter.psi
     return _strong_rate(
         inter,

@@ -30,8 +30,8 @@ METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
 
 _SIGNALS = (1, 2, 3, 4)
 
-# a sweep asks for every signal of one SIC mode in a row, so the
-# leakage-free twin of that mode's config is built once, not per signal
+# a sweep asks for every signal and SIC mode of one grid point in a row, so
+# the leakage-free twin of that point's config is built once, not per row
 _leakage_free = functools.lru_cache(maxsize=1)(SystemConfig.without_leakage)
 
 
@@ -71,17 +71,19 @@ def energy_efficiency(throughput: float, config: SystemConfig) -> float:
                                + config.t_slot * config.pr_watts)
 
 
-def _rate(config, signal, asymptotic):
+def _rate(config, signal, mode, asymptotic):
     idx = SignalIndex.for_signal(signal)
     if idx.l == signal:
         closed, limit = ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic
     else:
         closed, limit = ergodic_rate_weak_numeric, ergodic_rate_weak_highsnr
-    return closed(config, idx), limit(config, idx) if asymptotic else None
+    return closed(config, idx, mode), limit(config, idx, mode) if asymptotic else None
 
 
-def analytic(config: SystemConfig, metric: str, target, asymptotic: bool = False):
-    """Closed-form value of ``metric`` for ``target`` at ``config``.
+def analytic(config: SystemConfig, metric: str, target, mode: str,
+             asymptotic: bool = False):
+    """Closed-form value of ``metric`` for ``target`` at ``config`` under SIC
+    mode ``mode``.
 
     ``target`` is a signal 1..4 for ``outage`` and ``ergodic_rate`` and
     ``"system"`` for the throughput and energy-efficiency metrics.  Returns
@@ -96,12 +98,12 @@ def analytic(config: SystemConfig, metric: str, target, asymptotic: bool = False
                          "outage and ergodic_rate take a signal 1..4, the "
                          "throughput and efficiency metrics 'system'")
     if metric == "outage":
-        res = outage_probability(config, target)
+        res = outage_probability(config, target, mode)
         return res.p_exact, res.p_asymptotic if asymptotic else None, res.feasible
     if metric == "ergodic_rate":
-        return (*_rate(_leakage_free(config), target, asymptotic), True)
+        return (*_rate(_leakage_free(config), target, mode, asymptotic), True)
     if metric.endswith("_dl"):
-        results = [outage_probability(config, s) for s in _SIGNALS]
+        results = [outage_probability(config, s, mode) for s in _SIGNALS]
         rates = [config.rate(s) for s in _SIGNALS]
         value = throughput_delay_limited([r.p_exact for r in results], rates)
         asym = sum((1.0 - r.p_asymptotic) * rate
@@ -109,7 +111,7 @@ def analytic(config: SystemConfig, metric: str, target, asymptotic: bool = False
         feasible = all(r.feasible for r in results)
     else:
         zero = _leakage_free(config)
-        pairs = [_rate(zero, s, asymptotic) for s in _SIGNALS]
+        pairs = [_rate(zero, s, mode, asymptotic) for s in _SIGNALS]
         value = throughput_delay_tolerant([v for v, _ in pairs])
         asym = sum(a for _, a in pairs) if asymptotic else None
         feasible = True

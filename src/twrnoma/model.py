@@ -15,9 +15,12 @@ Imperfect SIC is modelled two ways:
 * a residual channel g (variance ``omega_I``) left behind by the SIC stage,
   active only in ipSIC mode (epsilon = 1) and absent under pSIC (epsilon = 0).
 
-This module owns the configuration record, the signal-index convention,
-the SINR thresholds of a target rate, the channel sampler and the five SINR
-expressions every other module consumes: at the config's SNR and SIC mode
+The SIC mode, like the SNR, is an operating point and not a config field:
+every route that depends on it takes one of ``SIC_MODES`` as an argument.
+
+This module owns the configuration record, the SIC modes, the signal-index
+convention, the SINR thresholds of a target rate, the channel sampler and
+the five SINR expressions every other module consumes: under one SIC mode
 (``sinr_set``), and per draw, for every SIC mode at once, as the rho-free
 (A, B) of each decode, whose SINR is A / (B + 1/rho) at any SNR
 (``sinr_coefficients``), and as inverse critical SNRs (``inverse_critical_snrs``).
@@ -36,8 +39,20 @@ class ConfigError(ValueError):
     """Raised when a configuration violates a named model invariant."""
 
 
-# residual-SIC switch per mode: the residual channel is present under ipSIC
-_EPSILON = {"ipsic": 1.0, "psic": 0.0}
+SIC_MODES = ("ipsic", "psic")
+
+
+def sic_epsilon(mode) -> float:
+    """The residual-SIC switch eps of a mode, the one check of a mode name:
+    the residual channel is present under ipSIC (1.0), absent under pSIC."""
+    if mode not in SIC_MODES:
+        raise ConfigError(f"SIC mode must be one of {SIC_MODES}, got {mode!r}")
+    return 1.0 if mode == "ipsic" else 0.0
+
+
+def is_linear_snr(rho) -> bool:
+    """rho and 1/rho are positive and finite, as every A / (B + 1/rho) needs."""
+    return 0.0 < rho < math.inf and 1.0 / rho < math.inf
 
 
 def _positive(name, value):
@@ -58,8 +73,8 @@ class SystemConfig:
     Nor are the link variances: ``omega(i)`` derives Omega_i = d^-alpha from
     the distance of user i (``d1`` for users 1 and 3, ``d2`` for users 2
     and 4), and the constructor refuses a distance whose d^-alpha is zero
-    or not finite.  ``sic_mode`` is the mode of the single-mode routes;
-    sweeps set it per row, and config files do not set it.
+    or not finite.  ``rho`` must have a finite reciprocal as well.  The SIC
+    mode is not a field: the routes that depend on it take it as an argument.
 
     ``t_slot``, ``pu_watts`` and ``pr_watts`` only matter for the energy
     efficiency metric and never enter the statistical model.
@@ -82,13 +97,14 @@ class SystemConfig:
     r2: float = 0.01
     r3: float = 0.1
     r4: float = 0.01
-    sic_mode: str = "ipsic"
     t_slot: float = 1.0
     pu_watts: float = 10.0
     pr_watts: float = 10.0
 
     def __post_init__(self):
-        _positive("rho", self.rho)
+        if not is_linear_snr(self.rho):
+            raise ConfigError(f"rho must be positive with a finite reciprocal, "
+                              f"got {self.rho!r}")
         _positive("alpha", self.alpha)
         _positive("d1", self.d1)
         _positive("d2", self.d2)
@@ -115,8 +131,6 @@ class SystemConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.sic_mode not in _EPSILON:
-            raise ConfigError(f"sic_mode must be 'ipsic' or 'psic', got {self.sic_mode!r}")
         for user, name in ((1, "d1"), (2, "d2")):
             try:
                 gain = self.omega(user)
@@ -126,11 +140,6 @@ class SystemConfig:
                 raise ConfigError(f"{name}^-alpha must be positive and finite, "
                                   f"got {name}={getattr(self, name)!r}, "
                                   f"alpha={self.alpha!r}")
-
-    @property
-    def epsilon(self) -> float:
-        """SIC-mode switch: 1.0 under ipSIC, 0.0 under pSIC."""
-        return _EPSILON[self.sic_mode]
 
     def a(self, i):
         return getattr(self, f"a{i}")
@@ -150,9 +159,6 @@ class SystemConfig:
 
     def with_rho(self, rho: float) -> "SystemConfig":
         return dataclasses.replace(self, rho=rho)
-
-    def with_mode(self, sic_mode: str) -> "SystemConfig":
-        return dataclasses.replace(self, sic_mode=sic_mode)
 
     def without_leakage(self) -> "SystemConfig":
         """This config with both leakage levels at zero; self if they are."""
@@ -282,8 +288,9 @@ def _pairing(config, draw, idx):
             tuple(draw.gain(i) for i in order))
 
 
-def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrSet:
-    """The five SINRs of one pairing under the config's own SIC mode.
+def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
+             mode: str) -> SinrSet:
+    """The five SINRs of one pairing under SIC mode ``mode``.
 
     With rho the transmit SNR, eps the SIC switch and w1, w2 the leakage
     levels, the uplink pair is
@@ -309,7 +316,7 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> SinrS
     weak_up = rho * a_t * g_t
     own_down = rho * g_k * b_l
     leak_k = rho * config.varpi2 * g_k
-    residual = config.epsilon * rho * draw.gI
+    residual = sic_epsilon(mode) * rho * draw.gI
     return SinrSet(
         relay_strong=rho * a_l * g_l / (weak_up + cross + 1.0),
         relay_weak=weak_up / (residual + cross + 1.0),
@@ -340,7 +347,7 @@ def sinr_coefficients(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
                  (b_t * weaker, (b_l + config.varpi2) * weaker))
     own_down, leak_k = b_l * g_k, config.varpi2 * g_k
     per_mode = tuple(((own_down, draw.gI + leak_k), (weak_up, draw.gI + cross))
-                     if _EPSILON[mode] else ((own_down, leak_k), (weak_up, cross))
+                     if sic_epsilon(mode) else ((own_down, leak_k), (weak_up, cross))
                      for mode in modes)
     return mode_free, per_mode
 
@@ -381,7 +388,7 @@ def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
     relay_weak = a_t * inv_t * g_t - cross                        # relay: x_t
     pairs = []
     for mode in modes:
-        residual = _EPSILON[mode] * draw.gI
+        residual = sic_epsilon(mode) * draw.gI
         pairs.append((np.minimum(shared, own - residual),
                       np.minimum(weak_free, relay_weak - residual)))
     return tuple(pairs)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SignalIndex, SystemConfig, inverse_critical_snrs,
-                    inverse_threshold, oma_threshold, sample_channel_draw,
-                    sinr_coefficients)
+                    inverse_threshold, is_linear_snr, oma_threshold,
+                    sample_channel_draw, sic_epsilon, sinr_coefficients)
 
 CHUNK = 1 << 17
 
@@ -338,15 +338,16 @@ def _check_run(n, seed):
 
 
 def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
-            workers=None, *, kind, signals=(1, 2, 3, 4), modes=None,
+            workers=None, *, kind, signals=(1, 2, 3, 4), modes,
             oma=False) -> list:
     """The Monte Carlo estimates of one estimate kind at every SNR of a grid.
 
-    ``rhos`` are linear SNRs, in any order; ``config.rho`` is not read.
+    ``rhos`` are linear SNRs, in any order, each with a finite reciprocal;
+    ``config.rho`` is not read.
     Returns one dict per entry of ``rhos``, in that order.  ``kind`` is one
     of KINDS.  "outage" and "rate" give McEstimate values keyed (kind, mode,
-    signal) for each signal in ``signals`` and each SIC mode in ``modes``,
-    which defaults to the config's own.  "throughput_dl" and
+    signal) for each signal in ``signals`` and each SIC mode in ``modes``
+    (empty for a baseline-only call).  "throughput_dl" and
     "throughput_dt" give (kind, mode): the per-draw system sums
     sum_i 1{ok_i} R_i and sum_i rate_i over x1..x4, each with the interval
     of that sum; ``signals`` does not apply to them.  With ``oma``
@@ -370,12 +371,13 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
     for s in signals:
         pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
-    modes = (config.sic_mode,) if modes is None else tuple(modes)
-    if not set(modes) <= {"ipsic", "psic"}:
-        raise ValueError(f"modes must be 'ipsic' or 'psic', got {modes!r}")
+    modes = tuple(modes)
+    for mode in modes:
+        sic_epsilon(mode)
     rhos = np.asarray(rhos, dtype=float)
-    if rhos.ndim != 1 or rhos.size == 0 or not np.all((rhos > 0) & np.isfinite(rhos)):
-        raise ValueError("rhos must be a nonempty list of positive finite SNRs")
+    if rhos.ndim != 1 or rhos.size == 0 or not all(map(is_linear_snr, rhos.tolist())):
+        raise ValueError("rhos must be a nonempty list of positive SNRs with "
+                         "finite reciprocals")
     counted = kind in ("outage", "throughput_dl")
 
     def run(chunk_index, size):
@@ -397,7 +399,7 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
 
 
 def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
-             workers=None, *, kind, signals=(1, 2, 3, 4), modes=None,
+             workers=None, *, kind, signals=(1, 2, 3, 4), modes,
              oma=False) -> dict:
     """The Monte Carlo estimates of one point for one estimate kind.
 
@@ -408,18 +410,18 @@ def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
                    kind=kind, signals=signals, modes=modes, oma=oma)[0]
 
 
-def mc_outage(config: SystemConfig, signal: int, n: int, seed: int,
+def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
               point_index: int = 0, workers=None) -> McEstimate:
     """Simulated outage probability of one signal's exchange."""
     return mc_point(config, n, seed, point_index, workers, kind="outage",
-                    signals=(signal,))["outage", config.sic_mode, signal]
+                    signals=(signal,), modes=(mode,))["outage", mode, signal]
 
 
-def mc_ergodic(config: SystemConfig, signal: int, n: int, seed: int,
+def mc_ergodic(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
                point_index: int = 0, workers=None) -> McEstimate:
     """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
     return mc_point(config, n, seed, point_index, workers, kind="rate",
-                    signals=(signal,))["rate", config.sic_mode, signal]
+                    signals=(signal,), modes=(mode,))["rate", mode, signal]
 
 
 def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
@@ -428,19 +430,12 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
 
     signal is 1..4 for a single exchange or "system" for all four jointly:
     system outage is the event any exchange fails, system rate the sum of
-    the four per-slot-discounted rates.  Both estimates read one draw of
-    the fades per chunk, the baseline substream of ``point_index``.
+    the four per-slot-discounted rates.  Both are the baseline estimates of
+    ``mc_point`` and read the same fades, from the baseline substream of
+    ``point_index``.
     """
     if signal != "system" and signal not in (1, 2, 3, 4):
         raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
-    _check_run(n, seed)
-    rhos = np.array([config.rho])
-
-    def run(chunk_index, size):
-        stream = chunk_generator(seed, 2 * point_index + 1, chunk_index)
-        fades = _oma_fades(config, stream, size)
-        return {**_oma_stats(config, fades, rhos, "outage"),
-                **_oma_stats(config, fades, rhos, "rate")}
-
-    ests = _reduce(config, _map_chunks(_chunk_sizes(n), run, workers), n, seed, 1)[0]
-    return ests["oma_outage", signal], ests["oma_rate", signal]
+    return tuple(mc_point(config, n, seed, point_index, workers, kind=kind,
+                          signals=(), modes=(), oma=True)[f"oma_{kind}", signal]
+                 for kind in ("outage", "rate"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .metrics import METRICS
-from .model import ConfigError, SystemConfig
+from .model import SIC_MODES, ConfigError, SystemConfig, is_linear_snr, sic_epsilon
 from .montecarlo import mc_grid
 
 # the one Monte Carlo estimate kind each metric's rows read
@@ -53,7 +53,7 @@ class SweepSpec:
 
     metric: str = "outage"
     signals: tuple = (1, 2)
-    modes: tuple = ("ipsic", "psic")
+    modes: tuple = SIC_MODES
     snr: tuple = (0.0, 40.0, 5.0)
     with_oma: bool = False
     with_asymptotic: bool = False
@@ -81,9 +81,7 @@ class SweepSpec:
         object.__setattr__(self, "snr", (start, stop, step))
         # the first and last points of grid_db, without building it
         for db in (start, start + math.floor(_steps(start, stop, step)) * step):
-            rho = _linear(db)
-            # both the SNR and its reciprocal, which the simulator reads
-            if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+            if not is_linear_snr(_linear(db)):
                 raise ConfigError(f"SNR grid point {db!r} dB is beyond the float "
                                   f"range of a linear SNR")
         if self.mc_iterations < 1000:
@@ -96,11 +94,11 @@ class SweepSpec:
             if s not in (1, 2, 3, 4):
                 raise ConfigError(f"signals must be in 1..4, got {s}")
         object.__setattr__(self, "signals", sigs)
-        modes = tuple(sorted(set(self.modes)))
-        if not modes or not set(modes) <= {"ipsic", "psic"}:
-            raise ConfigError(f"modes must be a nonempty subset of "
-                              f"('ipsic', 'psic'), got {self.modes!r}")
-        object.__setattr__(self, "modes", modes)
+        if not self.modes:
+            raise ConfigError("modes must name at least one SIC mode")
+        for mode in self.modes:
+            sic_epsilon(mode)
+        object.__setattr__(self, "modes", tuple(sorted(set(self.modes))))
         if self.master_seed < 0:
             raise ConfigError("master seed must be nonnegative")
         if self.with_oma and self.metric not in ("outage", "ergodic_rate"):
@@ -159,10 +157,9 @@ def _point_rows(spec, cfg_point, db, ests):
              if spec.metric.startswith("ee_") else 1.0)
     rows = []
     for mode in spec.modes:
-        cfg = cfg_point.with_mode(mode)
         for target in targets:
-            value, asym, feasible = metrics.analytic(cfg, spec.metric, target,
-                                                     spec.with_asymptotic)
+            value, asym, feasible = metrics.analytic(cfg_point, spec.metric, target,
+                                                     mode, spec.with_asymptotic)
             key = (kind, mode) if target == "system" else (kind, mode, target)
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import diversity_order_estimate, outage_asymptotic, outage_probability
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
 from .metrics import analytic
-from .model import ConfigError, SignalIndex, SystemConfig
+from .model import SIC_MODES, ConfigError, SignalIndex, SystemConfig
 from .montecarlo import mc_grid, mc_point, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
 
@@ -76,12 +76,12 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     cfgs = [config.with_rho(10.0 ** (db / 10.0)) for db in (10.0, 25.0, 40.0)]
     grid = mc_grid(config, [cfg.rho for cfg in cfgs], iterations, seed,
                    workers=workers, kind="outage", signals=(1, 2),
-                   modes=("ipsic", "psic"))
+                   modes=SIC_MODES)
     worst, band = 0.0, math.inf
     for cfg, ests in zip(cfgs, grid):
-        for mode in ("ipsic", "psic"):
+        for mode in SIC_MODES:
             for s in (1, 2):
-                exact = outage_probability(cfg.with_mode(mode), s).p_exact
+                exact = outage_probability(cfg, s, mode).p_exact
                 sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
                 allowed = scale * max(3.0 * sigma, 0.005)
                 gap = abs(ests["outage", mode, s].mean - exact)
@@ -95,11 +95,10 @@ def _check_floor(config, scale):
     tol = 0.05 * scale
     worst = 0.0
     cfg60 = config.with_rho(1e6)
-    for mode in ("ipsic", "psic"):
-        cfg = cfg60.with_mode(mode)
+    for mode in SIC_MODES:
         for s in (1, 2):
-            exact = outage_probability(cfg, s).p_exact
-            asym = outage_asymptotic(cfg, s).floor
+            exact = outage_probability(cfg60, s, mode).p_exact
+            asym = outage_asymptotic(cfg60, s, mode).floor
             worst = max(worst, _rel(exact, asym))
     return worst <= tol, tol, worst, "60 dB exact vs floor, x1/x2, both modes"
 
@@ -108,10 +107,10 @@ def _check_diversity(config, scale):
     tol = 0.1 * scale
     rhos = [1e5, 1e6]
     worst = 0.0
-    for mode in ("ipsic", "psic"):
+    for mode in SIC_MODES:
         for s in (1, 2):
-            probs = [outage_probability(config.with_rho(r).with_mode(mode),
-                                        s).p_exact for r in rhos]
+            probs = [outage_probability(config.with_rho(r), s, mode).p_exact
+                     for r in rhos]
             worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
     return (worst <= tol, tol, worst,
             "|slope| of log outage between 50 and 60 dB")
@@ -123,16 +122,15 @@ def _check_psic_limit(config, scale):
     tiny = dataclasses.replace(config, omega_I=1e-12)
     for db in (10.0, 30.0):
         rho = 10.0 ** (db / 10.0)
-        ip = tiny.with_rho(rho).with_mode("ipsic")
-        p = config.with_rho(rho).with_mode("psic")
+        ip, p = tiny.with_rho(rho), config.with_rho(rho)
         for s in (1, 2):
-            worst = max(worst, _rel(outage_probability(ip, s).p_exact,
-                                    outage_probability(p, s).p_exact))
-    zip_cfg = tiny.without_leakage().with_rho(100.0).with_mode("ipsic")
-    zp_cfg = config.without_leakage().with_rho(100.0).with_mode("psic")
+            worst = max(worst, _rel(outage_probability(ip, s, "ipsic").p_exact,
+                                    outage_probability(p, s, "psic").p_exact))
+    zip_cfg = tiny.without_leakage().with_rho(100.0)
+    zp_cfg = config.without_leakage().with_rho(100.0)
     idx = SignalIndex.for_signal(1)
-    worst = max(worst, _rel(ergodic_rate_strong_closed(zip_cfg, idx),
-                            ergodic_rate_strong_closed(zp_cfg, idx)))
+    worst = max(worst, _rel(ergodic_rate_strong_closed(zip_cfg, idx, "ipsic"),
+                            ergodic_rate_strong_closed(zp_cfg, idx, "psic")))
     return (worst <= tol, tol, worst,
             "residual power 1e-12 reproduces perfect SIC")
 
@@ -141,10 +139,10 @@ def _check_rate_quadrature(config, scale):
     tol = 1e-8 * scale
     worst = 0.0
     idx = SignalIndex.for_signal(1)
-    for mode in ("ipsic", "psic"):
-        cfg = config.without_leakage().with_rho(100.0).with_mode(mode)
-        worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx),
-                                ergodic_rate_strong_quadrature(cfg, idx)))
+    cfg = config.without_leakage().with_rho(100.0)
+    for mode in SIC_MODES:
+        worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx, mode),
+                                ergodic_rate_strong_quadrature(cfg, idx, mode)))
     return worst <= tol, tol, worst, "20 dB, leakage off, both modes"
 
 
@@ -153,11 +151,10 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     worst = 0.0
     cfg = config.without_leakage().with_rho(100.0)
     ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
-                    kind="rate", signals=(1, 2), modes=("ipsic", "psic"))
-    for mode in ("ipsic", "psic"):
-        mcfg = cfg.with_mode(mode)
+                    kind="rate", signals=(1, 2), modes=SIC_MODES)
+    for mode in SIC_MODES:
         for s in (1, 2):
-            closed = analytic(mcfg, "ergodic_rate", s)[0]
+            closed = analytic(cfg, "ergodic_rate", s, mode)[0]
             worst = max(worst, _rel(closed, ests["rate", mode, s].mean))
     return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
@@ -205,7 +202,7 @@ def _check_oma(config, scale, iterations, seed, workers):
     cfg = config.with_rho(10.0)
     exact = oma_outage_exact(cfg, "system")
     est = mc_point(cfg, iterations, seed, point_index=7, workers=workers,
-                   kind="outage", signals=(), oma=True)["oma_outage", "system"]
+                   kind="outage", signals=(), modes=(), oma=True)["oma_outage", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)
@@ -213,15 +210,14 @@ def _check_oma(config, scale, iterations, seed, workers):
 
 
 def _system_value(config, metric, rho, mode):
-    return analytic(config.with_rho(rho).with_mode(mode), metric, "system")[0]
+    return analytic(config.with_rho(rho), metric, "system", mode)[0]
 
 
 def _check_throughput_ceiling(config, scale):
     tol = 0.02 * scale
     worst = 0.0
-    for mode in ("ipsic", "psic"):
-        cfg = config.with_mode(mode)
-        t50, t60 = (analytic(cfg.with_rho(rho), "throughput_dt", "system")[0]
+    for mode in SIC_MODES:
+        t50, t60 = (_system_value(config, "throughput_dt", rho, mode)
                     for rho in (1e5, 1e6))
         worst = max(worst, _rel(t50, t60))
     return (worst <= tol, tol, worst,
@@ -234,7 +230,7 @@ def _check_ee(config, scale):
     for db in (0.0, 10.0, 20.0, 30.0, 40.0):
         rho = 10.0 ** (db / 10.0)
         ip, p = (_system_value(config, "ee_dl", rho, mode)
-                 for mode in ("ipsic", "psic"))
+                 for mode in SIC_MODES)
         worst = max(worst, _rel(ip, p))
     # perfect SIC can only raise the delay tolerant efficiency
     ordered = all(_system_value(config, "ee_dt", rho, "psic")

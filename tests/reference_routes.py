@@ -37,12 +37,13 @@ def laplace_by_density(rates, s):
 
 
 def leakage_ccdf_nested(config, idx, x):
-    """strong_rate_ccdf_leakage with each leg averaged over its density."""
+    """strong_rate_ccdf_leakage, an imperfect-SIC CCDF, with each leg
+    averaged over its density."""
     rho = config.rho
     z_rates = (1.0 / (rho * config.a(idx.t) * config.omega(idx.t)),
                1.0 / (rho * config.varpi1 * config.a(idx.k) * config.omega(idx.k)),
                1.0 / (rho * config.varpi1 * config.a(idx.r) * config.omega(idx.r)))
-    w_rates = (1.0 / (config.epsilon * rho * config.omega_I),
+    w_rates = (1.0 / (rho * config.omega_I),
                1.0 / (rho * config.varpi2 * config.omega(idx.k)))
     s_z = x / (rho * config.a(idx.l) * config.omega(idx.l))
     s_w = x / (rho * config.b(idx.l) * config.omega(idx.k))

@@ -59,9 +59,9 @@ def test_a01_outage_closed_forms_track_simulation(baseline):
                    workers=WORKERS, kind="outage", signals=(1, 2), modes=MODES)
     for db, ests in zip(GRID_DB, grid):
         for mode in MODES:
-            cfg = baseline.with_rho(_rho(db)).with_mode(mode)
+            cfg = baseline.with_rho(_rho(db))
             for signal in (1, 2):
-                exact = outage_probability(cfg, signal).p_exact
+                exact = outage_probability(cfg, signal, mode).p_exact
                 est = ests["outage", mode, signal]
                 sigma = math.sqrt(exact * (1.0 - exact) / N_MC)
                 band = max(3.0 * sigma, 0.005)
@@ -78,13 +78,13 @@ def test_a02_error_floors_and_zero_diversity(baseline):
     worst_div = 0.0
     for mode in MODES:
         for signal in (1, 2):
-            cfg60 = baseline.with_rho(1e6).with_mode(mode)
-            exact = outage_probability(cfg60, signal).p_exact
-            floor = outage_asymptotic(cfg60, signal).floor
+            cfg60 = baseline.with_rho(1e6)
+            exact = outage_probability(cfg60, signal, mode).p_exact
+            floor = outage_asymptotic(cfg60, signal, mode).floor
             worst_rel = max(worst_rel, abs(exact - floor) / floor)
             rhos = [1e5, 1e6]
-            probs = [outage_probability(baseline.with_rho(r).with_mode(mode),
-                                        signal).p_exact for r in rhos]
+            probs = [outage_probability(baseline.with_rho(r), signal,
+                                        mode).p_exact for r in rhos]
             worst_div = max(worst_div, abs(diversity_order_estimate(rhos,
                                                                     probs)))
     ok = worst_rel <= 0.05 and worst_div <= 0.1
@@ -97,25 +97,25 @@ def test_a02_error_floors_and_zero_diversity(baseline):
 def test_a03_vanishing_residual_recovers_perfect_sic(baseline):
     tiny = dataclasses.replace(baseline, omega_I=1e-12)
     tiny0 = dataclasses.replace(tiny, varpi1=0.0, varpi2=0.0)
-    perfect0 = SystemConfig(varpi1=0.0, varpi2=0.0, sic_mode="psic")
+    perfect0 = SystemConfig(varpi1=0.0, varpi2=0.0)
     worst = 0.0
     for db in GRID_DB:
         rho = _rho(db)
         ip = tiny.with_rho(rho)
-        p = baseline.with_rho(rho).with_mode("psic")
+        p = baseline.with_rho(rho)
         for signal in (1, 2):
-            a = outage_probability(ip, signal)
-            b = outage_probability(p, signal)
+            a = outage_probability(ip, signal, "ipsic")
+            b = outage_probability(p, signal, "psic")
             worst = max(worst, abs(a.p_exact - b.p_exact) / b.p_exact)
             worst = max(worst, abs(a.p_asymptotic - b.p_asymptotic)
                         / b.p_asymptotic)
         ip0 = tiny0.with_rho(rho)
         p0 = perfect0.with_rho(rho)
-        r_ip = ergodic_rate_strong_closed(ip0, IDX1)
-        r_p = ergodic_rate_strong_closed(p0, IDX1)
+        r_ip = ergodic_rate_strong_closed(ip0, IDX1, "ipsic")
+        r_p = ergodic_rate_strong_closed(p0, IDX1, "psic")
         worst = max(worst, abs(r_ip - r_p) / r_p)
-        w_ip = ergodic_rate_weak_numeric(ip0, IDX2)
-        w_p = ergodic_rate_weak_numeric(p0, IDX2)
+        w_ip = ergodic_rate_weak_numeric(ip0, IDX2, "ipsic")
+        w_p = ergodic_rate_weak_numeric(p0, IDX2, "psic")
         worst = max(worst, abs(w_ip - w_p) / w_p)
     ok = worst <= 1e-6
     assert _report("perfect-SIC limit", ok,
@@ -130,13 +130,13 @@ def test_a04_rate_closed_forms_track_quadrature_and_simulation(no_leakage):
                    workers=WORKERS, kind="rate", signals=(1, 2), modes=MODES)
     for db, ests in zip(grid_db, grid):
         for mode in MODES:
-            cfg = no_leakage.with_rho(_rho(db)).with_mode(mode)
-            closed = ergodic_rate_strong_closed(cfg, IDX1)
-            quad = ergodic_rate_strong_quadrature(cfg, IDX1)
+            cfg = no_leakage.with_rho(_rho(db))
+            closed = ergodic_rate_strong_closed(cfg, IDX1, mode)
+            quad = ergodic_rate_strong_quadrature(cfg, IDX1, mode)
             worst_quad = max(worst_quad, abs(closed - quad) / closed)
             worst_mc = max(worst_mc,
                            abs(closed - ests["rate", mode, 1].mean) / closed)
-            weak = ergodic_rate_weak_numeric(cfg, IDX2)
+            weak = ergodic_rate_weak_numeric(cfg, IDX2, mode)
             worst_mc = max(worst_mc, abs(weak - ests["rate", mode, 2].mean) / weak)
     ok = worst_quad <= 1e-8 and worst_mc <= 0.02
     assert _report(
@@ -154,8 +154,8 @@ def test_a05_high_snr_rate_approximations(no_leakage):
     below = True
     for snr_db in (40.0, 50.0, 60.0):
         cfg = no_leakage.with_rho(_rho(snr_db))
-        ceiling = ergodic_rate_weak_highsnr(cfg, IDX2)
-        direct = ergodic_rate_weak_numeric(cfg, IDX2)
+        ceiling = ergodic_rate_weak_highsnr(cfg, IDX2, "ipsic")
+        direct = ergodic_rate_weak_numeric(cfg, IDX2, "ipsic")
         below = below and direct < ceiling
         gaps[snr_db] = (ceiling - direct) / direct
     shrinking = gaps[40.0] > gaps[50.0] > gaps[60.0]
@@ -171,9 +171,9 @@ def test_a05_high_snr_rate_approximations(no_leakage):
     # (b) strong-user log asymptote against the closed form at 50 dB
     gap_b = 0.0
     for mode in MODES:
-        cfg = no_leakage.with_rho(_rho(50.0)).with_mode(mode)
-        closed = ergodic_rate_strong_closed(cfg, IDX1)
-        asym = ergodic_rate_strong_asymptotic(cfg, IDX1)
+        cfg = no_leakage.with_rho(_rho(50.0))
+        closed = ergodic_rate_strong_closed(cfg, IDX1, mode)
+        asym = ergodic_rate_strong_asymptotic(cfg, IDX1, mode)
         gap_b = max(gap_b, abs(closed - asym) / closed)
     line = f"strong asymptote vs closed at 50 dB: {gap_b:.2%} of a 5% band"
     if gap_b > 0.05:
@@ -183,10 +183,10 @@ def test_a05_high_snr_rate_approximations(no_leakage):
     # (c) every rate curve flattens between 50 and 60 dB
     rhos = [1e5, 1e6]
     worst_slope = 0.0
+    cfgs = [no_leakage.with_rho(r) for r in rhos]
     for mode in MODES:
-        cfgs = [no_leakage.with_rho(r).with_mode(mode) for r in rhos]
-        strong = [ergodic_rate_strong_closed(c, IDX1) for c in cfgs]
-        weak = [ergodic_rate_weak_numeric(c, IDX2) for c in cfgs]
+        strong = [ergodic_rate_strong_closed(c, IDX1, mode) for c in cfgs]
+        weak = [ergodic_rate_weak_numeric(c, IDX2, mode) for c in cfgs]
         worst_slope = max(worst_slope,
                           abs(high_snr_slope_estimate(rhos, strong)),
                           abs(high_snr_slope_estimate(rhos, weak)))
@@ -274,9 +274,9 @@ def test_a08_orthogonal_baseline_crossover(baseline):
     notes = []
     for mode in MODES:
         for signal in (1, 2):
-            noma_low = mc_outage(low.with_mode(mode), signal, N_MC, 1729,
+            noma_low = mc_outage(low, signal, mode, N_MC, 1729,
                                  point_index=0, workers=WORKERS)
-            noma_high = mc_outage(high.with_mode(mode), signal, N_MC, 1729,
+            noma_high = mc_outage(high, signal, mode, N_MC, 1729,
                                   point_index=1, workers=WORKERS)
             ok = ok and noma_low.mean < oma_low.mean
             ok = ok and noma_high.mean > oma_high.mean
@@ -287,21 +287,21 @@ def test_a08_orthogonal_baseline_crossover(baseline):
 
 
 def _dl_throughput(config, rho, mode):
-    cfg = config.with_rho(rho).with_mode(mode)
-    outs = [outage_probability(cfg, s).p_exact for s in (1, 2, 3, 4)]
+    cfg = config.with_rho(rho)
+    outs = [outage_probability(cfg, s, mode).p_exact for s in (1, 2, 3, 4)]
     rates = [cfg.rate(s) for s in (1, 2, 3, 4)]
     return throughput_delay_limited(outs, rates)
 
 
 def _dt_throughput(no_leak_config, rho, mode):
-    cfg = no_leak_config.with_rho(rho).with_mode(mode)
+    cfg = no_leak_config.with_rho(rho)
     total = 0.0
     for s in (1, 2, 3, 4):
         idx = SignalIndex.for_signal(s)
         if s in (1, 3):
-            total += ergodic_rate_strong_closed(cfg, idx)
+            total += ergodic_rate_strong_closed(cfg, idx, mode)
         else:
-            total += ergodic_rate_weak_numeric(cfg, idx)
+            total += ergodic_rate_weak_numeric(cfg, idx, mode)
     return total
 
 

@@ -16,7 +16,7 @@ from twrnoma.analysis import (compute_outage_intermediates,
                               outage_probability)
 from twrnoma.model import SignalIndex, SystemConfig, gamma_threshold
 
-# (snr_db, signal, sic_mode) -> outage probability
+# (snr_db, signal, SIC mode) -> outage probability
 OUTAGE_TABLE = {
     (0, 1, "ipsic"): 0.97700, (0, 1, "psic"): 0.97631,
     (10, 1, "ipsic"): 0.33401, (10, 1, "psic"): 0.31406,
@@ -39,8 +39,8 @@ FLOOR_TABLE = {
 @pytest.mark.parametrize("key,expected", sorted(OUTAGE_TABLE.items()))
 def test_outage_frozen_table(key, expected):
     snr_db, signal, mode = key
-    cfg = SystemConfig(rho=10.0 ** (snr_db / 10.0), sic_mode=mode)
-    res = outage_probability(cfg, signal)
+    cfg = SystemConfig(rho=10.0 ** (snr_db / 10.0))
+    res = outage_probability(cfg, signal, mode)
     assert res.feasible
     assert res.p_exact == pytest.approx(expected, abs=2e-5)
 
@@ -48,8 +48,8 @@ def test_outage_frozen_table(key, expected):
 @pytest.mark.parametrize("key,expected", sorted(FLOOR_TABLE.items()))
 def test_outage_floor_frozen_table(key, expected):
     signal, mode = key
-    cfg = SystemConfig(rho=1e4, sic_mode=mode)
-    asym = outage_asymptotic(cfg, signal)
+    cfg = SystemConfig(rho=1e4)
+    asym = outage_asymptotic(cfg, signal, mode)
     assert asym.floor == pytest.approx(expected, abs=1e-4)
     assert asym.in_unit_interval
 
@@ -57,9 +57,9 @@ def test_outage_floor_frozen_table(key, expected):
 def test_stored_asymptote_matches_dedicated_entry_point(baseline):
     for signal in (1, 2):
         for mode in ("ipsic", "psic"):
-            cfg = baseline.with_rho(316.0).with_mode(mode)
-            res = outage_probability(cfg, signal)
-            assert res.p_asymptotic == outage_asymptotic(cfg, signal).value
+            cfg = baseline.with_rho(316.0)
+            res = outage_probability(cfg, signal, mode)
+            assert res.p_asymptotic == outage_asymptotic(cfg, signal, mode).value
 
 
 def test_group_relabeling_symmetry(baseline):
@@ -67,10 +67,10 @@ def test_group_relabeling_symmetry(baseline):
     identical outage."""
     for rho in (1.0, 100.0, 1e4):
         cfg = baseline.with_rho(rho)
-        assert outage_probability(cfg, 3).p_exact == pytest.approx(
-            outage_probability(cfg, 1).p_exact, rel=1e-12)
-        assert outage_probability(cfg, 4).p_exact == pytest.approx(
-            outage_probability(cfg, 2).p_exact, rel=1e-12)
+        assert outage_probability(cfg, 3, "ipsic").p_exact == pytest.approx(
+            outage_probability(cfg, 1, "ipsic").p_exact, rel=1e-12)
+        assert outage_probability(cfg, 4, "ipsic").p_exact == pytest.approx(
+            outage_probability(cfg, 2, "ipsic").p_exact, rel=1e-12)
 
 
 def _raw_uplink_rates(cfg, idx):
@@ -104,7 +104,7 @@ def test_uplink_factor_equals_mgf_product():
 
 def test_outage_decreases_with_snr(baseline):
     for signal in (1, 2):
-        values = [outage_probability(baseline.with_rho(r), signal).p_exact
+        values = [outage_probability(baseline.with_rho(r), signal, "ipsic").p_exact
                   for r in (1.0, 10.0, 100.0, 1e3, 1e4)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -112,9 +112,8 @@ def test_outage_decreases_with_snr(baseline):
 def test_perfect_sic_never_worse(baseline):
     for signal in (1, 2):
         for rho in (1.0, 31.6, 1e3):
-            ip = outage_probability(baseline.with_rho(rho), signal).p_exact
-            p = outage_probability(
-                baseline.with_rho(rho).with_mode("psic"), signal).p_exact
+            ip = outage_probability(baseline.with_rho(rho), signal, "ipsic").p_exact
+            p = outage_probability(baseline.with_rho(rho), signal, "psic").p_exact
             assert p <= ip + 1e-15
 
 
@@ -122,7 +121,7 @@ def test_infeasible_strong_target_reports_certain_outage():
     # downlink share 0.2 cannot carry 3 bits per channel use through the
     # leakage term: b_l <= varpi2 * gamma
     cfg = SystemConfig(rho=100.0, r1=3.0)
-    res = outage_probability(cfg, 1)
+    res = outage_probability(cfg, 1, "ipsic")
     assert not res.feasible
     assert res.p_exact == 1.0
     assert not math.isfinite(res.intermediates.tau_l)
@@ -130,7 +129,7 @@ def test_infeasible_strong_target_reports_certain_outage():
 
 def test_infeasible_weak_target_reports_certain_outage():
     cfg = SystemConfig(rho=100.0, r2=2.0)
-    res = outage_probability(cfg, 2)
+    res = outage_probability(cfg, 2, "ipsic")
     assert not res.feasible
     assert res.p_exact == 1.0
 
@@ -181,10 +180,8 @@ def test_perfect_sic_drops_residual_term(baseline):
     """Under perfect SIC the outage must not depend on the residual
     channel variance at all."""
     for signal in (1, 2):
-        a = outage_probability(
-            SystemConfig(rho=100.0, sic_mode="psic", omega_I=0.01), signal)
-        b = outage_probability(
-            SystemConfig(rho=100.0, sic_mode="psic", omega_I=10.0), signal)
+        a = outage_probability(SystemConfig(rho=100.0, omega_I=0.01), signal, "psic")
+        b = outage_probability(SystemConfig(rho=100.0, omega_I=10.0), signal, "psic")
         assert a.p_exact == b.p_exact
 
 
@@ -214,8 +211,9 @@ def test_strong_outage_under_heavy_leakage_matches_simulation():
     from twrnoma.montecarlo import mc_point
 
     n = 2 ** 18
-    cfg = SystemConfig(rho=10.0, varpi1=0.3, varpi2=0.3, sic_mode="ipsic")
-    est = mc_point(cfg, n, 99, kind="outage", signals=(1,))[("outage", "ipsic", 1)]
-    p = outage_probability(cfg, 1).p_exact
+    cfg = SystemConfig(rho=10.0, varpi1=0.3, varpi2=0.3)
+    est = mc_point(cfg, n, 99, kind="outage", signals=(1,),
+                   modes=("ipsic",))[("outage", "ipsic", 1)]
+    p = outage_probability(cfg, 1, "ipsic").p_exact
     z = (est.mean - p) / math.sqrt(p * (1.0 - p) / n)
     assert abs(z) <= 4.0

@@ -218,6 +218,15 @@ def test_mode_flag_replaces_a_single_mode_preset(tmp_path):
             assert {r["mode"] for r in csv.DictReader(fh)} == {"ipsic", "psic"}
 
 
+def test_unknown_mode_flag_exits_one(tmp_path, capsys):
+    code = run_in(tmp_path, ["sweep", "--metric", "outage", "--mode", "perfect",
+                             "--iterations", "2000"])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: SIC mode must be one of "
+                                       "('ipsic', 'psic'), got 'perfect'\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("metric", ["outage", "throughput_dt", "ee_dl"])
 def test_flag_only_sweep_is_the_default_spec(tmp_path, metric):
     """Without a preset, the flags replace fields of SweepSpec's defaults."""

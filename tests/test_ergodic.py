@@ -33,7 +33,7 @@ from reference_routes import leakage_ccdf_nested, leakage_rate_nested
 IDX1 = SignalIndex.for_signal(1)
 IDX2 = SignalIndex.for_signal(2)
 
-# (snr_db, sic_mode) -> strong-user rate, leakage fractions at zero
+# (snr_db, SIC mode) -> strong-user rate, leakage fractions at zero
 STRONG_RATE_TABLE = {
     (10, "ipsic"): 0.20595218, (20, "ipsic"): 0.73770267,
     (30, "ipsic"): 1.19464182, (40, "ipsic"): 1.328598,
@@ -57,15 +57,18 @@ WEAK_RATE_TABLE = {
 UNIT_POLE = dict(a1=0.5, a2=0.5, d1=3.0, d2=3.0)
 
 
-def _cfg(snr_db, mode, **kw):
-    return SystemConfig(rho=10.0 ** (snr_db / 10.0), sic_mode=mode,
-                        varpi1=0.0, varpi2=0.0, **kw)
+# the residual-SIC switch per mode, written out for the mpmath references
+EPS = {"ipsic": 1, "psic": 0}
+
+
+def _cfg(snr_db, **kw):
+    return SystemConfig(rho=10.0 ** (snr_db / 10.0), varpi1=0.0, varpi2=0.0, **kw)
 
 
 @pytest.mark.parametrize("key,expected", sorted(STRONG_RATE_TABLE.items()))
 def test_strong_rate_frozen_table(key, expected):
     snr_db, mode = key
-    assert ergodic_rate_strong_closed(_cfg(snr_db, mode), IDX1) == pytest.approx(
+    assert ergodic_rate_strong_closed(_cfg(snr_db), IDX1, mode) == pytest.approx(
         expected, rel=2e-6)
 
 
@@ -73,27 +76,27 @@ def test_strong_rate_frozen_table(key, expected):
 def test_weak_rate_frozen_table(key, expected):
     # several reference entries were recorded to six figures only
     snr_db, mode = key
-    assert ergodic_rate_weak_numeric(_cfg(snr_db, mode), IDX2) == pytest.approx(
+    assert ergodic_rate_weak_numeric(_cfg(snr_db), IDX2, mode) == pytest.approx(
         expected, rel=5e-5)
 
 
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
 @pytest.mark.parametrize("snr_db", [10, 30, 50])
 def test_strong_closed_vs_quadrature(snr_db, mode):
-    cfg = _cfg(snr_db, mode)
-    closed = ergodic_rate_strong_closed(cfg, IDX1)
-    quad = ergodic_rate_strong_quadrature(cfg, IDX1)
+    cfg = _cfg(snr_db)
+    closed = ergodic_rate_strong_closed(cfg, IDX1, mode)
+    quad = ergodic_rate_strong_quadrature(cfg, IDX1, mode)
     assert abs(closed - quad) / max(closed, quad) < 1e-8
 
 
-def _mp_strong_rate_no_leakage(cfg, idx):
+def _mp_strong_rate_no_leakage(cfg, idx, mode):
     # 30-digit quadrature of the no-leakage CCDF against 1/(1+u), with the
     # rate constants rebuilt from the config fields
     with mpmath.workdps(30):
         a_l, om_l = mpmath.mpf(cfg.a(idx.l)), mpmath.mpf(cfg.omega(idx.l))
         a_t, om_t = mpmath.mpf(cfg.a(idx.t)), mpmath.mpf(cfg.omega(idx.t))
         b_l, om_k = mpmath.mpf(cfg.b(idx.l)), mpmath.mpf(cfg.omega(idx.k))
-        lam1 = cfg.epsilon * mpmath.mpf(cfg.omega_I) / (b_l * om_k)
+        lam1 = EPS[mode] * mpmath.mpf(cfg.omega_I) / (b_l * om_k)
         lam2 = a_t * om_t / (a_l * om_l)
         psi = (a_l * om_l + b_l * om_k) / (cfg.rho * a_l * b_l * om_l * om_k)
         val = mpmath.quad(
@@ -104,10 +107,10 @@ def _mp_strong_rate_no_leakage(cfg, idx):
 
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
 def test_strong_closed_at_the_unit_pole_matches_mpmath(mode):
-    cfg = _cfg(20, mode, **UNIT_POLE)
-    assert compute_rate_intermediates(cfg, IDX1).lambda2 == 1.0
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+    cfg = _cfg(20, **UNIT_POLE)
+    assert compute_rate_intermediates(cfg, IDX1, mode).lambda2 == 1.0
+    assert ergodic_rate_strong_closed(cfg, IDX1, mode) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12)
 
 
 def _near_pole(delta):
@@ -122,11 +125,11 @@ def test_strong_closed_near_the_unit_pole_matches_mpmath(mode, delta):
     """Just off the pole simple-pole partial-fraction weights would cancel
     (6e-7 relative error at delta = 2e-9, 2e-11 at 1e-4); the divided
     difference keeps round-off."""
-    cfg = _cfg(20, mode, **_near_pole(delta))
-    assert compute_rate_intermediates(cfg, IDX1).lambda2 == pytest.approx(
+    cfg = _cfg(20, **_near_pole(delta))
+    assert compute_rate_intermediates(cfg, IDX1, mode).lambda2 == pytest.approx(
         1.0 + delta, rel=1e-15)
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+    assert ergodic_rate_strong_closed(cfg, IDX1, mode) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
@@ -139,13 +142,14 @@ def test_strong_rate_is_continuous_across_the_pair_window(mode, snr_db, side):
     # |nu2 - 1| = _CONFLUENT max(1, nu2) at nu2 = 1 - _CONFLUENT (lambda2
     # above 1) and at nu2 = 1/(1 - _CONFLUENT) (lambda2 below 1)
     edge = 1.0 / (1.0 - _CONFLUENT) - 1.0 if side > 0 else -_CONFLUENT
-    inside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 - 1e-12)))
-    outside = _cfg(snr_db, mode, **_near_pole(edge * (1.0 + 1e-12)))
+    inside = _cfg(snr_db, **_near_pole(edge * (1.0 - 1e-12)))
+    outside = _cfg(snr_db, **_near_pole(edge * (1.0 + 1e-12)))
     for cfg, confluent in ((inside, True), (outside, False)):
-        nu2 = 1.0 / compute_rate_intermediates(cfg, IDX1).lambda2
+        nu2 = 1.0 / compute_rate_intermediates(cfg, IDX1, mode).lambda2
         assert _confluent(min(1.0, nu2), max(1.0, nu2)) is confluent
     for fn in (ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic):
-        assert fn(inside, IDX1) == pytest.approx(fn(outside, IDX1), rel=1e-12)
+        assert fn(inside, IDX1, mode) == pytest.approx(fn(outside, IDX1, mode),
+                                                       rel=1e-12)
 
 
 def _poles(lam1, lam2):
@@ -159,23 +163,23 @@ def _poles(lam1, lam2):
 def test_strong_closed_at_the_residual_unit_pole_matches_mpmath(delta):
     """lambda1 = 1 + delta on the default config: the residual pole meets
     the 1/(1+u) pole and is taken as it stands, not moved off it."""
-    cfg = _cfg(20, "ipsic", omega_I=0.05 * (1.0 + delta))
-    assert compute_rate_intermediates(cfg, IDX1).lambda1 == pytest.approx(
+    cfg = _cfg(20, omega_I=0.05 * (1.0 + delta))
+    assert compute_rate_intermediates(cfg, IDX1, "ipsic").lambda1 == pytest.approx(
         1.0 + delta, rel=1e-15)
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+    assert ergodic_rate_strong_closed(cfg, IDX1, "ipsic") == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, "ipsic"), rel=1e-12)
 
 
 @pytest.mark.parametrize("e1,e2", [(0.0, 0.0), (1e-7, -1e-7), (1e-9, 3e-9)])
 def test_strong_closed_at_the_triple_pole_matches_mpmath(e1, e2):
     """lambda1 = 1 + e1 and lambda2 = 1 + e2: all three poles within the
     window, taken by Hermite-Genocchi over the triangle."""
-    cfg = _cfg(20, "ipsic", **_poles(1.0 + e1, 1.0 + e2))
-    inter = compute_rate_intermediates(cfg, IDX1)
+    cfg = _cfg(20, **_poles(1.0 + e1, 1.0 + e2))
+    inter = compute_rate_intermediates(cfg, IDX1, "ipsic")
     assert (inter.lambda1, inter.lambda2) == pytest.approx((1.0 + e1, 1.0 + e2),
                                                            rel=1e-15)
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+    assert ergodic_rate_strong_closed(cfg, IDX1, "ipsic") == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, "ipsic"), rel=1e-12)
 
 
 @pytest.mark.parametrize("snr_db", [20, 50])
@@ -183,14 +187,15 @@ def test_strong_rate_is_continuous_across_the_triple_window(snr_db):
     """With lambda1 = 1 the three poles leave the window together with nu2;
     Hermite-Genocchi and the recurrence agree at the edge."""
     edge = -_CONFLUENT
-    inside = _cfg(snr_db, "ipsic", **_poles(1.0, 1.0 + edge * (1.0 - 1e-12)))
-    outside = _cfg(snr_db, "ipsic", **_poles(1.0, 1.0 + edge * (1.0 + 1e-12)))
+    inside = _cfg(snr_db, **_poles(1.0, 1.0 + edge * (1.0 - 1e-12)))
+    outside = _cfg(snr_db, **_poles(1.0, 1.0 + edge * (1.0 + 1e-12)))
     for cfg, confluent in ((inside, True), (outside, False)):
-        inter = compute_rate_intermediates(cfg, IDX1)
+        inter = compute_rate_intermediates(cfg, IDX1, "ipsic")
         nodes = (1.0, 1.0 / inter.lambda1, 1.0 / inter.lambda2)
         assert _confluent(min(nodes), max(nodes)) is confluent
     for fn in (ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic):
-        assert fn(inside, IDX1) == pytest.approx(fn(outside, IDX1), rel=1e-12)
+        assert fn(inside, IDX1, "ipsic") == pytest.approx(fn(outside, IDX1, "ipsic"),
+                                                          rel=1e-12)
 
 
 # rate constants on and near 1 and each other: a shared anchor, 1 or free,
@@ -218,13 +223,13 @@ def test_strong_closed_at_tied_poles_matches_quadrature(poles, snr_db, mode):
     CCDF wherever the rate constants tie, and its expansion stays within
     5e-3 of it at 70 dB.  The examples are a residual pole on the unit
     pole, lambda1 = lambda2, and all three poles within 3e-9 of each other."""
-    cfg = _cfg(snr_db, mode, **_poles(*poles))
-    closed = ergodic_rate_strong_closed(cfg, IDX1)
-    quad = ergodic_rate_strong_quadrature(cfg, IDX1)
+    cfg = _cfg(snr_db, **_poles(*poles))
+    closed = ergodic_rate_strong_closed(cfg, IDX1, mode)
+    quad = ergodic_rate_strong_quadrature(cfg, IDX1, mode)
     assert abs(closed - quad) / quad < 1e-8
     high = cfg.with_rho(1e7)
-    closed = ergodic_rate_strong_closed(high, IDX1)
-    assert abs(ergodic_rate_strong_asymptotic(high, IDX1) - closed) / closed < 5e-3
+    closed = ergodic_rate_strong_closed(high, IDX1, mode)
+    assert abs(ergodic_rate_strong_asymptotic(high, IDX1, mode) - closed) / closed < 5e-3
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -235,10 +240,11 @@ def test_strong_quadrature_reference_at_a_tied_psic_pole():
     """lambda2 = 9.0625 under perfect SIC at 20 dB: the closed form is within
     1e-15 of mpmath, but the quadrature reference stops after one 21-point
     Gauss-Kronrod pass whose error estimate is optimistic, 1.4e-8 off."""
-    cfg = _cfg(20.0, "psic", **_poles(9.0625, 9.0625))
-    exact = _mp_strong_rate_no_leakage(cfg, IDX1)
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(exact, rel=1e-12)
-    assert ergodic_rate_strong_quadrature(cfg, IDX1) == pytest.approx(exact, rel=1e-8)
+    cfg = _cfg(20.0, **_poles(9.0625, 9.0625))
+    exact = _mp_strong_rate_no_leakage(cfg, IDX1, "psic")
+    assert ergodic_rate_strong_closed(cfg, IDX1, "psic") == pytest.approx(exact, rel=1e-12)
+    assert ergodic_rate_strong_quadrature(cfg, IDX1, "psic") == pytest.approx(exact,
+                                                                              rel=1e-8)
 
 
 def test_gauss_legendre_table_matches_numpy():
@@ -249,7 +255,7 @@ def test_gauss_legendre_table_matches_numpy():
 
 
 def test_rate_intermediates_frozen(baseline):
-    inter = compute_rate_intermediates(baseline.with_rho(100.0), IDX1)
+    inter = compute_rate_intermediates(baseline.with_rho(100.0), IDX1, "ipsic")
     assert inter.lambda1 == pytest.approx(0.2, rel=1e-12)
     assert inter.lambda2 == pytest.approx(0.01, rel=1e-12)
     assert inter.lambda3 == pytest.approx(5.0, rel=1e-12)
@@ -260,21 +266,20 @@ def test_rate_intermediates_frozen(baseline):
 
 
 def test_perfect_sic_zeroes_the_residual_pole(baseline):
-    cfg = dataclasses.replace(baseline.with_mode("psic").with_rho(100.0),
-                              varpi1=0.0, varpi2=0.0)
-    assert compute_rate_intermediates(cfg, IDX1).lambda1 == 0.0
+    cfg = dataclasses.replace(baseline.with_rho(100.0), varpi1=0.0, varpi2=0.0)
+    assert compute_rate_intermediates(cfg, IDX1, "psic").lambda1 == 0.0
     # the two-pole divided difference against the CCDF with lambda1 = 0
-    assert ergodic_rate_strong_closed(cfg, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(cfg, IDX1), rel=1e-12)
+    assert ergodic_rate_strong_closed(cfg, IDX1, "psic") == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, "psic"), rel=1e-12)
 
 
 def test_residual_pole_beyond_the_float_range_is_perfect_sic():
     """A residual power so small that 1/lambda1 overflows reads as the
     perfect-SIC rate, the limit as lambda1 goes to 0."""
-    tiny = _cfg(20, "ipsic", omega_I=1e-310)
-    assert compute_rate_intermediates(tiny, IDX1).lambda1 > 0.0
-    assert ergodic_rate_strong_closed(tiny, IDX1) == pytest.approx(
-        ergodic_rate_strong_closed(_cfg(20, "psic"), IDX1), rel=1e-12)
+    tiny = _cfg(20, omega_I=1e-310)
+    assert compute_rate_intermediates(tiny, IDX1, "ipsic").lambda1 > 0.0
+    assert ergodic_rate_strong_closed(tiny, IDX1, "ipsic") == pytest.approx(
+        ergodic_rate_strong_closed(_cfg(20), IDX1, "psic"), rel=1e-12)
 
 
 def _k_and_derivatives(psi):
@@ -314,7 +319,7 @@ def test_strong_ccdf_is_a_valid_survival_function(baseline):
     u = np.linspace(0.0, 200.0, 400)
     for cfg in (baseline, baseline.without_leakage()):
         for mode in ("ipsic", "psic"):
-            ccdf = _strong_ccdf(cfg.with_rho(100.0).with_mode(mode), IDX1)
+            ccdf = _strong_ccdf(cfg.with_rho(100.0), IDX1, mode)
             vals = np.array([ccdf(x) for x in u])
             assert vals[0] == 1.0
             assert np.all(np.diff(vals) <= 1e-15)
@@ -328,9 +333,9 @@ def test_strong_ccdf_without_leakage_is_the_closed_form_integrand(baseline, mode
     """At zero leakage the zero-power terms drop out, leaving
     exp(-u psi) / ((1 + u lambda1)(1 + u lambda2)) with the constants of
     compute_rate_intermediates (lambda1 = 0 under perfect SIC)."""
-    cfg = baseline.without_leakage().with_rho(100.0).with_mode(mode)
-    inter = compute_rate_intermediates(cfg, IDX1)
-    ccdf = _strong_ccdf(cfg, IDX1)
+    cfg = baseline.without_leakage().with_rho(100.0)
+    inter = compute_rate_intermediates(cfg, IDX1, mode)
+    ccdf = _strong_ccdf(cfg, IDX1, mode)
     for u in (0.0, 1e-3, 0.5, 2.0, 10.0, 60.0):
         expected = math.exp(-u * inter.psi) / ((1.0 + u * inter.lambda1)
                                                * (1.0 + u * inter.lambda2))
@@ -385,7 +390,7 @@ def _mp_leakage_rate(cfg, idx):
         z_rates = [1 / (rho * cfg.a(idx.t) * cfg.omega(idx.t)),
                    1 / (rho * cfg.varpi1 * cfg.a(idx.k) * cfg.omega(idx.k)),
                    1 / (rho * cfg.varpi1 * cfg.a(idx.r) * cfg.omega(idx.r))]
-        w_rates = [1 / (rho * cfg.epsilon * cfg.omega_I),
+        w_rates = [1 / (rho * cfg.omega_I),
                    1 / (rho * cfg.varpi2 * cfg.omega(idx.k))]
         cz = 1 / (rho * cfg.a(idx.l) * cfg.omega(idx.l))
         cw = 1 / (rho * cfg.b(idx.l) * cfg.omega(idx.k))
@@ -435,15 +440,16 @@ def test_strong_numeric_leakage_when_a_term_power_underflows(baseline, field):
 def test_strong_numeric_leakage_matches_simulation():
     from twrnoma.montecarlo import _Z95, mc_point
 
-    cfg = SystemConfig(rho=10.0 ** 2.5, sic_mode="ipsic")
-    est = mc_point(cfg, 2 ** 18, 99, kind="rate", signals=(1,))["rate", "ipsic", 1]
+    cfg = SystemConfig(rho=10.0 ** 2.5)
+    est = mc_point(cfg, 2 ** 18, 99, kind="rate", signals=(1,),
+                   modes=("ipsic",))["rate", "ipsic", 1]
     z = (ergodic_rate_strong_numeric(cfg, IDX1) - est.mean) / (est.half_width_95 / _Z95)
     assert abs(z) <= 4.0
 
 
 def test_strong_numeric_sits_below_no_leakage_rate(baseline):
     with_leak = ergodic_rate_strong_numeric(baseline.with_rho(100.0), IDX1)
-    without = ergodic_rate_strong_closed(_cfg(20, "ipsic"), IDX1)
+    without = ergodic_rate_strong_closed(_cfg(20), IDX1, "ipsic")
     assert with_leak < without
 
 
@@ -452,8 +458,8 @@ def test_weak_mapped_integral_matches_raw_quadrature(baseline):
     the finite SINR support and compare."""
     from scipy.integrate import quad
 
-    cfg = _cfg(20, "ipsic")
-    inter = compute_rate_intermediates(cfg, IDX2)
+    cfg = _cfg(20)
+    inter = compute_rate_intermediates(cfg, IDX2, "ipsic")
     a_t = cfg.a(IDX2.t)
     omega_t = cfg.omega(IDX2.t)
     omega_k = cfg.omega(IDX2.k)
@@ -469,19 +475,19 @@ def test_weak_mapped_integral_matches_raw_quadrature(baseline):
 
     raw_val, _ = quad(raw, 0.0, b_t / b_l - 1e-12, limit=400)
     raw_val /= 2.0 * math.log(2.0)
-    assert ergodic_rate_weak_numeric(cfg, IDX2) == pytest.approx(raw_val,
+    assert ergodic_rate_weak_numeric(cfg, IDX2, "ipsic") == pytest.approx(raw_val,
                                                                  rel=1e-6)
 
 
 def test_weak_ceiling_frozen_values():
-    ip = ergodic_rate_weak_highsnr(_cfg(40, "ipsic"), IDX2)
+    ip = ergodic_rate_weak_highsnr(_cfg(40), IDX2, "ipsic")
     assert ip == pytest.approx(0.25879866598642474263, rel=1e-12)
     # the imperfect-SIC ceiling does not move with SNR
-    assert ergodic_rate_weak_highsnr(_cfg(60, "ipsic"), IDX2) == pytest.approx(
+    assert ergodic_rate_weak_highsnr(_cfg(60), IDX2, "ipsic") == pytest.approx(
         ip, rel=1e-12)
-    assert ergodic_rate_weak_highsnr(_cfg(40, "psic"), IDX2) == pytest.approx(
+    assert ergodic_rate_weak_highsnr(_cfg(40), IDX2, "psic") == pytest.approx(
         1.0795731712516655394, rel=1e-11)
-    assert ergodic_rate_weak_highsnr(_cfg(50, "psic"), IDX2) == pytest.approx(
+    assert ergodic_rate_weak_highsnr(_cfg(50), IDX2, "psic") == pytest.approx(
         1.15239226130271, rel=1e-11)
 
 
@@ -495,9 +501,9 @@ def _mp_weak_psic_ceiling(c, b_l):
 @pytest.mark.parametrize("c", [1e-3, 0.1, 1.0, 10.0, 700.0, 1e3, 1e4])
 def test_weak_psic_ceiling_matches_mpmath(c):
     """c = 1/(rho a_t Omega_t) past ~709 overflows e^c taken on its own."""
-    cfg = SystemConfig(varpi1=0.0, varpi2=0.0, sic_mode="psic")
+    cfg = SystemConfig(varpi1=0.0, varpi2=0.0)
     cfg = cfg.with_rho(1.0 / (c * cfg.a2 * cfg.omega(2)))
-    assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(
+    assert ergodic_rate_weak_highsnr(cfg, IDX2, "psic") == pytest.approx(
         _mp_weak_psic_ceiling(c, cfg.b1), rel=1e-10)
 
 
@@ -508,8 +514,8 @@ def test_weak_ceiling_near_unity_interference_ratio():
     base = dict(rho=1e4, varpi1=0.0, varpi2=0.0)
     at_one = SystemConfig(omega_I=0.002, **base)
     near = SystemConfig(omega_I=0.002 * (1.0 + 5e-7), **base)
-    v1 = ergodic_rate_weak_highsnr(at_one, IDX2)
-    v2 = ergodic_rate_weak_highsnr(near, IDX2)
+    v1 = ergodic_rate_weak_highsnr(at_one, IDX2, "ipsic")
+    v2 = ergodic_rate_weak_highsnr(near, IDX2, "ipsic")
     assert v1 == pytest.approx(v2, rel=1e-5)
     assert math.isfinite(v1)
 
@@ -519,7 +525,7 @@ def test_weak_ceiling_near_unity_matches_mpmath(gap):
     """1 - lambda3 = gap: the ceiling against a 30-digit quadrature of the
     limiting CCDF, integral_0^X dx / ((1 + x)(1 + x lambda3)) / (2 ln 2)."""
     cfg = SystemConfig(rho=1e4, varpi1=0.0, varpi2=0.0, omega_I=0.002 * (1.0 - gap))
-    assert compute_rate_intermediates(cfg, IDX2).lambda3 == pytest.approx(
+    assert compute_rate_intermediates(cfg, IDX2, "ipsic").lambda3 == pytest.approx(
         1.0 - gap, rel=1e-15)
     with mpmath.workdps(30):
         lam3 = (mpmath.mpf(cfg.omega_I)
@@ -527,13 +533,13 @@ def test_weak_ceiling_near_unity_matches_mpmath(gap):
         cap = mpmath.mpf(cfg.b(IDX2.t)) / mpmath.mpf(cfg.b(IDX2.l))
         ref = float(mpmath.quad(lambda x: 1 / ((1 + x) * (1 + x * lam3)), [0, cap])
                     / (2 * mpmath.log(2)))
-    assert ergodic_rate_weak_highsnr(cfg, IDX2) == pytest.approx(ref, rel=1e-12)
+    assert ergodic_rate_weak_highsnr(cfg, IDX2, "ipsic") == pytest.approx(ref, rel=1e-12)
 
 
 def test_strong_asymptote_frozen_values():
-    assert ergodic_rate_strong_asymptotic(_cfg(50, "ipsic"), IDX1) == \
+    assert ergodic_rate_strong_asymptotic(_cfg(50), IDX1, "ipsic") == \
         pytest.approx(1.3484742797548983, rel=1e-12)
-    assert ergodic_rate_strong_asymptotic(_cfg(50, "psic"), IDX1) == \
+    assert ergodic_rate_strong_asymptotic(_cfg(50), IDX1, "psic") == \
         pytest.approx(3.3002070208895367, rel=1e-12)
 
 
@@ -543,7 +549,7 @@ def test_strong_asymptote_matches_mpmath(omega_i):
     three distinct poles at 40 digits.  A small residual power puts nu1 far
     from the other poles, where summing weighted simple-pole terms in
     double precision loses up to 1e-5 relative."""
-    cfg = _cfg(20, "ipsic", omega_I=omega_i)
+    cfg = _cfg(20, omega_I=omega_i)
     with mpmath.workdps(40):
         idx = IDX1
         a_l, om_l = mpmath.mpf(cfg.a(idx.l)), mpmath.mpf(cfg.omega(idx.l))
@@ -557,14 +563,15 @@ def test_strong_asymptote_matches_mpmath(omega_i):
             / mpmath.fprod(x - y for j, y in enumerate(nodes) if j != i)
             for i, x in enumerate(nodes))
         ref = float(nodes[1] * nodes[2] * dd / (2 * mpmath.log(2)))
-    assert ergodic_rate_strong_asymptotic(cfg, IDX1) == pytest.approx(ref, rel=1e-12)
+    assert ergodic_rate_strong_asymptotic(cfg, IDX1, "ipsic") == pytest.approx(ref,
+                                                                            rel=1e-12)
 
 
 def test_asymptote_approaches_closed_form():
     for kw in ({}, UNIT_POLE):
         for mode in ("ipsic", "psic"):
-            closed = ergodic_rate_strong_closed(_cfg(70, mode, **kw), IDX1)
-            asym = ergodic_rate_strong_asymptotic(_cfg(70, mode, **kw), IDX1)
+            closed = ergodic_rate_strong_closed(_cfg(70, **kw), IDX1, mode)
+            asym = ergodic_rate_strong_asymptotic(_cfg(70, **kw), IDX1, mode)
             assert abs(closed - asym) / closed < 5e-3
 
 
@@ -580,14 +587,11 @@ def test_high_snr_slope_estimate():
 def test_preconditions_route_to_the_right_entry_point(baseline):
     cfg = baseline.with_rho(100.0)
     with pytest.raises(ValueError, match="leakage fractions at zero"):
-        ergodic_rate_strong_closed(cfg, IDX1)
+        ergodic_rate_strong_closed(cfg, IDX1, "ipsic")
     with pytest.raises(ValueError, match="leakage fractions at zero"):
-        ergodic_rate_weak_numeric(cfg, IDX2)
+        ergodic_rate_weak_numeric(cfg, IDX2, "ipsic")
     with pytest.raises(ValueError, match="ergodic_rate_strong_closed"):
-        ergodic_rate_strong_numeric(_cfg(20, "ipsic"), IDX1)
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        ergodic_rate_strong_numeric(baseline.with_mode("psic").with_rho(100.0),
-                                    IDX1)
+        ergodic_rate_strong_numeric(_cfg(20), IDX1)
 
 
 def test_divergent_quadrature_raises_with_its_partial_estimate():
@@ -604,13 +608,13 @@ def test_rate_constant_collision_is_kept_raw():
     them, and the rate at the tie still matches mpmath."""
     # lambda1 = eps Omega_I/(b_l Omega_k), lambda2 = a_t Omega_t/(a_l Omega_l)
     cfg = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0, omega_I=0.001)
-    inter0 = compute_rate_intermediates(cfg, IDX1)
+    inter0 = compute_rate_intermediates(cfg, IDX1, "ipsic")
     assert inter0.lambda1 == pytest.approx(0.02, rel=1e-12)
     assert inter0.lambda2 == pytest.approx(0.01, rel=1e-12)
     collide = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0, omega_I=0.0005)
-    inter = compute_rate_intermediates(collide, IDX1)
-    assert inter.lambda1 == collide.epsilon * collide.omega_I / (collide.b1 * collide.omega(3))
+    inter = compute_rate_intermediates(collide, IDX1, "ipsic")
+    assert inter.lambda1 == collide.omega_I / (collide.b1 * collide.omega(3))
     assert inter.lambda2 == collide.a2 * collide.omega(2) / (collide.a1 * collide.omega(1))
     assert inter.lambda1 == pytest.approx(inter.lambda2, rel=1e-15)
-    assert ergodic_rate_strong_closed(collide, IDX1) == pytest.approx(
-        _mp_strong_rate_no_leakage(collide, IDX1), rel=1e-12)
+    assert ergodic_rate_strong_closed(collide, IDX1, "ipsic") == pytest.approx(
+        _mp_strong_rate_no_leakage(collide, IDX1, "ipsic"), rel=1e-12)

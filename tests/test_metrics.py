@@ -76,16 +76,16 @@ def test_delay_tolerant_sums_rates():
 
 
 def _dt_system(rho, mode):
-    cfg = SystemConfig(rho=rho, sic_mode=mode, varpi1=0.0, varpi2=0.0)
+    cfg = SystemConfig(rho=rho, varpi1=0.0, varpi2=0.0)
     from twrnoma.ergodic import ergodic_rate_strong_closed
     from twrnoma.model import SignalIndex
     total = 0.0
     for s in (1, 2, 3, 4):
         idx = SignalIndex.for_signal(s)
         if s in (1, 3):
-            total += ergodic_rate_strong_closed(cfg, idx)
+            total += ergodic_rate_strong_closed(cfg, idx, mode)
         else:
-            total += ergodic_rate_weak_numeric(cfg, idx)
+            total += ergodic_rate_weak_numeric(cfg, idx, mode)
     return total
 
 
@@ -111,8 +111,8 @@ def test_throughput_from_closed_outage_matches_simulation(baseline):
     with closed-form outage and once with simulated outage."""
     cfg = baseline.with_rho(1e3)
     rates = (cfg.r1, cfg.r2, cfg.r3, cfg.r4)
-    closed = [outage_probability(cfg, s).p_exact for s in (1, 2, 3, 4)]
-    ests = [mc_outage(cfg, s, 200_000, 77) for s in (1, 2, 3, 4)]
+    closed = [outage_probability(cfg, s, "ipsic").p_exact for s in (1, 2, 3, 4)]
+    ests = [mc_outage(cfg, s, "ipsic", 200_000, 77) for s in (1, 2, 3, 4)]
     t_closed = throughput_delay_limited(closed, rates)
     t_mc = throughput_delay_limited([e.mean for e in ests], rates)
     budget = sum(r * e.half_width_95 for r, e in zip(rates, ests))
@@ -131,7 +131,7 @@ def test_throughput_from_closed_outage_matches_simulation(baseline):
 def test_analytic_rejects_a_target_the_metric_does_not_take(baseline, metric,
                                                              target, match):
     with pytest.raises(ValueError, match=match):
-        analytic(baseline, metric, target)
+        analytic(baseline, metric, target, "ipsic")
 
 
 def test_analytic_rate_is_the_leakage_free_closed_form(baseline):
@@ -139,15 +139,16 @@ def test_analytic_rate_is_the_leakage_free_closed_form(baseline):
     delay-tolerant throughput sums exactly those four rates."""
     cfg = baseline.with_rho(1e3)
     assert cfg.varpi1 > 0.0 and cfg.varpi2 > 0.0
-    total = analytic(cfg, "throughput_dt", "system")[0]
+    total = analytic(cfg, "throughput_dt", "system", "ipsic")[0]
     assert total == pytest.approx(_dt_system(1e3, "ipsic"), rel=1e-12)
-    assert total == sum(analytic(cfg, "ergodic_rate", s)[0] for s in (1, 2, 3, 4))
+    assert total == sum(analytic(cfg, "ergodic_rate", s, "ipsic")[0]
+                        for s in (1, 2, 3, 4))
 
 
 def test_analytic_energy_efficiency_rescales_throughput(baseline):
     cfg = baseline.with_rho(1e2)
     for base, ee in (("throughput_dl", "ee_dl"), ("throughput_dt", "ee_dt")):
-        t, t_asym, _ = analytic(cfg, base, "system", asymptotic=True)
-        e, e_asym, _ = analytic(cfg, ee, "system", asymptotic=True)
+        t, t_asym, _ = analytic(cfg, base, "system", "ipsic", asymptotic=True)
+        e, e_asym, _ = analytic(cfg, ee, "system", "ipsic", asymptotic=True)
         assert e == pytest.approx(energy_efficiency(t, cfg), rel=1e-14)
         assert e_asym == pytest.approx(energy_efficiency(t_asym, cfg), rel=1e-14)

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrnoma.model import (ChannelDraw, ConfigError, SignalIndex, SinrSet,
-                           SystemConfig, gamma_threshold, sample_channel_draw,
-                           sinr_coefficients, sinr_set)
+from twrnoma.analysis import outage_asymptotic, outage_probability
+from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
+from twrnoma.metrics import analytic
+from twrnoma.model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex,
+                           SinrSet, SystemConfig, gamma_threshold,
+                           sample_channel_draw, sic_epsilon, sinr_coefficients,
+                           sinr_set)
+from twrnoma.montecarlo import mc_grid
+from twrnoma.sweep import SweepSpec
 
 
 def test_gamma_threshold_frozen_values():
@@ -47,7 +53,8 @@ def test_distance_law_gain_must_be_positive_and_finite(kwargs, name):
     (dict(omega_I=0.0), "omega_I must be positive"),
     (dict(varpi1=1.5), "varpi1 must lie in"),
     (dict(r2=-0.1), "r2 must be a finite rate"),
-    (dict(sic_mode="perfect"), "sic_mode must be"),
+    # a subnormal SNR: its reciprocal, which every SINR reads, overflows
+    (dict(rho=1e-310), "rho must be positive with a finite reciprocal"),
     (dict(b1=0.0), "b1 must lie in"),
     (dict(b1=0.5), "b1 must lie in"),
     (dict(b3=0.0), "b3 must lie in"),
@@ -84,14 +91,39 @@ def test_relay_sinr_hand_value():
     """
     cfg = SystemConfig(rho=10.0, varpi1=0.0)
     draw = ChannelDraw(g1=0.5, g2=0.1, g3=0.9, g4=0.9, gI=0.3)
-    s = sinr_set(cfg, draw, SignalIndex.for_signal(1))
+    s = sinr_set(cfg, draw, SignalIndex.for_signal(1), "ipsic")
     assert s.relay_strong == pytest.approx(4.0 / 1.2, rel=1e-15)
 
 
 def test_mode_switch_property(baseline):
-    assert baseline.epsilon == 1.0
-    assert baseline.with_mode("psic").epsilon == 0.0
+    assert SIC_MODES == ("ipsic", "psic")
+    assert sic_epsilon("ipsic") == 1.0
+    assert sic_epsilon("psic") == 0.0
     assert baseline.with_rho(100.0).rho == 100.0
+
+
+_NO_LEAKAGE = SystemConfig(rho=100.0, varpi1=0.0, varpi2=0.0)
+_DRAW = ChannelDraw(g1=0.5, g2=0.1, g3=0.9, g4=0.2, gI=0.3)
+
+
+@pytest.mark.parametrize("route", [
+    lambda mode: outage_probability(_NO_LEAKAGE, 1, mode),
+    lambda mode: outage_asymptotic(_NO_LEAKAGE, 2, mode),
+    lambda mode: analytic(_NO_LEAKAGE, "outage", 1, mode),
+    lambda mode: ergodic_rate_strong_closed(_NO_LEAKAGE, SignalIndex.for_signal(1), mode),
+    lambda mode: ergodic_rate_weak_numeric(_NO_LEAKAGE, SignalIndex.for_signal(2), mode),
+    lambda mode: sinr_set(_NO_LEAKAGE, _DRAW, SignalIndex.for_signal(1), mode),
+    lambda mode: mc_grid(_NO_LEAKAGE, [1.0], 1000, 1, kind="outage", modes=(mode,)),
+    lambda mode: SweepSpec(modes=(mode,)),
+], ids=["outage_probability", "outage_asymptotic", "analytic",
+        "ergodic_rate_strong_closed", "ergodic_rate_weak_numeric", "sinr_set",
+        "mc_grid", "SweepSpec"])
+def test_every_route_refuses_an_unknown_sic_mode(route):
+    """Every route that depends on the SIC mode takes it as an argument and
+    refuses a name outside SIC_MODES with sic_epsilon's one message."""
+    with pytest.raises(ConfigError) as info:
+        route("perfect")
+    assert str(info.value) == "SIC mode must be one of ('ipsic', 'psic'), got 'perfect'"
 
 
 gains = st.floats(min_value=1e-3, max_value=10.0)
@@ -105,8 +137,8 @@ def test_every_sinr_grows_with_transmit_snr(g1, g2, g3, g4, gi, rho, factor):
     """With the channel draw held fixed, raising rho helps every branch."""
     draw = ChannelDraw(g1, g2, g3, g4, gi)
     idx = SignalIndex.for_signal(1)
-    lo = sinr_set(SystemConfig(rho=rho), draw, idx)
-    hi = sinr_set(SystemConfig(rho=rho * factor), draw, idx)
+    lo = sinr_set(SystemConfig(rho=rho), draw, idx, "ipsic")
+    hi = sinr_set(SystemConfig(rho=rho * factor), draw, idx, "ipsic")
     for name in ("relay_strong", "relay_weak", "near_decodes_weak",
                  "near_decodes_own", "far_decodes_weak"):
         assert getattr(hi, name) >= getattr(lo, name)
@@ -117,8 +149,9 @@ def test_every_sinr_grows_with_transmit_snr(g1, g2, g3, g4, gi, rho, factor):
 def test_residual_interference_only_hurts(g1, g2, g3, g4, gi):
     draw = ChannelDraw(g1, g2, g3, g4, gi)
     idx = SignalIndex.for_signal(1)
-    ip = sinr_set(SystemConfig(rho=100.0, sic_mode="ipsic"), draw, idx)
-    p = sinr_set(SystemConfig(rho=100.0, sic_mode="psic"), draw, idx)
+    cfg = SystemConfig(rho=100.0)
+    ip = sinr_set(cfg, draw, idx, "ipsic")
+    p = sinr_set(cfg, draw, idx, "psic")
     assert ip.relay_weak <= p.relay_weak
     assert ip.near_decodes_own <= p.near_decodes_own
     # branches that do not carry the residual term are untouched
@@ -126,9 +159,9 @@ def test_residual_interference_only_hurts(g1, g2, g3, g4, gi):
     assert ip.far_decodes_weak == p.far_decodes_weak
 
 
-def _reference_sinrs(config, draw, idx):
+def _reference_sinrs(config, draw, idx, mode):
     """The five SINRs written out once per mode, as a reference."""
-    rho, eps = config.rho, config.epsilon
+    rho, eps = config.rho, {"ipsic": 1.0, "psic": 0.0}[mode]
     a_l, a_k, a_t, a_r = (config.a(idx.l), config.a(idx.k),
                           config.a(idx.t), config.a(idx.r))
     b_l, b_t = config.b(idx.l), config.b(idx.t)
@@ -153,8 +186,8 @@ def test_sinr_set_equals_the_per_mode_formulas(signal):
     draw = sample_channel_draw(cfg, rng, size=5000)
     idx = SignalIndex.for_signal(signal)
     for mode in ("ipsic", "psic"):
-        got = sinr_set(cfg.with_mode(mode), draw, idx)
-        want = _reference_sinrs(cfg.with_mode(mode), draw, idx)
+        got = sinr_set(cfg, draw, idx, mode)
+        want = _reference_sinrs(cfg, draw, idx, mode)
         for name in ("relay_strong", "relay_weak", "near_decodes_weak",
                      "near_decodes_own", "far_decodes_weak"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -175,7 +208,7 @@ def test_sinr_coefficients_give_each_chain_at_any_snr(signal, varpi):
     assert per_mode[0][1][0] is per_mode[1][1][0]       # a_t g_t
     for rho in (0.1, 10.0 ** 1.5, 1e6):
         for mode, decodes in zip(modes, per_mode):
-            v = sinr_set(cfg.with_rho(rho).with_mode(mode), draw, idx)
+            v = sinr_set(cfg.with_rho(rho), draw, idx, mode)
             wants = (np.minimum(v.relay_strong, v.near_decodes_own),
                      np.minimum(np.minimum(v.relay_weak, v.near_decodes_weak),
                                 v.far_decodes_weak))
@@ -189,8 +222,8 @@ def test_group_exchange_symmetry():
     cfg = SystemConfig(rho=50.0)
     draw = ChannelDraw(g1=0.4, g2=0.02, g3=0.7, g4=0.05, gI=0.2)
     swapped = ChannelDraw(g1=0.7, g2=0.05, g3=0.4, g4=0.02, gI=0.2)
-    s1 = sinr_set(cfg, draw, SignalIndex.for_signal(1))
-    s3 = sinr_set(cfg, swapped, SignalIndex.for_signal(3))
+    s1 = sinr_set(cfg, draw, SignalIndex.for_signal(1), "ipsic")
+    s3 = sinr_set(cfg, swapped, SignalIndex.for_signal(3), "ipsic")
     assert s1 == s3
 
 

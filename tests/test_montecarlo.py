@@ -8,8 +8,8 @@ import pytest
 import twrnoma.montecarlo as montecarlo
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
-from twrnoma.model import (SignalIndex, SystemConfig, inverse_critical_snrs,
-                           sample_channel_draw)
+from twrnoma.model import (ConfigError, SignalIndex, SystemConfig,
+                           inverse_critical_snrs, sample_channel_draw)
 from twrnoma.montecarlo import (CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
                                 mc_oma_baseline, mc_outage, mc_point,
@@ -89,36 +89,47 @@ def test_substreams_look_independent():
 
 def test_run_shape_validation(baseline):
     with pytest.raises(ValueError, match="1000"):
-        mc_outage(baseline, 1, 999, 1)
+        mc_outage(baseline, 1, "ipsic", 999, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        mc_outage(baseline, 1, 10_000, -3)
+        mc_outage(baseline, 1, "ipsic", 10_000, -3)
+
+
+@pytest.mark.parametrize("kind", ["outage", "rate"])
+def test_a_subnormal_snr_is_refused(baseline, kind):
+    """At rho = 1e-310, 1/rho overflows, so no SINR A / (B + 1/rho) exists:
+    the grid refuses it, and so does a config copied to it."""
+    with pytest.raises(ValueError, match="finite reciprocals"):
+        montecarlo.mc_grid(baseline, [1.0, 1e-310], 1000, 1, kind=kind,
+                           modes=("ipsic",))
+    with pytest.raises(ConfigError, match="finite reciprocal"):
+        baseline.with_rho(1e-310)
 
 
 def test_outage_estimator_is_deterministic(baseline):
     cfg = baseline.with_rho(10.0)
-    one = mc_outage(cfg, 1, 50_000, 42, point_index=3)
-    two = mc_outage(cfg, 1, 50_000, 42, point_index=3)
+    one = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=3)
+    two = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=3)
     assert one == two
-    moved = mc_outage(cfg, 1, 50_000, 42, point_index=4)
+    moved = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=4)
     assert moved.mean != one.mean
 
 
 def test_worker_count_does_not_change_results(baseline):
     cfg = baseline.with_rho(316.2)
-    serial = mc_outage(cfg, 2, 300_000, 7, workers=1)
-    pooled = mc_outage(cfg, 2, 300_000, 7, workers=5)
+    serial = mc_outage(cfg, 2, "ipsic", 300_000, 7, workers=1)
+    pooled = mc_outage(cfg, 2, "ipsic", 300_000, 7, workers=5)
     assert serial == pooled
-    r1 = mc_ergodic(cfg, 1, 200_000, 7, workers=1)
-    r4 = mc_ergodic(cfg, 1, 200_000, 7, workers=4)
+    r1 = mc_ergodic(cfg, 1, "ipsic", 200_000, 7, workers=1)
+    r4 = mc_ergodic(cfg, 1, "ipsic", 200_000, 7, workers=4)
     assert r1 == r4
 
 
 @pytest.mark.parametrize("signal", [1, 2])
 @pytest.mark.parametrize("mode", ["ipsic", "psic"])
 def test_outage_estimate_brackets_closed_form(signal, mode):
-    cfg = SystemConfig(rho=10.0 ** 2.5, sic_mode=mode)
-    exact = outage_probability(cfg, signal).p_exact
-    est = mc_outage(cfg, signal, 200_000, 11)
+    cfg = SystemConfig(rho=10.0 ** 2.5)
+    exact = outage_probability(cfg, signal, mode).p_exact
+    est = mc_outage(cfg, signal, mode, 200_000, 11)
     sigma = math.sqrt(exact * (1.0 - exact) / est.n)
     assert abs(est.mean - exact) < max(4.0 * sigma, 1e-3)
 
@@ -127,24 +138,24 @@ def test_modes_share_the_channel_draws(baseline):
     """Common random numbers: the perfect-SIC run reuses the identical
     fading sample, so its failure set is a subset in expectation."""
     cfg = baseline.with_rho(10.0)
-    ip = mc_outage(cfg, 1, 100_000, 99)
-    p = mc_outage(cfg.with_mode("psic"), 1, 100_000, 99)
+    ip = mc_outage(cfg, 1, "ipsic", 100_000, 99)
+    p = mc_outage(cfg, 1, "psic", 100_000, 99)
     assert ip.seed == p.seed
     assert p.mean <= ip.mean
 
 
 def test_ergodic_estimate_matches_quadrature(no_leakage):
     cfg = no_leakage.with_rho(100.0)
-    closed = ergodic_rate_strong_closed(cfg, SignalIndex.for_signal(1))
-    est = mc_ergodic(cfg, 1, 400_000, 23)
+    closed = ergodic_rate_strong_closed(cfg, SignalIndex.for_signal(1), "ipsic")
+    est = mc_ergodic(cfg, 1, "ipsic", 400_000, 23)
     assert abs(est.mean - closed) / closed < 0.01
-    weak = ergodic_rate_weak_numeric(cfg, SignalIndex.for_signal(2))
-    est2 = mc_ergodic(cfg, 2, 400_000, 23)
+    weak = ergodic_rate_weak_numeric(cfg, SignalIndex.for_signal(2), "ipsic")
+    est2 = mc_ergodic(cfg, 2, "ipsic", 400_000, 23)
     assert abs(est2.mean - weak) / weak < 0.01
 
 
 def test_ergodic_interval_brackets_mean(baseline):
-    est = mc_ergodic(baseline.with_rho(10.0), 2, 50_000, 5)
+    est = mc_ergodic(baseline.with_rho(10.0), 2, "ipsic", 50_000, 5)
     assert est.ci_low <= est.mean <= est.ci_high
     assert est.half_width_95 > 0.0
 
@@ -189,17 +200,21 @@ def test_oma_baseline_is_deterministic_across_workers(baseline):
 
 @pytest.mark.parametrize("target", ["system", 1, 4])
 def test_oma_pair_equals_the_two_kind_requests(baseline, target):
-    """One draw of the fades gives both estimates, bit for bit those of the
-    two single-kind requests on the same substream."""
+    """The pair is bit for bit the two single-kind baseline requests on the
+    same substream, at two point indices."""
     cfg = baseline.with_rho(100.0)
-    n, seed, point = 2 * CHUNK + 1000, 13, 2
-    pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
-    assert pair == tuple(
-        mc_point(cfg, n, seed, point, kind=kind, signals=(), oma=True)[
-            f"oma_{kind}", target] for kind in ("outage", "rate"))
+    n, seed = 2 * CHUNK + 1000, 13
+    for point in (0, 2):
+        pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
+        assert pair == tuple(
+            mc_point(cfg, n, seed, point, kind=kind, signals=(), modes=(),
+                     oma=True)[f"oma_{kind}", target]
+            for kind in ("outage", "rate"))
 
 
-def test_oma_pair_draws_the_fades_once(baseline, monkeypatch):
+def test_oma_pair_reads_the_baseline_substream(baseline, monkeypatch):
+    """Each estimate of the pair reads the chunks of the baseline
+    substream 2 point_index + 1, the same fades."""
     streams = []
     original = montecarlo.chunk_generator
 
@@ -210,7 +225,7 @@ def test_oma_pair_draws_the_fades_once(baseline, monkeypatch):
     monkeypatch.setattr(montecarlo, "chunk_generator", counting)
     mc_oma_baseline(baseline.with_rho(10.0), "system", 2 * CHUNK + 1000, 13,
                     point_index=2)
-    assert streams == [(13, 5, 0), (13, 5, 1), (13, 5, 2)]
+    assert streams == [(13, 5, 0), (13, 5, 1), (13, 5, 2)] * 2
 
 
 @pytest.mark.parametrize("varpi", [0.0, 0.01])
@@ -225,7 +240,7 @@ def test_share_of_draws_that_never_decode_is_the_outage_floor(varpi):
     for mode, margins in zip(modes, inverse_critical_snrs(
             cfg, draw, SignalIndex.for_signal(1), modes)):
         for s, u in zip((1, 2), margins):
-            floor = outage_asymptotic(cfg.with_mode(mode), s).floor
+            floor = outage_asymptotic(cfg, s, mode).floor
             sigma = math.sqrt(floor * (1.0 - floor) / n)
             assert floor > 0.0
             assert abs(np.count_nonzero(u <= 0.0) / n - floor) <= 4.0 * sigma

@@ -44,6 +44,6 @@ def test_psic_fails_on_a_subset_of_the_ipsic_draws(cfg, seed):
 @settings(max_examples=200, deadline=None)
 def test_closed_form_outage_is_ordered_and_a_probability(cfg):
     for s in (1, 2, 3, 4):
-        ip = outage_probability(cfg.with_mode("ipsic"), s).p_exact
-        p = outage_probability(cfg.with_mode("psic"), s).p_exact
+        ip = outage_probability(cfg, s, "ipsic").p_exact
+        p = outage_probability(cfg, s, "psic").p_exact
         assert 0.0 <= p <= ip <= 1.0

@@ -19,6 +19,7 @@ from twrnoma.montecarlo import CHUNK, chunk_generator
 from twrnoma.sweep import (CSV_HEADER, MAX_GRID_POINTS, MetricPoint, OutputError,
                            SweepSpec, emit_outputs, emit_plot_script, render_csv,
                            run_sweep)
+from twrnoma.validate import DEFAULT_VALIDATE_SEED, validate
 
 
 def small_spec(stop_db=40.0, start_db=0.0, step_db=5.0, **kw):
@@ -52,7 +53,7 @@ def test_spec_validation():
         small_spec(mc_iterations=10)
     with pytest.raises(ConfigError, match="metric"):
         small_spec(metric="latency")
-    with pytest.raises(ConfigError, match="modes"):
+    with pytest.raises(ConfigError, match="SIC mode must be one of"):
         small_spec(modes=("off",))
     with pytest.raises(ConfigError, match="modes"):
         small_spec(modes=())
@@ -226,10 +227,10 @@ def test_outage_curves_fall_with_snr(baseline):
         assert means == sorted(means, reverse=True)
 
 
-def _per_draw_samples(cfg, draw, s):
+def _per_draw_samples(cfg, draw, s, mode):
     """Independent rebuild of signal s's success mask and rate per draw."""
     idx = SignalIndex.for_signal(s)
-    v = sinr_set(cfg, draw, idx)
+    v = sinr_set(cfg, draw, idx, mode)
     th_l = gamma_threshold(cfg.rate(idx.l))
     th_t = gamma_threshold(cfg.rate(idx.t))
     if s in (1, 3):
@@ -244,11 +245,11 @@ def _per_draw_samples(cfg, draw, s):
     return ok, 0.5 * np.log2(1.0 + eff)
 
 
-def _per_draw_system_sum(cfg, draw, metric):
+def _per_draw_system_sum(cfg, draw, metric, mode):
     """Independent rebuild of sum_i 1{ok_i} R_i or sum_i rate_i per draw."""
     total = np.zeros(draw.g1.shape)
     for s in (1, 2, 3, 4):
-        ok, rate = _per_draw_samples(cfg, draw, s)
+        ok, rate = _per_draw_samples(cfg, draw, s, mode)
         if metric == "throughput_dl":
             total += np.where(ok, cfg.rate(s), 0.0)
         else:
@@ -269,7 +270,7 @@ def test_system_interval_is_that_of_the_per_draw_sum(baseline, metric):
     # grid point 0, one chunk: the NOMA gains come from substream (0, 0)
     draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
     for mode in ("ipsic", "psic"):
-        x = _per_draw_system_sum(cfg.with_mode(mode), draw, metric)
+        x = _per_draw_system_sum(cfg, draw, metric, mode)
         assert x.std() > 0.0
         row = rows[mode]
         half = (row.mc_ci_high - row.mc_ci_low) / 2.0
@@ -304,7 +305,7 @@ def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
     assert len(ests) == 2 * 4
     for mode in ("ipsic", "psic"):
         for s in (1, 2, 3, 4):
-            parts = [_per_draw_samples(cfg.with_mode(mode), draw, s) for draw in draws]
+            parts = [_per_draw_samples(cfg, draw, s, mode) for draw in draws]
             est = ests[kind, mode, s]
             if kind == "outage":
                 failures = sum(int(np.count_nonzero(~ok)) for ok, _ in parts)
@@ -340,11 +341,11 @@ def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
     draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
     for rho, counts, system in zip(rhos, outage, delivered):
         for mode in modes:
-            mcfg = cfg.with_rho(rho).with_mode(mode)
+            mcfg = cfg.with_rho(rho)
             for s in (1, 2, 3, 4):
-                ok, _ = _per_draw_samples(mcfg, draw, s)
+                ok, _ = _per_draw_samples(mcfg, draw, s, mode)
                 assert counts["outage", mode, s].mean == np.count_nonzero(~ok) / n
-            x = _per_draw_system_sum(mcfg, draw, "throughput_dl")
+            x = _per_draw_system_sum(mcfg, draw, "throughput_dl", mode)
             est = system["throughput_dl", mode]
             assert est.mean == pytest.approx(x.mean(), rel=1e-12, abs=1e-15)
             assert est.half_width_95 == pytest.approx(
@@ -379,12 +380,12 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
 
     for rho, per_signal, system in zip(rhos, rates, sums):
         for mode in modes:
-            mcfg = cfg.with_rho(rho).with_mode(mode)
+            mcfg = cfg.with_rho(rho)
             for s in (1, 2, 3, 4):
                 assert_agrees(per_signal["rate", mode, s],
-                              _per_draw_samples(mcfg, draw, s)[1])
+                              _per_draw_samples(mcfg, draw, s, mode)[1])
             assert_agrees(system["throughput_dt", mode],
-                          _per_draw_system_sum(mcfg, draw, "throughput_dt"))
+                          _per_draw_system_sum(mcfg, draw, "throughput_dt", mode))
 
 
 @pytest.mark.parametrize("kind", ["rate", "throughput_dt"])
@@ -430,15 +431,17 @@ def test_system_kinds_always_sum_the_four_signals(baseline, kind):
 
 def test_kind_requests_are_checked(baseline):
     with pytest.raises(ValueError, match="kind"):
-        montecarlo.mc_point(baseline, 2000, 1, kind="latency")
-    with pytest.raises(ValueError, match="modes"):
+        montecarlo.mc_point(baseline, 2000, 1, kind="latency", modes=("ipsic",))
+    with pytest.raises(ValueError, match="SIC mode must be one of"):
         montecarlo.mc_point(baseline, 2000, 1, kind="outage", modes=("sic",))
     for kind in ("throughput_dl", "throughput_dt"):
         with pytest.raises(ValueError, match="orthogonal baseline"):
-            montecarlo.mc_point(baseline, 2000, 1, kind=kind, oma=True)
+            montecarlo.mc_point(baseline, 2000, 1, kind=kind, modes=("ipsic",),
+                                oma=True)
     for rhos in ([], [1.0, 0.0], [float("inf")], [[1.0]]):
         with pytest.raises(ValueError, match="rhos"):
-            montecarlo.mc_grid(baseline, rhos, 2000, 1, kind="outage")
+            montecarlo.mc_grid(baseline, rhos, 2000, 1, kind="outage",
+                               modes=("ipsic",))
 
 
 # sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
@@ -495,3 +498,16 @@ def test_analytic_columns_are_frozen(name):
             fields = line.split(",")
             digest.update((",".join(fields[0:6] + fields[9:10]) + "\n").encode())
     assert digest.hexdigest() == ANALYTIC_COLUMN_DIGESTS[name]
+
+
+# sha256 of the default-profile battery's report lines, newline-terminated
+# as ``twrnoma validate`` prints them, default config, iterations and seed.
+# The report is the second program surface whose bytes must not move;
+# recorded before the SIC mode left SystemConfig.
+VALIDATE_REPORT_DIGEST = "7abc66b1a1f646643e2b33968fa3ee32109db58d5dd32fc2e9dd177e0fb26b40"
+
+
+def test_validate_report_is_frozen():
+    report = validate(SystemConfig(), "default", seed=DEFAULT_VALIDATE_SEED)
+    text = "".join(line + "\n" for line in report.lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATE_REPORT_DIGEST

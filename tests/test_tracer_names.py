@@ -8,7 +8,10 @@ is loaded from its path and only read: nothing is installed or patched.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +38,20 @@ def test_traced_names_are_distinct_functions():
     objects = [getattr(importlib.import_module(module), name)
                for module, name, *_ in targets]
     assert len({id(fn) for fn in objects}) == len(objects)
+
+
+@pytest.mark.parametrize("name", ["mc_outage", "mc_ergodic", "mc_oma_baseline"])
+def test_traced_estimators_keep_their_sample_count_parameter(name):
+    """The tracer binds each estimator call to its signature and reads the
+    sample count by the parameter name ``n``."""
+    import twrnoma.montecarlo as montecarlo
+
+    assert "n" in inspect.signature(getattr(montecarlo, name)).parameters
+
+
+def test_sinr_set_takes_the_draw_second():
+    """The tracer reads the channel draw of a ``sinr_set`` call as its
+    second positional argument, or by the keyword ``draw``."""
+    from twrnoma.model import sinr_set
+
+    assert list(inspect.signature(sinr_set).parameters)[1] == "draw"

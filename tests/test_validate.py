@@ -63,8 +63,8 @@ def test_rate_quadrature_check_catches_wrong_rate_intermediates(monkeypatch):
     assert battery._check_rate_quadrature(SystemConfig(), 1.0)[0]
     real = ergodic.compute_rate_intermediates
 
-    def skewed(config, idx):
-        inter = real(config, idx)
+    def skewed(config, idx, mode):
+        inter = real(config, idx, mode)
         return dataclasses.replace(inter, lambda2=inter.lambda2 * 1.01)
 
     monkeypatch.setattr(ergodic, "compute_rate_intermediates", skewed)
