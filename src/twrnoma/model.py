@@ -271,14 +271,20 @@ def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:
     ``stream`` is a numpy Generator.  With ``size=None`` the fields are
     scalars, otherwise arrays of that shape.  Identical stream state yields
     identical draws, which is what the reproducibility contract rests on.
+
+    One standard-exponential call fills all five gains, g1's first, and each
+    is scaled by its mean in place: the variates, their stream order and
+    their values equal five ``stream.exponential(Omega, size)`` calls bit
+    for bit, since numpy forms exponential(Omega) as Omega times a standard
+    exponential.  The array fields are the rows of one array.
     """
-    return ChannelDraw(
-        g1=stream.exponential(config.omega(1), size),
-        g2=stream.exponential(config.omega(2), size),
-        g3=stream.exponential(config.omega(3), size),
-        g4=stream.exponential(config.omega(4), size),
-        gI=stream.exponential(config.omega_I, size),
-    )
+    scale = np.array([config.omega(1), config.omega(2), config.omega(3),
+                      config.omega(4), config.omega_I])
+    if size is None:
+        return ChannelDraw(*(stream.standard_exponential(5) * scale).tolist())
+    gains = stream.standard_exponential((5, *np.atleast_1d(size)))
+    gains *= scale.reshape(5, *(1,) * (gains.ndim - 1))
+    return ChannelDraw(*gains)
 
 
 def _pairing(config, draw, idx):

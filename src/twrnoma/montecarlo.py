@@ -16,13 +16,17 @@ estimate kind it reads, and the kernel builds only that.  Counted kinds
 every SINR is rho A / (rho B + 1) with A and B free of rho, so one draw
 decides its outcome at every grid SNR at once, and the failures at each
 grid SNR are one comparison count.  Rate kinds read the same A and B, formed
-once per chunk: at each grid SNR a chain's SINR is the least A / (B + 1/rho)
+once per block: at each grid SNR a chain's SINR is the least A / (B + 1/rho)
 over its decodes, and a decode no SIC mode changes is evaluated once.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
-and baseline; a sweep reads those of point index 0.  Chunks have a fixed
-size, counts are summed exactly and moments merge in fixed chunk order,
-so results are bit-identical for any worker count.
+and baseline; a sweep reads those of point index 0.  Each chunk draws its
+gains in one call and hands the statistics one block of BLOCK draws at a
+time, as views: every temporary is then a block long, small enough for the
+allocator to reuse and for the cache to hold, where chunk-long ones would
+be mapped in afresh each time.  Chunks and blocks have fixed sizes, counts
+are summed exactly and moments merge in fixed (chunk, block) order, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SignalIndex, SystemConfig, inverse_critical_snrs,
+from .model import (ChannelDraw, SignalIndex, SystemConfig, inverse_critical_snrs,
                     inverse_threshold, is_linear_snr, oma_threshold,
                     sample_channel_draw, sic_epsilon, sinr_coefficients)
 
 CHUNK = 1 << 17
+BLOCK = 1 << 13
 
 _Z95 = 1.959963984540054
 
@@ -113,14 +118,14 @@ def _map_chunks(sizes, worker_fn, workers):
 
 
 def _moments(x):
-    """(n, mean, M2) of one chunk's samples; M2 sums squared deviations."""
+    """(n, mean, M2) of one block's samples; M2 sums squared deviations."""
     mean = float(np.mean(x))
     dev = x - mean
     return x.size, mean, float(np.dot(dev, dev))
 
 
 def _merge_moments(parts):
-    """Merge per-chunk (n, mean, M2) triples in the order given.
+    """Merge per-block (n, mean, M2) triples in the order given.
 
     The update of Chan, Golub and LeVeque (1979) forms no raw sum of squares,
     so the variance keeps its digits when the spread is tiny next to the mean.
@@ -206,14 +211,13 @@ def _counted_stats(config, draw, pairs, modes, kind, rhos):
 def _rate_stats(config, draw, pairs, modes, kind, rhos):
     """Per grid SNR, in grid order, the rate moments of each signal ("rate")
     or of the per-draw sum of all four ("throughput_dt"); a chain's SINR is
-    its least A / (B + 1/rho).  Peak memory: one chunk's coefficients, at
-    most ten arrays per pairing (the gains are freed once these are formed,
-    if the caller holds no reference), a mode-free SINR, a rate sample and
-    one sum per mode.
+    its least A / (B + 1/rho).  Peak memory beyond the draw: its
+    coefficients, at most ten arrays per pairing, a mode-free SINR, a rate
+    sample and one sum per mode, each the length of the draw, which
+    ``mc_grid`` keeps to one block.
     """
     chains = {idx: sinr_coefficients(config, draw, idx, modes) for idx in pairs}
     size = draw.g1.size
-    del draw                        # not read again: free it before the grid loop
     stats = {}
     for rho in rhos:
         u = 1.0 / rho
@@ -247,12 +251,18 @@ def _sinr(coefficients, u):
 
 def _oma_fades(config, stream, size):
     """Each baseline target's end-to-end fade: its uplink's or its partner's
-    downlink's, whichever is weaker.  The four uplinks are drawn first, then
-    the four downlinks, each folded into its partner's uplink as it comes."""
-    fades = {i: stream.exponential(config.omega(i), size=size) for i in (1, 2, 3, 4)}
+    downlink's, whichever is weaker.  One standard-exponential call draws
+    the four uplinks, then the four downlinks; each row is scaled by its
+    link's mean, and each downlink is folded into its partner's uplink in
+    place.  The variates equal eight ``stream.exponential`` calls bit for
+    bit, as in ``sample_channel_draw``."""
+    scale = [config.omega(i) for i in (1, 2, 3, 4)] * 2
+    links = stream.standard_exponential((8, size))
+    links *= np.reshape(scale, (8, 1))
+    fades = {i: links[i - 1] for i in (1, 2, 3, 4)}
     for j in (1, 2, 3, 4):
         fade = fades[_OMA_PARTNER[j]]
-        np.minimum(fade, stream.exponential(config.omega(j), size=size), out=fade)
+        np.minimum(fade, links[3 + j], out=fade)
     return fades
 
 
@@ -308,10 +318,11 @@ def _delivered_moments(rates, both, n):
 
 
 def _reduce(config, parts, n, seed, grid_size):
-    """One estimate dict per grid point from the chunks' statistics.
+    """One estimate dict per grid point from the blocks' statistics, given
+    in (chunk, block) order.
 
-    Counts are integer sums, exact in any order; moments merge in chunk
-    order.
+    Counts are integer sums, exact in any order; moments merge in the order
+    given.
     """
     grid = [{} for _ in range(grid_size)]
     rates = [config.rate(i) for i in (1, 2, 3, 4)]
@@ -357,7 +368,8 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
 
     Each chunk draws the gains once, from the NOMA substream of
     ``point_index``, for every grid SNR, signal and mode, so calls that
-    differ only in ``kind`` or in ``rhos`` share their draws.
+    differ only in ``kind`` or in ``rhos`` share their draws.  The
+    statistics read each chunk one block of BLOCK draws at a time.
     """
     _check_run(n, seed)
     if kind not in KINDS:
@@ -381,20 +393,29 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     counted = kind in ("outage", "throughput_dl")
 
     def run(chunk_index, size):
-        stats = {}
+        """One stats dict per block of the chunk, the last block ragged;
+        each block is a view of the chunk's draws."""
+        blocks = [slice(start, start + BLOCK) for start in range(0, size, BLOCK)]
+        parts = [{} for _ in blocks]
         if pairs:
-            # one draw serves every rho and mode; no local, so _rate_stats can free it
-            stream = chunk_generator(seed, 2 * point_index, chunk_index)
-            stats.update((_counted_stats if counted else _rate_stats)(
-                config, sample_channel_draw(config, stream, size=size), pairs,
-                modes, kind, rhos))
+            # one draw serves every rho and mode
+            draw = sample_channel_draw(
+                config, chunk_generator(seed, 2 * point_index, chunk_index), size=size)
+            stats = _counted_stats if counted else _rate_stats
+            for part, b in zip(parts, blocks):
+                part.update(stats(config, ChannelDraw(draw.g1[b], draw.g2[b], draw.g3[b],
+                                                      draw.g4[b], draw.gI[b]),
+                                  pairs, modes, kind, rhos))
         if oma:
-            stream = chunk_generator(seed, 2 * point_index + 1, chunk_index)
-            stats.update(_oma_stats(config, _oma_fades(config, stream, size),
-                                    rhos, kind))
-        return stats
+            fades = _oma_fades(
+                config, chunk_generator(seed, 2 * point_index + 1, chunk_index), size)
+            for part, b in zip(parts, blocks):
+                part.update(_oma_stats(config, {i: f[b] for i, f in fades.items()},
+                                       rhos, kind))
+        return parts
 
-    return _reduce(config, _map_chunks(_chunk_sizes(n), run, workers), n, seed,
+    chunks = _map_chunks(_chunk_sizes(n), run, workers)
+    return _reduce(config, [part for parts in chunks for part in parts], n, seed,
                    rhos.size)
 
 

@@ -14,7 +14,7 @@ from twrnoma.model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex,
                            SinrSet, SystemConfig, gamma_threshold,
                            sample_channel_draw, sic_epsilon, sinr_coefficients,
                            sinr_set)
-from twrnoma.montecarlo import mc_grid
+from twrnoma.montecarlo import BLOCK, CHUNK, chunk_generator, mc_grid
 from twrnoma.sweep import SweepSpec
 
 
@@ -225,6 +225,23 @@ def test_group_exchange_symmetry():
     s1 = sinr_set(cfg, draw, SignalIndex.for_signal(1), "ipsic")
     s3 = sinr_set(cfg, swapped, SignalIndex.for_signal(3), "ipsic")
     assert s1 == s3
+
+
+@pytest.mark.parametrize("omega_I", [1e-2, 1e-1, 1.0])
+@pytest.mark.parametrize("size", [None, 1, BLOCK + 3, CHUNK])
+def test_channel_draw_equals_per_gain_exponentials(omega_I, size):
+    """One scaled standard-exponential call is, bit for bit, the five
+    per-gain exponential(Omega, size) calls in gain order, at every Omega a
+    preset uses, and leaves the stream where they leave it."""
+    cfg = SystemConfig(omega_I=omega_I)
+    stream, reference = chunk_generator(7, 0, 3), chunk_generator(7, 0, 3)
+    draw = sample_channel_draw(cfg, stream, size)
+    means = [cfg.omega(1), cfg.omega(2), cfg.omega(3), cfg.omega(4), omega_I]
+    for gain, mean in zip((draw.g1, draw.g2, draw.g3, draw.g4, draw.gI), means):
+        expected = reference.exponential(mean, size)
+        assert type(gain) is type(expected)
+        assert np.array_equal(gain, expected)
+    assert stream.random() == reference.random()
 
 
 def test_channel_draw_gain_accessor():

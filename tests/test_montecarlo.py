@@ -10,7 +10,7 @@ from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig,
                            inverse_critical_snrs, sample_channel_draw)
-from twrnoma.montecarlo import (CHUNK, McEstimate, _merge_moments, _moments,
+from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
                                 mc_oma_baseline, mc_outage, mc_point,
                                 oma_outage_exact, oma_threshold)
@@ -182,6 +182,20 @@ def test_oma_simulation_matches_exact(baseline):
         sigma = math.sqrt(exact * (1.0 - exact) / est.n)
         assert abs(est.mean - exact) < max(4.0 * sigma, 1e-3)
         assert rate.mean > 0.0
+
+
+@pytest.mark.parametrize("size", [1, BLOCK + 3, CHUNK])
+def test_oma_fades_equal_per_link_exponentials(baseline, size):
+    """The baseline fades are, bit for bit, min(uplink_i, downlink of i's
+    partner) over eight per-link exponential(Omega, size) calls, the four
+    uplinks first."""
+    fades = montecarlo._oma_fades(baseline, chunk_generator(7, 1, 3), size)
+    reference = chunk_generator(7, 1, 3)
+    uplinks = [reference.exponential(baseline.omega(i), size) for i in (1, 2, 3, 4)]
+    downlinks = [reference.exponential(baseline.omega(j), size) for j in (1, 2, 3, 4)]
+    for i, partner in ((1, 3), (2, 4), (3, 1), (4, 2)):
+        assert np.array_equal(fades[i], np.minimum(uplinks[i - 1],
+                                                   downlinks[partner - 1]))
 
 
 def test_oma_rejects_unknown_signal(baseline):

@@ -15,7 +15,7 @@ import twrnoma.montecarlo as montecarlo
 from twrnoma.configio import PRESETS
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
                            sample_channel_draw, sinr_set)
-from twrnoma.montecarlo import CHUNK, chunk_generator
+from twrnoma.montecarlo import BLOCK, CHUNK, chunk_generator
 from twrnoma.sweep import (CSV_HEADER, MAX_GRID_POINTS, MetricPoint, OutputError,
                            SweepSpec, emit_outputs, emit_plot_script, render_csv,
                            run_sweep)
@@ -289,17 +289,42 @@ def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
         render_csv(run_sweep(spec, baseline, workers=3))
 
 
+@pytest.mark.parametrize("metric, extra", [("outage", {"with_oma": True}),
+                                           ("ergodic_rate", {"with_oma": True}),
+                                           ("ee_dl", {"signals": (1, 2, 3, 4)}),
+                                           ("throughput_dt", {"signals": (1, 2, 3, 4)})])
+def test_worker_count_invariance_on_a_ragged_last_block(baseline, metric, extra):
+    """The last of two chunks holds one whole block and a partial one; every
+    estimate kind, the baseline's included, keeps its bytes at any worker
+    count."""
+    spec = small_spec(metric=metric, start_db=10.0, stop_db=20.0, step_db=10.0,
+                      modes=("ipsic", "psic"), mc_iterations=CHUNK + BLOCK + 123,
+                      **extra)
+    assert render_csv(run_sweep(spec, baseline, workers=1)) == \
+        render_csv(run_sweep(spec, baseline, workers=3))
+
+
 @pytest.mark.parametrize("kind", ["outage", "rate"])
 def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
     """Counts over three chunks, rebuilt one mode at a time from sinr_set,
     equal the kernel's bit for bit.  The (n, mean, M2) moments agree to
     round-off: the kernel forms each SINR as A / (B + 1/rho), sinr_set as
-    rho A / (rho B + 1)."""
-    n, seed, point = 2 * CHUNK + 1000, 3, 2
+    rho A / (rho B + 1), and merges them per block, the rebuild per chunk."""
+    _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, 2 * CHUNK + 1000)
+
+
+@pytest.mark.parametrize("kind", ["outage", "rate"])
+def test_kernel_equals_the_per_mode_rebuild_on_a_ragged_block(baseline, kind):
+    """As above, with a last chunk of one whole block and a partial one."""
+    _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, CHUNK + BLOCK + 123)
+
+
+def _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, n):
+    seed, point = 3, 2
     cfg = baseline.with_rho(10.0 ** 1.5)
     ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kind=kind,
                                modes=("ipsic", "psic"))
-    sizes = [CHUNK, CHUNK, 1000]
+    sizes = [CHUNK] * (n // CHUNK) + [n % CHUNK]
     draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
              for c, size in enumerate(sizes)]
     assert len(ests) == 2 * 4
@@ -444,12 +469,26 @@ def test_kind_requests_are_checked(baseline):
                                modes=("ipsic",))
 
 
-# sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header included) of
-# every CSV of the preset, 2000 iterations, seed 11, default config.
-# Recorded when a sweep began reading one substream for its whole grid, and
-# fig8 again when rates became A / (B + 1/rho) (its ee_dt cells moved by at
-# most 3.5e-16 relative); any kernel change that moves one byte of a Monte
-# Carlo column fails here.
+def _mc_column_digest(name, n):
+    """sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header
+    included) of every CSV of the preset, n iterations, seed 11, default
+    config."""
+    preset = PRESETS[name]
+    digest = hashlib.sha256()
+    for variant in preset.variants:
+        spec = dataclasses.replace(preset, metric=variant.metric or preset.metric,
+                                   modes=("ipsic", "psic"), mc_iterations=n,
+                                   master_seed=11)
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
+        for line in render_csv(run_sweep(spec, cfg)).splitlines():
+            digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
+    return digest.hexdigest()
+
+
+# At 2000 iterations, one block of one chunk.  Recorded when a sweep began
+# reading one substream for its whole grid, and fig8 again when rates became
+# A / (B + 1/rho) (its ee_dt cells moved by at most 3.5e-16 relative); any
+# kernel change that moves one byte of a Monte Carlo column fails here.
 MC_COLUMN_DIGESTS = {
     "fig3": "17c1268a17b858f0002a76c15f8d5f2b70adc7fd9c2363c52664b1597245f26c",
     "fig8": "4f12cfbb8bfc5c17920b78ea9a460563b8eb70c460f2fbf94e6a78ecbefa4958",
@@ -458,16 +497,26 @@ MC_COLUMN_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(MC_COLUMN_DIGESTS))
 def test_monte_carlo_columns_are_frozen(name):
-    preset = PRESETS[name]
-    digest = hashlib.sha256()
-    for variant in preset.variants:
-        spec = dataclasses.replace(preset, metric=variant.metric or preset.metric,
-                                   modes=("ipsic", "psic"), mc_iterations=2000,
-                                   master_seed=11)
-        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
-        for line in render_csv(run_sweep(spec, cfg)).splitlines():
-            digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
-    assert digest.hexdigest() == MC_COLUMN_DIGESTS[name]
+    assert _mc_column_digest(name, 2000) == MC_COLUMN_DIGESTS[name]
+
+
+# At 2 CHUNK + 1000 iterations: three chunks, the first two of many blocks.
+# fig2 (with its baseline rows), fig3 and fig5 are counted kinds, recorded
+# before statistics were taken per block, and hold since.  fig7's rate
+# moments merge per block, and were recorded after that change (cells moved
+# by at most 4.0e-16 relative).
+MC_COLUMN_DIGESTS_PAST_ONE_BLOCK = {
+    "fig2": "f60c8ceac3797bfb97aa2906b946efa79335c6c154a6a27721f2bdab500bcc41",
+    "fig3": "ca49a3b965f17e28f115821c66ebac08b429446d70cf3d2ff6bca51a89125903",
+    "fig5": "69b3c26c20daa31d931dd429be651efb9cf65f2fcc7ab1222a497a9f47b3b0d0",
+    "fig7": "0e03b5c0c67c6233f4fc632d122c51f917c8e84b37cbe191746d964a293f8395",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_COLUMN_DIGESTS_PAST_ONE_BLOCK))
+def test_monte_carlo_columns_past_one_block_are_frozen(name):
+    assert _mc_column_digest(name, 2 * CHUNK + 1000) == \
+        MC_COLUMN_DIGESTS_PAST_ONE_BLOCK[name]
 
 
 # sha256 over the snr_db..asymptotic and feasible columns (header included)
