@@ -19,16 +19,19 @@ leakage cross-checks the closed form.  The weak user's CCDF is supported on
 (0, b_t/b_l) and is integrated numerically after a substitution that
 absorbs the endpoint singularity.
 
-Every quadrature runs through one helper, ``_quad``, whose tolerances and
-subdivision limit are module constants: one place pins them for all routes.
+Every rate integral runs through one helper, ``_integrate_log_trapezoid``:
+the trapezoid rule in s = ln x on a fixed step, with every node of the
+integrand evaluated in one numpy pass.  Its step, reach and tolerance are
+module constants: one place pins them for all three routes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .analysis import compute_outage_intermediates
 from .model import SignalIndex, SystemConfig, sic_epsilon
@@ -38,7 +41,7 @@ _LN2 = math.log(2.0)
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration failed to converge.
+    """A rate integral did not reach its tolerance.
 
     Carries the partial estimate and its error bound so callers can decide
     whether the result is still usable.
@@ -50,33 +53,51 @@ class QuadratureError(RuntimeError):
         self.abserr = abserr
 
 
-_QUAD_ABS_TOL = 1e-10
-_QUAD_REL_TOL = 1e-8
-_QUAD_MAX_SUBDIVISIONS = 2000
+# Step of the trapezoid rule in s = ln x, how far its grid reaches below
+# min(ln scale, 0) and above ln scale, and the relative error it must reach.
+# Below, the integrand in s is about e^s times its value at x = 0, so the
+# tail left out is e^-34 = 1.7e-15 of the integral; above, the decay
+# e^{-x/scale} has fallen to e^-40.  At this step the rate routes land
+# within 2e-13 of mpmath from -60 to 150 dB.
+_STEP = 0.3
+_REACH_BELOW = 34.0
+_REACH_ABOVE = math.log(40.0)
+_REL_TOL = 1e-10
+# no node beyond the float range, at any SNR a config takes
+_S_TOP = math.log(sys.float_info.max) - _STEP
 
 
-def _quad(fn, a, b):
-    out = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
-                         limit=_QUAD_MAX_SUBDIVISIONS, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(out[3], estimate=out[0], abserr=out[1])
-    return out[0]
+def _integrate_log_trapezoid(fn, scale):
+    """integral_0^inf fn(x) dx by the trapezoid rule in s = ln x.
 
+    ``fn`` takes an array of x; ``scale`` is the length on which it decays,
+    like e^{-x/scale}.  In s the integrand g(s) = x fn(x) vanishes like e^s
+    as s -> -inf and doubly exponentially as s -> inf, and it is analytic in
+    a strip about the real axis: the poles of the rate integrands lie on the
+    negative x axis, at Im s = pi.  On such a g the trapezoid rule converges
+    like e^{-2 pi d/h} for a strip of half-width d (Trefethen and Weideman,
+    SIAM Review 56, 2014), so one step h serves every scale and the grid only
+    slides with ln scale.
 
-def _integrate_semi_infinite(fn):
-    """integral_0^inf fn(x) dx through the rational map x = t/(1-t).
-
-    The map sends (0, 1) onto (0, inf) with Jacobian 1/(1-t)^2 and keeps
-    exponentially decaying integrands well behaved at both ends.
+    Every other node gives T_2h, whose error is about the square root of
+    T_h's, so (T_h - T_2h)^2 / T_h estimates the step error of T_h; the end
+    terms estimate what the grid leaves out.  QuadratureError if the two
+    together exceed _REL_TOL of the integral.
     """
-
-    def mapped(t):
-        if t >= 1.0:
-            return 0.0
-        onemt = 1.0 - t
-        return fn(t / onemt) / (onemt * onemt)
-
-    return _quad(mapped, 0.0, 1.0)
+    log_scale = math.log(scale)
+    k = np.arange(math.floor((min(log_scale, 0.0) - _REACH_BELOW) / _STEP),
+                  math.ceil(min(log_scale + _REACH_ABOVE, _S_TOP) / _STEP) + 1)
+    x = np.exp(_STEP * k)
+    g = fn(x) * x
+    total = _STEP * float(np.add.reduce(g))
+    gap = abs(total - 2.0 * _STEP * float(np.add.reduce(g[::2])))
+    abserr = ((gap * gap / total if total > 0.0 else gap)
+              + _STEP * float(abs(g[0]) + abs(g[-1])))
+    if not abserr <= _REL_TOL * total:
+        raise QuadratureError(
+            f"trapezoid rule in ln x missed its tolerance: estimate {total!r}, "
+            f"error {abserr!r}", estimate=total, abserr=abserr)
+    return total
 
 
 @dataclass(frozen=True)
@@ -226,7 +247,9 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
     power drops out (``term_rates``): with no leakage this is
     exp(-x psi) / ((1 + x lambda1)(1 + x lambda2)), and under perfect SIC
     the residual leg of W goes away.  Rates and scales are formed once; the
-    returned function does only the per-x arithmetic.
+    returned function does only the per-x arithmetic, on a scalar or an
+    array of x.  Also returned is the decay length 1/psi of the exponential
+    factor, psi = 1/(rho a_l Omega_l) + 1/(rho b_l Omega_k).
     """
     rho, omega_k = config.rho, config.omega(idx.k)
     z_rates = compute_outage_intermediates(config, idx).uplink_rates
@@ -238,15 +261,16 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
     def ccdf(x):
         s_z = x / d_z
         s_w = x / d_w
-        return (math.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
+        return (np.exp(-s_z - s_w) * hypoexp_laplace(z_rates, s_z)
                 * hypoexp_laplace(w_rates, s_w))
 
-    return ccdf
+    return ccdf, 1.0 / (1.0 / d_z + 1.0 / d_w)
 
 
 def _strong_rate_by_quadrature(config, idx, mode):
-    ccdf = _strong_ccdf(config, idx, mode)
-    return _integrate_semi_infinite(lambda x: ccdf(x) / (1.0 + x)) / (2.0 * _LN2)
+    ccdf, scale = _strong_ccdf(config, idx, mode)
+    return _integrate_log_trapezoid(lambda x: ccdf(x) / (1.0 + x),
+                                    scale) / (2.0 * _LN2)
 
 
 def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
@@ -264,15 +288,15 @@ def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float
     """The ipSIC CCDF of ``_strong_ccdf``, which the leakage rate integrates, at x >= 0."""
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
-    return _strong_ccdf(config, idx, "ipsic")(x)
+    return float(_strong_ccdf(config, idx, "ipsic")[0](x))
 
 
 def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float:
     """Strong-user ergodic rate with leakage, by a single quadrature.
 
     R = 1/(2 ln 2) * integral_0^inf (1 - F(x)) / (1 + x) dx with the
-    closed-form CCDF of ``_strong_ccdf``; QuadratureError if it does not
-    converge.
+    closed-form CCDF of ``_strong_ccdf``; QuadratureError if the rule
+    misses its tolerance.
 
     Only the imperfect-SIC chain is covered, so the route takes no mode:
     under perfect SIC the residual leg of W degenerates and the leakage-on
@@ -293,44 +317,34 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float
 
 
 def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
-    """Weak-user ergodic rate, leakage off, by stable quadrature.
+    """Weak-user ergodic rate, leakage off, by quadrature.
 
     The SINR is capped at b_t/b_l, where the integrand has an essential
     singularity exp(-x (1/Omega_k + 1/Omega_r) / (rho (b_t - x b_l))).
     Substituting x = b_t v / (1 + b_l v) turns the cap into v -> inf and
-    the singular exponent into exactly -v (1/Omega_k + 1/Omega_r)/rho:
+    the singular exponent into exactly -c v, c = (1/Omega_k + 1/Omega_r)/rho:
 
       R = 1/(2 ln 2) * integral_0^inf
-            e^{-x/(rho a_t Omega_t) - v/(rho Omega_k) - v/(rho Omega_r)}
+            e^{-x/(rho a_t Omega_t) - c v}
             / ((1 + x)(1 + x lambda3)) * b_t/(1 + b_l v)^2 dv,
 
-    with the (1 + x lambda3) factor present only under imperfect SIC.
+    where lambda3 = 0 under perfect SIC.  The integrand decays like
+    e^{-c v}, so the rule's scale is 1/c.
     """
     _require_no_leakage(config, "the weak-user rate integral")
-    inter = compute_rate_intermediates(config, idx, mode)
+    lam3 = compute_rate_intermediates(config, idx, mode).lambda3
     rho = config.rho
-    a_t, omega_t = config.a(idx.t), config.omega(idx.t)
+    den_t = rho * config.a(idx.t) * config.omega(idx.t)
     b_l, b_t = config.b(idx.l), config.b(idx.t)
-    omega_k, omega_r = config.omega(idx.k), config.omega(idx.r)
-    lam3 = inter.lambda3
-    den_t, den_k, den_r = rho * a_t * omega_t, rho * omega_k, rho * omega_r
+    c = 1.0 / (rho * config.omega(idx.k)) + 1.0 / (rho * config.omega(idx.r))
 
-    def mapped(t):
-        # fold the rational map and the SINR substitution together so the
-        # two Jacobians cancel against each other near t = 1
-        if t >= 1.0:
-            return 0.0
-        onemt = 1.0 - t
-        v = t / onemt
-        x = b_t * v / (1.0 + b_l * v)
-        expo = -x / den_t - v / den_k - v / den_r
-        denom_map = onemt + b_l * t          # (1 - t)(1 + b_l v)
-        val = math.exp(expo) * b_t / ((1.0 + x) * (denom_map * denom_map))
-        if lam3 > 0.0:
-            val /= 1.0 + x * lam3
-        return val
+    def integrand(v):
+        w = 1.0 / (1.0 + b_l * v)
+        x = b_t * v * w
+        return (np.exp(-x / den_t - c * v) * b_t * w * w
+                / ((1.0 + x) * (1.0 + x * lam3)))
 
-    return _quad(mapped, 0.0, 1.0) / (2.0 * _LN2)
+    return _integrate_log_trapezoid(integrand, 1.0 / c) / (2.0 * _LN2)
 
 
 def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex, mode: str) -> float:

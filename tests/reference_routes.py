@@ -18,7 +18,7 @@ _LN2 = math.log(2.0)
 
 
 def _semi_infinite(fn):
-    # x = t/(1-t) maps (0, 1) onto (0, inf); tolerances as ergodic._quad
+    # x = t/(1-t) maps (0, 1) onto (0, inf); rel 1e-8, abs 1e-10
     def mapped(t):
         if t >= 1.0:
             return 0.0

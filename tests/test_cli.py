@@ -339,3 +339,14 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "schema_version = 1" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Every CLI call pays for what ``import twrnoma.cli`` loads; the rate
+    integrals need no scipy, and scipy.integrate alone cost about 0.6 s."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, twrnoma.cli; "
+                           "print('scipy.integrate' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,6 +8,7 @@ route, not against themselves.
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
-                             _confluent, _divided_difference, _quad,
-                             _strong_ccdf, compute_rate_intermediates,
+                             _confluent, _divided_difference,
+                             _integrate_log_trapezoid, _strong_ccdf,
+                             compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
                              ergodic_rate_strong_numeric,
@@ -89,9 +91,15 @@ def test_strong_closed_vs_quadrature(snr_db, mode):
     assert abs(closed - quad) / max(closed, quad) < 1e-8
 
 
+def _segments(lo, hi, features):
+    # mpmath integrates segment by segment, split where the integrand bends
+    return [lo] + sorted(f for f in set(features) if lo < f < hi) + [hi]
+
+
 def _mp_strong_rate_no_leakage(cfg, idx, mode):
     # 30-digit quadrature of the no-leakage CCDF against 1/(1+u), with the
-    # rate constants rebuilt from the config fields
+    # rate constants rebuilt from the config fields, split at the poles and
+    # at the decay length so that it holds at any SNR
     with mpmath.workdps(30):
         a_l, om_l = mpmath.mpf(cfg.a(idx.l)), mpmath.mpf(cfg.omega(idx.l))
         a_t, om_t = mpmath.mpf(cfg.a(idx.t)), mpmath.mpf(cfg.omega(idx.t))
@@ -99,9 +107,10 @@ def _mp_strong_rate_no_leakage(cfg, idx, mode):
         lam1 = EPS[mode] * mpmath.mpf(cfg.omega_I) / (b_l * om_k)
         lam2 = a_t * om_t / (a_l * om_l)
         psi = (a_l * om_l + b_l * om_k) / (cfg.rho * a_l * b_l * om_l * om_k)
+        bends = [1, 1 / lam2, 1 / psi, 10 / psi] + ([1 / lam1] if lam1 else [])
         val = mpmath.quad(
             lambda u: mpmath.exp(-psi * u) / ((1 + u) * (1 + lam1 * u) * (1 + lam2 * u)),
-            [0, 1, 10, 100, 1e3, mpmath.inf])
+            _segments(0, mpmath.inf, bends))
         return float(val / (2 * mpmath.log(2)))
 
 
@@ -232,19 +241,73 @@ def test_strong_closed_at_tied_poles_matches_quadrature(poles, snr_db, mode):
     assert abs(ergodic_rate_strong_asymptotic(high, IDX1, mode) - closed) / closed < 5e-3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the quadrature reference is accurate only to its "
-                          "requested relative tolerance, 1e-8, the band it is "
-                          "checked at")
 def test_strong_quadrature_reference_at_a_tied_psic_pole():
-    """lambda2 = 9.0625 under perfect SIC at 20 dB: the closed form is within
-    1e-15 of mpmath, but the quadrature reference stops after one 21-point
-    Gauss-Kronrod pass whose error estimate is optimistic, 1.4e-8 off."""
+    """lambda2 = 9.0625 under perfect SIC at 20 dB, where an adaptive
+    Gauss-Kronrod reference once stopped 1.4e-8 off after one pass: the
+    closed form and the quadrature reference both hold round-off."""
     cfg = _cfg(20.0, **_poles(9.0625, 9.0625))
     exact = _mp_strong_rate_no_leakage(cfg, IDX1, "psic")
     assert ergodic_rate_strong_closed(cfg, IDX1, "psic") == pytest.approx(exact, rel=1e-12)
     assert ergodic_rate_strong_quadrature(cfg, IDX1, "psic") == pytest.approx(exact,
-                                                                              rel=1e-8)
+                                                                              rel=1e-12)
+
+
+def _mp_weak_rate(cfg, idx, mode):
+    """20-digit quadrature of the weak user's SINR CCDF over its support
+    (0, b_t/b_l), without the substitution the library makes, with the
+    constants rebuilt from the config fields."""
+    with mpmath.workdps(20):
+        rho = mpmath.mpf(cfg.rho)
+        den_t = rho * cfg.a(idx.t) * cfg.omega(idx.t)
+        b_l, b_t = mpmath.mpf(cfg.b(idx.l)), mpmath.mpf(cfg.b(idx.t))
+        inv_kr = 1 / (rho * cfg.omega(idx.k)) + 1 / (rho * cfg.omega(idx.r))
+        lam3 = EPS[mode] * mpmath.mpf(cfg.omega_I) / (mpmath.mpf(cfg.a(idx.t))
+                                                      * cfg.omega(idx.t))
+
+        def ccdf_over_1px(x):
+            rem = b_t - x * b_l
+            if rem <= 0:
+                return mpmath.mpf(0)
+            return (mpmath.exp(-x / den_t - x * inv_kr / rem)
+                    / ((1 + x) * (1 + x * lam3)))
+
+        decay = 1 / (1 / den_t + inv_kr / b_t)
+        bends = [1, decay / 10, decay, 10 * decay] + ([1 / lam3] if lam3 else [])
+        val = mpmath.quad(ccdf_over_1px, _segments(0, b_t / b_l, bends))
+        return float(val / (2 * mpmath.log(2)))
+
+
+# the omega_I values of the fig4/fig5 presets, the unit pole, and the tied
+# pole lambda1 = lambda2 = 9.0625
+_RULE_GRID_CONFIGS = {"omega_I=0.01": {}, "omega_I=0.1": {"omega_I": 0.1},
+                      "omega_I=1": {"omega_I": 1.0}, "unit_pole": UNIT_POLE,
+                      "tied_9.0625": _poles(9.0625, 9.0625)}
+
+
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+@pytest.mark.parametrize("name", sorted(_RULE_GRID_CONFIGS))
+def test_rate_rules_match_mpmath_from_minus_30_to_90_db(name, mode):
+    """The trapezoid rule in ln x holds 1e-12 for the weak rate and the
+    strong quadrature reference wherever the decay length sits: on the
+    default distances the weak rate's 1/c runs from 1e-5 to 1e7."""
+    for snr_db in range(-30, 91, 20):
+        cfg = _cfg(snr_db, **_RULE_GRID_CONFIGS[name])
+        assert ergodic_rate_weak_numeric(cfg, IDX2, mode) == pytest.approx(
+            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12), snr_db
+        assert ergodic_rate_strong_quadrature(cfg, IDX1, mode) == pytest.approx(
+            _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12), snr_db
+
+
+@pytest.mark.parametrize("snr_db,kw", [(-25, {}), (-20, {}), (-10, {"d2": 20.0}),
+                                       (-10, {"d1": 1.0, "d2": 30.0})])
+def test_weak_rate_at_low_snr_matches_mpmath(snr_db, kw):
+    """Where the decay length 1/c is short the rate is tiny but not zero: an
+    adaptive rule over the rationally mapped interval once missed the whole
+    integrand and returned 2.75e-27 for 1.1449e-5 at -20 dB."""
+    cfg = _cfg(snr_db, **kw)
+    for mode in ("ipsic", "psic"):
+        assert ergodic_rate_weak_numeric(cfg, IDX2, mode) == pytest.approx(
+            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12)
 
 
 def test_gauss_legendre_table_matches_numpy():
@@ -319,8 +382,8 @@ def test_strong_ccdf_is_a_valid_survival_function(baseline):
     u = np.linspace(0.0, 200.0, 400)
     for cfg in (baseline, baseline.without_leakage()):
         for mode in ("ipsic", "psic"):
-            ccdf = _strong_ccdf(cfg.with_rho(100.0), IDX1, mode)
-            vals = np.array([ccdf(x) for x in u])
+            ccdf, _ = _strong_ccdf(cfg.with_rho(100.0), IDX1, mode)
+            vals = ccdf(u)
             assert vals[0] == 1.0
             assert np.all(np.diff(vals) <= 1e-15)
             assert vals[-1] < 1e-8
@@ -335,7 +398,8 @@ def test_strong_ccdf_without_leakage_is_the_closed_form_integrand(baseline, mode
     compute_rate_intermediates (lambda1 = 0 under perfect SIC)."""
     cfg = baseline.without_leakage().with_rho(100.0)
     inter = compute_rate_intermediates(cfg, IDX1, mode)
-    ccdf = _strong_ccdf(cfg, IDX1, mode)
+    ccdf, scale = _strong_ccdf(cfg, IDX1, mode)
+    assert scale == pytest.approx(1.0 / inter.psi, rel=1e-15)
     for u in (0.0, 1e-3, 0.5, 2.0, 10.0, 60.0):
         expected = math.exp(-u * inter.psi) / ((1.0 + u * inter.lambda1)
                                                * (1.0 + u * inter.lambda2))
@@ -594,11 +658,26 @@ def test_preconditions_route_to_the_right_entry_point(baseline):
         ergodic_rate_strong_numeric(_cfg(20), IDX1)
 
 
+def test_rate_rules_at_the_largest_snr_a_config_takes(baseline):
+    """rho at the top of the float range puts the decay length there too:
+    the grid stops below it, and every route still reads its limit."""
+    top = sys.float_info.max
+    cfg = _cfg(0).with_rho(top)
+    for mode in ("ipsic", "psic"):
+        assert ergodic_rate_strong_quadrature(cfg, IDX1, mode) == pytest.approx(
+            ergodic_rate_strong_closed(cfg, IDX1, mode), rel=1e-12)
+    assert ergodic_rate_weak_numeric(cfg, IDX2, "ipsic") == pytest.approx(
+        ergodic_rate_weak_highsnr(cfg, IDX2, "ipsic"), rel=1e-12)
+    assert ergodic_rate_strong_numeric(baseline.with_rho(top), IDX1) == pytest.approx(
+        ergodic_rate_strong_numeric(baseline.with_rho(1e300), IDX1), rel=1e-12)
+
+
 def test_divergent_quadrature_raises_with_its_partial_estimate():
-    """1/x is not integrable at 0: the adaptive rule gives up, and the
-    error carries the finite estimate and error bound it reached."""
+    """1/x is integrable at neither end of (0, inf): in s = ln x it is the
+    constant 1, so the end terms are as large as any other, and the error
+    carries the finite estimate and error bound the rule reached."""
     with pytest.raises(QuadratureError) as info:
-        _quad(lambda x: 1.0 / x, 0.0, 1.0)
+        _integrate_log_trapezoid(lambda x: 1.0 / x, 1.0)
     assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
     assert math.isfinite(info.value.abserr) and info.value.abserr > 0.0
 
