@@ -37,9 +37,12 @@ class OutageIntermediates:
     uplink_rates are the exponential rates of the relay's interference on
     the strong uplink symbol, cross_rates those of its cross-antenna part
     alone; with the cross layer off (varpi1 = 0) the latter is empty and
-    the former holds the in-pair rate only.
+    the former holds the in-pair rate only.  rho is the linear SNR they
+    were formed at: one set serves both signals of a pairing and every SIC
+    mode at that SNR.
     """
 
+    rho: float
     beta_l: float
     beta_t: float
     tau_l: float
@@ -75,8 +78,10 @@ class AsymptoticOutage:
     in_unit_interval: bool
 
 
-def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex) -> OutageIntermediates:
-    rho = config.rho
+def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex,
+                                 rho: float) -> OutageIntermediates:
+    """The intermediates of pairing ``idx`` at linear SNR ``rho``; ``config.rho``
+    is not read."""
     a_t, omega_t = config.a(idx.t), config.omega(idx.t)
     a_k, omega_k = config.a(idx.k), config.omega(idx.k)
     a_r, omega_r = config.a(idx.r), config.omega(idx.r)
@@ -103,7 +108,7 @@ def compute_outage_intermediates(config: SystemConfig, idx: SignalIndex) -> Outa
     uplink = term_rates(rho * a_t * omega_t) + cross
 
     return OutageIntermediates(
-        beta_l=beta_l, beta_t=beta_t, tau_l=tau_l, xi_t=xi_t,
+        rho=rho, beta_l=beta_l, beta_t=beta_t, tau_l=tau_l, xi_t=xi_t,
         theta_l=theta_l, varphi_t=varphi_t,
         uplink_rates=uplink, cross_rates=cross,
         strong_feasible=den_tau > 0 and den_xi > 0,
@@ -142,59 +147,79 @@ def _near_user_success(config, idx, inter, eps):
     if eps == 0.0 or inter.tau_l == 0.0:
         # a zero target rate (tau_l = 0) has nothing left to subtract
         return lead
-    c = eps * config.rho * inter.tau_l * config.omega_I
+    c = eps * inter.rho * inter.tau_l * config.omega_I
     combined = math.exp(-inter.theta_l / omega_k
                         - (inter.theta_l - inter.tau_l) / c)
     return lead - (c / (omega_k + c)) * combined
 
 
-def outage_strong(config: SystemConfig, idx: SignalIndex, mode: str) -> OutageResult:
-    """Exact outage probability of the strong user in the given pairing."""
-    eps = sic_epsilon(mode)
-    inter = compute_outage_intermediates(config, idx)
-    if not inter.strong_feasible:
-        return OutageResult(1.0, 1.0, False, inter)
-    raw = 1.0 - (_uplink_success(config, idx, inter, with_exp=True)
-                 * _near_user_success(config, idx, inter, eps))
-    asym = _asymptotic_strong_raw(config, idx, inter, eps)
-    return OutageResult(_checked(raw), asym, True, inter)
-
-
 def _weak_theta1(config, idx, inter, eps, with_exp):
     omega_l, omega_t = config.omega(idx.l), config.omega(idx.t)
     s = inter.beta_l / omega_l + inter.beta_t * inter.varphi_t
-    scale = 1.0 + eps * inter.beta_t * config.rho * inter.varphi_t * config.omega_I
+    scale = 1.0 + eps * inter.beta_t * inter.rho * inter.varphi_t * config.omega_I
     lead = math.exp(-s) if with_exp else 1.0
     return (lead * hypoexp_laplace(inter.cross_rates, s)
             / (inter.varphi_t * omega_t * scale))
 
 
-def outage_weak(config: SystemConfig, idx: SignalIndex, mode: str) -> OutageResult:
-    """Exact outage probability of the weak user in the given pairing.
+def _outage(config, idx, inter, signal, mode, asymptotic):
+    """(p_exact, p_asymptotic, feasible) of ``signal`` under ``mode`` from the
+    intermediates of its pairing; p_asymptotic is None unless ``asymptotic``.
 
-    The weak symbol must clear its threshold at the relay, at the paired
-    near user, and at the far user itself; the far-user and relay bounds
-    fold into the single composite rate varphi_t, leaving
+    The strong user needs the relay to clear its uplink threshold and the
+    paired near user to clear both downlink SIC stages.  The weak symbol
+    must clear its threshold at the relay, at the paired near user, and at
+    the far user itself; the far-user and relay bounds fold into the single
+    composite rate varphi_t, leaving
     1 - Theta_1 exp(-xi_t/Omega_k - xi_t/Omega_r).
     """
     eps = sic_epsilon(mode)
-    inter = compute_outage_intermediates(config, idx)
-    if not inter.weak_feasible:
-        return OutageResult(1.0, 1.0, False, inter)
-    theta1 = _weak_theta1(config, idx, inter, eps, with_exp=True)
-    tail = math.exp(-inter.xi_t / config.omega(idx.k)
-                    - inter.xi_t / config.omega(idx.r))
-    raw = 1.0 - theta1 * tail
-    asym = _asymptotic_weak_raw(config, idx, inter, eps)
-    return OutageResult(_checked(raw), asym, True, inter)
+    if idx.l == signal:
+        if not inter.strong_feasible:
+            return 1.0, 1.0 if asymptotic else None, False
+        raw = 1.0 - (_uplink_success(config, idx, inter, with_exp=True)
+                     * _near_user_success(config, idx, inter, eps))
+        asym = _asymptotic_strong_raw(config, idx, inter, eps) if asymptotic else None
+    else:
+        if not inter.weak_feasible:
+            return 1.0, 1.0 if asymptotic else None, False
+        theta1 = _weak_theta1(config, idx, inter, eps, with_exp=True)
+        tail = math.exp(-inter.xi_t / config.omega(idx.k)
+                        - inter.xi_t / config.omega(idx.r))
+        raw = 1.0 - theta1 * tail
+        asym = _asymptotic_weak_raw(config, idx, inter, eps) if asymptotic else None
+    return _checked(raw), asym, True
+
+
+def outage_grid(config: SystemConfig, rhos, signals, modes,
+                asymptotic: bool = False) -> list:
+    """Exact outage of each signal and SIC mode at every linear SNR of ``rhos``.
+
+    Returns one dict per entry of ``rhos``, keyed (mode, signal), with
+    values (p_exact, p_asymptotic, feasible); p_asymptotic is None unless
+    ``asymptotic`` is set.  The intermediates are formed once per SNR and
+    pairing, and serve both of its signals and every mode.  ``config.rho``
+    is not read, and ``rhos`` are taken as given.
+    """
+    table = []
+    for rho in rhos:
+        inters, point = {}, {}
+        for s in signals:
+            idx = SignalIndex.for_signal(s)
+            if idx not in inters:
+                inters[idx] = compute_outage_intermediates(config, idx, rho)
+            for mode in modes:
+                point[mode, s] = _outage(config, idx, inters[idx], s, mode, asymptotic)
+        table.append(point)
+    return table
 
 
 def outage_probability(config: SystemConfig, signal: int, mode: str) -> OutageResult:
-    """Exact outage probability of signal 1..4 under SIC mode ``mode``."""
+    """Exact outage probability of signal 1..4 under SIC mode ``mode`` at
+    ``config.rho``, with its asymptote and the intermediates it used."""
     idx = SignalIndex.for_signal(signal)
-    if idx.l == signal:
-        return outage_strong(config, idx, mode)
-    return outage_weak(config, idx, mode)
+    inter = compute_outage_intermediates(config, idx, config.rho)
+    return OutageResult(*_outage(config, idx, inter, signal, mode, True), inter)
 
 
 def _asymptotic_strong_raw(config, idx, inter, eps):
@@ -202,7 +227,7 @@ def _asymptotic_strong_raw(config, idx, inter, eps):
     if eps == 0.0 or inter.tau_l == 0.0:
         return 1.0 - up
     omega_k = config.omega(idx.k)
-    c = eps * config.rho * inter.tau_l * config.omega_I
+    c = eps * inter.rho * inter.tau_l * config.omega_I
     near = (1.0 - inter.theta_l / omega_k
             - (c / (omega_k + c)) * (1.0 - inter.theta_l * (omega_k + c) / (c * omega_k)))
     return 1.0 - up * near
@@ -224,8 +249,8 @@ def outage_asymptotic(config: SystemConfig, signal: int, mode: str) -> Asymptoti
     can overshoot 1, and in_unit_interval flags that honestly rather than
     hiding it.
     """
-    value = outage_probability(config, signal, mode).p_asymptotic
-    floor = outage_probability(config.with_rho(_FLOOR_RHO), signal, mode).p_asymptotic
+    value, floor = (point[mode, signal][1] for point in
+                    outage_grid(config, (config.rho, _FLOOR_RHO), (signal,), (mode,), True))
     return AsymptoticOutage(value=value, floor=floor,
                             in_unit_interval=0.0 <= value <= 1.0)
 

@@ -19,10 +19,15 @@ leakage cross-checks the closed form.  The weak user's CCDF is supported on
 (0, b_t/b_l) and is integrated numerically after a substitution that
 absorbs the endpoint singularity.
 
-Every rate integral runs through one helper, ``_integrate_log_trapezoid``:
+Every rate integral runs through one rule, ``_integrate_log_trapezoid_grid``:
 the trapezoid rule in s = ln x on a fixed step, with every node of the
-integrand evaluated in one numpy pass.  Its step, reach and tolerance are
-module constants: one place pins them for all three routes.
+integrand evaluated in one numpy pass, for one integral or for a whole
+SNR grid of them.  Its step, reach and tolerance are module constants: one
+place pins them for all three routes.
+
+The rate kernels take the linear SNR rho as an argument.  The public
+per-point routes read ``config.rho`` once and call them; ``rate_grid``
+evaluates every closed form of a grid without reading it.
 """
 
 from __future__ import annotations
@@ -67,37 +72,58 @@ _REL_TOL = 1e-10
 _S_TOP = math.log(sys.float_info.max) - _STEP
 
 
-def _integrate_log_trapezoid(fn, scale):
-    """integral_0^inf fn(x) dx by the trapezoid rule in s = ln x.
+def _integrate_log_trapezoid_grid(fn, scales):
+    """integral_0^inf fn_i(x) dx for each scale of ``scales``, by the
+    trapezoid rule in s = ln x.
 
-    ``fn`` takes an array of x; ``scale`` is the length on which it decays,
-    like e^{-x/scale}.  In s the integrand g(s) = x fn(x) vanishes like e^s
-    as s -> -inf and doubly exponentially as s -> inf, and it is analytic in
-    a strip about the real axis: the poles of the rate integrands lie on the
-    negative x axis, at Im s = pi.  On such a g the trapezoid rule converges
-    like e^{-2 pi d/h} for a strip of half-width d (Trefethen and Weideman,
-    SIAM Review 56, 2014), so one step h serves every scale and the grid only
+    ``scales[i]`` is the length on which the i-th integrand decays, like
+    e^{-x/scale}.  ``fn(x, sizes)`` evaluates every integrand at once:
+    ``x`` holds the nodes of all of them, the first sizes[0] those of the
+    first integrand, the next sizes[1] those of the second, and so on.
+    Returns the integrals in the order of ``scales``.
+
+    In s the integrand g(s) = x fn(x) vanishes like e^s as s -> -inf and
+    doubly exponentially as s -> inf, and it is analytic in a strip about
+    the real axis: the poles of the rate integrands lie on the negative x
+    axis, at Im s = pi.  On such a g the trapezoid rule converges like
+    e^{-2 pi d/h} for a strip of half-width d (Trefethen and Weideman, SIAM
+    Review 56, 2014), so one step h serves every scale and the grid only
     slides with ln scale.
 
     Every other node gives T_2h, whose error is about the square root of
     T_h's, so (T_h - T_2h)^2 / T_h estimates the step error of T_h; the end
     terms estimate what the grid leaves out.  QuadratureError if the two
-    together exceed _REL_TOL of the integral.
+    together exceed _REL_TOL of an integral.
     """
-    log_scale = math.log(scale)
-    k = np.arange(math.floor((min(log_scale, 0.0) - _REACH_BELOW) / _STEP),
-                  math.ceil(min(log_scale + _REACH_ABOVE, _S_TOP) / _STEP) + 1)
-    x = np.exp(_STEP * k)
-    g = fn(x) * x
-    total = _STEP * float(np.add.reduce(g))
-    gap = abs(total - 2.0 * _STEP * float(np.add.reduce(g[::2])))
-    abserr = ((gap * gap / total if total > 0.0 else gap)
-              + _STEP * float(abs(g[0]) + abs(g[-1])))
-    if not abserr <= _REL_TOL * total:
-        raise QuadratureError(
-            f"trapezoid rule in ln x missed its tolerance: estimate {total!r}, "
-            f"error {abserr!r}", estimate=total, abserr=abserr)
-    return total
+    spans = []
+    for scale in scales:
+        log_scale = math.log(scale)
+        spans.append(np.arange(
+            math.floor((min(log_scale, 0.0) - _REACH_BELOW) / _STEP),
+            math.ceil(min(log_scale + _REACH_ABOVE, _S_TOP) / _STEP) + 1))
+    x = np.exp(_STEP * np.concatenate(spans))
+    sizes = [len(k) for k in spans]
+    g = fn(x, sizes) * x
+    totals, start = [], 0
+    for size in sizes:
+        gi = g[start:start + size]
+        start += size
+        total = _STEP * float(np.add.reduce(gi))
+        gap = abs(total - 2.0 * _STEP * float(np.add.reduce(gi[::2])))
+        abserr = ((gap * gap / total if total > 0.0 else gap)
+                  + _STEP * float(abs(gi[0]) + abs(gi[-1])))
+        if not abserr <= _REL_TOL * total:
+            raise QuadratureError(
+                f"trapezoid rule in ln x missed its tolerance: estimate {total!r}, "
+                f"error {abserr!r}", estimate=total, abserr=abserr)
+        totals.append(total)
+    return totals
+
+
+def _integrate_log_trapezoid(fn, scale):
+    """integral_0^inf fn(x) dx, ``fn`` taking an array of x: the one-integral
+    view of ``_integrate_log_trapezoid_grid``."""
+    return _integrate_log_trapezoid_grid(lambda x, _sizes: fn(x), (scale,))[0]
 
 
 @dataclass(frozen=True)
@@ -107,15 +133,16 @@ class RateIntermediates:
     lambda1 = eps Omega_I / (b_l Omega_k) and lambda2 = a_t Omega_t /
     (a_l Omega_l) shape the CCDF denominator; lambda3 = eps Omega_I /
     (a_t Omega_t) plays the same role for the weak user's high-SNR limit.
-    psi is the exponential decay rate.  All four come from the raw config
-    rates: the rate formulas take divided differences over the poles
-    1/lambda, which stay exact when rates tie with each other or with 1.
+    All three come from the raw config rates and are free of rho, so one
+    set serves a whole SNR grid; the exponential decay rate, which is not,
+    comes from ``_psi``.  The rate formulas take divided differences over
+    the poles 1/lambda, which stay exact when rates tie with each other or
+    with 1.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
-    psi: float
 
 
 # 8-node Gauss-Legendre rule on [-1, 1] as (node, weight) for the nodes
@@ -178,8 +205,15 @@ def compute_rate_intermediates(config: SystemConfig, idx: SignalIndex,
     return RateIntermediates(
         lambda1=eps * config.omega_I / (b_l * omega_k),
         lambda2=a_t * omega_t / (a_l * omega_l),
-        lambda3=eps * config.omega_I / (a_t * omega_t),
-        psi=(a_l * omega_l + b_l * omega_k) / (config.rho * a_l * b_l * omega_l * omega_k))
+        lambda3=eps * config.omega_I / (a_t * omega_t))
+
+
+def _psi(config: SystemConfig, idx: SignalIndex, rho: float) -> float:
+    """Decay rate psi = 1/(rho a_l Omega_l) + 1/(rho b_l Omega_k) of the
+    strong user's no-leakage CCDF at linear SNR ``rho``."""
+    a_l, omega_l = config.a(idx.l), config.omega(idx.l)
+    b_l, omega_k = config.b(idx.l), config.omega(idx.k)
+    return (a_l * omega_l + b_l * omega_k) / (rho * a_l * b_l * omega_l * omega_k)
 
 
 def _require_no_leakage(config, who):
@@ -222,8 +256,11 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex, mode: str
     (2 ln 2).
     """
     _require_no_leakage(config, "the closed-form strong-user rate")
-    inter = compute_rate_intermediates(config, idx, mode)
-    psi = inter.psi
+    return _strong_closed(compute_rate_intermediates(config, idx, mode),
+                          _psi(config, idx, config.rho))
+
+
+def _strong_closed(inter, psi):
     return _strong_rate(
         inter,
         lambda x: -expei_neg(psi * x),
@@ -231,7 +268,7 @@ def ergodic_rate_strong_closed(config: SystemConfig, idx: SignalIndex, mode: str
         lambda x: 1.0 / (x * x) - psi / x - psi * psi * expei_neg(psi * x))
 
 
-def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
+def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str, rho: float):
     """The strong user's SINR CCDF, x -> 1 - F(x), at any leakage and SIC mode.
 
     Conditioning on the uplink interference Z = rho a_t |h_t|^2 +
@@ -249,10 +286,11 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
     the residual leg of W goes away.  Rates and scales are formed once; the
     returned function does only the per-x arithmetic, on a scalar or an
     array of x.  Also returned is the decay length 1/psi of the exponential
-    factor, psi = 1/(rho a_l Omega_l) + 1/(rho b_l Omega_k).
+    factor, psi = 1/(rho a_l Omega_l) + 1/(rho b_l Omega_k).  ``rho`` is
+    the linear SNR; ``config.rho`` is not read.
     """
-    rho, omega_k = config.rho, config.omega(idx.k)
-    z_rates = compute_outage_intermediates(config, idx).uplink_rates
+    omega_k = config.omega(idx.k)
+    z_rates = compute_outage_intermediates(config, idx, rho).uplink_rates
     w_rates = term_rates(sic_epsilon(mode) * rho * config.omega_I,
                          rho * config.varpi2 * omega_k)
     d_z = rho * config.a(idx.l) * config.omega(idx.l)
@@ -268,7 +306,7 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str):
 
 
 def _strong_rate_by_quadrature(config, idx, mode):
-    ccdf, scale = _strong_ccdf(config, idx, mode)
+    ccdf, scale = _strong_ccdf(config, idx, mode, config.rho)
     return _integrate_log_trapezoid(lambda x: ccdf(x) / (1.0 + x),
                                     scale) / (2.0 * _LN2)
 
@@ -288,7 +326,7 @@ def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float
     """The ipSIC CCDF of ``_strong_ccdf``, which the leakage rate integrates, at x >= 0."""
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
-    return float(_strong_ccdf(config, idx, "ipsic")[0](x))
+    return float(_strong_ccdf(config, idx, "ipsic", config.rho)[0](x))
 
 
 def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float:
@@ -331,20 +369,32 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex, mode: str)
     where lambda3 = 0 under perfect SIC.  The integrand decays like
     e^{-c v}, so the rule's scale is 1/c.
     """
-    _require_no_leakage(config, "the weak-user rate integral")
-    lam3 = compute_rate_intermediates(config, idx, mode).lambda3
-    rho = config.rho
-    den_t = rho * config.a(idx.t) * config.omega(idx.t)
-    b_l, b_t = config.b(idx.l), config.b(idx.t)
-    c = 1.0 / (rho * config.omega(idx.k)) + 1.0 / (rho * config.omega(idx.r))
+    return _weak_rates(config, [(idx, compute_rate_intermediates(config, idx, mode),
+                                 config.rho)])[0]
 
-    def integrand(v):
+
+def _weak_rates(config, points):
+    """``ergodic_rate_weak_numeric`` at each (idx, RateIntermediates, rho) of
+    ``points``, with the nodes of every integral in one numpy pass."""
+    _require_no_leakage(config, "the weak-user rate integral")
+    if not points:
+        return []
+    params = []
+    for idx, inter, rho in points:
+        den_t = rho * config.a(idx.t) * config.omega(idx.t)
+        c = 1.0 / (rho * config.omega(idx.k)) + 1.0 / (rho * config.omega(idx.r))
+        params.append((config.b(idx.l), config.b(idx.t), den_t, c, inter.lambda3))
+    columns = np.array(params).T
+
+    def integrand(v, sizes):
+        b_l, b_t, den_t, c, lam3 = np.repeat(columns, sizes, axis=1)
         w = 1.0 / (1.0 + b_l * v)
         x = b_t * v * w
         return (np.exp(-x / den_t - c * v) * b_t * w * w
                 / ((1.0 + x) * (1.0 + x * lam3)))
 
-    return _integrate_log_trapezoid(integrand, 1.0 / c) / (2.0 * _LN2)
+    return [total / (2.0 * _LN2) for total in
+            _integrate_log_trapezoid_grid(integrand, [1.0 / p[3] for p in params])]
 
 
 def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
@@ -366,13 +416,18 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex, mode: str)
     as e^s Ei(-s) products, e^{c(1 - 1/b_l)} e^{c/b_l} Ei(-c/b_l) and
     e^c Ei(-c), so a large c (low SNR, weak power share) cannot overflow.
     """
+    return _weak_ceiling(config, idx, mode, compute_rate_intermediates(config, idx, mode),
+                         config.rho)
+
+
+def _weak_ceiling(config, idx, mode, inter, rho):
     cap = config.b(idx.t) / config.b(idx.l)
     if sic_epsilon(mode) > 0.0:
         return _divided_difference(
-            (compute_rate_intermediates(config, idx, mode).lambda3, 1.0),
+            (inter.lambda3, 1.0),
             lambda lam: math.log1p(cap * lam),
             lambda lam: cap / (1.0 + cap * lam)) / (2.0 * _LN2)
-    c = 1.0 / (config.rho * config.a(idx.t) * config.omega(idx.t))
+    c = 1.0 / (rho * config.a(idx.t) * config.omega(idx.t))
     b_l = config.b(idx.l)
     return ((math.exp(c * (1.0 - 1.0 / b_l)) * expei_neg(c / b_l) - expei_neg(c))
             / (2.0 * _LN2))
@@ -393,13 +448,54 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex,
     with it removed the expression grows like (1/2) log2(rho), unit
     multiplexing gain over the two slots.
     """
-    inter = compute_rate_intermediates(config, idx, mode)
-    psi = inter.psi
+    return _strong_asymptotic(compute_rate_intermediates(config, idx, mode),
+                              _psi(config, idx, config.rho))
+
+
+def _strong_asymptotic(inter, psi):
     return _strong_rate(
         inter,
         lambda x: -(1.0 + psi * x) * (math.log(psi * x) + EULER_GAMMA),
         lambda x: -(1.0 / x + psi * (1.0 + math.log(psi * x) + EULER_GAMMA)),
         lambda x: 1.0 / (x * x) - psi / x)
+
+
+def rate_grid(config: SystemConfig, rhos, signals, modes,
+              asymptotic: bool = False) -> list:
+    """The leakage-free rate of each signal and SIC mode at every linear SNR
+    of ``rhos``.
+
+    Returns one dict per entry of ``rhos``, keyed (mode, signal), with
+    values (rate, asymptote); the asymptote is None unless ``asymptotic``
+    is set.  A strong signal takes the closed form of
+    ``ergodic_rate_strong_closed`` and the expansion of
+    ``ergodic_rate_strong_asymptotic``, a weak one the integral of
+    ``ergodic_rate_weak_numeric`` and the ceiling of
+    ``ergodic_rate_weak_highsnr``.  The rate intermediates are formed once
+    per pairing and mode, and the weak integrals of the whole grid share
+    one numpy pass.  ``config.rho`` is not read, and ``rhos`` are taken as
+    given.
+    """
+    _require_no_leakage(config, "the closed-form rate grid")
+    keys = [(mode, s, SignalIndex.for_signal(s)) for mode in modes for s in signals]
+    inters = {(mode, s): compute_rate_intermediates(config, idx, mode)
+              for mode, s, idx in keys}
+    weak = iter(_weak_rates(config, [(idx, inters[mode, s], rho) for rho in rhos
+                                     for mode, s, idx in keys if idx.t == s]))
+    table = []
+    for rho in rhos:
+        point = {}
+        for mode, s, idx in keys:
+            inter = inters[mode, s]
+            if idx.l == s:
+                psi = _psi(config, idx, rho)
+                point[mode, s] = (_strong_closed(inter, psi),
+                                  _strong_asymptotic(inter, psi) if asymptotic else None)
+            else:
+                point[mode, s] = (next(weak), _weak_ceiling(config, idx, mode, inter, rho)
+                                  if asymptotic else None)
+        table.append(point)
+    return table
 
 
 def high_snr_slope_estimate(rho_grid, rate_values) -> float:

@@ -8,31 +8,26 @@ throughput by the energy spent across the two slots, 2 R / (T Pu + T Pr);
 the transmit SNR of the statistical model and the Watt-level power budget
 are independent knobs, matching how the curves are usually reported.
 
-``analytic`` decides how every closed-form value is formed.  Rate-style
-metrics follow the reporting convention of the reference curves: the
-analytic value is the leakage-free closed form (strong signals by
-``ergodic_rate_strong_closed``, weak ones by ``ergodic_rate_weak_numeric``)
-while the simulation runs the configured leakage, making the gap between
-the two the visible cost of cross-antenna interference.
+``analytic_grid`` decides how every closed-form value is formed, at every
+SNR of a grid in one call; ``analytic`` is its one-point view at
+``config.rho``.  Rate-style metrics follow the reporting convention of the
+reference curves: the analytic value is the leakage-free closed form
+(strong signals by ``ergodic_rate_strong_closed``, weak ones by
+``ergodic_rate_weak_numeric``) while the simulation runs the configured
+leakage, making the gap between the two the visible cost of cross-antenna
+interference.
 """
 
 from __future__ import annotations
 
-import functools
-
-from .analysis import outage_probability
-from .ergodic import (ergodic_rate_strong_asymptotic, ergodic_rate_strong_closed,
-                      ergodic_rate_weak_highsnr, ergodic_rate_weak_numeric)
-from .model import SignalIndex, SystemConfig
+from .analysis import outage_grid
+from .ergodic import rate_grid
+from .model import SystemConfig, is_linear_snr, sic_epsilon
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
 
 _SIGNALS = (1, 2, 3, 4)
-
-# a sweep asks for every signal and SIC mode of one grid point in a row, so
-# the leakage-free twin of that point's config is built once, not per row
-_leakage_free = functools.lru_cache(maxsize=1)(SystemConfig.without_leakage)
 
 
 def throughput_delay_limited(outages, rates) -> float:
@@ -71,51 +66,72 @@ def energy_efficiency(throughput: float, config: SystemConfig) -> float:
                                + config.t_slot * config.pr_watts)
 
 
-def _rate(config, signal, mode, asymptotic):
-    idx = SignalIndex.for_signal(signal)
-    if idx.l == signal:
-        closed, limit = ergodic_rate_strong_closed, ergodic_rate_strong_asymptotic
+def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
+                  asymptotic: bool = False) -> list:
+    """Closed-form values of ``metric`` for each target and SIC mode at every
+    linear SNR of ``rhos``.
+
+    ``targets`` are signals 1..4 for ``outage`` and ``ergodic_rate`` and
+    ``"system"`` for the throughput and energy-efficiency metrics.  Returns
+    one dict per entry of ``rhos``, in that order, keyed (mode, target),
+    with values (value, asymptote, feasible); the asymptote is None unless
+    ``asymptotic`` is set, and feasible is False only where an outage
+    target rate is out of reach for the power split.  As in ``mc_grid``,
+    each entry of ``rhos`` must be positive with a finite reciprocal, and
+    ``config.rho`` is not read.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    per_signal = metric in ("outage", "ergodic_rate")
+    targets, modes = tuple(targets), tuple(modes)
+    for target in targets:
+        if per_signal != (target in _SIGNALS):
+            raise ValueError(f"metric {metric!r} cannot take target {target!r}: "
+                             "outage and ergodic_rate take a signal 1..4, the "
+                             "throughput and efficiency metrics 'system'")
+    for mode in modes:
+        sic_epsilon(mode)
+    rhos = [float(rho) for rho in rhos]
+    if not rhos or not all(map(is_linear_snr, rhos)):
+        raise ValueError("rhos must be a nonempty list of positive SNRs with "
+                         "finite reciprocals")
+    signals = targets if per_signal else _SIGNALS
+    if metric in ("outage", "throughput_dl", "ee_dl"):
+        points = outage_grid(config, rhos, signals, modes, asymptotic)
     else:
-        closed, limit = ergodic_rate_weak_numeric, ergodic_rate_weak_highsnr
-    return closed(config, idx, mode), limit(config, idx, mode) if asymptotic else None
+        points = [{key: (value, asym, True) for key, (value, asym) in point.items()}
+                  for point in rate_grid(config.without_leakage(), rhos, signals,
+                                         modes, asymptotic)]
+    if per_signal:
+        return points
+    scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
+    return [{(mode, "system"): _system(config, metric, [point[mode, s] for s in _SIGNALS],
+                                       asymptotic, scale)
+             for mode in modes} for point in points]
+
+
+def _system(config, metric, results, asymptotic, scale):
+    """The system value of ``metric`` from the (value, asymptote, feasible)
+    of x1..x4, rescaled to energy efficiency by ``scale`` unless it is None."""
+    if metric.endswith("_dl"):
+        rates = [config.rate(s) for s in _SIGNALS]
+        value = throughput_delay_limited([p for p, _, _ in results], rates)
+        asym = sum((1.0 - a) * rate
+                   for (_, a, _), rate in zip(results, rates)) if asymptotic else None
+    else:
+        value = throughput_delay_tolerant([v for v, _, _ in results])
+        asym = sum(a for _, a, _ in results) if asymptotic else None
+    if scale is not None:
+        value, asym = value * scale, None if asym is None else asym * scale
+    return value, asym, all(feasible for _, _, feasible in results)
 
 
 def analytic(config: SystemConfig, metric: str, target, mode: str,
              asymptotic: bool = False):
     """Closed-form value of ``metric`` for ``target`` at ``config`` under SIC
-    mode ``mode``.
+    mode ``mode``: the one-point view of ``analytic_grid`` at ``config.rho``.
 
-    ``target`` is a signal 1..4 for ``outage`` and ``ergodic_rate`` and
-    ``"system"`` for the throughput and energy-efficiency metrics.  Returns
-    (value, asymptote, feasible); the asymptote is None unless
-    ``asymptotic`` is set, and feasible is False only where an outage
-    target rate is out of reach for the power split.
+    Returns (value, asymptote, feasible) as ``analytic_grid`` does.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if (metric in ("outage", "ergodic_rate")) != (target in _SIGNALS):
-        raise ValueError(f"metric {metric!r} cannot take target {target!r}: "
-                         "outage and ergodic_rate take a signal 1..4, the "
-                         "throughput and efficiency metrics 'system'")
-    if metric == "outage":
-        res = outage_probability(config, target, mode)
-        return res.p_exact, res.p_asymptotic if asymptotic else None, res.feasible
-    if metric == "ergodic_rate":
-        return (*_rate(_leakage_free(config), target, mode, asymptotic), True)
-    if metric.endswith("_dl"):
-        results = [outage_probability(config, s, mode) for s in _SIGNALS]
-        rates = [config.rate(s) for s in _SIGNALS]
-        value = throughput_delay_limited([r.p_exact for r in results], rates)
-        asym = sum((1.0 - r.p_asymptotic) * rate
-                   for r, rate in zip(results, rates)) if asymptotic else None
-        feasible = all(r.feasible for r in results)
-    else:
-        zero = _leakage_free(config)
-        pairs = [_rate(zero, s, mode, asymptotic) for s in _SIGNALS]
-        value = throughput_delay_tolerant([v for v, _ in pairs])
-        asym = sum(a for _, a in pairs) if asymptotic else None
-        feasible = True
-    if metric.startswith("ee_"):
-        scale = energy_efficiency(1.0, config)
-        value, asym = value * scale, None if asym is None else asym * scale
-    return value, asym, feasible
+    return analytic_grid(config, (config.rho,), metric, (target,), (mode,),
+                         asymptotic)[0][mode, target]

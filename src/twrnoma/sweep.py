@@ -8,9 +8,10 @@ SIC mode and system sum, and the orthogonal baseline draws its own fades
 once for all of its rows.  The substreams derive from the master seed
 and point index 0 alone, so every grid point reads the same draws
 (common random numbers), and reruns and different worker counts give
-identical bytes.  The analytic and asymptotic columns come from
-``metrics.analytic``, which also owns the reporting convention for the
-rate-style metrics.
+identical bytes.  The analytic and asymptotic columns come from one
+``metrics.analytic_grid`` call over the same SNRs, which also owns the
+reporting convention for the rate-style metrics.  Neither call reads
+``config.rho``, and the sweep makes no per-point copy of the config.
 """
 
 from __future__ import annotations
@@ -148,18 +149,13 @@ def _mc_columns(est, scale=1.0):
                 mc_ci_high=est.ci_high * scale)
 
 
-def _point_rows(spec, cfg_point, db, ests):
+def _point_rows(spec, targets, scale, db, values, ests):
     """One grid point: a row per mode and target, then the baseline rows once."""
     kind = _MC_KIND[spec.metric]
-    targets = spec.signals if spec.metric in ("outage", "ergodic_rate") else ("system",)
-    # energy efficiency reads the throughput estimate, rescaled
-    scale = (metrics.energy_efficiency(1.0, cfg_point)
-             if spec.metric.startswith("ee_") else 1.0)
     rows = []
     for mode in spec.modes:
         for target in targets:
-            value, asym, feasible = metrics.analytic(cfg_point, spec.metric, target,
-                                                     mode, spec.with_asymptotic)
+            value, asym, feasible = values[mode, target]
             key = (kind, mode) if target == "system" else (kind, mode, target)
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,
@@ -177,13 +173,19 @@ def _point_rows(spec, cfg_point, db, ests):
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
     grid = spec.grid_db()
-    points = [config.with_rho(_linear(db)) for db in grid]
-    ests = mc_grid(config, [cfg.rho for cfg in points], spec.mc_iterations,
+    rhos = [_linear(db) for db in grid]
+    ests = mc_grid(config, rhos, spec.mc_iterations,
                    spec.master_seed, workers=workers, kind=_MC_KIND[spec.metric],
                    signals=spec.signals, modes=spec.modes, oma=spec.with_oma)
+    targets = spec.signals if spec.metric in ("outage", "ergodic_rate") else ("system",)
+    values = metrics.analytic_grid(config, rhos, spec.metric, targets, spec.modes,
+                                   spec.with_asymptotic)
+    # energy efficiency reads the throughput estimate, rescaled
+    scale = (metrics.energy_efficiency(1.0, config)
+             if spec.metric.startswith("ee_") else 1.0)
     rows = []
-    for db, cfg_point, point_ests in zip(grid, points, ests):
-        rows.extend(_point_rows(spec, cfg_point, db, point_ests))
+    for db, point_values, point_ests in zip(grid, values, ests):
+        rows.extend(_point_rows(spec, targets, scale, db, point_values, point_ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import diversity_order_estimate, outage_asymptotic, outage_probability
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
-from .metrics import analytic
+from .metrics import analytic, analytic_grid
 from .model import SIC_MODES, ConfigError, SignalIndex, SystemConfig
 from .montecarlo import mc_grid, mc_point, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
@@ -73,15 +73,16 @@ def _rel(a, b):
 
 
 def _check_outage_vs_mc(config, scale, iterations, seed, workers):
-    cfgs = [config.with_rho(10.0 ** (db / 10.0)) for db in (10.0, 25.0, 40.0)]
-    grid = mc_grid(config, [cfg.rho for cfg in cfgs], iterations, seed,
+    rhos = [10.0 ** (db / 10.0) for db in (10.0, 25.0, 40.0)]
+    grid = mc_grid(config, rhos, iterations, seed,
                    workers=workers, kind="outage", signals=(1, 2),
                    modes=SIC_MODES)
+    exacts = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
     worst, band = 0.0, math.inf
-    for cfg, ests in zip(cfgs, grid):
+    for values, ests in zip(exacts, grid):
         for mode in SIC_MODES:
             for s in (1, 2):
-                exact = outage_probability(cfg, s, mode).p_exact
+                exact = values[mode, s][0]
                 sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
                 allowed = scale * max(3.0 * sigma, 0.005)
                 gap = abs(ests["outage", mode, s].mean - exact)
@@ -106,11 +107,11 @@ def _check_floor(config, scale):
 def _check_diversity(config, scale):
     tol = 0.1 * scale
     rhos = [1e5, 1e6]
+    values = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
     worst = 0.0
     for mode in SIC_MODES:
         for s in (1, 2):
-            probs = [outage_probability(config.with_rho(r), s, mode).p_exact
-                     for r in rhos]
+            probs = [point[mode, s][0] for point in values]
             worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
     return (worst <= tol, tol, worst,
             "|slope| of log outage between 50 and 60 dB")
@@ -209,17 +210,19 @@ def _check_oma(config, scale, iterations, seed, workers):
     return gap <= band, band, gap, "orthogonal baseline system outage at 10 dB"
 
 
-def _system_value(config, metric, rho, mode):
-    return analytic(config.with_rho(rho), metric, "system", mode)[0]
+def _system_values(config, metric, rhos):
+    """The closed-form system value of ``metric`` per SNR of ``rhos``, as a
+    dict keyed by SIC mode."""
+    return [{mode: point[mode, "system"][0] for mode in SIC_MODES}
+            for point in analytic_grid(config, rhos, metric, ("system",), SIC_MODES)]
 
 
 def _check_throughput_ceiling(config, scale):
     tol = 0.02 * scale
     worst = 0.0
+    t50, t60 = _system_values(config, "throughput_dt", (1e5, 1e6))
     for mode in SIC_MODES:
-        t50, t60 = (_system_value(config, "throughput_dt", rho, mode)
-                    for rho in (1e5, 1e6))
-        worst = max(worst, _rel(t50, t60))
+        worst = max(worst, _rel(t50[mode], t60[mode]))
     return (worst <= tol, tol, worst,
             "delay tolerant throughput change from 50 to 60 dB")
 
@@ -227,15 +230,12 @@ def _check_throughput_ceiling(config, scale):
 def _check_ee(config, scale):
     tol = 0.05 * scale
     worst = 0.0
-    for db in (0.0, 10.0, 20.0, 30.0, 40.0):
-        rho = 10.0 ** (db / 10.0)
-        ip, p = (_system_value(config, "ee_dl", rho, mode)
-                 for mode in SIC_MODES)
-        worst = max(worst, _rel(ip, p))
+    for ee in _system_values(config, "ee_dl", [10.0 ** (db / 10.0) for db in
+                                               (0.0, 10.0, 20.0, 30.0, 40.0)]):
+        worst = max(worst, _rel(ee["ipsic"], ee["psic"]))
     # perfect SIC can only raise the delay tolerant efficiency
-    ordered = all(_system_value(config, "ee_dt", rho, "psic")
-                  >= _system_value(config, "ee_dt", rho, "ipsic")
-                  for rho in (1e3, 1e5))
+    ordered = all(ee["psic"] >= ee["ipsic"]
+                  for ee in _system_values(config, "ee_dt", (1e3, 1e5)))
     detail = "delay limited efficiency gap between SIC modes, 0 to 40 dB"
     if not ordered:
         detail += "; delay tolerant ordering violated"

@@ -97,7 +97,7 @@ def test_uplink_factor_equals_mgf_product():
 
     idx = SignalIndex.for_signal(1)
     for cfg in (SystemConfig(rho=100.0, a2=0.3), SystemConfig(rho=100.0)):
-        inter = compute_outage_intermediates(cfg, idx)
+        inter = compute_outage_intermediates(cfg, idx, cfg.rho)
         assert _uplink_success(cfg, idx, inter, with_exp=True) == pytest.approx(
             _mgf_route(cfg, idx), rel=1e-12)
 
@@ -136,20 +136,20 @@ def test_infeasible_weak_target_reports_certain_outage():
 
 def test_intermediates_structure(baseline):
     cfg = baseline.with_rho(10.0)
-    inter = compute_outage_intermediates(cfg, SignalIndex.for_signal(1))
+    inter = compute_outage_intermediates(cfg, SignalIndex.for_signal(1), cfg.rho)
     assert inter.strong_feasible and inter.weak_feasible
     # rho * tau cancels the 1/rho, leaving a scale-free product
     assert cfg.rho * inter.tau_l == pytest.approx(0.749, abs=5e-4)
     assert inter.theta_l == max(inter.tau_l, inter.xi_t)
     assert inter.varphi_t == pytest.approx(
-        compute_outage_intermediates(baseline.with_rho(1e6),
-                                     SignalIndex.for_signal(1)).varphi_t,
+        compute_outage_intermediates(baseline, SignalIndex.for_signal(1),
+                                     1e6).varphi_t,
         rel=1e-12)
     assert len(inter.uplink_rates) == 3
     assert len(inter.cross_rates) == 2
     assert inter.uplink_rates[1:] == inter.cross_rates
-    no_cross = compute_outage_intermediates(SystemConfig(rho=10.0, varpi1=0.0),
-                                            SignalIndex.for_signal(1))
+    no_cross = compute_outage_intermediates(SystemConfig(varpi1=0.0),
+                                            SignalIndex.for_signal(1), 10.0)
     assert len(no_cross.uplink_rates) == 1
     assert no_cross.cross_rates == ()
 
@@ -162,7 +162,7 @@ def test_default_rates_collide_and_keep_the_exact_product(baseline):
 
     idx = SignalIndex.for_signal(1)
     cfg = baseline.with_rho(10.0)
-    inter = compute_outage_intermediates(cfg, idx)
+    inter = compute_outage_intermediates(cfg, idx, cfg.rho)
     raw = _raw_uplink_rates(cfg, idx)
     assert inter.uplink_rates == raw
     assert raw[1] == pytest.approx(raw[0], rel=1e-15)

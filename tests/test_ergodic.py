@@ -19,7 +19,7 @@ from scipy import integrate
 
 from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
                              _confluent, _divided_difference,
-                             _integrate_log_trapezoid, _strong_ccdf,
+                             _integrate_log_trapezoid, _psi, _strong_ccdf,
                              compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
@@ -120,6 +120,18 @@ def test_strong_closed_at_the_unit_pole_matches_mpmath(mode):
     assert compute_rate_intermediates(cfg, IDX1, mode).lambda2 == 1.0
     assert ergodic_rate_strong_closed(cfg, IDX1, mode) == pytest.approx(
         _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the closed form loses digits at low SNR: on the unit pole at -30 dB it is "
+    "2.67e-11 (ipSIC) and 1.47e-11 (pSIC) off mpmath, 1.3e-14 at 0 dB; the "
+    "suspected cause is the divided difference of K(x) = -e^{psi x} Ei(-psi x) "
+    "at large psi"))
+@pytest.mark.parametrize("mode", ["ipsic", "psic"])
+def test_strong_closed_at_low_snr_matches_mpmath(mode):
+    cfg = _cfg(-30, **UNIT_POLE)
+    assert ergodic_rate_strong_closed(cfg, IDX1, mode) == pytest.approx(
+        _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12, abs=0.0)
 
 
 def _near_pole(delta):
@@ -318,14 +330,14 @@ def test_gauss_legendre_table_matches_numpy():
 
 
 def test_rate_intermediates_frozen(baseline):
-    inter = compute_rate_intermediates(baseline.with_rho(100.0), IDX1, "ipsic")
+    inter = compute_rate_intermediates(baseline, IDX1, "ipsic")
     assert inter.lambda1 == pytest.approx(0.2, rel=1e-12)
     assert inter.lambda2 == pytest.approx(0.01, rel=1e-12)
     assert inter.lambda3 == pytest.approx(5.0, rel=1e-12)
-    assert inter.psi == pytest.approx(0.25, rel=1e-12)
-    # the rate constants and the decay rate are all there is: no weights
+    assert _psi(baseline, IDX1, 100.0) == pytest.approx(0.25, rel=1e-12)
+    # the rate constants are all there is: no weights, and nothing of rho
     assert [f.name for f in dataclasses.fields(inter)] == [
-        "lambda1", "lambda2", "lambda3", "psi"]
+        "lambda1", "lambda2", "lambda3"]
 
 
 def test_perfect_sic_zeroes_the_residual_pole(baseline):
@@ -382,7 +394,7 @@ def test_strong_ccdf_is_a_valid_survival_function(baseline):
     u = np.linspace(0.0, 200.0, 400)
     for cfg in (baseline, baseline.without_leakage()):
         for mode in ("ipsic", "psic"):
-            ccdf, _ = _strong_ccdf(cfg.with_rho(100.0), IDX1, mode)
+            ccdf, _ = _strong_ccdf(cfg, IDX1, mode, 100.0)
             vals = ccdf(u)
             assert vals[0] == 1.0
             assert np.all(np.diff(vals) <= 1e-15)
@@ -398,10 +410,11 @@ def test_strong_ccdf_without_leakage_is_the_closed_form_integrand(baseline, mode
     compute_rate_intermediates (lambda1 = 0 under perfect SIC)."""
     cfg = baseline.without_leakage().with_rho(100.0)
     inter = compute_rate_intermediates(cfg, IDX1, mode)
-    ccdf, scale = _strong_ccdf(cfg, IDX1, mode)
-    assert scale == pytest.approx(1.0 / inter.psi, rel=1e-15)
+    psi = _psi(cfg, IDX1, cfg.rho)
+    ccdf, scale = _strong_ccdf(cfg, IDX1, mode, cfg.rho)
+    assert scale == pytest.approx(1.0 / psi, rel=1e-15)
     for u in (0.0, 1e-3, 0.5, 2.0, 10.0, 60.0):
-        expected = math.exp(-u * inter.psi) / ((1.0 + u * inter.lambda1)
+        expected = math.exp(-u * psi) / ((1.0 + u * inter.lambda1)
                                                * (1.0 + u * inter.lambda2))
         assert ccdf(u) == pytest.approx(expected, rel=1e-13, abs=0.0)
 

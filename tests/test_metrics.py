@@ -1,5 +1,6 @@
 """Throughput and energy-efficiency bookkeeping."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrnoma.analysis import outage_probability
-from twrnoma.ergodic import ergodic_rate_weak_numeric
-from twrnoma.metrics import (analytic, energy_efficiency,
+from twrnoma.configio import PRESETS
+from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
+from twrnoma.metrics import (METRICS, analytic, analytic_grid, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
-from twrnoma.model import SystemConfig
+from twrnoma.model import SIC_MODES, SystemConfig
 from twrnoma.montecarlo import mc_outage
 
 
@@ -152,3 +154,104 @@ def test_analytic_energy_efficiency_rescales_throughput(baseline):
         e, e_asym, _ = analytic(cfg, ee, "system", "ipsic", asymptotic=True)
         assert e == pytest.approx(energy_efficiency(t, cfg), rel=1e-14)
         assert e_asym == pytest.approx(energy_efficiency(t_asym, cfg), rel=1e-14)
+
+
+def _targets(metric):
+    return (1, 2, 3, 4) if metric in ("outage", "ergodic_rate") else ("system",)
+
+
+def _bits(value):
+    """A cell's floats as their hex strings, so that == compares every bit."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in value)
+
+
+def _per_point(config, rhos, metric, targets, modes, asymptotic):
+    return [{(mode, t): _bits(analytic(config.with_rho(rho), metric, t, mode, asymptotic))
+             for mode in modes for t in targets} for rho in rhos]
+
+
+def _grid(config, rhos, metric, targets, modes, asymptotic):
+    return [{key: _bits(value) for key, value in point.items()}
+            for point in analytic_grid(config, rhos, metric, targets, modes, asymptotic)]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_analytic_grid_equals_the_per_point_route_bit_for_bit(name):
+    """Every preset variant and metric, both modes, asymptotes on and off,
+    over the preset grid and -30 and 90 dB: sharing intermediates across
+    signals and modes and the weak integrals across the grid moves no bit."""
+    preset = PRESETS[name]
+    rhos = [10.0 ** (db / 10.0) for db in preset.grid_db() + [-30.0, 90.0]]
+    for variant in preset.variants:
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
+        for metric in METRICS:
+            for asymptotic in (False, True):
+                args = (rhos, metric, _targets(metric), SIC_MODES, asymptotic)
+                assert _grid(cfg, *args) == _per_point(cfg, *args), (metric, asymptotic)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_analytic_grid_does_not_read_the_config_rho(baseline, metric):
+    rhos = [1.0, 10.0 ** 1.5, 1e4]
+    args = (rhos, metric, _targets(metric), SIC_MODES, True)
+    assert _grid(baseline.with_rho(123.4), *args) == _grid(baseline, *args)
+
+
+def test_analytic_grid_reports_an_infeasible_power_split():
+    """r1 = 3 sets gamma_th = 63, so den_tau = b1 - varpi2 gamma_th < 0: the
+    strong x1 decode fails at every SNR, and so does the system."""
+    cfg = SystemConfig(r1=3.0)
+    rhos = [1.0, 1e3, 1e6]
+    for point in analytic_grid(cfg, rhos, "outage", (1, 2), SIC_MODES, True):
+        for mode in SIC_MODES:
+            assert point[mode, 1] == (1.0, 1.0, False)
+            assert point[mode, 2][2]
+    for metric in ("throughput_dl", "ee_dl"):
+        for point in analytic_grid(cfg, rhos, metric, ("system",), SIC_MODES):
+            assert not any(point[mode, "system"][2] for mode in SIC_MODES)
+
+
+@pytest.mark.parametrize("rhos", [[], [1e-310], [0.0], [-1.0], [math.inf],
+                                  [math.nan], [10.0, 1e-310]])
+def test_analytic_grid_refuses_what_mc_grid_refuses(baseline, rhos):
+    with pytest.raises(ValueError, match="nonempty list of positive SNRs"):
+        analytic_grid(baseline, rhos, "outage", (1,), ("ipsic",))
+
+
+_shares = st.floats(min_value=0.05, max_value=1.0)
+
+
+@st.composite
+def _configs(draw):
+    leak = st.sampled_from([0.0, 0.01, 0.1])
+    return SystemConfig(
+        a1=draw(_shares), a2=draw(_shares), a3=draw(_shares), a4=draw(_shares),
+        b1=draw(st.floats(min_value=0.02, max_value=0.48)),
+        b3=draw(st.floats(min_value=0.02, max_value=0.48)),
+        varpi1=draw(leak), varpi2=draw(leak),
+        omega_I=draw(st.floats(min_value=1e-3, max_value=1.0)),
+        d1=draw(st.floats(min_value=0.5, max_value=5.0)),
+        d2=draw(st.floats(min_value=1.0, max_value=20.0)),
+        r1=draw(st.floats(min_value=0.0, max_value=0.5)),
+        r2=draw(st.floats(min_value=0.0, max_value=0.5)),
+        r3=draw(st.floats(min_value=0.0, max_value=0.5)),
+        r4=draw(st.floats(min_value=0.0, max_value=0.5)))
+
+
+@given(cfg=_configs(),
+       dbs=st.lists(st.floats(min_value=-30.0, max_value=90.0), min_size=1, max_size=5),
+       metric=st.sampled_from(METRICS),
+       modes=st.sampled_from([("ipsic",), ("psic",), SIC_MODES]),
+       asymptotic=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_analytic_grid_equals_the_per_point_route_on_random_configs(cfg, dbs, metric,
+                                                                  modes, asymptotic):
+    rhos = [10.0 ** (db / 10.0) for db in dbs]
+    args = (rhos, metric, _targets(metric), modes, asymptotic)
+    try:
+        expected = _per_point(cfg, *args)
+    except (ValueError, QuadratureError) as exc:
+        with pytest.raises(type(exc)):
+            analytic_grid(cfg, *args)
+        return
+    assert _grid(cfg, *args) == expected

@@ -215,6 +215,29 @@ def test_one_channel_draw_per_sweep(baseline, monkeypatch, metric):
     assert streams == [(spec.master_seed, 0, 0), (spec.master_seed, 1, 0)]
 
 
+def test_config_copies_do_not_grow_with_the_grid(baseline, monkeypatch):
+    """A sweep reads every grid SNR as an argument: fig6's 11 points build
+    as many SystemConfigs as 3 points do (the leakage-free twin of the rate
+    convention, once per sweep), not a copy per point."""
+    built = []
+    original = SystemConfig.__post_init__
+
+    def counting(self):
+        built.append(self.rho)
+        original(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    counts = []
+    for snr in (PRESETS["fig6"].snr, (0.0, 10.0, 5.0)):
+        spec = dataclasses.replace(PRESETS["fig6"], snr=snr, mc_iterations=2000,
+                                   master_seed=11, with_asymptotic=True)
+        built.clear()
+        assert len(run_sweep(spec, baseline)) == 2 * 2 * len(spec.grid_db())
+        counts.append(len(built))
+    assert len(PRESETS["fig6"].grid_db()) == 11
+    assert counts[0] == counts[1] <= 1
+
+
 def test_outage_curves_fall_with_snr(baseline):
     """Every grid point reads the same draws, and a draw that decodes at one
     SNR decodes at every higher one, so each simulated outage curve (the
