@@ -9,23 +9,24 @@ to trade accuracy for speed.
 import argparse
 
 from twrnoma import (SIC_MODES, SystemConfig, diversity_order_estimate, mc_grid,
-                     oma_outage_exact, outage_asymptotic, outage_probability)
+                     metrics, oma_outage_exact, outage_asymptotic, outage_probability)
 
 
 def sweep(cfg, n_mc, seed=1729):
     print(f"{'SNR dB':>6} {'sig':>4} {'mode':>6} {'closed':>12} "
           f"{'simulated':>12} {'ci half':>10}")
     grid = range(0, 45, 5)
-    points = [cfg.with_rho(10.0 ** (db / 10.0)) for db in grid]
-    # one simulation serves every SNR, both signals and both SIC modes
-    grid_sims = mc_grid(cfg, [c.rho for c in points], n_mc, seed, workers=4,
+    rhos = [10.0 ** (db / 10.0) for db in grid]
+    # one closed-form call and one simulation serve every SNR, both signals
+    # and both SIC modes
+    closed = metrics.analytic_grid(cfg, rhos, "outage", (1, 2), SIC_MODES)
+    grid_sims = mc_grid(cfg, rhos, n_mc, seed, workers=4,
                         kind="outage", signals=(1, 2), modes=SIC_MODES)
-    for db, c, sims in zip(grid, points, grid_sims):
+    for db, exact, sims in zip(grid, closed, grid_sims):
         for mode in SIC_MODES:
             for sig in (1, 2):
-                res = outage_probability(c, sig, mode)
                 est = sims["outage", mode, sig]
-                print(f"{db:>6} {sig:>4} {mode:>6} {res.p_exact:>12.6f} "
+                print(f"{db:>6} {sig:>4} {mode:>6} {exact[mode, sig][0]:>12.6f} "
                       f"{est.mean:>12.6f} {est.half_width_95:>10.2e}")
 
 

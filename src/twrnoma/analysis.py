@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .model import SignalIndex, SystemConfig, gamma_threshold, sic_epsilon
 from .specfun import hypoexp_laplace, term_rates
 
-_FLOOR_RHO = 1e12
+# the linear SNR at which an asymptote is read as the error floor
+FLOOR_RHO = 1e12
 _UNIT_SLACK = 1e-9
 
 
@@ -69,8 +70,8 @@ class AsymptoticOutage:
 
     value is the approximation evaluated as-is; it is not clamped and can
     leave [0, 1] at low SNR, which in_unit_interval reports.  floor is the
-    same expression pushed to rho = 1e12, the error floor both SIC modes
-    converge to.
+    same expression pushed to rho = FLOOR_RHO, the error floor both SIC
+    modes converge to.
     """
 
     value: float
@@ -250,7 +251,7 @@ def outage_asymptotic(config: SystemConfig, signal: int, mode: str) -> Asymptoti
     hiding it.
     """
     value, floor = (point[mode, signal][1] for point in
-                    outage_grid(config, (config.rho, _FLOOR_RHO), (signal,), (mode,), True))
+                    outage_grid(config, (config.rho, FLOOR_RHO), (signal,), (mode,), True))
     return AsymptoticOutage(value=value, floor=floor,
                             in_unit_interval=0.0 <= value <= 1.0)
 

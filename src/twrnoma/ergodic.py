@@ -27,7 +27,10 @@ place pins them for all three routes.
 
 The rate kernels take the linear SNR rho as an argument.  The public
 per-point routes read ``config.rho`` once and call them; ``rate_grid``
-evaluates every closed form of a grid without reading it.
+evaluates every closed form of a grid without reading it, or any leakage
+field.  The closed form, its quadrature reference and the weak integral
+refuse a leaky config; the two asymptote routes and ``rate_grid`` give, on
+any config, the leakage-free values the rate-style metrics report.
 """
 
 from __future__ import annotations
@@ -369,14 +372,15 @@ def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex, mode: str)
     where lambda3 = 0 under perfect SIC.  The integrand decays like
     e^{-c v}, so the rule's scale is 1/c.
     """
+    _require_no_leakage(config, "the weak-user rate integral")
     return _weak_rates(config, [(idx, compute_rate_intermediates(config, idx, mode),
                                  config.rho)])[0]
 
 
 def _weak_rates(config, points):
-    """``ergodic_rate_weak_numeric`` at each (idx, RateIntermediates, rho) of
-    ``points``, with the nodes of every integral in one numpy pass."""
-    _require_no_leakage(config, "the weak-user rate integral")
+    """The leakage-free rate of ``ergodic_rate_weak_numeric`` at each (idx,
+    RateIntermediates, rho) of ``points``, with the nodes of every integral
+    in one numpy pass.  Neither ``config.rho`` nor a leakage field is read."""
     if not points:
         return []
     params = []
@@ -473,10 +477,9 @@ def rate_grid(config: SystemConfig, rhos, signals, modes,
     ``ergodic_rate_weak_numeric`` and the ceiling of
     ``ergodic_rate_weak_highsnr``.  The rate intermediates are formed once
     per pairing and mode, and the weak integrals of the whole grid share
-    one numpy pass.  ``config.rho`` is not read, and ``rhos`` are taken as
-    given.
+    one numpy pass.  Neither ``config.rho`` nor a leakage field is read,
+    and ``rhos`` are taken as given.
     """
-    _require_no_leakage(config, "the closed-form rate grid")
     keys = [(mode, s, SignalIndex.for_signal(s)) for mode in modes for s in signals]
     inters = {(mode, s): compute_rate_intermediates(config, idx, mode)
               for mode, s, idx in keys}

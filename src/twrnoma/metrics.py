@@ -9,20 +9,20 @@ the transmit SNR of the statistical model and the Watt-level power budget
 are independent knobs, matching how the curves are usually reported.
 
 ``analytic_grid`` decides how every closed-form value is formed, at every
-SNR of a grid in one call; ``analytic`` is its one-point view at
-``config.rho``.  Rate-style metrics follow the reporting convention of the
-reference curves: the analytic value is the leakage-free closed form
-(strong signals by ``ergodic_rate_strong_closed``, weak ones by
-``ergodic_rate_weak_numeric``) while the simulation runs the configured
-leakage, making the gap between the two the visible cost of cross-antenna
-interference.
+SNR of a grid in one call; a one-point grid is the value at one SNR.
+Rate-style metrics follow the reporting convention of the reference
+curves: the analytic value is the leakage-free closed form (strong signals
+by ``ergodic_rate_strong_closed``, weak ones by
+``ergodic_rate_weak_numeric``, both through ``rate_grid``, which reads no
+leakage field) while the simulation runs the configured leakage, making
+the gap between the two the visible cost of cross-antenna interference.
 """
 
 from __future__ import annotations
 
 from .analysis import outage_grid
 from .ergodic import rate_grid
-from .model import SystemConfig, is_linear_snr, sic_epsilon
+from .model import SystemConfig, linear_snr_grid, sic_epsilon
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
@@ -91,17 +91,13 @@ def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
                              "throughput and efficiency metrics 'system'")
     for mode in modes:
         sic_epsilon(mode)
-    rhos = [float(rho) for rho in rhos]
-    if not rhos or not all(map(is_linear_snr, rhos)):
-        raise ValueError("rhos must be a nonempty list of positive SNRs with "
-                         "finite reciprocals")
+    rhos = linear_snr_grid(rhos).tolist()
     signals = targets if per_signal else _SIGNALS
     if metric in ("outage", "throughput_dl", "ee_dl"):
         points = outage_grid(config, rhos, signals, modes, asymptotic)
     else:
         points = [{key: (value, asym, True) for key, (value, asym) in point.items()}
-                  for point in rate_grid(config.without_leakage(), rhos, signals,
-                                         modes, asymptotic)]
+                  for point in rate_grid(config, rhos, signals, modes, asymptotic)]
     if per_signal:
         return points
     scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
@@ -125,13 +121,3 @@ def _system(config, metric, results, asymptotic, scale):
         value, asym = value * scale, None if asym is None else asym * scale
     return value, asym, all(feasible for _, _, feasible in results)
 
-
-def analytic(config: SystemConfig, metric: str, target, mode: str,
-             asymptotic: bool = False):
-    """Closed-form value of ``metric`` for ``target`` at ``config`` under SIC
-    mode ``mode``: the one-point view of ``analytic_grid`` at ``config.rho``.
-
-    Returns (value, asymptote, feasible) as ``analytic_grid`` does.
-    """
-    return analytic_grid(config, (config.rho,), metric, (target,), (mode,),
-                         asymptotic)[0][mode, target]

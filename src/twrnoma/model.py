@@ -19,11 +19,12 @@ The SIC mode, like the SNR, is an operating point and not a config field:
 every route that depends on it takes one of ``SIC_MODES`` as an argument.
 
 This module owns the configuration record, the SIC modes, the signal-index
-convention, the SINR thresholds of a target rate, the channel sampler and
-the five SINR expressions every other module consumes: under one SIC mode
-(``sinr_set``), and per draw, for every SIC mode at once, as the rho-free
-(A, B) of each decode, whose SINR is A / (B + 1/rho) at any SNR
-(``sinr_coefficients``), and as inverse critical SNRs (``inverse_critical_snrs``).
+convention, the check of an SNR grid, the SINR thresholds of a target rate,
+the channel sampler and the five SINR expressions the simulator reads: per
+draw, for every SIC mode at once, as the rho-free (A, B) of each decode,
+whose SINR is A / (B + 1/rho) at any SNR (``sinr_coefficients``), and as
+inverse critical SNRs (``inverse_critical_snrs``).  ``sinr_set`` rebuilds
+them under one mode, for the tests.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def sic_epsilon(mode) -> float:
 def is_linear_snr(rho) -> bool:
     """rho and 1/rho are positive and finite, as every A / (B + 1/rho) needs."""
     return 0.0 < rho < math.inf and 1.0 / rho < math.inf
+
+
+def linear_snr_grid(rhos) -> np.ndarray:
+    """``rhos`` as a one-dimensional float array, once it is a nonempty grid
+    of linear SNRs (``is_linear_snr``); ValueError otherwise."""
+    grid = np.asarray(rhos, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not all(map(is_linear_snr, grid.tolist())):
+        raise ValueError("rhos must be a nonempty list of positive SNRs with "
+                         "finite reciprocals")
+    return grid
 
 
 def _positive(name, value):
@@ -167,8 +178,8 @@ class SystemConfig:
         return dataclasses.replace(self, varpi1=0.0, varpi2=0.0)
 
 
-_STRONG_PAIRS = {(1, 3), (3, 1)}
-_WEAK_PAIRS = {(2, 4), (4, 2)}
+# (l, k, t, r) of the model's two pairings: x1 with x2, x3 with x4
+_PAIRINGS = {(1, 3, 2, 4), (3, 1, 4, 2)}
 
 
 @dataclass(frozen=True)
@@ -177,8 +188,8 @@ class SignalIndex:
 
     ``l`` is the stronger uplink signal the relay decodes first, ``k`` the
     near user of the receiving group, ``t`` the weaker signal decoded after
-    SIC, ``r`` the far user that ultimately wants it.  Only (l, k) in
-    {(1,3), (3,1)} combined with (t, r) in {(2,4), (4,2)} are constructible.
+    SIC, ``r`` the far user that ultimately wants it.  Only the model's two
+    pairings, (l, k, t, r) = (1, 3, 2, 4) and (3, 1, 4, 2), are constructible.
     """
 
     l: int
@@ -187,10 +198,9 @@ class SignalIndex:
     r: int
 
     def __post_init__(self):
-        if (self.l, self.k) not in _STRONG_PAIRS:
-            raise ValueError(f"(l, k) must be one of {sorted(_STRONG_PAIRS)}, got ({self.l}, {self.k})")
-        if (self.t, self.r) not in _WEAK_PAIRS:
-            raise ValueError(f"(t, r) must be one of {sorted(_WEAK_PAIRS)}, got ({self.t}, {self.r})")
+        if (self.l, self.k, self.t, self.r) not in _PAIRINGS:
+            raise ValueError(f"(l, k, t, r) must be one of {sorted(_PAIRINGS)}, "
+                             f"got ({self.l}, {self.k}, {self.t}, {self.r})")
 
     @classmethod
     def for_signal(cls, signal: int) -> "SignalIndex":
@@ -314,6 +324,9 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
     verbatim rather than reinterpreted as an independent cross link.  Only
     the two residual-SIC denominators depend on the mode (eps is 1 under
     "ipsic", 0 under "psic").  Scalar and array gains are both accepted.
+
+    No library route calls it: the tests check ``sinr_coefficients`` and
+    ``inverse_critical_snrs`` against this independent per-draw rebuild.
     """
     rho = config.rho
     (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)

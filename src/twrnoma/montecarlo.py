@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ChannelDraw, SignalIndex, SystemConfig, inverse_critical_snrs,
-                    inverse_threshold, is_linear_snr, oma_threshold,
+                    inverse_threshold, linear_snr_grid, oma_threshold,
                     sample_channel_draw, sic_epsilon, sinr_coefficients)
 
 CHUNK = 1 << 17
@@ -386,10 +386,7 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     modes = tuple(modes)
     for mode in modes:
         sic_epsilon(mode)
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.ndim != 1 or rhos.size == 0 or not all(map(is_linear_snr, rhos.tolist())):
-        raise ValueError("rhos must be a nonempty list of positive SNRs with "
-                         "finite reciprocals")
+    rhos = linear_snr_grid(rhos)
     counted = kind in ("outage", "throughput_dl")
 
     def run(chunk_index, size):

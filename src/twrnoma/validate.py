@@ -8,6 +8,9 @@ is expected to surface the checks that sit close to their band edge.
 Every check returns (passed, tolerance, observed, detail) and is named in
 ``validate``'s table, so a check that raises is reported under its name.
 
+The checks pass every SNR to ``analytic_grid`` and ``mc_grid``; only the
+checks of a one-point route (the strong-rate quadrature reference and the
+baseline's closed form) build a config at their SNR.
 The simulation checks read their own substreams of the master seed: the
 outage check reads point index 0 for all three of its SNRs, from one
 ``mc_grid`` draw (common random numbers), the rate check point index 5
@@ -22,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import diversity_order_estimate, outage_asymptotic, outage_probability
+from .analysis import FLOOR_RHO, diversity_order_estimate
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
-from .metrics import analytic, analytic_grid
+from .metrics import analytic_grid
 from .model import SIC_MODES, ConfigError, SignalIndex, SystemConfig
-from .montecarlo import mc_grid, mc_point, oma_outage_exact
+from .montecarlo import mc_grid, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
 
 PROFILES = {"default": 1.0, "strict": 0.5}
@@ -95,12 +98,11 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
 def _check_floor(config, scale):
     tol = 0.05 * scale
     worst = 0.0
-    cfg60 = config.with_rho(1e6)
+    at60, at_floor = analytic_grid(config, (1e6, FLOOR_RHO), "outage", (1, 2),
+                                   SIC_MODES, asymptotic=True)
     for mode in SIC_MODES:
         for s in (1, 2):
-            exact = outage_probability(cfg60, s, mode).p_exact
-            asym = outage_asymptotic(cfg60, s, mode).floor
-            worst = max(worst, _rel(exact, asym))
+            worst = max(worst, _rel(at60[mode, s][0], at_floor[mode, s][1]))
     return worst <= tol, tol, worst, "60 dB exact vs floor, x1/x2, both modes"
 
 
@@ -121,17 +123,13 @@ def _check_psic_limit(config, scale):
     tol = 1e-6 * scale
     worst = 0.0
     tiny = dataclasses.replace(config, omega_I=1e-12)
-    for db in (10.0, 30.0):
-        rho = 10.0 ** (db / 10.0)
-        ip, p = tiny.with_rho(rho), config.with_rho(rho)
-        for s in (1, 2):
-            worst = max(worst, _rel(outage_probability(ip, s, "ipsic").p_exact,
-                                    outage_probability(p, s, "psic").p_exact))
-    zip_cfg = tiny.without_leakage().with_rho(100.0)
-    zp_cfg = config.without_leakage().with_rho(100.0)
-    idx = SignalIndex.for_signal(1)
-    worst = max(worst, _rel(ergodic_rate_strong_closed(zip_cfg, idx, "ipsic"),
-                            ergodic_rate_strong_closed(zp_cfg, idx, "psic")))
+    for metric, rhos, signals in (("outage", (10.0, 1e3), (1, 2)),
+                                  ("ergodic_rate", (100.0,), (1,))):
+        ip = analytic_grid(tiny, rhos, metric, signals, ("ipsic",))
+        p = analytic_grid(config, rhos, metric, signals, ("psic",))
+        for ip_point, p_point in zip(ip, p):
+            for s in signals:
+                worst = max(worst, _rel(ip_point["ipsic", s][0], p_point["psic", s][0]))
     return (worst <= tol, tol, worst,
             "residual power 1e-12 reproduces perfect SIC")
 
@@ -140,7 +138,7 @@ def _check_rate_quadrature(config, scale):
     tol = 1e-8 * scale
     worst = 0.0
     idx = SignalIndex.for_signal(1)
-    cfg = config.without_leakage().with_rho(100.0)
+    cfg = dataclasses.replace(config, rho=100.0, varpi1=0.0, varpi2=0.0)
     for mode in SIC_MODES:
         worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx, mode),
                                 ergodic_rate_strong_quadrature(cfg, idx, mode)))
@@ -150,13 +148,12 @@ def _check_rate_quadrature(config, scale):
 def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     tol = 0.02 * scale
     worst = 0.0
-    cfg = config.without_leakage().with_rho(100.0)
-    ests = mc_point(cfg, iterations, seed, point_index=5, workers=workers,
-                    kind="rate", signals=(1, 2), modes=SIC_MODES)
+    ests = mc_grid(config.without_leakage(), (100.0,), iterations, seed, point_index=5,
+                   workers=workers, kind="rate", signals=(1, 2), modes=SIC_MODES)[0]
+    closed = analytic_grid(config, (100.0,), "ergodic_rate", (1, 2), SIC_MODES)[0]
     for mode in SIC_MODES:
         for s in (1, 2):
-            closed = analytic(cfg, "ergodic_rate", s, mode)[0]
-            worst = max(worst, _rel(closed, ests["rate", mode, s].mean))
+            worst = max(worst, _rel(closed[mode, s][0], ests["rate", mode, s].mean))
     return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
 
@@ -200,10 +197,10 @@ def _check_expint(scale):
 
 
 def _check_oma(config, scale, iterations, seed, workers):
-    cfg = config.with_rho(10.0)
-    exact = oma_outage_exact(cfg, "system")
-    est = mc_point(cfg, iterations, seed, point_index=7, workers=workers,
-                   kind="outage", signals=(), modes=(), oma=True)["oma_outage", "system"]
+    exact = oma_outage_exact(config.with_rho(10.0), "system")
+    est = mc_grid(config, (10.0,), iterations, seed, point_index=7, workers=workers,
+                  kind="outage", signals=(), modes=(),
+                  oma=True)[0]["oma_outage", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)

@@ -27,8 +27,10 @@ from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
                              ergodic_rate_strong_quadrature,
                              ergodic_rate_weak_highsnr,
                              ergodic_rate_weak_numeric,
-                             high_snr_slope_estimate, strong_rate_ccdf_leakage)
-from twrnoma.model import SignalIndex, SystemConfig
+                             high_snr_slope_estimate, rate_grid,
+                             strong_rate_ccdf_leakage)
+from twrnoma.configio import PRESETS
+from twrnoma.model import SIC_MODES, SignalIndex, SystemConfig
 
 from reference_routes import leakage_ccdf_nested, leakage_rate_nested
 
@@ -305,9 +307,9 @@ def test_rate_rules_match_mpmath_from_minus_30_to_90_db(name, mode):
     for snr_db in range(-30, 91, 20):
         cfg = _cfg(snr_db, **_RULE_GRID_CONFIGS[name])
         assert ergodic_rate_weak_numeric(cfg, IDX2, mode) == pytest.approx(
-            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12), snr_db
+            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12, abs=0.0), snr_db
         assert ergodic_rate_strong_quadrature(cfg, IDX1, mode) == pytest.approx(
-            _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12), snr_db
+            _mp_strong_rate_no_leakage(cfg, IDX1, mode), rel=1e-12, abs=0.0), snr_db
 
 
 @pytest.mark.parametrize("snr_db,kw", [(-25, {}), (-20, {}), (-10, {"d2": 20.0}),
@@ -319,7 +321,7 @@ def test_weak_rate_at_low_snr_matches_mpmath(snr_db, kw):
     cfg = _cfg(snr_db, **kw)
     for mode in ("ipsic", "psic"):
         assert ergodic_rate_weak_numeric(cfg, IDX2, mode) == pytest.approx(
-            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12)
+            _mp_weak_rate(cfg, IDX2, mode), rel=1e-12, abs=0.0)
 
 
 def test_gauss_legendre_table_matches_numpy():
@@ -669,6 +671,20 @@ def test_preconditions_route_to_the_right_entry_point(baseline):
         ergodic_rate_weak_numeric(cfg, IDX2, "ipsic")
     with pytest.raises(ValueError, match="ergodic_rate_strong_closed"):
         ergodic_rate_strong_numeric(_cfg(20), IDX1)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_rate_grid_reads_no_leakage_field(name):
+    """On every preset grid, with the leakage of each variant and at ten
+    times it, the rates and asymptotes of a leaky config are those of its
+    leakage-free twin, bit for bit, so the rate-style metrics need no twin."""
+    preset = PRESETS[name]
+    rhos = [10.0 ** (db / 10.0) for db in preset.grid_db()]
+    for variant in preset.variants:
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
+        twin = rate_grid(cfg.without_leakage(), rhos, (1, 2, 3, 4), SIC_MODES, True)
+        for leaky in (cfg, dataclasses.replace(cfg, varpi1=0.1, varpi2=0.1)):
+            assert repr(rate_grid(leaky, rhos, (1, 2, 3, 4), SIC_MODES, True)) == repr(twin)
 
 
 def test_rate_rules_at_the_largest_snr_a_config_takes(baseline):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from twrnoma.analysis import outage_probability
 from twrnoma.configio import PRESETS
 from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
-from twrnoma.metrics import (METRICS, analytic, analytic_grid, energy_efficiency,
+from twrnoma.metrics import (METRICS, analytic_grid, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
 from twrnoma.model import SIC_MODES, SystemConfig
-from twrnoma.montecarlo import mc_outage
+from twrnoma.montecarlo import mc_grid, mc_outage
 
 
 def test_total_outage_means_zero_throughput():
@@ -121,6 +121,13 @@ def test_throughput_from_closed_outage_matches_simulation(baseline):
     assert abs(t_closed - t_mc) <= budget + 1e-4
 
 
+def _one(config, rho, metric, target, mode, asymptotic=False):
+    """(value, asymptote, feasible) of one target and mode at one SNR: a
+    one-point ``analytic_grid`` call."""
+    return analytic_grid(config, (rho,), metric, (target,), (mode,),
+                         asymptotic)[0][mode, target]
+
+
 @pytest.mark.parametrize("metric, target, match", [
     ("latency", 1, "unknown metric"),
     ("throughput_dl", 1, "'system'"),
@@ -133,27 +140,25 @@ def test_throughput_from_closed_outage_matches_simulation(baseline):
 def test_analytic_rejects_a_target_the_metric_does_not_take(baseline, metric,
                                                              target, match):
     with pytest.raises(ValueError, match=match):
-        analytic(baseline, metric, target, "ipsic")
+        _one(baseline, 10.0, metric, target, "ipsic")
 
 
 def test_analytic_rate_is_the_leakage_free_closed_form(baseline):
     """The rate route ignores the configured leakage, and the
     delay-tolerant throughput sums exactly those four rates."""
-    cfg = baseline.with_rho(1e3)
-    assert cfg.varpi1 > 0.0 and cfg.varpi2 > 0.0
-    total = analytic(cfg, "throughput_dt", "system", "ipsic")[0]
+    assert baseline.varpi1 > 0.0 and baseline.varpi2 > 0.0
+    total = _one(baseline, 1e3, "throughput_dt", "system", "ipsic")[0]
     assert total == pytest.approx(_dt_system(1e3, "ipsic"), rel=1e-12)
-    assert total == sum(analytic(cfg, "ergodic_rate", s, "ipsic")[0]
+    assert total == sum(_one(baseline, 1e3, "ergodic_rate", s, "ipsic")[0]
                         for s in (1, 2, 3, 4))
 
 
 def test_analytic_energy_efficiency_rescales_throughput(baseline):
-    cfg = baseline.with_rho(1e2)
     for base, ee in (("throughput_dl", "ee_dl"), ("throughput_dt", "ee_dt")):
-        t, t_asym, _ = analytic(cfg, base, "system", "ipsic", asymptotic=True)
-        e, e_asym, _ = analytic(cfg, ee, "system", "ipsic", asymptotic=True)
-        assert e == pytest.approx(energy_efficiency(t, cfg), rel=1e-14)
-        assert e_asym == pytest.approx(energy_efficiency(t_asym, cfg), rel=1e-14)
+        t, t_asym, _ = _one(baseline, 1e2, base, "system", "ipsic", asymptotic=True)
+        e, e_asym, _ = _one(baseline, 1e2, ee, "system", "ipsic", asymptotic=True)
+        assert e == pytest.approx(energy_efficiency(t, baseline), rel=1e-14)
+        assert e_asym == pytest.approx(energy_efficiency(t_asym, baseline), rel=1e-14)
 
 
 def _targets(metric):
@@ -166,7 +171,7 @@ def _bits(value):
 
 
 def _per_point(config, rhos, metric, targets, modes, asymptotic):
-    return [{(mode, t): _bits(analytic(config.with_rho(rho), metric, t, mode, asymptotic))
+    return [{(mode, t): _bits(_one(config, rho, metric, t, mode, asymptotic))
              for mode in modes for t in targets} for rho in rhos]
 
 
@@ -178,8 +183,9 @@ def _grid(config, rhos, metric, targets, modes, asymptotic):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_analytic_grid_equals_the_per_point_route_bit_for_bit(name):
     """Every preset variant and metric, both modes, asymptotes on and off,
-    over the preset grid and -30 and 90 dB: sharing intermediates across
-    signals and modes and the weak integrals across the grid moves no bit."""
+    over the preset grid and -30 and 90 dB, against one-point grids of one
+    target and mode each: sharing intermediates across signals and modes
+    and the weak integrals across the grid moves no bit."""
     preset = PRESETS[name]
     rhos = [10.0 ** (db / 10.0) for db in preset.grid_db() + [-30.0, 90.0]]
     for variant in preset.variants:
@@ -216,6 +222,8 @@ def test_analytic_grid_reports_an_infeasible_power_split():
 def test_analytic_grid_refuses_what_mc_grid_refuses(baseline, rhos):
     with pytest.raises(ValueError, match="nonempty list of positive SNRs"):
         analytic_grid(baseline, rhos, "outage", (1,), ("ipsic",))
+    with pytest.raises(ValueError, match="nonempty list of positive SNRs"):
+        mc_grid(baseline, rhos, 1000, 1, kind="outage", modes=("ipsic",))
 
 
 _shares = st.floats(min_value=0.05, max_value=1.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
-from twrnoma.metrics import analytic
+from twrnoma.metrics import analytic_grid
 from twrnoma.model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex,
                            SinrSet, SystemConfig, gamma_threshold,
                            sample_channel_draw, sic_epsilon, sinr_coefficients,
@@ -83,6 +83,14 @@ def test_signal_index_pairings():
         SignalIndex.for_signal(5)
 
 
+@pytest.mark.parametrize("lktr", [(1, 3, 4, 2), (3, 1, 2, 4), (1, 1, 2, 4), (1, 3, 2, 2)])
+def test_signal_index_admits_only_the_two_pairings(lktr):
+    """A strong pair with the other group's weak pair is no pairing of the
+    model: x4 would become in-pair interference of x1."""
+    with pytest.raises(ValueError, match=r"\(l, k, t, r\) must be one of"):
+        SignalIndex(*lktr)
+
+
 def test_relay_sinr_hand_value():
     """Spot check against an arithmetic evaluation done by hand.
 
@@ -109,13 +117,13 @@ _DRAW = ChannelDraw(g1=0.5, g2=0.1, g3=0.9, g4=0.2, gI=0.3)
 @pytest.mark.parametrize("route", [
     lambda mode: outage_probability(_NO_LEAKAGE, 1, mode),
     lambda mode: outage_asymptotic(_NO_LEAKAGE, 2, mode),
-    lambda mode: analytic(_NO_LEAKAGE, "outage", 1, mode),
+    lambda mode: analytic_grid(_NO_LEAKAGE, (100.0,), "outage", (1,), (mode,)),
     lambda mode: ergodic_rate_strong_closed(_NO_LEAKAGE, SignalIndex.for_signal(1), mode),
     lambda mode: ergodic_rate_weak_numeric(_NO_LEAKAGE, SignalIndex.for_signal(2), mode),
     lambda mode: sinr_set(_NO_LEAKAGE, _DRAW, SignalIndex.for_signal(1), mode),
     lambda mode: mc_grid(_NO_LEAKAGE, [1.0], 1000, 1, kind="outage", modes=(mode,)),
     lambda mode: SweepSpec(modes=(mode,)),
-], ids=["outage_probability", "outage_asymptotic", "analytic",
+], ids=["outage_probability", "outage_asymptotic", "analytic_grid",
         "ergodic_rate_strong_closed", "ergodic_rate_weak_numeric", "sinr_set",
         "mc_grid", "SweepSpec"])
 def test_every_route_refuses_an_unknown_sic_mode(route):

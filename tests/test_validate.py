@@ -109,6 +109,25 @@ def test_outage_check_reads_point_index_zero_at_10_db(monkeypatch):
                                    modes=("ipsic", "psic"))
 
 
+def test_battery_moves_the_snr_by_argument(monkeypatch):
+    """The checks read the grid routes at their SNRs: a battery builds four
+    configs, the residual-power variant, the leakage-free config of the
+    rate simulation and one for each one-point route it checks (the
+    quadrature reference and the baseline's closed form), not a copy per
+    operating point."""
+    built = []
+    original = SystemConfig.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    config = SystemConfig()
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    assert battery.validate(config, iterations=2000).passed
+    assert len(built) <= 4
+
+
 @pytest.mark.parametrize("seed", [battery.DEFAULT_VALIDATE_SEED, 1, 2])
 def test_outage_check_passes_at_three_seeds(seed):
     passed, band, gap, _ = battery._check_outage_vs_mc(
