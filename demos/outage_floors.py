@@ -21,11 +21,11 @@ def sweep(cfg, n_mc, seed=1729):
     # and both SIC modes
     closed = metrics.analytic_grid(cfg, rhos, "outage", (1, 2), SIC_MODES)
     grid_sims = mc_grid(cfg, rhos, n_mc, seed, workers=4,
-                        kind="outage", signals=(1, 2), modes=SIC_MODES)
+                        metric="outage", targets=(1, 2), modes=SIC_MODES)
     for db, exact, sims in zip(grid, closed, grid_sims):
         for mode in SIC_MODES:
             for sig in (1, 2):
-                est = sims["outage", mode, sig]
+                est = sims[mode, sig]
                 print(f"{db:>6} {sig:>4} {mode:>6} {exact[mode, sig][0]:>12.6f} "
                       f"{est.mean:>12.6f} {est.half_width_95:>10.2e}")
 

@@ -22,7 +22,7 @@ def rate_table(cfg):
     grid = (10, 20, 30)
     rhos = [10.0 ** (db / 10.0) for db in grid]
     grid_sims = mc_grid(cfg, rhos, 400_000, 7, workers=4,
-                        kind="rate", signals=(1, 2), modes=SIC_MODES)
+                        metric="ergodic_rate", targets=(1, 2), modes=SIC_MODES)
     # the closed form, its quadrature reference and the weak integral are
     # one-point routes: each reads the SNR of its config
     points = [(db, cfg.with_rho(rho), sims) for db, rho, sims in zip(grid, rhos, grid_sims)]
@@ -32,7 +32,7 @@ def rate_table(cfg):
         for mode in SIC_MODES:
             closed = ergodic_rate_strong_closed(c, IDX1, mode)
             quad = ergodic_rate_strong_quadrature(c, IDX1, mode)
-            sim = sims["rate", mode, 1]
+            sim = sims[mode, 1]
             print(f"  {db} dB {mode}: {closed:.6f}  {quad:.6f}  "
                   f"{sim.mean:.6f} (+/- {sim.half_width_95:.1e})")
 
@@ -40,7 +40,7 @@ def rate_table(cfg):
     for db, c, sims in points:
         for mode in SIC_MODES:
             val = ergodic_rate_weak_numeric(c, IDX2, mode)
-            print(f"  {db} dB {mode}: {val:.6f}  {sims['rate', mode, 2].mean:.6f}")
+            print(f"  {db} dB {mode}: {val:.6f}  {sims[mode, 2].mean:.6f}")
 
 
 def ceilings(cfg):

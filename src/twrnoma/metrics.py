@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from .analysis import outage_grid
 from .ergodic import rate_grid
-from .model import SystemConfig, linear_snr_grid, sic_epsilon
+from .model import ConfigError, SystemConfig, linear_snr_grid, sic_epsilon
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
 
-_SIGNALS = (1, 2, 3, 4)
+# the metrics that take a signal as target; the others take "system"
+PER_SIGNAL = ("outage", "ergodic_rate")
+
+SIGNALS = (1, 2, 3, 4)
 
 
 def throughput_delay_limited(outages, rates) -> float:
@@ -66,33 +69,49 @@ def energy_efficiency(throughput: float, config: SystemConfig) -> float:
                                + config.t_slot * config.pr_watts)
 
 
+def check_request(metric: str, targets, modes, oma: bool = False):
+    """``targets`` and ``modes`` as tuples, once ``metric`` is one of METRICS,
+    each target suits it, each mode is a SIC mode and, with ``oma``, the
+    metric has an orthogonal baseline; ConfigError otherwise.
+
+    ``outage`` and ``ergodic_rate`` take signals 1..4 and have a baseline;
+    the throughput and energy-efficiency metrics take ``"system"``.  The
+    one request check of ``analytic_grid``, ``montecarlo.mc_grid`` and
+    ``sweep.SweepSpec``.
+    """
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
+    if oma and metric not in PER_SIGNAL:
+        raise ConfigError(f"the orthogonal baseline has outage and ergodic_rate "
+                          f"estimates only, not {metric!r}")
+    targets, modes = tuple(targets), tuple(modes)
+    for target in targets:
+        if (metric in PER_SIGNAL) != (target in SIGNALS):
+            raise ConfigError(f"metric {metric!r} cannot take target {target!r}: "
+                              "outage and ergodic_rate take a signal 1..4, the "
+                              "throughput and efficiency metrics 'system'")
+    for mode in modes:
+        sic_epsilon(mode)
+    return targets, modes
+
+
 def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
                   asymptotic: bool = False) -> list:
     """Closed-form values of ``metric`` for each target and SIC mode at every
     linear SNR of ``rhos``.
 
-    ``targets`` are signals 1..4 for ``outage`` and ``ergodic_rate`` and
-    ``"system"`` for the throughput and energy-efficiency metrics.  Returns
-    one dict per entry of ``rhos``, in that order, keyed (mode, target),
-    with values (value, asymptote, feasible); the asymptote is None unless
-    ``asymptotic`` is set, and feasible is False only where an outage
-    target rate is out of reach for the power split.  As in ``mc_grid``,
-    each entry of ``rhos`` must be positive with a finite reciprocal, and
-    ``config.rho`` is not read.
+    ``metric``, ``targets`` and ``modes`` are those of ``check_request``.
+    Returns one dict per entry of ``rhos``, in that order, keyed (mode,
+    target) as ``mc_grid`` is, with values (value, asymptote, feasible); the
+    asymptote is None unless ``asymptotic`` is set, and feasible is False
+    only where an outage target rate is out of reach for the power split.
+    As in ``mc_grid``, each entry of ``rhos`` must be positive with a finite
+    reciprocal, and ``config.rho`` is not read.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    per_signal = metric in ("outage", "ergodic_rate")
-    targets, modes = tuple(targets), tuple(modes)
-    for target in targets:
-        if per_signal != (target in _SIGNALS):
-            raise ValueError(f"metric {metric!r} cannot take target {target!r}: "
-                             "outage and ergodic_rate take a signal 1..4, the "
-                             "throughput and efficiency metrics 'system'")
-    for mode in modes:
-        sic_epsilon(mode)
+    targets, modes = check_request(metric, targets, modes)
     rhos = linear_snr_grid(rhos).tolist()
-    signals = targets if per_signal else _SIGNALS
+    per_signal = metric in PER_SIGNAL
+    signals = targets if per_signal else SIGNALS
     if metric in ("outage", "throughput_dl", "ee_dl"):
         points = outage_grid(config, rhos, signals, modes, asymptotic)
     else:
@@ -101,7 +120,7 @@ def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
     if per_signal:
         return points
     scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
-    return [{(mode, "system"): _system(config, metric, [point[mode, s] for s in _SIGNALS],
+    return [{(mode, "system"): _system(config, metric, [point[mode, s] for s in SIGNALS],
                                        asymptotic, scale)
              for mode in modes} for point in points]
 
@@ -110,7 +129,7 @@ def _system(config, metric, results, asymptotic, scale):
     """The system value of ``metric`` from the (value, asymptote, feasible)
     of x1..x4, rescaled to energy efficiency by ``scale`` unless it is None."""
     if metric.endswith("_dl"):
-        rates = [config.rate(s) for s in _SIGNALS]
+        rates = [config.rate(s) for s in SIGNALS]
         value = throughput_delay_limited([p for p, _, _ in results], rates)
         asym = sum((1.0 - a) * rate
                    for (_, a, _), rate in zip(results, rates)) if asymptotic else None

@@ -10,14 +10,15 @@ the evidence either one is right.
 One kernel, ``mc_grid``, serves a whole SNR grid: each chunk draws the
 gains once for every grid SNR, signal, SIC mode and system sum (common
 random numbers), and the orthogonal baseline's fades once for all of its
-targets.  ``mc_point`` is its one-point view.  The caller names the one
-estimate kind it reads, and the kernel builds only that.  Counted kinds
-(outage, delay-limited throughput) read each draw's inverse critical SNR:
-every SINR is rho A / (rho B + 1) with A and B free of rho, so one draw
-decides its outcome at every grid SNR at once, and the failures at each
-grid SNR are one comparison count.  Rate kinds read the same A and B, formed
-once per block: at each grid SNR a chain's SINR is the least A / (B + 1/rho)
-over its decodes, and a decode no SIC mode changes is evaluated once.
+targets.  ``mc_point`` is its one-point view.  The caller names one
+metric with its targets and SIC modes, as for ``metrics.analytic_grid``,
+and the kernel builds only those estimates.  Counted metrics (outage and
+the delay-limited ones) read each draw's inverse critical SNR: every SINR
+is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
+outcome at every grid SNR at once, and the failures at each grid SNR are
+one comparison count.  Rate metrics read the same A and B, formed once per
+block: at each grid SNR a chain's SINR is the least A / (B + 1/rho) over
+its decodes, and a decode no SIC mode changes is evaluated once.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Each chunk draws its
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ChannelDraw, SignalIndex, SystemConfig, inverse_critical_snrs,
-                    inverse_threshold, linear_snr_grid, oma_threshold,
-                    sample_channel_draw, sic_epsilon, sinr_coefficients)
+from .metrics import PER_SIGNAL, SIGNALS, check_request, energy_efficiency
+from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
+                    inverse_critical_snrs, inverse_threshold, linear_snr_grid,
+                    oma_threshold, sample_channel_draw, sinr_coefficients)
 
 CHUNK = 1 << 17
 BLOCK = 1 << 13
@@ -164,9 +166,6 @@ def oma_outage_exact(config: SystemConfig, signal) -> float:
     return -math.expm1(-exponent(signal))
 
 
-KINDS = ("outage", "rate", "throughput_dl", "throughput_dt")
-
-
 def _failures(margins, rhos):
     """Per grid SNR, the draws whose critical SNR is not below it.
 
@@ -180,13 +179,13 @@ def _failures(margins, rhos):
                     dtype=np.int64)
 
 
-def _counted_stats(config, draw, pairs, modes, kind, rhos):
-    """Failure counts per signal ("outage") or success co-counts of the four
-    signals ("throughput_dl") at every grid SNR, every mode.
+def _counted_stats(config, draw, pairs, modes, system, rhos):
+    """Failure counts per signal, or with ``system`` success co-counts of the
+    four signals, at every grid SNR, every mode.
 
-    For "throughput_dl" the entry of (kind, mode) is an int array of shape
-    (4, 4, grid) whose [i, j] row counts draws where x_{i+1} and x_{j+1} both
-    succeed; its diagonal holds the per-signal success counts.
+    A system entry (mode, "system") is an int array of shape (4, 4, grid)
+    whose [i, j] row counts draws where x_{i+1} and x_{j+1} both succeed;
+    its diagonal holds the per-signal success counts.
     """
     margins = {}
     for idx, members in pairs.items():
@@ -194,9 +193,8 @@ def _counted_stats(config, draw, pairs, modes, kind, rhos):
                                                                      idx, modes)):
             for s in members:
                 margins[mode, s] = strong if s == idx.l else weak
-    if kind == "outage":
-        return {("outage", mode, s): _failures(u, rhos)
-                for (mode, s), u in margins.items()}
+    if not system:
+        return {key: _failures(u, rhos) for key, u in margins.items()}
     stats = {}
     for mode in modes:
         both = np.empty((4, 4, rhos.size), dtype=np.int64)
@@ -204,24 +202,23 @@ def _counted_stats(config, draw, pairs, modes, kind, rhos):
             for j in range(i, 4):
                 u = np.minimum(margins[mode, i + 1], margins[mode, j + 1])
                 both[i, j] = both[j, i] = draw.g1.size - _failures(u, rhos)
-        stats[kind, mode] = both
+        stats[mode, "system"] = both
     return stats
 
 
-def _rate_stats(config, draw, pairs, modes, kind, rhos):
-    """Per grid SNR, in grid order, the rate moments of each signal ("rate")
-    or of the per-draw sum of all four ("throughput_dt"); a chain's SINR is
-    its least A / (B + 1/rho).  Peak memory beyond the draw: its
-    coefficients, at most ten arrays per pairing, a mode-free SINR, a rate
-    sample and one sum per mode, each the length of the draw, which
-    ``mc_grid`` keeps to one block.
+def _rate_stats(config, draw, pairs, modes, system, rhos):
+    """Per grid SNR, in grid order, the rate moments of each signal, or with
+    ``system`` of the per-draw sum of all four; a chain's SINR is its least
+    A / (B + 1/rho).  Peak memory beyond the draw: its coefficients, at most
+    ten arrays per pairing, a mode-free SINR, a rate sample and one sum per
+    mode, each the length of the draw, which ``mc_grid`` keeps to one block.
     """
     chains = {idx: sinr_coefficients(config, draw, idx, modes) for idx in pairs}
     size = draw.g1.size
     stats = {}
     for rho in rhos:
         u = 1.0 / rho
-        totals = {m: np.zeros(size) for m in modes if kind == "throughput_dt"}
+        totals = {m: np.zeros(size) for m in modes if system}
         for idx, members in pairs.items():
             mode_free, per_mode = chains[idx]
             for s in members:
@@ -233,12 +230,12 @@ def _rate_stats(config, draw, pairs, modes, kind, rhos):
                     rate += 1.0
                     np.log2(rate, out=rate)
                     rate *= 0.5                     # 0.5 log2(1 + SINR)
-                    if kind == "rate":
-                        stats.setdefault(("rate", mode, s), []).append(_moments(rate))
-                    else:
+                    if system:
                         totals[mode] += rate
+                    else:
+                        stats.setdefault((mode, s), []).append(_moments(rate))
         for mode, total in totals.items():
-            stats.setdefault((kind, mode), []).append(_moments(total))
+            stats.setdefault((mode, "system"), []).append(_moments(total))
     return stats
 
 
@@ -266,27 +263,27 @@ def _oma_fades(config, stream, size):
     return fades
 
 
-def _oma_stats(config, fades, rhos, kind):
-    """Orthogonal-baseline failure counts, or per grid SNR rate moments, for
-    every target from the fades it is handed."""
-    if kind == "outage":
+def _oma_stats(config, fades, rhos, counted):
+    """Orthogonal-baseline failure counts if ``counted``, else per grid SNR
+    rate moments, for every target from the fades it is handed."""
+    if counted:
         # rho fade > thr exactly when fade / thr > 1/rho
         margins = {i: fade * inverse_threshold(oma_threshold(config.rate(i)))
                    for i, fade in fades.items()}
-        stats = {("oma_outage", i): _failures(u, rhos) for i, u in margins.items()}
+        stats = {("oma", i): _failures(u, rhos) for i, u in margins.items()}
         # the system fails at rho when any exchange does
-        stats["oma_outage", "system"] = _failures(
+        stats["oma", "system"] = _failures(
             np.minimum(np.minimum(margins[1], margins[2]),
                        np.minimum(margins[3], margins[4])), rhos)
         return stats
-    stats = {("oma_rate", target): [] for target in (1, 2, 3, 4, "system")}
+    stats = {("oma", target): [] for target in (1, 2, 3, 4, "system")}
     for rho in rhos:
         total = np.zeros(fades[1].size)
         for i, fade in fades.items():
             rate = 0.2 * np.log2(1.0 + rho * fade)
-            stats["oma_rate", i].append(_moments(rate))
+            stats["oma", i].append(_moments(rate))
             total += rate
-        stats["oma_rate", "system"].append(_moments(total))
+        stats["oma", "system"].append(_moments(total))
     return stats
 
 
@@ -325,7 +322,7 @@ def _reduce(config, parts, n, seed, grid_size):
     given.
     """
     grid = [{} for _ in range(grid_size)]
-    rates = [config.rate(i) for i in (1, 2, 3, 4)]
+    rates = [config.rate(i) for i in SIGNALS]
     for key, first in parts[0].items():
         if isinstance(first, list):              # (n, mean, M2) per grid point
             for j, point in enumerate(grid):
@@ -336,58 +333,57 @@ def _reduce(config, parts, n, seed, grid_size):
         for j, point in enumerate(grid):
             point[key] = (_moment_estimate(*_delivered_moments(rates, counts[..., j], n),
                                            n, seed)
-                          if key[0] == "throughput_dl"
+                          if counts.ndim == 3            # success co-counts
                           else _count_estimate(int(counts[j]), n, seed))
     return grid
 
 
-def _check_run(n, seed):
+def _scaled(est, scale):
+    """``est`` in units ``scale`` times its own, interval and all."""
+    return McEstimate(mean=est.mean * scale, half_width_95=est.half_width_95 * scale,
+                      n=est.n, seed=est.seed, ci_low=est.ci_low * scale,
+                      ci_high=est.ci_high * scale)
+
+
+def check_run(n, seed):
+    """ConfigError unless ``n`` samples from master ``seed`` make a run: the
+    one check of a sample count and a seed."""
     if n < 1000:
-        raise ValueError("Monte Carlo runs need at least 1000 samples")
+        raise ConfigError(f"a Monte Carlo run needs at least 1000 samples to "
+                          f"state a confidence interval, got {n!r}")
     if seed < 0:
-        raise ValueError("master seed must be nonnegative")
+        raise ConfigError(f"seed must be nonnegative, got {seed!r}")
 
 
 def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
-            workers=None, *, kind, signals=(1, 2, 3, 4), modes,
-            oma=False) -> list:
-    """The Monte Carlo estimates of one estimate kind at every SNR of a grid.
+            workers=None, *, metric, targets, modes, oma=False) -> list:
+    """The Monte Carlo estimates of ``metric`` for each target and SIC mode at
+    every SNR of a grid.
 
-    ``rhos`` are linear SNRs, in any order, each with a finite reciprocal;
-    ``config.rho`` is not read.
-    Returns one dict per entry of ``rhos``, in that order.  ``kind`` is one
-    of KINDS.  "outage" and "rate" give McEstimate values keyed (kind, mode,
-    signal) for each signal in ``signals`` and each SIC mode in ``modes``
-    (empty for a baseline-only call).  "throughput_dl" and
-    "throughput_dt" give (kind, mode): the per-draw system sums
-    sum_i 1{ok_i} R_i and sum_i rate_i over x1..x4, each with the interval
-    of that sum; ``signals`` does not apply to them.  With ``oma``
-    (per-signal kinds only) the orthogonal baseline follows:
-    ("oma_outage" | "oma_rate", target), target "system" or 1..4 as in
-    ``mc_oma_baseline``.
+    ``metric``, ``targets`` and ``modes`` are those of
+    ``metrics.check_request``; ``rhos`` are linear SNRs, in any order, each
+    with a finite reciprocal, and ``config.rho`` is not read.  Returns one
+    dict per entry of ``rhos``, in that order, keyed (mode, target) as
+    ``analytic_grid`` is, with McEstimate values.  A "system" target is the
+    per-draw sum over x1..x4 (sum_i 1{ok_i} R_i delay-limited, sum_i rate_i
+    delay-tolerant) with the interval of that sum, in efficiency units for
+    ``ee_dl`` and ``ee_dt``.  With ``oma`` (outage and ergodic_rate only)
+    the orthogonal baseline follows, keyed ("oma", target) for target
+    "system" and 1..4 as in ``mc_oma_baseline``.
 
     Each chunk draws the gains once, from the NOMA substream of
     ``point_index``, for every grid SNR, signal and mode, so calls that
-    differ only in ``kind`` or in ``rhos`` share their draws.  The
+    differ only in ``metric`` or in ``rhos`` share their draws.  The
     statistics read each chunk one block of BLOCK draws at a time.
     """
-    _check_run(n, seed)
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    system = kind in ("throughput_dl", "throughput_dt")
-    if system:
-        if oma:
-            raise ValueError(f"the orthogonal baseline has outage and rate "
-                             f"estimates only, not {kind!r}")
-        signals = (1, 2, 3, 4)
+    check_run(n, seed)
+    targets, modes = check_request(metric, targets, modes, oma)
+    system = metric not in PER_SIGNAL
     pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
-    for s in signals:
+    for s in SIGNALS if system else targets:
         pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
-    modes = tuple(modes)
-    for mode in modes:
-        sic_epsilon(mode)
     rhos = linear_snr_grid(rhos)
-    counted = kind in ("outage", "throughput_dl")
+    counted = metric in ("outage", "throughput_dl", "ee_dl")
 
     def run(chunk_index, size):
         """One stats dict per block of the chunk, the last block ragged;
@@ -402,44 +398,47 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
             for part, b in zip(parts, blocks):
                 part.update(stats(config, ChannelDraw(draw.g1[b], draw.g2[b], draw.g3[b],
                                                       draw.g4[b], draw.gI[b]),
-                                  pairs, modes, kind, rhos))
+                                  pairs, modes, system, rhos))
         if oma:
             fades = _oma_fades(
                 config, chunk_generator(seed, 2 * point_index + 1, chunk_index), size)
             for part, b in zip(parts, blocks):
                 part.update(_oma_stats(config, {i: f[b] for i, f in fades.items()},
-                                       rhos, kind))
+                                       rhos, counted))
         return parts
 
     chunks = _map_chunks(_chunk_sizes(n), run, workers)
-    return _reduce(config, [part for parts in chunks for part in parts], n, seed,
+    grid = _reduce(config, [part for parts in chunks for part in parts], n, seed,
                    rhos.size)
+    if not metric.startswith("ee_"):
+        return grid
+    scale = energy_efficiency(1.0, config)
+    return [{key: _scaled(est, scale) for key, est in point.items()} for point in grid]
 
 
 def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
-             workers=None, *, kind, signals=(1, 2, 3, 4), modes,
-             oma=False) -> dict:
-    """The Monte Carlo estimates of one point for one estimate kind.
+             workers=None, *, metric, targets, modes, oma=False) -> dict:
+    """The Monte Carlo estimates of ``metric`` at one point.
 
     The one-point view of ``mc_grid`` at ``config.rho``: same arguments
     and keys, same substreams.
     """
     return mc_grid(config, (config.rho,), n, seed, point_index, workers,
-                   kind=kind, signals=signals, modes=modes, oma=oma)[0]
+                   metric=metric, targets=targets, modes=modes, oma=oma)[0]
 
 
 def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
               point_index: int = 0, workers=None) -> McEstimate:
     """Simulated outage probability of one signal's exchange."""
-    return mc_point(config, n, seed, point_index, workers, kind="outage",
-                    signals=(signal,), modes=(mode,))["outage", mode, signal]
+    return mc_point(config, n, seed, point_index, workers, metric="outage",
+                    targets=(signal,), modes=(mode,))[mode, signal]
 
 
 def mc_ergodic(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
                point_index: int = 0, workers=None) -> McEstimate:
     """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
-    return mc_point(config, n, seed, point_index, workers, kind="rate",
-                    signals=(signal,), modes=(mode,))["rate", mode, signal]
+    return mc_point(config, n, seed, point_index, workers, metric="ergodic_rate",
+                    targets=(signal,), modes=(mode,))[mode, signal]
 
 
 def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
@@ -452,8 +451,8 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     ``mc_point`` and read the same fades, from the baseline substream of
     ``point_index``.
     """
-    if signal != "system" and signal not in (1, 2, 3, 4):
+    if signal != "system" and signal not in SIGNALS:
         raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
-    return tuple(mc_point(config, n, seed, point_index, workers, kind=kind,
-                          signals=(), modes=(), oma=True)[f"oma_{kind}", signal]
-                 for kind in ("outage", "rate"))
+    return tuple(mc_point(config, n, seed, point_index, workers, metric=metric,
+                          targets=(), modes=(), oma=True)["oma", signal]
+                 for metric in PER_SIGNAL)

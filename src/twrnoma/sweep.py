@@ -2,16 +2,18 @@
 
 Every row carries the analytical value and a seeded Monte Carlo estimate
 side by side; the CSV is the cross-validation record, not just plot
-fodder.  A sweep makes one ``mc_grid`` call for the one estimate kind its
-rows read: one channel draw per chunk serves every grid point, signal,
+fodder.  A sweep makes one ``mc_grid`` call for its metric, targets and
+SIC modes: one channel draw per chunk serves every grid point, signal,
 SIC mode and system sum, and the orthogonal baseline draws its own fades
 once for all of its rows.  The substreams derive from the master seed
 and point index 0 alone, so every grid point reads the same draws
 (common random numbers), and reruns and different worker counts give
 identical bytes.  The analytic and asymptotic columns come from one
-``metrics.analytic_grid`` call over the same SNRs, which also owns the
-reporting convention for the rate-style metrics.  Neither call reads
-``config.rho``, and the sweep makes no per-point copy of the config.
+``metrics.analytic_grid`` call with the same request, which also owns the
+reporting convention for the rate-style metrics.  Both calls key their
+answers (mode, target), so each row reads the two under one key.  Neither
+call reads ``config.rho``, and the sweep makes no per-point copy of the
+config.
 """
 
 from __future__ import annotations
@@ -21,14 +23,9 @@ import os
 from dataclasses import dataclass
 
 from . import metrics
-from .metrics import METRICS
-from .model import SIC_MODES, ConfigError, SystemConfig, is_linear_snr, sic_epsilon
-from .montecarlo import mc_grid
-
-# the one Monte Carlo estimate kind each metric's rows read
-_MC_KIND = {"outage": "outage", "ergodic_rate": "rate",
-            "throughput_dl": "throughput_dl", "throughput_dt": "throughput_dt",
-            "ee_dl": "throughput_dl", "ee_dt": "throughput_dt"}
+from .metrics import PER_SIGNAL
+from .model import SIC_MODES, ConfigError, SystemConfig, is_linear_snr
+from .montecarlo import check_run, mc_grid
 
 # more SNR points than any figure needs; a larger grid is refused unbuilt
 MAX_GRID_POINTS = 10_000
@@ -62,9 +59,7 @@ class SweepSpec:
     master_seed: int = 1729
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}; "
-                              f"choose from {METRICS}")
+        metrics.check_request(self.metric, (), self.modes, self.with_oma)
         if len(self.snr) != 3:
             raise ConfigError(f"SNR grid must be (start, stop, step) in dB, "
                               f"got {self.snr!r}")
@@ -85,9 +80,7 @@ class SweepSpec:
             if not is_linear_snr(_linear(db)):
                 raise ConfigError(f"SNR grid point {db!r} dB is beyond the float "
                                   f"range of a linear SNR")
-        if self.mc_iterations < 1000:
-            raise ConfigError("mc_iterations below 1000 is too coarse to "
-                              "state a confidence interval")
+        check_run(self.mc_iterations, self.master_seed)
         sigs = tuple(sorted(set(int(s) for s in self.signals)))
         if not sigs:
             raise ConfigError("signal set must not be empty")
@@ -97,14 +90,7 @@ class SweepSpec:
         object.__setattr__(self, "signals", sigs)
         if not self.modes:
             raise ConfigError("modes must name at least one SIC mode")
-        for mode in self.modes:
-            sic_epsilon(mode)
         object.__setattr__(self, "modes", tuple(sorted(set(self.modes))))
-        if self.master_seed < 0:
-            raise ConfigError("master seed must be nonnegative")
-        if self.with_oma and self.metric not in ("outage", "ergodic_rate"):
-            raise ConfigError("the orthogonal baseline is defined for outage "
-                              "and ergodic_rate sweeps only")
 
     def grid_db(self):
         start, stop, step = self.snr
@@ -144,29 +130,24 @@ class MetricPoint:
                 raise ValueError("confidence interval must bracket the mean")
 
 
-def _mc_columns(est, scale=1.0):
-    return dict(mc_mean=est.mean * scale, mc_ci_low=est.ci_low * scale,
-                mc_ci_high=est.ci_high * scale)
+def _mc_columns(est):
+    return dict(mc_mean=est.mean, mc_ci_low=est.ci_low, mc_ci_high=est.ci_high)
 
 
-def _point_rows(spec, targets, scale, db, values, ests):
+def _point_rows(spec, targets, db, values, ests):
     """One grid point: a row per mode and target, then the baseline rows once."""
-    kind = _MC_KIND[spec.metric]
     rows = []
     for mode in spec.modes:
         for target in targets:
             value, asym, feasible = values[mode, target]
-            key = (kind, mode) if target == "system" else (kind, mode, target)
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,
-                                    feasible=feasible,
-                                    **_mc_columns(ests[key], scale)))
+                                    feasible=feasible, **_mc_columns(ests[mode, target])))
     if spec.with_oma:
         for target in ("system",) + spec.signals:
             name = "oma:system" if target == "system" else f"oma:x{target}"
             rows.append(MetricPoint(db, name, spec.metric, "oma", None, None,
-                                    feasible=True,
-                                    **_mc_columns(ests[f"oma_{kind}", target])))
+                                    feasible=True, **_mc_columns(ests["oma", target])))
     return rows
 
 
@@ -174,18 +155,15 @@ def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
     grid = spec.grid_db()
     rhos = [_linear(db) for db in grid]
-    ests = mc_grid(config, rhos, spec.mc_iterations,
-                   spec.master_seed, workers=workers, kind=_MC_KIND[spec.metric],
-                   signals=spec.signals, modes=spec.modes, oma=spec.with_oma)
-    targets = spec.signals if spec.metric in ("outage", "ergodic_rate") else ("system",)
+    targets = spec.signals if spec.metric in PER_SIGNAL else ("system",)
+    ests = mc_grid(config, rhos, spec.mc_iterations, spec.master_seed, workers=workers,
+                   metric=spec.metric, targets=targets, modes=spec.modes,
+                   oma=spec.with_oma)
     values = metrics.analytic_grid(config, rhos, spec.metric, targets, spec.modes,
                                    spec.with_asymptotic)
-    # energy efficiency reads the throughput estimate, rescaled
-    scale = (metrics.energy_efficiency(1.0, config)
-             if spec.metric.startswith("ee_") else 1.0)
     rows = []
     for db, point_values, point_ests in zip(grid, values, ests):
-        rows.extend(_point_rows(spec, targets, scale, db, point_values, point_ests))
+        rows.extend(_point_rows(spec, targets, db, point_values, point_ests))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

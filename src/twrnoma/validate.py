@@ -28,8 +28,8 @@ import numpy as np
 from .analysis import FLOOR_RHO, diversity_order_estimate
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
 from .metrics import analytic_grid
-from .model import SIC_MODES, ConfigError, SignalIndex, SystemConfig
-from .montecarlo import mc_grid, oma_outage_exact
+from .model import SIC_MODES, SignalIndex, SystemConfig
+from .montecarlo import check_run, mc_grid, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
 
 PROFILES = {"default": 1.0, "strict": 0.5}
@@ -77,9 +77,8 @@ def _rel(a, b):
 
 def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     rhos = [10.0 ** (db / 10.0) for db in (10.0, 25.0, 40.0)]
-    grid = mc_grid(config, rhos, iterations, seed,
-                   workers=workers, kind="outage", signals=(1, 2),
-                   modes=SIC_MODES)
+    grid = mc_grid(config, rhos, iterations, seed, workers=workers,
+                   metric="outage", targets=(1, 2), modes=SIC_MODES)
     exacts = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
     worst, band = 0.0, math.inf
     for values, ests in zip(exacts, grid):
@@ -88,7 +87,7 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
                 exact = values[mode, s][0]
                 sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
                 allowed = scale * max(3.0 * sigma, 0.005)
-                gap = abs(ests["outage", mode, s].mean - exact)
+                gap = abs(ests[mode, s].mean - exact)
                 if gap * band > worst * allowed:
                     worst, band = gap, allowed
     return (worst <= band, band, worst,
@@ -149,11 +148,12 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
     tol = 0.02 * scale
     worst = 0.0
     ests = mc_grid(config.without_leakage(), (100.0,), iterations, seed, point_index=5,
-                   workers=workers, kind="rate", signals=(1, 2), modes=SIC_MODES)[0]
+                   workers=workers, metric="ergodic_rate", targets=(1, 2),
+                   modes=SIC_MODES)[0]
     closed = analytic_grid(config, (100.0,), "ergodic_rate", (1, 2), SIC_MODES)[0]
     for mode in SIC_MODES:
         for s in (1, 2):
-            worst = max(worst, _rel(closed[mode, s][0], ests["rate", mode, s].mean))
+            worst = max(worst, _rel(closed[mode, s][0], ests[mode, s].mean))
     return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
 
@@ -199,8 +199,7 @@ def _check_expint(scale):
 def _check_oma(config, scale, iterations, seed, workers):
     exact = oma_outage_exact(config.with_rho(10.0), "system")
     est = mc_grid(config, (10.0,), iterations, seed, point_index=7, workers=workers,
-                  kind="outage", signals=(), modes=(),
-                  oma=True)[0]["oma_outage", "system"]
+                  metric="outage", targets=(), modes=(), oma=True)[0]["oma", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / iterations)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)
@@ -246,11 +245,7 @@ def validate(config: SystemConfig, profile: str = "default",
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    if iterations < 1000:
-        raise ConfigError("iterations below 1000 are too few to state a "
-                          "confidence interval")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed!r}")
+    check_run(iterations, seed)
     scale = PROFILES[profile]
     checks = (
         ("outage_closed_vs_mc",

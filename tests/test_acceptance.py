@@ -56,13 +56,13 @@ def test_a01_outage_closed_forms_track_simulation(baseline):
     worst = 0.0
     # one draw serves the whole grid, both signals and both modes
     grid = mc_grid(baseline, [_rho(db) for db in GRID_DB], N_MC, 1729,
-                   workers=WORKERS, kind="outage", signals=(1, 2), modes=MODES)
+                   workers=WORKERS, metric="outage", targets=(1, 2), modes=MODES)
     for db, ests in zip(GRID_DB, grid):
         for mode in MODES:
             cfg = baseline.with_rho(_rho(db))
             for signal in (1, 2):
                 exact = outage_probability(cfg, signal, mode).p_exact
-                est = ests["outage", mode, signal]
+                est = ests[mode, signal]
                 sigma = math.sqrt(exact * (1.0 - exact) / N_MC)
                 band = max(3.0 * sigma, 0.005)
                 worst = max(worst, abs(est.mean - exact) / band)
@@ -127,7 +127,7 @@ def test_a04_rate_closed_forms_track_quadrature_and_simulation(no_leakage):
     worst_mc = 0.0
     grid_db = (10.0, 20.0, 30.0)
     grid = mc_grid(no_leakage, [_rho(db) for db in grid_db], N_MC, 1729,
-                   workers=WORKERS, kind="rate", signals=(1, 2), modes=MODES)
+                   workers=WORKERS, metric="ergodic_rate", targets=(1, 2), modes=MODES)
     for db, ests in zip(grid_db, grid):
         for mode in MODES:
             cfg = no_leakage.with_rho(_rho(db))
@@ -135,9 +135,9 @@ def test_a04_rate_closed_forms_track_quadrature_and_simulation(no_leakage):
             quad = ergodic_rate_strong_quadrature(cfg, IDX1, mode)
             worst_quad = max(worst_quad, abs(closed - quad) / closed)
             worst_mc = max(worst_mc,
-                           abs(closed - ests["rate", mode, 1].mean) / closed)
+                           abs(closed - ests[mode, 1].mean) / closed)
             weak = ergodic_rate_weak_numeric(cfg, IDX2, mode)
-            worst_mc = max(worst_mc, abs(weak - ests["rate", mode, 2].mean) / weak)
+            worst_mc = max(worst_mc, abs(weak - ests[mode, 2].mean) / weak)
     ok = worst_quad <= 1e-8 and worst_mc <= 0.02
     assert _report(
         "rates vs quadrature and simulation", ok,

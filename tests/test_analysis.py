@@ -206,14 +206,14 @@ def test_diversity_estimate_recovers_slope():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "strong-user outage under leakage multiplies P(uplink ok) by P(near user "
     "ok) as if independent, but both depend on the near user's gain g_k "
-    "(ROADMAP open item 3): Monte Carlo 0.43020 against 0.41740, z = +13.3"))
+    "(ROADMAP item 1): Monte Carlo 0.43020 against 0.41740, z = +13.3"))
 def test_strong_outage_under_heavy_leakage_matches_simulation():
     from twrnoma.montecarlo import mc_point
 
     n = 2 ** 18
     cfg = SystemConfig(rho=10.0, varpi1=0.3, varpi2=0.3)
-    est = mc_point(cfg, n, 99, kind="outage", signals=(1,),
-                   modes=("ipsic",))[("outage", "ipsic", 1)]
+    est = mc_point(cfg, n, 99, metric="outage", targets=(1,),
+                   modes=("ipsic",))["ipsic", 1]
     p = outage_probability(cfg, 1, "ipsic").p_exact
     z = (est.mean - p) / math.sqrt(p * (1.0 - p) / n)
     assert abs(z) <= 4.0

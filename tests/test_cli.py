@@ -204,7 +204,8 @@ def test_zero_iterations_are_refused(tmp_path, capsys):
                              "--mode", "ipsic", "--snr", "0:0:5",
                              "--iterations", "0"])
     assert code == 1
-    assert "mc_iterations" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: a Monte Carlo run needs at least 1000 "
+                                       "samples to state a confidence interval, got 0\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -514,14 +514,14 @@ def test_strong_numeric_leakage_when_a_term_power_underflows(baseline, field):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the leakage CCDF treats the near user's gain g_k in W, Z and the decode "
-    "numerator as independent draws (ROADMAP open item 2): Monte Carlo "
+    "numerator as independent draws (ROADMAP item 1): Monte Carlo "
     "0.87534 against 0.89662, z = +22.7"))
 def test_strong_numeric_leakage_matches_simulation():
     from twrnoma.montecarlo import _Z95, mc_point
 
     cfg = SystemConfig(rho=10.0 ** 2.5)
-    est = mc_point(cfg, 2 ** 18, 99, kind="rate", signals=(1,),
-                   modes=("ipsic",))["rate", "ipsic", 1]
+    est = mc_point(cfg, 2 ** 18, 99, metric="ergodic_rate", targets=(1,),
+                   modes=("ipsic",))["ipsic", 1]
     z = (ergodic_rate_strong_numeric(cfg, IDX1) - est.mean) / (est.half_width_95 / _Z95)
     assert abs(z) <= 4.0
 

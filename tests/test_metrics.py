@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twrnoma.analysis import outage_probability
 from twrnoma.configio import PRESETS
 from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
-from twrnoma.metrics import (METRICS, analytic_grid, energy_efficiency,
+from twrnoma.metrics import (METRICS, PER_SIGNAL, analytic_grid, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
 from twrnoma.model import SIC_MODES, SystemConfig
@@ -162,7 +162,7 @@ def test_analytic_energy_efficiency_rescales_throughput(baseline):
 
 
 def _targets(metric):
-    return (1, 2, 3, 4) if metric in ("outage", "ergodic_rate") else ("system",)
+    return (1, 2, 3, 4) if metric in PER_SIGNAL else ("system",)
 
 
 def _bits(value):
@@ -217,13 +217,45 @@ def test_analytic_grid_reports_an_infeasible_power_split():
             assert not any(point[mode, "system"][2] for mode in SIC_MODES)
 
 
-@pytest.mark.parametrize("rhos", [[], [1e-310], [0.0], [-1.0], [math.inf],
-                                  [math.nan], [10.0, 1e-310]])
-def test_analytic_grid_refuses_what_mc_grid_refuses(baseline, rhos):
-    with pytest.raises(ValueError, match="nonempty list of positive SNRs"):
-        analytic_grid(baseline, rhos, "outage", (1,), ("ipsic",))
-    with pytest.raises(ValueError, match="nonempty list of positive SNRs"):
-        mc_grid(baseline, rhos, 1000, 1, kind="outage", modes=("ipsic",))
+@pytest.mark.parametrize("rhos, metric, targets, message", [
+    *(pytest.param(rhos, "outage", (1,), "nonempty list of positive SNRs", id=f"rhos{i}")
+      for i, rhos in enumerate([[], [1e-310], [0.0], [-1.0], [math.inf], [math.nan],
+                                [10.0, 1e-310]])),
+    pytest.param([10.0], "latency", (1,), "unknown metric 'latency'", id="metric"),
+    pytest.param([10.0], "outage", ("system",), "cannot take target 'system'",
+                 id="system_target"),
+    pytest.param([10.0], "ee_dl", (2,), "cannot take target 2", id="signal_target"),
+])
+def test_analytic_grid_refuses_what_mc_grid_refuses(baseline, rhos, metric, targets,
+                                                    message):
+    """One request check serves both grids: the same refusal, word for word."""
+    with pytest.raises(ValueError, match=message) as analytic:
+        analytic_grid(baseline, rhos, metric, targets, ("ipsic",))
+    with pytest.raises(ValueError, match=message) as simulated:
+        mc_grid(baseline, rhos, 1000, 1, metric=metric, targets=targets,
+                modes=("ipsic",))
+    assert str(simulated.value) == str(analytic.value)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_mc_grid_keys_its_estimates_as_analytic_grid_does(name):
+    """Every preset variant's request, with its baseline where the preset
+    draws one: the two grids answer under the same (mode, target) keys, and
+    the baseline adds ("oma", target) keys only."""
+    preset = PRESETS[name]
+    rhos = [10.0 ** (db / 10.0) for db in preset.grid_db()[:2]]
+    for variant in preset.variants:
+        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
+        metric = variant.metric or preset.metric
+        targets = preset.signals if metric in PER_SIGNAL else ("system",)
+        oma = preset.with_oma and metric in PER_SIGNAL
+        values = analytic_grid(cfg, rhos, metric, targets, preset.modes)
+        ests = mc_grid(cfg, rhos, 1000, 1, metric=metric, targets=targets,
+                       modes=preset.modes, oma=oma)
+        for point_values, point_ests in zip(values, ests):
+            noma = {key for key in point_ests if key[0] != "oma"}
+            assert noma == set(point_values)
+            assert (len(point_ests) > len(noma)) == oma
 
 
 _shares = st.floats(min_value=0.05, max_value=1.0)

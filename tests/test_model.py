@@ -121,7 +121,8 @@ _DRAW = ChannelDraw(g1=0.5, g2=0.1, g3=0.9, g4=0.2, gI=0.3)
     lambda mode: ergodic_rate_strong_closed(_NO_LEAKAGE, SignalIndex.for_signal(1), mode),
     lambda mode: ergodic_rate_weak_numeric(_NO_LEAKAGE, SignalIndex.for_signal(2), mode),
     lambda mode: sinr_set(_NO_LEAKAGE, _DRAW, SignalIndex.for_signal(1), mode),
-    lambda mode: mc_grid(_NO_LEAKAGE, [1.0], 1000, 1, kind="outage", modes=(mode,)),
+    lambda mode: mc_grid(_NO_LEAKAGE, [1.0], 1000, 1, metric="outage", targets=(1,),
+                         modes=(mode,)),
     lambda mode: SweepSpec(modes=(mode,)),
 ], ids=["outage_probability", "outage_asymptotic", "analytic_grid",
         "ergodic_rate_strong_closed", "ergodic_rate_weak_numeric", "sinr_set",

@@ -94,13 +94,13 @@ def test_run_shape_validation(baseline):
         mc_outage(baseline, 1, "ipsic", 10_000, -3)
 
 
-@pytest.mark.parametrize("kind", ["outage", "rate"])
-def test_a_subnormal_snr_is_refused(baseline, kind):
+@pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
+def test_a_subnormal_snr_is_refused(baseline, metric):
     """At rho = 1e-310, 1/rho overflows, so no SINR A / (B + 1/rho) exists:
     the grid refuses it, and so does a config copied to it."""
     with pytest.raises(ValueError, match="finite reciprocals"):
-        montecarlo.mc_grid(baseline, [1.0, 1e-310], 1000, 1, kind=kind,
-                           modes=("ipsic",))
+        montecarlo.mc_grid(baseline, [1.0, 1e-310], 1000, 1, metric=metric,
+                           targets=(1,), modes=("ipsic",))
     with pytest.raises(ConfigError, match="finite reciprocal"):
         baseline.with_rho(1e-310)
 
@@ -214,16 +214,16 @@ def test_oma_baseline_is_deterministic_across_workers(baseline):
 
 @pytest.mark.parametrize("target", ["system", 1, 4])
 def test_oma_pair_equals_the_two_kind_requests(baseline, target):
-    """The pair is bit for bit the two single-kind baseline requests on the
-    same substream, at two point indices."""
+    """The pair is bit for bit the baseline estimates of an outage and an
+    ergodic-rate request on the same substream, at two point indices."""
     cfg = baseline.with_rho(100.0)
     n, seed = 2 * CHUNK + 1000, 13
     for point in (0, 2):
         pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
         assert pair == tuple(
-            mc_point(cfg, n, seed, point, kind=kind, signals=(), modes=(),
-                     oma=True)[f"oma_{kind}", target]
-            for kind in ("outage", "rate"))
+            mc_point(cfg, n, seed, point, metric=metric, targets=(), modes=(),
+                     oma=True)["oma", target]
+            for metric in ("outage", "ergodic_rate"))
 
 
 def test_oma_pair_reads_the_baseline_substream(baseline, monkeypatch):

@@ -77,6 +77,35 @@ def test_expei_neg_matches_direct_product():
                                              rel=1e-12)
 
 
+def _expei_neg_pairs(grid):
+    """(expei_neg(s), e^s Ei(-s)) for each s of ``grid``, the second by
+    mpmath at 40 digits: an algorithm of its own, unlike the product of
+    expint_ei with exp, which runs the same series."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return [(expei_neg(s), float(mp.exp(s) * mp.ei(-s)))
+                for s in map(float, grid)]
+
+
+@pytest.mark.parametrize("grid", [np.geomspace(1e-3, 1.0, 25),
+                                  np.geomspace(6.0, 1e6, 41)[1:]],
+                         ids=["series_to_1", "cfrac_past_6"])
+def test_expei_neg_matches_mpmath(grid):
+    """To about an ulp where neither branch loses digits: the series on
+    [1e-3, 1], the continued fraction on (6, 1e6]."""
+    for got, ref in _expei_neg_pairs(grid):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "e^s times the series for Ei(-s) loses digits to cancellation as s "
+    "nears the switch to the continued fraction at 6 (ROADMAP item 3): "
+    "worst 4.6e-12 relative on these 25 points of (1, 6]"))
+def test_expei_neg_matches_mpmath_between_1_and_6():
+    for got, ref in _expei_neg_pairs(np.geomspace(1.0, 6.0, 26)[1:]):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_expei_neg_survives_huge_arguments():
     """exp(s)*Ei(-s) ~ -1/s for large s; the plain product overflows."""
     for s in (1e3, 1e6, 1e12):

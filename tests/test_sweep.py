@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import twrnoma.montecarlo as montecarlo
 from twrnoma.configio import PRESETS
+from twrnoma.metrics import METRICS, PER_SIGNAL, energy_efficiency
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
                            sample_channel_draw, sinr_set)
 from twrnoma.montecarlo import BLOCK, CHUNK, chunk_generator
@@ -318,8 +319,8 @@ def test_worker_count_invariance_over_several_chunks(baseline, metric, extra):
                                            ("throughput_dt", {"signals": (1, 2, 3, 4)})])
 def test_worker_count_invariance_on_a_ragged_last_block(baseline, metric, extra):
     """The last of two chunks holds one whole block and a partial one; every
-    estimate kind, the baseline's included, keeps its bytes at any worker
-    count."""
+    metric's estimates, the baseline's included, keep their bytes at any
+    worker count."""
     spec = small_spec(metric=metric, start_db=10.0, stop_db=20.0, step_db=10.0,
                       modes=("ipsic", "psic"), mc_iterations=CHUNK + BLOCK + 123,
                       **extra)
@@ -327,26 +328,26 @@ def test_worker_count_invariance_on_a_ragged_last_block(baseline, metric, extra)
         render_csv(run_sweep(spec, baseline, workers=3))
 
 
-@pytest.mark.parametrize("kind", ["outage", "rate"])
-def test_kernel_equals_the_per_mode_rebuild(baseline, kind):
+@pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
+def test_kernel_equals_the_per_mode_rebuild(baseline, metric):
     """Counts over three chunks, rebuilt one mode at a time from sinr_set,
     equal the kernel's bit for bit.  The (n, mean, M2) moments agree to
     round-off: the kernel forms each SINR as A / (B + 1/rho), sinr_set as
     rho A / (rho B + 1), and merges them per block, the rebuild per chunk."""
-    _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, 2 * CHUNK + 1000)
+    _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, 2 * CHUNK + 1000)
 
 
-@pytest.mark.parametrize("kind", ["outage", "rate"])
-def test_kernel_equals_the_per_mode_rebuild_on_a_ragged_block(baseline, kind):
+@pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
+def test_kernel_equals_the_per_mode_rebuild_on_a_ragged_block(baseline, metric):
     """As above, with a last chunk of one whole block and a partial one."""
-    _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, CHUNK + BLOCK + 123)
+    _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, CHUNK + BLOCK + 123)
 
 
-def _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, n):
+def _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, n):
     seed, point = 3, 2
     cfg = baseline.with_rho(10.0 ** 1.5)
-    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, kind=kind,
-                               modes=("ipsic", "psic"))
+    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, metric=metric,
+                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"))
     sizes = [CHUNK] * (n // CHUNK) + [n % CHUNK]
     draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
              for c, size in enumerate(sizes)]
@@ -354,8 +355,8 @@ def _assert_kernel_equals_the_per_mode_rebuild(baseline, kind, n):
     for mode in ("ipsic", "psic"):
         for s in (1, 2, 3, 4):
             parts = [_per_draw_samples(cfg, draw, s, mode) for draw in draws]
-            est = ests[kind, mode, s]
-            if kind == "outage":
+            est = ests[mode, s]
+            if metric == "outage":
                 failures = sum(int(np.count_nonzero(~ok)) for ok, _ in parts)
                 lo, hi = montecarlo.ci_bounds(failures, n)
                 assert (est.mean, est.ci_low, est.ci_high) == (failures / n, lo, hi)
@@ -383,18 +384,19 @@ def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
     cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I, **zero)
     rhos = [10.0 ** (db / 10.0) for db in dbs]
     modes = ("ipsic", "psic")
-    outage = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="outage", modes=modes)
-    delivered = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="throughput_dl",
-                                   modes=modes)
+    outage = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="outage",
+                                targets=(1, 2, 3, 4), modes=modes)
+    delivered = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="throughput_dl",
+                                   targets=("system",), modes=modes)
     draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
     for rho, counts, system in zip(rhos, outage, delivered):
         for mode in modes:
             mcfg = cfg.with_rho(rho)
             for s in (1, 2, 3, 4):
                 ok, _ = _per_draw_samples(mcfg, draw, s, mode)
-                assert counts["outage", mode, s].mean == np.count_nonzero(~ok) / n
+                assert counts[mode, s].mean == np.count_nonzero(~ok) / n
             x = _per_draw_system_sum(mcfg, draw, "throughput_dl", mode)
-            est = system["throughput_dl", mode]
+            est = system[mode, "system"]
             assert est.mean == pytest.approx(x.mean(), rel=1e-12, abs=1e-15)
             assert est.half_width_95 == pytest.approx(
                 1.959963984540054 * x.std(ddof=1) / np.sqrt(n), rel=1e-9, abs=1e-15)
@@ -416,9 +418,10 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
     cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I)
     rhos = [10.0 ** (db / 10.0) for db in dbs]
     modes = ("ipsic", "psic")
-    rates = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="rate", modes=modes)
-    sums = montecarlo.mc_grid(cfg, rhos, n, seed, point, kind="throughput_dt",
-                              modes=modes)
+    rates = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="ergodic_rate",
+                               targets=(1, 2, 3, 4), modes=modes)
+    sums = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="throughput_dt",
+                              targets=("system",), modes=modes)
     draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
 
     def assert_agrees(est, x):
@@ -430,65 +433,108 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
         for mode in modes:
             mcfg = cfg.with_rho(rho)
             for s in (1, 2, 3, 4):
-                assert_agrees(per_signal["rate", mode, s],
+                assert_agrees(per_signal[mode, s],
                               _per_draw_samples(mcfg, draw, s, mode)[1])
-            assert_agrees(system["throughput_dt", mode],
+            assert_agrees(system[mode, "system"],
                           _per_draw_system_sum(mcfg, draw, "throughput_dt", mode))
 
 
-@pytest.mark.parametrize("kind", ["rate", "throughput_dt"])
-def test_grid_entries_equal_one_point_runs_bit_for_bit(baseline, kind):
+@pytest.mark.parametrize("metric, targets", [("ergodic_rate", (1, 2, 3, 4)),
+                                             ("throughput_dt", ("system",))],
+                         ids=["rate", "throughput_dt"])
+def test_grid_entries_equal_one_point_runs_bit_for_bit(baseline, metric, targets):
     """Over two chunks, entry j of mc_grid is mc_point at rhos[j] exactly:
     a grid SNR's estimate reads nothing of the other grid SNRs."""
     rhos = [10.0 ** 3.2, 1.0, 10.0 ** 1.5, 1.0]
     n, seed = CHUNK + 1000, 4
-    grid = montecarlo.mc_grid(baseline, rhos, n, seed, 1, kind=kind,
-                              modes=("ipsic", "psic"))
+    request = dict(metric=metric, targets=targets, modes=("ipsic", "psic"))
+    grid = montecarlo.mc_grid(baseline, rhos, n, seed, 1, **request)
     for rho, ests in zip(rhos, grid):
-        assert ests == montecarlo.mc_point(baseline.with_rho(rho), n, seed, 1,
-                                           kind=kind, modes=("ipsic", "psic"))
+        assert ests == montecarlo.mc_point(baseline.with_rho(rho), n, seed, 1, **request)
 
 
-@pytest.mark.parametrize("kind", montecarlo.KINDS)
-def test_grid_estimates_do_not_depend_on_the_worker_count(baseline, kind):
+@pytest.mark.parametrize("metric", METRICS)
+def test_grid_estimates_do_not_depend_on_the_worker_count(baseline, metric):
     """Three grid SNRs over three chunks: counts, co-counts and moments."""
     args = (baseline, [1.0, 10.0 ** 1.5, 1e3], 2 * CHUNK + 1000, 9)
-    extra = dict(kind=kind, modes=("ipsic", "psic"),
-                 oma=kind in ("outage", "rate"))
+    extra = dict(metric=metric, targets=_targets(metric), modes=("ipsic", "psic"),
+                 oma=metric in PER_SIGNAL)
     serial = montecarlo.mc_grid(*args, workers=1, **extra)
     assert serial == montecarlo.mc_grid(*args, workers=3, **extra)
     assert len(serial) == 3 and serial[0] != serial[2]
 
 
+def _targets(metric):
+    return (1, 2, 3, 4) if metric in PER_SIGNAL else ("system",)
+
+
 def test_outage_request_returns_only_outage_estimates(baseline):
-    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, kind="outage",
-                               modes=("ipsic", "psic"), oma=True)
-    assert {key[0] for key in ests} == {"outage", "oma_outage"}
+    """The NOMA estimates are keyed (mode, signal), the baseline's ("oma",
+    target), and an outage request builds no rate moments."""
+    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, metric="outage",
+                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)
+    assert {key[0] for key in ests} == {"ipsic", "psic", "oma"}
     assert len(ests) == 2 * 4 + 5
+    rates = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, metric="ergodic_rate",
+                                targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)
+    assert set(rates) == set(ests) and rates != ests
 
 
-@pytest.mark.parametrize("kind", ["throughput_dl", "throughput_dt"])
-def test_system_kinds_always_sum_the_four_signals(baseline, kind):
+@pytest.mark.parametrize("metric", ["throughput_dl", "throughput_dt"])
+def test_system_kinds_always_sum_the_four_signals(baseline, metric):
+    """A system target sums x1..x4, whatever signals a sweep names."""
     cfg = baseline.with_rho(10.0)
-    whole = montecarlo.mc_point(cfg, 2000, 1, kind=kind, signals=(1, 2, 3, 4),
+    whole = montecarlo.mc_point(cfg, 2000, 1, metric=metric, targets=("system",),
                                 modes=("ipsic", "psic"))
-    assert montecarlo.mc_point(cfg, 2000, 1, kind=kind, signals=(1, 2),
-                               modes=("ipsic", "psic")) == whole
-    assert set(whole) == {(kind, "ipsic"), (kind, "psic")}
+    assert set(whole) == {("ipsic", "system"), ("psic", "system")}
+    spec = small_spec(metric=metric, signals=(1, 2), start_db=10.0, stop_db=10.0,
+                      modes=("ipsic", "psic"), master_seed=1)
+    assert [(r.mc_mean, r.mc_ci_low, r.mc_ci_high) for r in run_sweep(spec, baseline)] \
+        == [(est.mean, est.ci_low, est.ci_high) for est in whole.values()]
+
+
+@pytest.mark.parametrize("service", ["dl", "dt"])
+def test_efficiency_estimates_are_the_throughput_estimates_rescaled(service):
+    """Bit for bit: every field of an ee_* estimate is that of the throughput
+    estimate times energy_efficiency(1.0, config), over a grid and two
+    chunks."""
+    cfg = SystemConfig(t_slot=0.7, pu_watts=0.3, pr_watts=1.9)
+    scale = energy_efficiency(1.0, cfg)
+    args = (cfg, [1.0, 10.0 ** 1.5, 1e4], CHUNK + 1000, 5, 3)
+    request = dict(targets=("system",), modes=("ipsic", "psic"))
+    throughput = montecarlo.mc_grid(*args, metric=f"throughput_{service}", **request)
+    efficiency = montecarlo.mc_grid(*args, metric=f"ee_{service}", **request)
+    for tp, ee in zip(throughput, efficiency):
+        assert set(ee) == set(tp)
+        for key, est in tp.items():
+            assert ee[key] == montecarlo.McEstimate(
+                mean=est.mean * scale, half_width_95=est.half_width_95 * scale,
+                n=est.n, seed=est.seed, ci_low=est.ci_low * scale,
+                ci_high=est.ci_high * scale)
 
 
 def test_kind_requests_are_checked(baseline):
-    with pytest.raises(ValueError, match="kind"):
-        montecarlo.mc_point(baseline, 2000, 1, kind="latency", modes=("ipsic",))
+    """mc_grid refuses a request analytic_grid refuses, with the same
+    message, and a baseline for a system metric."""
+    with pytest.raises(ValueError, match="unknown metric 'latency'"):
+        montecarlo.mc_point(baseline, 2000, 1, metric="latency", targets=(1,),
+                            modes=("ipsic",))
+    with pytest.raises(ValueError, match="cannot take target 'system'"):
+        montecarlo.mc_point(baseline, 2000, 1, metric="outage", targets=("system",),
+                            modes=("ipsic",))
+    with pytest.raises(ValueError, match="cannot take target 1"):
+        montecarlo.mc_point(baseline, 2000, 1, metric="ee_dt", targets=(1,),
+                            modes=("ipsic",))
     with pytest.raises(ValueError, match="SIC mode must be one of"):
-        montecarlo.mc_point(baseline, 2000, 1, kind="outage", modes=("sic",))
-    for kind in ("throughput_dl", "throughput_dt"):
+        montecarlo.mc_point(baseline, 2000, 1, metric="outage", targets=(1,),
+                            modes=("sic",))
+    for metric in ("throughput_dl", "throughput_dt", "ee_dl", "ee_dt"):
         with pytest.raises(ValueError, match="orthogonal baseline"):
-            montecarlo.mc_point(baseline, 2000, 1, kind=kind, modes=("ipsic",),
-                                oma=True)
+            montecarlo.mc_point(baseline, 2000, 1, metric=metric, targets=("system",),
+                                modes=("ipsic",), oma=True)
     for rhos in ([], [1.0, 0.0], [float("inf")], [[1.0]]):
         with pytest.raises(ValueError, match="rhos"):
-            montecarlo.mc_grid(baseline, rhos, 2000, 1, kind="outage",
+            montecarlo.mc_grid(baseline, rhos, 2000, 1, metric="outage", targets=(1,),
                                modes=("ipsic",))
 
 
@@ -524,7 +570,7 @@ def test_monte_carlo_columns_are_frozen(name):
 
 
 # At 2 CHUNK + 1000 iterations: three chunks, the first two of many blocks.
-# fig2 (with its baseline rows), fig3 and fig5 are counted kinds, recorded
+# fig2 (with its baseline rows), fig3 and fig5 are counted metrics, recorded
 # before statistics were taken per block, and hold since.  fig7's rate
 # moments merge per block, and were recorded after that change (cells moved
 # by at most 4.0e-16 relative).

@@ -105,7 +105,7 @@ def test_outage_check_reads_point_index_zero_at_10_db(monkeypatch):
     battery._check_outage_vs_mc(cfg, 1.0, 3000, 11, 1)
     assert len(grids) == 1 and len(grids[0]) == 3
     assert grids[0][0] == mc_point(cfg.with_rho(10.0), 3000, 11, point_index=0,
-                                   kind="outage", signals=(1, 2),
+                                   metric="outage", targets=(1, 2),
                                    modes=("ipsic", "psic"))
 
 
