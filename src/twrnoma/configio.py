@@ -160,13 +160,13 @@ PRESETS = {
         PresetVariant("omegaI_-10dB", {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1e-1}),
         PresetVariant("omegaI_0dB", {"varpi1": 0.0, "varpi2": 0.0, "omega_I": 1.0}),
     )),
-    "fig5": Preset("throughput_dl", signals=(1, 2, 3, 4), variants=(
+    "fig5": Preset("throughput_dl", variants=(
         PresetVariant("omegaI_-20dB", {"omega_I": 1e-2}),
         PresetVariant("omegaI_-10dB", {"omega_I": 1e-1}),
     )),
     "fig6": Preset("ergodic_rate", snr=(0.0, 50.0, 5.0)),
-    "fig7": Preset("throughput_dt", signals=(1, 2, 3, 4), snr=(0.0, 50.0, 5.0)),
-    "fig8": Preset("ee_dl", signals=(1, 2, 3, 4), snr=(0.0, 50.0, 5.0), variants=(
+    "fig7": Preset("throughput_dt", snr=(0.0, 50.0, 5.0)),
+    "fig8": Preset("ee_dl", snr=(0.0, 50.0, 5.0), variants=(
         PresetVariant("dl", {}, metric="ee_dl"),
         PresetVariant("dt", {}, metric="ee_dt"),
     )),

@@ -326,7 +326,9 @@ def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
 
 
 def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
-    """The ipSIC CCDF of ``_strong_ccdf``, which the leakage rate integrates, at x >= 0."""
+    """The ipSIC CCDF of ``_strong_ccdf``, which the leakage rate integrates,
+    at x >= 0.  No library route calls it; it stays only because
+    ``perfbench/tracing.py`` patches it."""
     if x < 0:
         raise ValueError("SINR argument must be nonnegative")
     return float(_strong_ccdf(config, idx, "ipsic", config.rho)[0](x))

@@ -30,6 +30,9 @@ METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
 # the metrics that take a signal as target; the others take "system"
 PER_SIGNAL = ("outage", "ergodic_rate")
 
+# the metrics formed from outage events; the others from ergodic rates
+COUNTED = ("outage", "throughput_dl", "ee_dl")
+
 SIGNALS = (1, 2, 3, 4)
 
 
@@ -70,21 +73,25 @@ def energy_efficiency(throughput: float, config: SystemConfig) -> float:
 
 
 def check_request(metric: str, targets, modes, oma: bool = False):
-    """``targets`` and ``modes`` as tuples, once ``metric`` is one of METRICS,
-    each target suits it, each mode is a SIC mode and, with ``oma``, the
-    metric has an orthogonal baseline; ConfigError otherwise.
+    """``targets``, ``modes`` and the signals the request reads, as tuples
+    without repeats, once ``metric`` is one of METRICS, each target suits
+    it, each mode is a SIC mode and, with ``oma``, the metric has an
+    orthogonal baseline; ConfigError otherwise.
 
     ``outage`` and ``ergodic_rate`` take signals 1..4 and have a baseline;
-    the throughput and energy-efficiency metrics take ``"system"``.  The
-    one request check of ``analytic_grid``, ``montecarlo.mc_grid`` and
-    ``sweep.SweepSpec``.
+    the throughput and energy-efficiency metrics take ``"system"``.  A
+    request reads its signal targets, all four for ``"system"``, and none
+    without a mode.  Its answer holds exactly one (mode, target) key per
+    mode and target, and with ``oma`` ("oma", target) per target and
+    ("oma", "system").  The one request check of ``analytic_grid``,
+    ``montecarlo.mc_grid`` and ``sweep.SweepSpec``.
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {METRICS}")
     if oma and metric not in PER_SIGNAL:
         raise ConfigError(f"the orthogonal baseline has outage and ergodic_rate "
                           f"estimates only, not {metric!r}")
-    targets, modes = tuple(targets), tuple(modes)
+    targets, modes = tuple(dict.fromkeys(targets)), tuple(dict.fromkeys(modes))
     for target in targets:
         if (metric in PER_SIGNAL) != (target in SIGNALS):
             raise ConfigError(f"metric {metric!r} cannot take target {target!r}: "
@@ -92,7 +99,8 @@ def check_request(metric: str, targets, modes, oma: bool = False):
                               "throughput and efficiency metrics 'system'")
     for mode in modes:
         sic_epsilon(mode)
-    return targets, modes
+    signals = (SIGNALS if "system" in targets else targets) if modes else ()
+    return targets, modes, signals
 
 
 def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
@@ -101,23 +109,22 @@ def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
     linear SNR of ``rhos``.
 
     ``metric``, ``targets`` and ``modes`` are those of ``check_request``.
-    Returns one dict per entry of ``rhos``, in that order, keyed (mode,
-    target) as ``mc_grid`` is, with values (value, asymptote, feasible); the
-    asymptote is None unless ``asymptotic`` is set, and feasible is False
-    only where an outage target rate is out of reach for the power split.
-    As in ``mc_grid``, each entry of ``rhos`` must be positive with a finite
+    Returns one dict per entry of ``rhos``, in that order, holding exactly
+    the keys (mode, target) of the request, as ``mc_grid`` does without
+    ``oma``, with values (value, asymptote, feasible); the asymptote is None
+    unless ``asymptotic`` is set, and feasible is False only where an
+    outage target rate is out of reach for the power split.  As in
+    ``mc_grid``, each entry of ``rhos`` must be positive with a finite
     reciprocal, and ``config.rho`` is not read.
     """
-    targets, modes = check_request(metric, targets, modes)
+    targets, modes, signals = check_request(metric, targets, modes)
     rhos = linear_snr_grid(rhos).tolist()
-    per_signal = metric in PER_SIGNAL
-    signals = targets if per_signal else SIGNALS
-    if metric in ("outage", "throughput_dl", "ee_dl"):
+    if metric in COUNTED:
         points = outage_grid(config, rhos, signals, modes, asymptotic)
     else:
         points = [{key: (value, asym, True) for key, (value, asym) in point.items()}
                   for point in rate_grid(config, rhos, signals, modes, asymptotic)]
-    if per_signal:
+    if "system" not in targets:
         return points
     scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
     return [{(mode, "system"): _system(config, metric, [point[mode, s] for s in SIGNALS],
@@ -128,7 +135,7 @@ def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
 def _system(config, metric, results, asymptotic, scale):
     """The system value of ``metric`` from the (value, asymptote, feasible)
     of x1..x4, rescaled to energy efficiency by ``scale`` unless it is None."""
-    if metric.endswith("_dl"):
+    if metric in COUNTED:
         rates = [config.rate(s) for s in SIGNALS]
         value = throughput_delay_limited([p for p, _, _ in results], rates)
         asym = sum((1.0 - a) * rate

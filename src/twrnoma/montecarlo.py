@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import PER_SIGNAL, SIGNALS, check_request, energy_efficiency
+from .metrics import COUNTED, PER_SIGNAL, SIGNALS, check_request, energy_efficiency
 from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
                     inverse_critical_snrs, inverse_threshold, linear_snr_grid,
                     oma_threshold, sample_channel_draw, sinr_coefficients)
@@ -263,25 +263,27 @@ def _oma_fades(config, stream, size):
     return fades
 
 
-def _oma_stats(config, fades, rhos, counted):
+def _oma_stats(config, fades, rhos, counted, signals):
     """Orthogonal-baseline failure counts if ``counted``, else per grid SNR
-    rate moments, for every target from the fades it is handed."""
+    rate moments, for each of ``signals`` and for the system of all four,
+    from the fades it is handed."""
     if counted:
         # rho fade > thr exactly when fade / thr > 1/rho
         margins = {i: fade * inverse_threshold(oma_threshold(config.rate(i)))
                    for i, fade in fades.items()}
-        stats = {("oma", i): _failures(u, rhos) for i, u in margins.items()}
+        stats = {("oma", i): _failures(margins[i], rhos) for i in signals}
         # the system fails at rho when any exchange does
         stats["oma", "system"] = _failures(
             np.minimum(np.minimum(margins[1], margins[2]),
                        np.minimum(margins[3], margins[4])), rhos)
         return stats
-    stats = {("oma", target): [] for target in (1, 2, 3, 4, "system")}
+    stats = {("oma", target): [] for target in signals + ("system",)}
     for rho in rhos:
         total = np.zeros(fades[1].size)
         for i, fade in fades.items():
             rate = 0.2 * np.log2(1.0 + rho * fade)
-            stats["oma", i].append(_moments(rate))
+            if i in signals:
+                stats["oma", i].append(_moments(rate))
             total += rate
         stats["oma", "system"].append(_moments(total))
     return stats
@@ -363,13 +365,15 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     ``metric``, ``targets`` and ``modes`` are those of
     ``metrics.check_request``; ``rhos`` are linear SNRs, in any order, each
     with a finite reciprocal, and ``config.rho`` is not read.  Returns one
-    dict per entry of ``rhos``, in that order, keyed (mode, target) as
-    ``analytic_grid`` is, with McEstimate values.  A "system" target is the
-    per-draw sum over x1..x4 (sum_i 1{ok_i} R_i delay-limited, sum_i rate_i
-    delay-tolerant) with the interval of that sum, in efficiency units for
-    ``ee_dl`` and ``ee_dt``.  With ``oma`` (outage and ergodic_rate only)
-    the orthogonal baseline follows, keyed ("oma", target) for target
-    "system" and 1..4 as in ``mc_oma_baseline``.
+    dict per entry of ``rhos``, in that order, holding exactly the keys
+    (mode, target) of the request, as ``analytic_grid`` does, with
+    McEstimate values.  A "system" target is the per-draw sum over x1..x4
+    (sum_i 1{ok_i} R_i delay-limited, sum_i rate_i delay-tolerant) with the
+    interval of that sum, in efficiency units for ``ee_dl`` and ``ee_dt``.
+    With ``oma`` (outage and ergodic_rate only) the orthogonal baseline
+    adds ("oma", target) for each target and ("oma", "system"), the event
+    any exchange fails or the sum of the four rates, as in
+    ``mc_oma_baseline``; no other baseline statistic is built.
 
     Each chunk draws the gains once, from the NOMA substream of
     ``point_index``, for every grid SNR, signal and mode, so calls that
@@ -377,13 +381,13 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     statistics read each chunk one block of BLOCK draws at a time.
     """
     check_run(n, seed)
-    targets, modes = check_request(metric, targets, modes, oma)
-    system = metric not in PER_SIGNAL
+    targets, modes, signals = check_request(metric, targets, modes, oma)
+    system = "system" in targets
     pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
-    for s in SIGNALS if system else targets:
+    for s in signals:
         pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
     rhos = linear_snr_grid(rhos)
-    counted = metric in ("outage", "throughput_dl", "ee_dl")
+    counted = metric in COUNTED
 
     def run(chunk_index, size):
         """One stats dict per block of the chunk, the last block ragged;
@@ -404,7 +408,7 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
                 config, chunk_generator(seed, 2 * point_index + 1, chunk_index), size)
             for part, b in zip(parts, blocks):
                 part.update(_oma_stats(config, {i: f[b] for i, f in fades.items()},
-                                       rhos, counted))
+                                       rhos, counted, targets))
         return parts
 
     chunks = _map_chunks(_chunk_sizes(n), run, workers)
@@ -429,14 +433,16 @@ def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
 
 def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
               point_index: int = 0, workers=None) -> McEstimate:
-    """Simulated outage probability of one signal's exchange."""
+    """Simulated outage probability of one signal's exchange.  No library route
+    calls it; it stays only because ``perfbench/tracing.py`` patches it."""
     return mc_point(config, n, seed, point_index, workers, metric="outage",
                     targets=(signal,), modes=(mode,))[mode, signal]
 
 
 def mc_ergodic(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
                point_index: int = 0, workers=None) -> McEstimate:
-    """Simulated ergodic rate of one signal's exchange, bits/s/Hz."""
+    """Simulated ergodic rate of one signal's exchange, bits/s/Hz.  No library route
+    calls it; it stays only because ``perfbench/tracing.py`` patches it."""
     return mc_point(config, n, seed, point_index, workers, metric="ergodic_rate",
                     targets=(signal,), modes=(mode,))[mode, signal]
 
@@ -449,10 +455,10 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     system outage is the event any exchange fails, system rate the sum of
     the four per-slot-discounted rates.  Both are the baseline estimates of
     ``mc_point`` and read the same fades, from the baseline substream of
-    ``point_index``.
+    ``point_index``.  No library route calls it; it stays only because
+    ``perfbench/tracing.py`` patches it.
     """
-    if signal != "system" and signal not in SIGNALS:
-        raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
+    targets = () if signal == "system" else (signal,)
     return tuple(mc_point(config, n, seed, point_index, workers, metric=metric,
-                          targets=(), modes=(), oma=True)["oma", signal]
+                          targets=targets, modes=(), oma=True)["oma", signal]
                  for metric in PER_SIGNAL)

@@ -10,10 +10,11 @@ and point index 0 alone, so every grid point reads the same draws
 (common random numbers), and reruns and different worker counts give
 identical bytes.  The analytic and asymptotic columns come from one
 ``metrics.analytic_grid`` call with the same request, which also owns the
-reporting convention for the rate-style metrics.  Both calls key their
-answers (mode, target), so each row reads the two under one key.  Neither
-call reads ``config.rho``, and the sweep makes no per-point copy of the
-config.
+reporting convention for the rate-style metrics.  Both calls answer
+exactly the (mode, target) keys of the request, and the simulation adds
+the baseline's ("oma", target) keys, so a row is one estimate and reads
+its closed form under the same key.  Neither call reads ``config.rho``,
+and the sweep makes no per-point copy of the config.
 """
 
 from __future__ import annotations
@@ -130,27 +131,6 @@ class MetricPoint:
                 raise ValueError("confidence interval must bracket the mean")
 
 
-def _mc_columns(est):
-    return dict(mc_mean=est.mean, mc_ci_low=est.ci_low, mc_ci_high=est.ci_high)
-
-
-def _point_rows(spec, targets, db, values, ests):
-    """One grid point: a row per mode and target, then the baseline rows once."""
-    rows = []
-    for mode in spec.modes:
-        for target in targets:
-            value, asym, feasible = values[mode, target]
-            name = target if target == "system" else f"x{target}"
-            rows.append(MetricPoint(db, name, spec.metric, mode, value, asym,
-                                    feasible=feasible, **_mc_columns(ests[mode, target])))
-    if spec.with_oma:
-        for target in ("system",) + spec.signals:
-            name = "oma:system" if target == "system" else f"oma:x{target}"
-            rows.append(MetricPoint(db, name, spec.metric, "oma", None, None,
-                                    feasible=True, **_mc_columns(ests["oma", target])))
-    return rows
-
-
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
     grid = spec.grid_db()
@@ -163,7 +143,13 @@ def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
                                    spec.with_asymptotic)
     rows = []
     for db, point_values, point_ests in zip(grid, values, ests):
-        rows.extend(_point_rows(spec, targets, db, point_values, point_ests))
+        # a row per estimate; the baseline's have no closed form
+        for (mode, target), est in point_ests.items():
+            value, asym, feasible = point_values.get((mode, target), (None, None, True))
+            name = target if target == "system" else f"x{target}"
+            rows.append(MetricPoint(db, f"oma:{name}" if mode == "oma" else name,
+                                    spec.metric, mode, value, asym, est.mean, est.ci_low,
+                                    est.ci_high, feasible))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows
 

@@ -82,14 +82,13 @@ def _check_outage_vs_mc(config, scale, iterations, seed, workers):
     exacts = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
     worst, band = 0.0, math.inf
     for values, ests in zip(exacts, grid):
-        for mode in SIC_MODES:
-            for s in (1, 2):
-                exact = values[mode, s][0]
-                sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
-                allowed = scale * max(3.0 * sigma, 0.005)
-                gap = abs(ests[mode, s].mean - exact)
-                if gap * band > worst * allowed:
-                    worst, band = gap, allowed
+        for key, est in ests.items():
+            exact = values[key][0]
+            sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
+            allowed = scale * max(3.0 * sigma, 0.005)
+            gap = abs(est.mean - exact)
+            if gap * band > worst * allowed:
+                worst, band = gap, allowed
     return (worst <= band, band, worst,
             "worst |mc - exact| over 10/25/40 dB, x1/x2, both modes")
 
@@ -99,9 +98,8 @@ def _check_floor(config, scale):
     worst = 0.0
     at60, at_floor = analytic_grid(config, (1e6, FLOOR_RHO), "outage", (1, 2),
                                    SIC_MODES, asymptotic=True)
-    for mode in SIC_MODES:
-        for s in (1, 2):
-            worst = max(worst, _rel(at60[mode, s][0], at_floor[mode, s][1]))
+    for key, (value, _, _) in at60.items():
+        worst = max(worst, _rel(value, at_floor[key][1]))
     return worst <= tol, tol, worst, "60 dB exact vs floor, x1/x2, both modes"
 
 
@@ -110,10 +108,9 @@ def _check_diversity(config, scale):
     rhos = [1e5, 1e6]
     values = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
     worst = 0.0
-    for mode in SIC_MODES:
-        for s in (1, 2):
-            probs = [point[mode, s][0] for point in values]
-            worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
+    for key in values[0]:
+        probs = [point[key][0] for point in values]
+        worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
     return (worst <= tol, tol, worst,
             "|slope| of log outage between 50 and 60 dB")
 
@@ -151,9 +148,8 @@ def _check_rate_vs_mc(config, scale, iterations, seed, workers):
                    workers=workers, metric="ergodic_rate", targets=(1, 2),
                    modes=SIC_MODES)[0]
     closed = analytic_grid(config, (100.0,), "ergodic_rate", (1, 2), SIC_MODES)[0]
-    for mode in SIC_MODES:
-        for s in (1, 2):
-            worst = max(worst, _rel(closed[mode, s][0], ests[mode, s].mean))
+    for key, est in ests.items():
+        worst = max(worst, _rel(closed[key][0], est.mean))
     return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
 

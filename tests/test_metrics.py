@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twrnoma import montecarlo
 from twrnoma.analysis import outage_probability
 from twrnoma.configio import PRESETS
 from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
@@ -256,6 +257,84 @@ def test_mc_grid_keys_its_estimates_as_analytic_grid_does(name):
             noma = {key for key in point_ests if key[0] != "oma"}
             assert noma == set(point_values)
             assert (len(point_ests) > len(noma)) == oma
+
+
+_MODE_SETS = [(), ("ipsic",), ("psic",), SIC_MODES]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_both_grids_answer_exactly_the_keys_asked_for(baseline, metric):
+    """Every mode set and target set, the empty ones too: both grids answer
+    (mode, target) for each mode and target and nothing else; the baseline
+    adds ("oma", t) for each signal target and ("oma", "system")."""
+    per_signal = metric in PER_SIGNAL
+    rhos = [10.0, 1e3]
+    for modes in _MODE_SETS:
+        for targets in [(), (1,), (4, 2), (1, 2, 3, 4)] if per_signal else [(), ("system",)]:
+            asked = {(mode, t) for mode in modes for t in targets}
+            for point in analytic_grid(baseline, rhos, metric, targets, modes):
+                assert set(point) == asked, (modes, targets)
+            for oma in (False, True) if per_signal else (False,):
+                extra = {("oma", t) for t in targets + ("system",)} if oma else set()
+                for point in mc_grid(baseline, rhos, 1000, 1, metric=metric,
+                                     targets=targets, modes=modes, oma=oma):
+                    assert set(point) == asked | extra, (modes, targets, oma)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_repeated_target_or_mode_is_asked_once(baseline, metric):
+    """Both grids answer a request that repeats a target and a mode as
+    they answer it without the repeats; every grid SNR keeps its own
+    estimate."""
+    rhos = [1.0, 1e4]
+    target = 1 if metric in PER_SIGNAL else "system"
+    once = dict(metric=metric, targets=(target,), modes=("ipsic",))
+    twice = dict(metric=metric, targets=(target, target), modes=("ipsic", "ipsic"))
+    assert analytic_grid(baseline, rhos, **twice) == analytic_grid(baseline, rhos, **once)
+    assert mc_grid(baseline, rhos, 1000, 1, **twice) == mc_grid(baseline, rhos, 1000, 1,
+                                                                **once)
+
+
+@pytest.mark.parametrize("metric", [m for m in METRICS if m not in PER_SIGNAL])
+def test_a_system_metric_without_targets_draws_no_channel(baseline, metric, monkeypatch):
+    """No "system" target, no answer: an empty dict per SNR from both grids,
+    and no channel draw; the same request for "system" draws."""
+    draws = []
+    original = montecarlo.sample_channel_draw
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
+    rhos = [1.0, 10.0, 100.0]
+    assert analytic_grid(baseline, rhos, metric, (), SIC_MODES) == [{}, {}, {}]
+    assert mc_grid(baseline, rhos, 1000, 1, metric=metric, targets=(),
+                   modes=SIC_MODES) == [{}, {}, {}]
+    assert draws == []
+    mc_grid(baseline, rhos, 1000, 1, metric=metric, targets=("system",), modes=SIC_MODES)
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("metric", PER_SIGNAL)
+def test_a_baseline_for_two_signals_builds_no_statistics_of_the_others(metric,
+                                                                      monkeypatch):
+    """fig2's request names x1 and x2: every block's baseline statistics
+    hold those two and the system, none of x3 or x4."""
+    built = []
+    original = montecarlo._oma_stats
+
+    def recording(*args):
+        stats = original(*args)
+        built.append(set(stats))
+        return stats
+
+    monkeypatch.setattr(montecarlo, "_oma_stats", recording)
+    preset = PRESETS["fig2"]
+    mc_grid(SystemConfig(), [1.0, 10.0], 3 * montecarlo.BLOCK, 1, metric=metric,
+            targets=preset.signals, modes=preset.modes, oma=True)
+    assert preset.signals == (1, 2) and len(built) == 3
+    assert all(keys == {("oma", 1), ("oma", 2), ("oma", "system")} for keys in built)
 
 
 _shares = st.floats(min_value=0.05, max_value=1.0)

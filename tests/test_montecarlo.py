@@ -215,13 +215,15 @@ def test_oma_baseline_is_deterministic_across_workers(baseline):
 @pytest.mark.parametrize("target", ["system", 1, 4])
 def test_oma_pair_equals_the_two_kind_requests(baseline, target):
     """The pair is bit for bit the baseline estimates of an outage and an
-    ergodic-rate request on the same substream, at two point indices."""
+    ergodic-rate request for the target on the same substream, at two point
+    indices; the system needs no signal target."""
     cfg = baseline.with_rho(100.0)
     n, seed = 2 * CHUNK + 1000, 13
+    targets = () if target == "system" else (target,)
     for point in (0, 2):
         pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
         assert pair == tuple(
-            mc_point(cfg, n, seed, point, metric=metric, targets=(), modes=(),
+            mc_point(cfg, n, seed, point, metric=metric, targets=targets, modes=(),
                      oma=True)["oma", target]
             for metric in ("outage", "ergodic_rate"))
 
