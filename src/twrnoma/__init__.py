@@ -16,7 +16,7 @@ from .metrics import (energy_efficiency, throughput_delay_limited,
                       throughput_delay_tolerant)
 from .model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex, SystemConfig,
                     gamma_threshold, sample_channel_draw, sic_epsilon)
-from .montecarlo import McEstimate, ci_bounds, mc_grid, mc_point, oma_outage_exact
+from .montecarlo import McEstimate, ci_bounds, mc_grid, oma_outage_exact
 from .specfun import EULER_GAMMA, expei_neg, expint_ei, hypoexp_laplace
 from .sweep import CSV_HEADER, MetricPoint, SweepSpec, emit_outputs, run_sweep
 from .validate import CheckResult, ValidationReport
@@ -34,7 +34,7 @@ __all__ = [
     "ergodic_rate_strong_quadrature", "ergodic_rate_weak_highsnr",
     "ergodic_rate_weak_numeric", "expei_neg", "expint_ei", "gamma_threshold",
     "high_snr_slope_estimate", "hypoexp_laplace", "load_config", "mc_grid",
-    "mc_point", "oma_outage_exact", "outage_asymptotic", "outage_probability",
-    "parse_config", "run_sweep", "sample_channel_draw", "sic_epsilon",
+    "oma_outage_exact", "outage_asymptotic", "outage_probability", "parse_config",
+    "run_sweep", "sample_channel_draw", "sic_epsilon",
     "throughput_delay_limited", "throughput_delay_tolerant",
 ]

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, Preset, load_config
-from .metrics import METRICS
+from .metrics import METRICS, PER_SIGNAL
 from .model import SIC_MODES, ConfigError, SystemConfig
 from .sweep import OutputError, emit_outputs, emit_plot_script, run_sweep
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
@@ -113,6 +113,7 @@ def _sweep_jobs(args, base_config):
 
     A sweep flag's dest is the spec field it sets; each flag that was given
     replaces its field, and every variant of the preset then makes one job.
+    A flag that no job would read is refused.
     """
     if args.preset:
         base = PRESETS[args.preset]
@@ -120,6 +121,9 @@ def _sweep_jobs(args, base_config):
         base = Preset(metric=args.metric)
     else:
         raise ConfigError("either --preset or --metric is required")
+    if args.metric and any(variant.metric for variant in base.variants):
+        raise ConfigError(f"--metric cannot replace the metric that each variant of "
+                          f"preset {args.preset} names")
     spec = dataclasses.replace(base, **{
         f.name: getattr(args, f.name) for f in dataclasses.fields(base)
         if getattr(args, f.name, None) is not None})
@@ -127,8 +131,12 @@ def _sweep_jobs(args, base_config):
     ext = ext or ".csv"
     jobs = []
     for variant in spec.variants:
+        metric = variant.metric or spec.metric
+        if args.signals and metric not in PER_SIGNAL:
+            raise ConfigError(f"--signals applies only to {' and '.join(PER_SIGNAL)}; "
+                              f"{metric} always sums x1..x4")
         path = f"{root}_{variant.suffix}{ext}" if variant.suffix else root + ext
-        jobs.append((dataclasses.replace(spec, metric=variant.metric or spec.metric),
+        jobs.append((dataclasses.replace(spec, metric=metric),
                      dataclasses.replace(base_config, **variant.overrides), path))
     return jobs
 
@@ -136,7 +144,7 @@ def _sweep_jobs(args, base_config):
 def _cmd_sweep(args):
     base_config = _load(args)
     for spec, cfg, path in _sweep_jobs(args, base_config):
-        table = run_sweep(spec, cfg, workers=max(1, args.workers))
+        table = run_sweep(spec, cfg, workers=args.workers)
         emit_outputs(table, path)
         print(f"wrote {path} ({len(table)} rows)")
         if args.emit_plot:
@@ -149,7 +157,7 @@ def _cmd_validate(args):
     config = _load(args)
     report = validate(config, profile=args.profile,
                       iterations=args.iterations, seed=args.seed,
-                      workers=max(1, args.workers))
+                      workers=args.workers)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 2
@@ -176,6 +184,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
+        if getattr(args, "workers", 1) < 1:
+            raise _UsageError(f"argument --workers: must be at least 1, got {args.workers}")
         if args.print_default_config:
             print(DEFAULT_CONFIG_TEXT, end="")
             return 0
@@ -185,10 +195,7 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
         parser.print_help()
         return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OutputError) as exc:
+    except (_UsageError, ConfigError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -123,12 +123,6 @@ def _integrate_log_trapezoid_grid(fn, scales):
     return totals
 
 
-def _integrate_log_trapezoid(fn, scale):
-    """integral_0^inf fn(x) dx, ``fn`` taking an array of x: the one-integral
-    view of ``_integrate_log_trapezoid_grid``."""
-    return _integrate_log_trapezoid_grid(lambda x, _sizes: fn(x), (scale,))[0]
-
-
 @dataclass(frozen=True)
 class RateIntermediates:
     """Constants of the strong user's no-leakage SINR distribution.
@@ -310,8 +304,8 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str, rho: float):
 
 def _strong_rate_by_quadrature(config, idx, mode):
     ccdf, scale = _strong_ccdf(config, idx, mode, config.rho)
-    return _integrate_log_trapezoid(lambda x: ccdf(x) / (1.0 + x),
-                                    scale) / (2.0 * _LN2)
+    return _integrate_log_trapezoid_grid(lambda x, _sizes: ccdf(x) / (1.0 + x),
+                                         (scale,))[0] / (2.0 * _LN2)
 
 
 def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,

@@ -275,25 +275,23 @@ def oma_threshold(rate_bpcu: float) -> float:
     return 2.0 ** (5.0 * rate_bpcu) - 1.0
 
 
-def sample_channel_draw(config: SystemConfig, stream, size=None) -> ChannelDraw:
-    """Draw the five exponential channel gains from ``stream``.
+def sample_channel_draw(config: SystemConfig, stream, size: int) -> ChannelDraw:
+    """Draw ``size`` of each of the five exponential channel gains from ``stream``.
 
-    ``stream`` is a numpy Generator.  With ``size=None`` the fields are
-    scalars, otherwise arrays of that shape.  Identical stream state yields
-    identical draws, which is what the reproducibility contract rests on.
+    ``stream`` is a numpy Generator, and each field is an array of ``size``
+    gains.  Identical stream state yields identical draws, which is what the
+    reproducibility contract rests on.
 
     One standard-exponential call fills all five gains, g1's first, and each
     is scaled by its mean in place: the variates, their stream order and
     their values equal five ``stream.exponential(Omega, size)`` calls bit
     for bit, since numpy forms exponential(Omega) as Omega times a standard
-    exponential.  The array fields are the rows of one array.
+    exponential.  The fields are the rows of one array.
     """
     scale = np.array([config.omega(1), config.omega(2), config.omega(3),
                       config.omega(4), config.omega_I])
-    if size is None:
-        return ChannelDraw(*(stream.standard_exponential(5) * scale).tolist())
-    gains = stream.standard_exponential((5, *np.atleast_1d(size)))
-    gains *= scale.reshape(5, *(1,) * (gains.ndim - 1))
+    gains = stream.standard_exponential((5, size))
+    gains *= scale.reshape(5, 1)
     return ChannelDraw(*gains)
 
 

@@ -10,8 +10,8 @@ the evidence either one is right.
 One kernel, ``mc_grid``, serves a whole SNR grid: each chunk draws the
 gains once for every grid SNR, signal, SIC mode and system sum (common
 random numbers), and the orthogonal baseline's fades once for all of its
-targets.  ``mc_point`` is its one-point view.  The caller names one
-metric with its targets and SIC modes, as for ``metrics.analytic_grid``,
+targets; the estimates at one SNR are a one-point grid.  The caller names
+one metric with its targets and SIC modes, as for ``metrics.analytic_grid``,
 and the kernel builds only those estimates.  Counted metrics (outage and
 the delay-limited ones) read each draw's inverse critical SNR: every SINR
 is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
@@ -420,31 +420,21 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     return [{key: _scaled(est, scale) for key, est in point.items()} for point in grid]
 
 
-def mc_point(config: SystemConfig, n: int, seed: int, point_index: int = 0,
-             workers=None, *, metric, targets, modes, oma=False) -> dict:
-    """The Monte Carlo estimates of ``metric`` at one point.
-
-    The one-point view of ``mc_grid`` at ``config.rho``: same arguments
-    and keys, same substreams.
-    """
-    return mc_grid(config, (config.rho,), n, seed, point_index, workers,
-                   metric=metric, targets=targets, modes=modes, oma=oma)[0]
-
-
 def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
               point_index: int = 0, workers=None) -> McEstimate:
     """Simulated outage probability of one signal's exchange.  No library route
     calls it; it stays only because ``perfbench/tracing.py`` patches it."""
-    return mc_point(config, n, seed, point_index, workers, metric="outage",
-                    targets=(signal,), modes=(mode,))[mode, signal]
+    return mc_grid(config, (config.rho,), n, seed, point_index, workers,
+                   metric="outage", targets=(signal,), modes=(mode,))[0][mode, signal]
 
 
 def mc_ergodic(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
                point_index: int = 0, workers=None) -> McEstimate:
     """Simulated ergodic rate of one signal's exchange, bits/s/Hz.  No library route
     calls it; it stays only because ``perfbench/tracing.py`` patches it."""
-    return mc_point(config, n, seed, point_index, workers, metric="ergodic_rate",
-                    targets=(signal,), modes=(mode,))[mode, signal]
+    return mc_grid(config, (config.rho,), n, seed, point_index, workers,
+                   metric="ergodic_rate", targets=(signal,),
+                   modes=(mode,))[0][mode, signal]
 
 
 def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
@@ -454,11 +444,12 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     signal is 1..4 for a single exchange or "system" for all four jointly:
     system outage is the event any exchange fails, system rate the sum of
     the four per-slot-discounted rates.  Both are the baseline estimates of
-    ``mc_point`` and read the same fades, from the baseline substream of
-    ``point_index``.  No library route calls it; it stays only because
+    ``mc_grid`` at ``config.rho`` and read the same fades, from the baseline
+    substream of ``point_index``.  No library route calls it; it stays only because
     ``perfbench/tracing.py`` patches it.
     """
     targets = () if signal == "system" else (signal,)
-    return tuple(mc_point(config, n, seed, point_index, workers, metric=metric,
-                          targets=targets, modes=(), oma=True)["oma", signal]
+    return tuple(mc_grid(config, (config.rho,), n, seed, point_index, workers,
+                         metric=metric, targets=targets, modes=(),
+                         oma=True)[0]["oma", signal]
                  for metric in PER_SIGNAL)

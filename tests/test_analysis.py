@@ -208,12 +208,12 @@ def test_diversity_estimate_recovers_slope():
     "ok) as if independent, but both depend on the near user's gain g_k "
     "(ROADMAP item 1): Monte Carlo 0.43020 against 0.41740, z = +13.3"))
 def test_strong_outage_under_heavy_leakage_matches_simulation():
-    from twrnoma.montecarlo import mc_point
+    from twrnoma.montecarlo import mc_grid
 
     n = 2 ** 18
     cfg = SystemConfig(rho=10.0, varpi1=0.3, varpi2=0.3)
-    est = mc_point(cfg, n, 99, metric="outage", targets=(1,),
-                   modes=("ipsic",))["ipsic", 1]
+    est = mc_grid(cfg, [cfg.rho], n, 99, metric="outage", targets=(1,),
+                  modes=("ipsic",))[0]["ipsic", 1]
     p = outage_probability(cfg, 1, "ipsic").p_exact
     z = (est.mean - p) / math.sqrt(p * (1.0 - p) / n)
     assert abs(z) <= 4.0

@@ -274,6 +274,44 @@ def test_unwritable_out_path_exits_one(capsys):
     assert "/no_such_dir/x.csv" in capsys.readouterr().err
 
 
+def _assert_refused(tmp_path, capsys, argv, flag):
+    """Exit 1 with one error line that names the flag, and no file written."""
+    assert run_in(tmp_path, [*argv, "--iterations", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--metric", "throughput_dl", "--snr", "0:10:5"],
+    ["sweep", "--preset", "fig7", "--snr", "0:10:5"],
+    ["sweep", "--preset", "fig6", "--metric", "ee_dt", "--snr", "0:10:5"],
+], ids=["metric", "preset", "replaced_metric"])
+def test_signals_with_a_system_metric_exit_one(tmp_path, capsys, argv):
+    """A system metric always sums x1..x4, so a signal list would change
+    nothing in the CSV."""
+    _assert_refused(tmp_path, capsys, [*argv, "--signals", "x1"], "--signals")
+
+
+@pytest.mark.parametrize("metric", ["outage", "ee_dl"])
+def test_metric_with_a_preset_whose_variants_name_theirs_exits_one(tmp_path, capsys,
+                                                                   metric):
+    """fig8's variants name ee_dl and ee_dt, so --metric would replace
+    nothing."""
+    _assert_refused(tmp_path, capsys,
+                    ["sweep", "--preset", "fig8", "--metric", metric, "--snr", "0:10:5"],
+                    "--metric")
+
+
+@pytest.mark.parametrize("command", [["sweep", "--metric", "outage", "--snr", "0:0:5"],
+                                     ["validate"]], ids=["sweep", "validate"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_one(tmp_path, capsys, command, workers):
+    _assert_refused(tmp_path, capsys, [*command, "--workers", workers], "--workers")
+
+
 def test_validate_exit_codes(capsys):
     assert main(["validate", "--iterations", "20000"]) == 0
     out = capsys.readouterr().out

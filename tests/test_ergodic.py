@@ -19,7 +19,7 @@ from scipy import integrate
 
 from twrnoma.ergodic import (_CONFLUENT, GAUSS_LEGENDRE_8, QuadratureError,
                              _confluent, _divided_difference,
-                             _integrate_log_trapezoid, _psi, _strong_ccdf,
+                             _integrate_log_trapezoid_grid, _psi, _strong_ccdf,
                              compute_rate_intermediates,
                              ergodic_rate_strong_asymptotic,
                              ergodic_rate_strong_closed,
@@ -517,11 +517,11 @@ def test_strong_numeric_leakage_when_a_term_power_underflows(baseline, field):
     "numerator as independent draws (ROADMAP item 1): Monte Carlo "
     "0.87534 against 0.89662, z = +22.7"))
 def test_strong_numeric_leakage_matches_simulation():
-    from twrnoma.montecarlo import _Z95, mc_point
+    from twrnoma.montecarlo import _Z95, mc_grid
 
     cfg = SystemConfig(rho=10.0 ** 2.5)
-    est = mc_point(cfg, 2 ** 18, 99, metric="ergodic_rate", targets=(1,),
-                   modes=("ipsic",))["ipsic", 1]
+    est = mc_grid(cfg, [cfg.rho], 2 ** 18, 99, metric="ergodic_rate", targets=(1,),
+                  modes=("ipsic",))[0]["ipsic", 1]
     z = (ergodic_rate_strong_numeric(cfg, IDX1) - est.mean) / (est.half_width_95 / _Z95)
     assert abs(z) <= 4.0
 
@@ -706,7 +706,7 @@ def test_divergent_quadrature_raises_with_its_partial_estimate():
     constant 1, so the end terms are as large as any other, and the error
     carries the finite estimate and error bound the rule reached."""
     with pytest.raises(QuadratureError) as info:
-        _integrate_log_trapezoid(lambda x: 1.0 / x, 1.0)
+        _integrate_log_trapezoid_grid(lambda x, _sizes: 1.0 / x, (1.0,))
     assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
     assert math.isfinite(info.value.abserr) and info.value.abserr > 0.0
 

@@ -237,7 +237,7 @@ def test_group_exchange_symmetry():
 
 
 @pytest.mark.parametrize("omega_I", [1e-2, 1e-1, 1.0])
-@pytest.mark.parametrize("size", [None, 1, BLOCK + 3, CHUNK])
+@pytest.mark.parametrize("size", [1, BLOCK + 3, CHUNK])
 def test_channel_draw_equals_per_gain_exponentials(omega_I, size):
     """One scaled standard-exponential call is, bit for bit, the five
     per-gain exponential(Omega, size) calls in gain order, at every Omega a

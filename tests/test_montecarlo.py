@@ -12,7 +12,7 @@ from twrnoma.model import (ConfigError, SignalIndex, SystemConfig,
                            inverse_critical_snrs, sample_channel_draw)
 from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
-                                mc_oma_baseline, mc_outage, mc_point,
+                                mc_grid, mc_oma_baseline, mc_outage,
                                 oma_outage_exact, oma_threshold)
 
 
@@ -223,8 +223,8 @@ def test_oma_pair_equals_the_two_kind_requests(baseline, target):
     for point in (0, 2):
         pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
         assert pair == tuple(
-            mc_point(cfg, n, seed, point, metric=metric, targets=targets, modes=(),
-                     oma=True)["oma", target]
+            mc_grid(cfg, [100.0], n, seed, point, metric=metric, targets=targets,
+                    modes=(), oma=True)[0]["oma", target]
             for metric in ("outage", "ergodic_rate"))
 
 

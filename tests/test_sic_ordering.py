@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from twrnoma.analysis import outage_probability
 from twrnoma.model import SystemConfig
-from twrnoma.montecarlo import mc_point
+from twrnoma.montecarlo import mc_grid
 
 
 @st.composite
@@ -31,8 +31,8 @@ def configs(draw):
 @given(cfg=configs(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_psic_fails_on_a_subset_of_the_ipsic_draws(cfg, seed):
-    ests = mc_point(cfg, 1000, seed, metric="outage", targets=(1, 2, 3, 4),
-                    modes=("ipsic", "psic"))
+    ests = mc_grid(cfg, [cfg.rho], 1000, seed, metric="outage", targets=(1, 2, 3, 4),
+                   modes=("ipsic", "psic"))[0]
     for s in (1, 2, 3, 4):
         assert ests["psic", s].mean <= ests["ipsic", s].mean
 

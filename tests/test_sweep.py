@@ -346,8 +346,8 @@ def test_kernel_equals_the_per_mode_rebuild_on_a_ragged_block(baseline, metric):
 def _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, n):
     seed, point = 3, 2
     cfg = baseline.with_rho(10.0 ** 1.5)
-    ests = montecarlo.mc_point(cfg, n, seed, point_index=point, metric=metric,
-                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"))
+    ests = montecarlo.mc_grid(cfg, [cfg.rho], n, seed, point_index=point, metric=metric,
+                              targets=(1, 2, 3, 4), modes=("ipsic", "psic"))[0]
     sizes = [CHUNK] * (n // CHUNK) + [n % CHUNK]
     draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
              for c, size in enumerate(sizes)]
@@ -443,14 +443,14 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
                                              ("throughput_dt", ("system",))],
                          ids=["rate", "throughput_dt"])
 def test_grid_entries_equal_one_point_runs_bit_for_bit(baseline, metric, targets):
-    """Over two chunks, entry j of mc_grid is mc_point at rhos[j] exactly:
-    a grid SNR's estimate reads nothing of the other grid SNRs."""
+    """Over two chunks, entry j of mc_grid is the one-SNR grid at rhos[j]
+    exactly: a grid SNR's estimate reads nothing of the other grid SNRs."""
     rhos = [10.0 ** 3.2, 1.0, 10.0 ** 1.5, 1.0]
     n, seed = CHUNK + 1000, 4
     request = dict(metric=metric, targets=targets, modes=("ipsic", "psic"))
     grid = montecarlo.mc_grid(baseline, rhos, n, seed, 1, **request)
     for rho, ests in zip(rhos, grid):
-        assert ests == montecarlo.mc_point(baseline.with_rho(rho), n, seed, 1, **request)
+        assert ests == montecarlo.mc_grid(baseline, [rho], n, seed, 1, **request)[0]
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -471,21 +471,20 @@ def _targets(metric):
 def test_outage_request_returns_only_outage_estimates(baseline):
     """The NOMA estimates are keyed (mode, signal), the baseline's ("oma",
     target), and an outage request builds no rate moments."""
-    ests = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, metric="outage",
-                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)
+    ests = montecarlo.mc_grid(baseline, [10.0], 2000, 1, metric="outage",
+                              targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)[0]
     assert {key[0] for key in ests} == {"ipsic", "psic", "oma"}
     assert len(ests) == 2 * 4 + 5
-    rates = montecarlo.mc_point(baseline.with_rho(10.0), 2000, 1, metric="ergodic_rate",
-                                targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)
+    rates = montecarlo.mc_grid(baseline, [10.0], 2000, 1, metric="ergodic_rate",
+                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"), oma=True)[0]
     assert set(rates) == set(ests) and rates != ests
 
 
 @pytest.mark.parametrize("metric", ["throughput_dl", "throughput_dt"])
 def test_system_kinds_always_sum_the_four_signals(baseline, metric):
     """A system target sums x1..x4, whatever signals a sweep names."""
-    cfg = baseline.with_rho(10.0)
-    whole = montecarlo.mc_point(cfg, 2000, 1, metric=metric, targets=("system",),
-                                modes=("ipsic", "psic"))
+    whole = montecarlo.mc_grid(baseline, [10.0], 2000, 1, metric=metric,
+                               targets=("system",), modes=("ipsic", "psic"))[0]
     assert set(whole) == {("ipsic", "system"), ("psic", "system")}
     spec = small_spec(metric=metric, signals=(1, 2), start_db=10.0, stop_db=10.0,
                       modes=("ipsic", "psic"), master_seed=1)
@@ -517,21 +516,21 @@ def test_kind_requests_are_checked(baseline):
     """mc_grid refuses a request analytic_grid refuses, with the same
     message, and a baseline for a system metric."""
     with pytest.raises(ValueError, match="unknown metric 'latency'"):
-        montecarlo.mc_point(baseline, 2000, 1, metric="latency", targets=(1,),
-                            modes=("ipsic",))
+        montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="latency", targets=(1,),
+                           modes=("ipsic",))
     with pytest.raises(ValueError, match="cannot take target 'system'"):
-        montecarlo.mc_point(baseline, 2000, 1, metric="outage", targets=("system",),
-                            modes=("ipsic",))
+        montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="outage",
+                           targets=("system",), modes=("ipsic",))
     with pytest.raises(ValueError, match="cannot take target 1"):
-        montecarlo.mc_point(baseline, 2000, 1, metric="ee_dt", targets=(1,),
-                            modes=("ipsic",))
+        montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="ee_dt", targets=(1,),
+                           modes=("ipsic",))
     with pytest.raises(ValueError, match="SIC mode must be one of"):
-        montecarlo.mc_point(baseline, 2000, 1, metric="outage", targets=(1,),
-                            modes=("sic",))
+        montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="outage", targets=(1,),
+                           modes=("sic",))
     for metric in ("throughput_dl", "throughput_dt", "ee_dl", "ee_dt"):
         with pytest.raises(ValueError, match="orthogonal baseline"):
-            montecarlo.mc_point(baseline, 2000, 1, metric=metric, targets=("system",),
-                                modes=("ipsic",), oma=True)
+            montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric=metric,
+                               targets=("system",), modes=("ipsic",), oma=True)
     for rhos in ([], [1.0, 0.0], [float("inf")], [[1.0]]):
         with pytest.raises(ValueError, match="rhos"):
             montecarlo.mc_grid(baseline, rhos, 2000, 1, metric="outage", targets=(1,),

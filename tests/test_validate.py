@@ -7,7 +7,7 @@ import pytest
 from twrnoma import ergodic, montecarlo
 from twrnoma import validate as battery
 from twrnoma.model import ConfigError, SystemConfig
-from twrnoma.montecarlo import mc_point
+from twrnoma.montecarlo import mc_grid
 
 
 def test_a_raising_check_is_reported_under_its_own_name(monkeypatch):
@@ -104,9 +104,9 @@ def test_outage_check_reads_point_index_zero_at_10_db(monkeypatch):
     cfg = SystemConfig()
     battery._check_outage_vs_mc(cfg, 1.0, 3000, 11, 1)
     assert len(grids) == 1 and len(grids[0]) == 3
-    assert grids[0][0] == mc_point(cfg.with_rho(10.0), 3000, 11, point_index=0,
-                                   metric="outage", targets=(1, 2),
-                                   modes=("ipsic", "psic"))
+    assert grids[0][0] == mc_grid(cfg, [10.0], 3000, 11, point_index=0,
+                                  metric="outage", targets=(1, 2),
+                                  modes=("ipsic", "psic"))[0]
 
 
 def test_battery_moves_the_snr_by_argument(monkeypatch):
