@@ -124,6 +124,10 @@ def _sweep_jobs(args, base_config):
     if args.metric and any(variant.metric for variant in base.variants):
         raise ConfigError(f"--metric cannot replace the metric that each variant of "
                           f"preset {args.preset} names")
+    if args.metric and base.with_oma and args.metric not in PER_SIGNAL:
+        raise ConfigError(f"--metric {args.metric} cannot replace the metric of preset "
+                          f"{args.preset}: the preset adds the orthogonal baseline, "
+                          f"which has {' and '.join(PER_SIGNAL)} estimates only")
     spec = dataclasses.replace(base, **{
         f.name: getattr(args, f.name) for f in dataclasses.fields(base)
         if getattr(args, f.name, None) is not None})

@@ -18,7 +18,11 @@ is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
 outcome at every grid SNR at once, and the failures at each grid SNR are
 one comparison count.  Rate metrics read the same A and B, formed once per
 block: at each grid SNR a chain's SINR is the least A / (B + 1/rho) over
-its decodes, and a decode no SIC mode changes is evaluated once.
+its decodes, and a decode no SIC mode changes is evaluated once.  The
+delay-tolerant system rate is 0.5 log2 of the product of the four factors
+1 + SINR, one logarithm per SNR and mode, except at an SNR where the
+product could leave the float range, which sums four logarithms; the half
+of every rate is taken on the moments, which is exact.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Each chunk draws its
@@ -47,6 +51,10 @@ CHUNK = 1 << 17
 BLOCK = 1 << 13
 
 _Z95 = 1.959963984540054
+
+# A product of factors whose log2 bounds sum below this stays finite, with
+# room for the rounding of each bound, factor and product (doubles end at 2^1024).
+_PRODUCT_LOG2_BOUND = 1000.0
 
 
 @dataclass(frozen=True)
@@ -209,34 +217,58 @@ def _counted_stats(config, draw, pairs, modes, system, rhos):
 def _rate_stats(config, draw, pairs, modes, system, rhos):
     """Per grid SNR, in grid order, the rate moments of each signal, or with
     ``system`` of the per-draw sum of all four; a chain's SINR is its least
-    A / (B + 1/rho).  Peak memory beyond the draw: its coefficients, at most
-    ten arrays per pairing, a mode-free SINR, a rate sample and one sum per
-    mode, each the length of the draw, which ``mc_grid`` keeps to one block.
+    A / (B + 1/rho).
+
+    A rate is 0.5 log2(1 + SINR); its half is taken on each block's moments
+    (mean times 0.5, M2 times 0.25), which is exact.  The system sum is 0.5
+    log2 of the product of the four factors 1 + SINR, one logarithm per mode.
+    As B >= 0, a factor is at most 1 + rho A of its chain's mode-free decode;
+    at an SNR where the block's largest such bounds could carry the product
+    past the float range, the sum is of the four logarithms instead, with the
+    bits of a sum of rates.  Peak memory beyond the draw: its coefficients, at
+    most ten arrays per pairing, a mode-free SINR, a factor and one product
+    or sum per mode, each the length of the draw, which ``mc_grid`` keeps to
+    one block.
     """
     chains = {idx: sinr_coefficients(config, draw, idx, modes) for idx in pairs}
-    size = draw.g1.size
+    peaks = [float(a.max()) for mode_free, _ in chains.values()
+             for a, _ in mode_free] if system else []
     stats = {}
     for rho in rhos:
         u = 1.0 / rho
-        totals = {m: np.zeros(size) for m in modes if system}
+        product = system and sum(math.log2(1.0 + rho * a)
+                                 for a in peaks) < _PRODUCT_LOG2_BOUND
+        fold = np.multiply if product else np.add
+        totals = {}
         for idx, members in pairs.items():
             mode_free, per_mode = chains[idx]
             for s in members:
                 chain = 0 if s == idx.l else 1             # strong, weak
                 free = _sinr(mode_free[chain], u)
                 for mode, decodes in zip(modes, per_mode):
-                    rate = _sinr(decodes[chain], u)
-                    np.minimum(rate, free, out=rate)
-                    rate += 1.0
-                    np.log2(rate, out=rate)
-                    rate *= 0.5                     # 0.5 log2(1 + SINR)
-                    if system:
-                        totals[mode] += rate
+                    term = _sinr(decodes[chain], u)
+                    np.minimum(term, free, out=term)
+                    term += 1.0                     # 1 + SINR
+                    if not product:
+                        np.log2(term, out=term)     # 2 x the rate
+                    if not system:
+                        stats.setdefault((mode, s), []).append(_half_moments(term))
+                    elif mode in totals:
+                        fold(totals[mode], term, out=totals[mode])
                     else:
-                        stats.setdefault((mode, s), []).append(_moments(rate))
+                        totals[mode] = term
         for mode, total in totals.items():
-            stats.setdefault((mode, "system"), []).append(_moments(total))
+            if product:
+                np.log2(total, out=total)
+            stats.setdefault((mode, "system"), []).append(_half_moments(total))
     return stats
+
+
+def _half_moments(x):
+    """The (n, mean, M2) of 0.5 x; halving is exact, so these are the bits
+    the samples 0.5 x would give."""
+    n, mean, m2 = _moments(x)
+    return n, 0.5 * mean, 0.25 * m2
 
 
 def _sinr(coefficients, u):

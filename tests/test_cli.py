@@ -305,6 +305,18 @@ def test_metric_with_a_preset_whose_variants_name_theirs_exits_one(tmp_path, cap
                     "--metric")
 
 
+def test_system_metric_with_a_preset_that_adds_the_baseline_exits_one(tmp_path, capsys):
+    """fig2 adds the orthogonal baseline, and no flag turns it off, so the
+    refusal names the preset rather than a baseline the user never asked for."""
+    assert run_in(tmp_path, ["sweep", "--preset", "fig2", "--metric", "throughput_dl",
+                             "--snr", "0:10:5", "--iterations", "2000"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: --metric throughput_dl cannot replace the metric of preset fig2: the "
+        "preset adds the orthogonal baseline, which has outage and ergodic_rate "
+        "estimates only\n"))
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", [["sweep", "--metric", "outage", "--snr", "0:0:5"],
                                      ["validate"]], ids=["sweep", "validate"])
 @pytest.mark.parametrize("workers", ["0", "-3"])

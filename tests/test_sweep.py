@@ -439,6 +439,46 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
                           _per_draw_system_sum(mcfg, draw, "throughput_dt", mode))
 
 
+# (alpha, SNR dB) -> {(metric, mode): mean}: 2000 draws, seed 1, recorded
+# while the system rate was still a sum of four logarithms.
+_FLOAT_RANGE_MEANS = {
+    (60.0, 10.0): {("throughput_dt", "ipsic"): 597.6833219205828,
+                   ("throughput_dt", "psic"): 597.7902518456804,
+                   ("ee_dt", "ipsic"): 59.76833219205828,
+                   ("ee_dt", "psic"): 59.77902518456804},
+    (40.0, 1000.0): {("throughput_dt", "ipsic"): 402.9105528859659,
+                     ("throughput_dt", "psic"): 727.3454475462877,
+                     ("ee_dt", "ipsic"): 40.291055288596596,
+                     ("ee_dt", "psic"): 72.73454475462877},
+}
+
+
+@pytest.mark.parametrize("alpha, db", sorted(_FLOAT_RANGE_MEANS))
+@pytest.mark.parametrize("metric", ["throughput_dt", "ee_dt"])
+def test_system_rate_past_the_float_range_of_a_product(alpha, db, metric):
+    """A distance of 1e-3 at path loss 60 (or 40 at 1000 dB) makes each
+    factor 1 + SINR of the strong signals 2^600 or more, so their product
+    would overflow; the system rate is then the sum of the four logarithms,
+    finite, equal to the per-draw rebuild and bit for bit the recorded
+    value.  Warnings are errors here, so an overflow fails too."""
+    n, seed = 2000, 1
+    cfg = SystemConfig(varpi1=0.0, varpi2=0.0, d1=1e-3, d2=1e3, alpha=alpha)
+    rho = 10.0 ** (db / 10.0)
+    modes = ("ipsic", "psic")
+    ests = montecarlo.mc_grid(cfg, [rho], n, seed, metric=metric,
+                              targets=("system",), modes=modes)[0]
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
+    scale = energy_efficiency(1.0, cfg) if metric == "ee_dt" else 1.0
+    for mode in modes:
+        est = ests[mode, "system"]
+        assert np.isfinite([est.mean, est.ci_low, est.ci_high]).all()
+        x = scale * _per_draw_system_sum(cfg.with_rho(rho), draw, "throughput_dt", mode)
+        assert est.mean == pytest.approx(x.mean(), rel=1e-12)
+        assert est.half_width_95 == pytest.approx(
+            1.959963984540054 * x.std(ddof=1) / np.sqrt(n), rel=1e-12)
+        assert est.mean == _FLOAT_RANGE_MEANS[alpha, db][metric, mode]
+
+
 @pytest.mark.parametrize("metric, targets", [("ergodic_rate", (1, 2, 3, 4)),
                                              ("throughput_dt", ("system",))],
                          ids=["rate", "throughput_dt"])
@@ -555,11 +595,15 @@ def _mc_column_digest(name, n):
 
 # At 2000 iterations, one block of one chunk.  Recorded when a sweep began
 # reading one substream for its whole grid, and fig8 again when rates became
-# A / (B + 1/rho) (its ee_dt cells moved by at most 3.5e-16 relative); any
-# kernel change that moves one byte of a Monte Carlo column fails here.
+# A / (B + 1/rho) (its ee_dt cells moved by at most 3.5e-16 relative) and
+# when the system rate became one logarithm of a product (by at most
+# 2.3e-16).  fig6, the per-signal rates, was recorded before the half of
+# each rate moved onto the moments, and holds since.  Any kernel change that
+# moves one byte of a Monte Carlo column fails here.
 MC_COLUMN_DIGESTS = {
     "fig3": "17c1268a17b858f0002a76c15f8d5f2b70adc7fd9c2363c52664b1597245f26c",
-    "fig8": "4f12cfbb8bfc5c17920b78ea9a460563b8eb70c460f2fbf94e6a78ecbefa4958",
+    "fig6": "6be3c89df54164b219cac4d0876eab48c6a6ac50a7855d5032d0afd9ae537978",
+    "fig8": "4d3a23d7d609654759a01ebe366ad15ebe39ebd7679d96bb79c654d94700d50f",
 }
 
 
@@ -572,12 +616,15 @@ def test_monte_carlo_columns_are_frozen(name):
 # fig2 (with its baseline rows), fig3 and fig5 are counted metrics, recorded
 # before statistics were taken per block, and hold since.  fig7's rate
 # moments merge per block, and were recorded after that change (cells moved
-# by at most 4.0e-16 relative).
+# by at most 4.0e-16 relative) and again when the system rate became one
+# logarithm of a product (by at most 2.0e-16).  fig6's per-signal rates were
+# recorded before the half of each rate moved onto the moments.
 MC_COLUMN_DIGESTS_PAST_ONE_BLOCK = {
     "fig2": "f60c8ceac3797bfb97aa2906b946efa79335c6c154a6a27721f2bdab500bcc41",
     "fig3": "ca49a3b965f17e28f115821c66ebac08b429446d70cf3d2ff6bca51a89125903",
     "fig5": "69b3c26c20daa31d931dd429be651efb9cf65f2fcc7ab1222a497a9f47b3b0d0",
-    "fig7": "0e03b5c0c67c6233f4fc632d122c51f917c8e84b37cbe191746d964a293f8395",
+    "fig6": "1f0af0840c9b1a66c1af7833fcc6da90eae44815d409876f7cc1bf8dc14a5ccc",
+    "fig7": "4ce39c7c0423c4a0da5323858df90b0ab5ff05767964a1345bd6877b660894e6",
 }
 
 
