@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 for configuration or usage problems, 2 when
 the validation battery reports a failing check.  SNR is taken in dB on
-the command line and converted once, here, to the linear scale the
-library works in.
+the command line; ``SweepSpec`` checks the grid's end points, and
+``run_sweep`` converts the grid to the linear scale the library works in.
 """
 
 from __future__ import annotations

@@ -26,12 +26,13 @@ of every rate is taken on the moments, which is exact.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Each chunk draws its
-gains in one call and hands the statistics one block of BLOCK draws at a
-time, as views: every temporary is then a block long, small enough for the
-allocator to reuse and for the cache to hold, where chunk-long ones would
-be mapped in afresh each time.  Chunks and blocks have fixed sizes, counts
-are summed exactly and moments merge in fixed (chunk, block) order, so
-results are bit-identical for any worker count.
+gains in one call and the baseline's fades in another, each set the rows of
+one array, and one loop hands the statistics of both one block of BLOCK
+draws at a time, as views: every temporary is then a block long, small
+enough for the allocator to reuse and for the cache to hold, where
+chunk-long ones would be mapped in afresh each time.  Chunks and blocks
+have fixed sizes, counts are summed exactly and moments merge in fixed
+(chunk, block) order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -110,17 +111,10 @@ def chunk_generator(master_seed: int, effective_point_index: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chunk_sizes(n):
-    sizes = []
-    left = int(n)
-    while left > 0:
-        take = min(CHUNK, left)
-        sizes.append(take)
-        left -= take
-    return sizes
-
-
-def _map_chunks(sizes, worker_fn, workers):
+def _map_chunks(n, worker_fn, workers):
+    """``worker_fn(chunk_index, size)`` over the chunks of ``n`` draws, in order."""
+    n = int(n)
+    sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker_fn, range(len(sizes)), sizes))
@@ -279,45 +273,44 @@ def _sinr(coefficients, u):
 
 
 def _oma_fades(config, stream, size):
-    """Each baseline target's end-to-end fade: its uplink's or its partner's
-    downlink's, whichever is weaker.  One standard-exponential call draws
-    the four uplinks, then the four downlinks; each row is scaled by its
-    link's mean, and each downlink is folded into its partner's uplink in
-    place.  The variates equal eight ``stream.exponential`` calls bit for
-    bit, as in ``sample_channel_draw``."""
-    scale = [config.omega(i) for i in (1, 2, 3, 4)] * 2
+    """The baseline's end-to-end fades, row i - 1 for signal i: its uplink's
+    or its partner's downlink's, whichever is weaker.  One
+    standard-exponential call draws the four uplinks, then the four
+    downlinks; each row is scaled by its link's mean, and each downlink is
+    folded into its partner's uplink in place.  Returns the first four rows
+    of that (8, size) link array; the variates equal eight
+    ``stream.exponential`` calls bit for bit, as in ``sample_channel_draw``."""
+    scale = [config.omega(i) for i in SIGNALS] * 2
     links = stream.standard_exponential((8, size))
     links *= np.reshape(scale, (8, 1))
-    fades = {i: links[i - 1] for i in (1, 2, 3, 4)}
-    for j in (1, 2, 3, 4):
-        fade = fades[_OMA_PARTNER[j]]
-        np.minimum(fade, links[3 + j], out=fade)
-    return fades
+    for i, partner in _OMA_PARTNER.items():
+        np.minimum(links[i - 1], links[3 + partner], out=links[i - 1])
+    return links[:4]
 
 
 def _oma_stats(config, fades, rhos, counted, signals):
     """Orthogonal-baseline failure counts if ``counted``, else per grid SNR
     rate moments, for each of ``signals`` and for the system of all four,
-    from the fades it is handed."""
+    from the (4, size) fades it is handed, row i - 1 for signal i."""
     if counted:
         # rho fade > thr exactly when fade / thr > 1/rho
-        margins = {i: fade * inverse_threshold(oma_threshold(config.rate(i)))
-                   for i, fade in fades.items()}
-        stats = {("oma", i): _failures(margins[i], rhos) for i in signals}
+        margins = fades * np.array([[inverse_threshold(oma_threshold(config.rate(i)))]
+                                    for i in SIGNALS])
+        stats = {("oma", i): _failures(margins[i - 1], rhos) for i in signals}
         # the system fails at rho when any exchange does
-        stats["oma", "system"] = _failures(
-            np.minimum(np.minimum(margins[1], margins[2]),
-                       np.minimum(margins[3], margins[4])), rhos)
+        stats["oma", "system"] = _failures(margins.min(axis=0), rhos)
         return stats
     stats = {("oma", target): [] for target in signals + ("system",)}
+    rates = np.empty(fades.shape)
     for rho in rhos:
-        total = np.zeros(fades[1].size)
-        for i, fade in fades.items():
-            rate = 0.2 * np.log2(1.0 + rho * fade)
-            if i in signals:
-                stats["oma", i].append(_moments(rate))
-            total += rate
-        stats["oma", "system"].append(_moments(total))
+        # 0.2 log2(1 + rho fade) in place; fresh four-row temporaries are slower
+        np.multiply(fades, rho, out=rates)
+        rates += 1.0
+        np.log2(rates, out=rates)
+        rates *= 0.2
+        for i in signals:
+            stats["oma", i].append(_moments(rates[i - 1]))
+        stats["oma", "system"].append(_moments(rates[0] + rates[1] + rates[2] + rates[3]))
     return stats
 
 
@@ -379,14 +372,19 @@ def _scaled(est, scale):
                       ci_high=est.ci_high * scale)
 
 
-def check_run(n, seed):
-    """ConfigError unless ``n`` samples from master ``seed`` make a run: the
-    one check of a sample count and a seed."""
+def check_run(n, seed, point_index=0, workers=None):
+    """ConfigError unless ``n`` samples from master ``seed`` at ``point_index``
+    on ``workers`` threads (None or an int of at least 1) make a run: the one
+    check of a run's inputs."""
     if n < 1000:
         raise ConfigError(f"a Monte Carlo run needs at least 1000 samples to "
                           f"state a confidence interval, got {n!r}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed!r}")
+    if point_index < 0:
+        raise ConfigError(f"point index must be nonnegative, got {point_index!r}")
+    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+        raise ConfigError(f"workers must be None or an int of at least 1, got {workers!r}")
 
 
 def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
@@ -412,7 +410,7 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     differ only in ``metric`` or in ``rhos`` share their draws.  The
     statistics read each chunk one block of BLOCK draws at a time.
     """
-    check_run(n, seed)
+    check_run(n, seed, point_index, workers)
     targets, modes, signals = check_request(metric, targets, modes, oma)
     system = "system" in targets
     pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
@@ -420,30 +418,29 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
         pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
     rhos = linear_snr_grid(rhos)
     counted = metric in COUNTED
+    stats = _counted_stats if counted else _rate_stats
 
     def run(chunk_index, size):
         """One stats dict per block of the chunk, the last block ragged;
         each block is a view of the chunk's draws."""
-        blocks = [slice(start, start + BLOCK) for start in range(0, size, BLOCK)]
-        parts = [{} for _ in blocks]
-        if pairs:
-            # one draw serves every rho and mode
+        if pairs:            # one draw serves every rho and mode
             draw = sample_channel_draw(
                 config, chunk_generator(seed, 2 * point_index, chunk_index), size=size)
-            stats = _counted_stats if counted else _rate_stats
-            for part, b in zip(parts, blocks):
-                part.update(stats(config, ChannelDraw(draw.g1[b], draw.g2[b], draw.g3[b],
-                                                      draw.g4[b], draw.gI[b]),
-                                  pairs, modes, system, rhos))
         if oma:
             fades = _oma_fades(
                 config, chunk_generator(seed, 2 * point_index + 1, chunk_index), size)
-            for part, b in zip(parts, blocks):
-                part.update(_oma_stats(config, {i: f[b] for i, f in fades.items()},
-                                       rhos, counted, targets))
+        parts = []
+        for start in range(0, size, BLOCK):
+            b = slice(start, start + BLOCK)
+            part = stats(config, ChannelDraw(draw.g1[b], draw.g2[b], draw.g3[b],
+                                             draw.g4[b], draw.gI[b]),
+                         pairs, modes, system, rhos) if pairs else {}
+            if oma:
+                part.update(_oma_stats(config, fades[:, b], rhos, counted, targets))
+            parts.append(part)
         return parts
 
-    chunks = _map_chunks(_chunk_sizes(n), run, workers)
+    chunks = _map_chunks(n, run, workers)
     grid = _reduce(config, [part for parts in chunks for part in parts], n, seed,
                    rhos.size)
     if not metric.startswith("ee_"):

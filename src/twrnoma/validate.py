@@ -241,7 +241,7 @@ def validate(config: SystemConfig, profile: str = "default",
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
-    check_run(iterations, seed)
+    check_run(iterations, seed, workers=workers)
     scale = PROFILES[profile]
     checks = (
         ("outage_closed_vs_mc",

@@ -17,7 +17,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from twrnoma.analysis import (diversity_order_estimate, outage_asymptotic,
                               outage_probability)

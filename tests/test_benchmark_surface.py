@@ -68,7 +68,9 @@ def test_the_config_reads_of_the_workloads_and_oracles():
 def test_the_preset_fields_the_workloads_read():
     for preset in configio.PRESETS.values():
         start, stop, step = preset.snr
-        assert preset.metric and preset.signals and preset.modes
+        assert start <= stop and step > 0
+        assert isinstance(preset.metric, str) and preset.metric
+        assert preset.signals and preset.modes and preset.variants
         assert isinstance(preset.with_oma, bool)
         for variant in preset.variants:
             assert isinstance(variant.suffix, str)

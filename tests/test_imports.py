@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and the
-package exports exactly what ``__init__.py`` imports.
+"""Every name a library module, demo or test file imports is used in that
+file, and the package exports exactly what ``__init__.py`` imports.
 
 No lint tool runs in this project's test suite, so an import left behind
 by a removal would otherwise go unnoticed.  ``__init__.py`` imports names
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twrnoma"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twrnoma"
 
 
 def _unused_imports(source):
@@ -38,6 +39,12 @@ def test_the_check_sees_an_unused_import():
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py")]),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_script_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 

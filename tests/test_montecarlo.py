@@ -94,6 +94,22 @@ def test_run_shape_validation(baseline):
         mc_outage(baseline, 1, "ipsic", 10_000, -3)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"workers": 0}, "workers must be None or an int of at least 1, got 0"),
+    ({"workers": -3}, "workers must be None or an int of at least 1, got -3"),
+    ({"workers": 2.5}, "workers must be None or an int of at least 1, got 2.5"),
+    ({"point_index": -1}, "point index must be nonnegative, got -1"),
+], ids=["workers=0", "workers=-3", "workers=2.5", "point_index=-1"])
+def test_run_inputs_are_refused(baseline, kwargs, message):
+    """A worker count other than None or an int >= 1, or a negative point
+    index, is a ConfigError before any draw, not a serial run or a numpy
+    error."""
+    with pytest.raises(ConfigError) as info:
+        montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="outage", targets=(1,),
+                           modes=("ipsic",), **kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
 def test_a_subnormal_snr_is_refused(baseline, metric):
     """At rho = 1e-310, 1/rho overflows, so no SINR A / (B + 1/rho) exists:
@@ -186,16 +202,17 @@ def test_oma_simulation_matches_exact(baseline):
 
 @pytest.mark.parametrize("size", [1, BLOCK + 3, CHUNK])
 def test_oma_fades_equal_per_link_exponentials(baseline, size):
-    """The baseline fades are, bit for bit, min(uplink_i, downlink of i's
-    partner) over eight per-link exponential(Omega, size) calls, the four
-    uplinks first."""
+    """Row i - 1 of the baseline fades is, bit for bit, min(uplink_i,
+    downlink of i's partner) over eight per-link exponential(Omega, size)
+    calls, the four uplinks first."""
     fades = montecarlo._oma_fades(baseline, chunk_generator(7, 1, 3), size)
+    assert fades.shape == (4, size)
     reference = chunk_generator(7, 1, 3)
     uplinks = [reference.exponential(baseline.omega(i), size) for i in (1, 2, 3, 4)]
     downlinks = [reference.exponential(baseline.omega(j), size) for j in (1, 2, 3, 4)]
     for i, partner in ((1, 3), (2, 4), (3, 1), (4, 2)):
-        assert np.array_equal(fades[i], np.minimum(uplinks[i - 1],
-                                                   downlinks[partner - 1]))
+        assert np.array_equal(fades[i - 1], np.minimum(uplinks[i - 1],
+                                                       downlinks[partner - 1]))
 
 
 def test_oma_rejects_unknown_signal(baseline):

@@ -577,20 +577,25 @@ def test_kind_requests_are_checked(baseline):
                                modes=("ipsic",))
 
 
-def _mc_column_digest(name, n):
+def _mc_columns_digest(runs):
     """sha256 over the mc_mean,mc_ci_low,mc_ci_high columns (header
-    included) of every CSV of the preset, n iterations, seed 11, default
-    config."""
-    preset = PRESETS[name]
+    included) of the CSV of each (spec, config) run, in order."""
     digest = hashlib.sha256()
-    for variant in preset.variants:
-        spec = dataclasses.replace(preset, metric=variant.metric or preset.metric,
-                                   modes=("ipsic", "psic"), mc_iterations=n,
-                                   master_seed=11)
-        cfg = dataclasses.replace(SystemConfig(), **variant.overrides)
+    for spec, cfg in runs:
         for line in render_csv(run_sweep(spec, cfg)).splitlines():
             digest.update((",".join(line.split(",")[6:9]) + "\n").encode())
     return digest.hexdigest()
+
+
+def _mc_column_digest(name, n):
+    """The Monte Carlo columns' digest of every CSV of the preset, n
+    iterations, seed 11, default config."""
+    preset = PRESETS[name]
+    return _mc_columns_digest(
+        (dataclasses.replace(preset, metric=variant.metric or preset.metric,
+                             modes=("ipsic", "psic"), mc_iterations=n, master_seed=11),
+         dataclasses.replace(SystemConfig(), **variant.overrides))
+        for variant in preset.variants)
 
 
 # At 2000 iterations, one block of one chunk.  Recorded when a sweep began
@@ -618,13 +623,17 @@ def test_monte_carlo_columns_are_frozen(name):
 # moments merge per block, and were recorded after that change (cells moved
 # by at most 4.0e-16 relative) and again when the system rate became one
 # logarithm of a product (by at most 2.0e-16).  fig6's per-signal rates were
-# recorded before the half of each rate moved onto the moments.
+# recorded before the half of each rate moved onto the moments.  fig4 and
+# fig8 were recorded before the baseline's fades became rows of the link
+# array.
 MC_COLUMN_DIGESTS_PAST_ONE_BLOCK = {
     "fig2": "f60c8ceac3797bfb97aa2906b946efa79335c6c154a6a27721f2bdab500bcc41",
     "fig3": "ca49a3b965f17e28f115821c66ebac08b429446d70cf3d2ff6bca51a89125903",
+    "fig4": "f46710e1c48844766ea4438eac83df2c4d6b28889a29a088dd235dd73158b3a2",
     "fig5": "69b3c26c20daa31d931dd429be651efb9cf65f2fcc7ab1222a497a9f47b3b0d0",
     "fig6": "1f0af0840c9b1a66c1af7833fcc6da90eae44815d409876f7cc1bf8dc14a5ccc",
     "fig7": "4ce39c7c0423c4a0da5323858df90b0ab5ff05767964a1345bd6877b660894e6",
+    "fig8": "1c02aee4c1be0283370fa5cec90a2616305629c5ec0befaedd6051cc7c2d5f98",
 }
 
 
@@ -632,6 +641,23 @@ MC_COLUMN_DIGESTS_PAST_ONE_BLOCK = {
 def test_monte_carlo_columns_past_one_block_are_frozen(name):
     assert _mc_column_digest(name, 2 * CHUNK + 1000) == \
         MC_COLUMN_DIGESTS_PAST_ONE_BLOCK[name]
+
+
+# The Monte Carlo columns of an ergodic_rate sweep of all four signals with
+# the baseline: its per-signal and system rates, which no preset reads.
+# Recorded before the baseline's fades became rows of the link array and its
+# rates one array operation per SNR.
+OMA_RATE_DIGESTS = {
+    2000: "d0299f8406804dde325629416e4fff97d2d87dbcf3cbcbe5c3c5d00bb3ab6b00",
+    2 * CHUNK + 1000: "2b68387059576f80070bd56037b926b4a1cf5b50ee130618900524b828296c8e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(OMA_RATE_DIGESTS))
+def test_baseline_rate_columns_are_frozen(n):
+    spec = SweepSpec(metric="ergodic_rate", signals=(1, 2, 3, 4), modes=("ipsic", "psic"),
+                     snr=(0.0, 50.0, 5.0), with_oma=True, mc_iterations=n, master_seed=11)
+    assert _mc_columns_digest([(spec, SystemConfig())]) == OMA_RATE_DIGESTS[n]
 
 
 # sha256 over the snr_db..asymptotic and feasible columns (header included)

@@ -38,6 +38,16 @@ def test_negative_seed_is_refused_up_front(monkeypatch):
         battery.validate(SystemConfig(), seed=-1)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5])
+def test_bad_worker_counts_are_refused_up_front(monkeypatch, workers):
+    def unreachable(*args):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(battery, "_check_outage_vs_mc", unreachable)
+    with pytest.raises(ConfigError, match="workers must be None or an int of at least 1"):
+        battery.validate(SystemConfig(), workers=workers)
+
+
 @pytest.mark.parametrize("seed", [battery.DEFAULT_VALIDATE_SEED, 1, 2])
 @pytest.mark.parametrize("profile", sorted(battery.PROFILES))
 def test_laplace_check_passes_at_three_seeds(seed, profile):
