@@ -16,7 +16,7 @@ import sys
 from .configio import DEFAULT_CONFIG_TEXT, PRESETS, Preset, load_config
 from .metrics import METRICS, PER_SIGNAL
 from .model import SIC_MODES, ConfigError, SystemConfig
-from .sweep import OutputError, emit_outputs, emit_plot_script, run_sweep
+from .sweep import OutputError, emit_outputs, emit_plot_script, run_sweeps
 from .validate import DEFAULT_VALIDATE_SEED, PROFILES, validate
 
 
@@ -146,9 +146,9 @@ def _sweep_jobs(args, base_config):
 
 
 def _cmd_sweep(args):
-    base_config = _load(args)
-    for spec, cfg, path in _sweep_jobs(args, base_config):
-        table = run_sweep(spec, cfg, workers=args.workers)
+    jobs = _sweep_jobs(args, _load(args))
+    tables = run_sweeps([(spec, cfg) for spec, cfg, _ in jobs], workers=args.workers)
+    for (_, _, path), table in zip(jobs, tables):
         emit_outputs(table, path)
         print(f"wrote {path} ({len(table)} rows)")
         if args.emit_plot:

@@ -275,7 +275,8 @@ def oma_threshold(rate_bpcu: float) -> float:
     return 2.0 ** (5.0 * rate_bpcu) - 1.0
 
 
-def sample_channel_draw(config: SystemConfig, stream, size: int) -> ChannelDraw:
+def sample_channel_draw(config: SystemConfig, stream, size: int,
+                        unit=()) -> ChannelDraw:
     """Draw ``size`` of each of the five exponential channel gains from ``stream``.
 
     ``stream`` is a numpy Generator, and each field is an array of ``size``
@@ -286,10 +287,14 @@ def sample_channel_draw(config: SystemConfig, stream, size: int) -> ChannelDraw:
     is scaled by its mean in place: the variates, their stream order and
     their values equal five ``stream.exponential(Omega, size)`` calls bit
     for bit, since numpy forms exponential(Omega) as Omega times a standard
-    exponential.  The fields are the rows of one array.
+    exponential.  The fields are the rows of one array.  The rows ``unit``
+    names (0..4 for g1..g4, gI) keep unit mean, for a caller that scales
+    them to several configs; one multiplication by a mean later gives the
+    same bits.
     """
     scale = np.array([config.omega(1), config.omega(2), config.omega(3),
                       config.omega(4), config.omega_I])
+    scale[list(unit)] = 1.0
     gains = stream.standard_exponential((5, size))
     gains *= scale.reshape(5, 1)
     return ChannelDraw(*gains)

@@ -12,25 +12,30 @@ gains once for every grid SNR, signal, SIC mode and system sum (common
 random numbers), and the orthogonal baseline's fades once for all of its
 targets; the estimates at one SNR are a one-point grid.  The caller names
 one metric with its targets and SIC modes, as for ``metrics.analytic_grid``,
-and the kernel builds only those estimates.  Counted metrics (outage and
+and the kernel builds only those estimates.  ``mc_grids`` runs several such
+requests, a preset's variants, in one pass: each chunk's one draw serves
+them all, scaled to each request's means.  Counted metrics (outage and
 the delay-limited ones) read each draw's inverse critical SNR: every SINR
 is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
 outcome at every grid SNR at once, and the failures at each grid SNR are
-one comparison count.  Rate metrics read the same A and B, formed once per
-block: at each grid SNR a chain's SINR is the least A / (B + 1/rho) over
-its decodes, and a decode no SIC mode changes is evaluated once.  The
-delay-tolerant system rate is 0.5 log2 of the product of the four factors
-1 + SINR, one logarithm per SNR and mode, except at an SNR where the
-product could leave the float range, which sums four logarithms; the half
-of every rate is taken on the moments, which is exact.
+one comparison count.  The delay-limited system sums need the draws where
+two signals both succeed: each signal's outcomes are packed into 64-bit
+words, and a pair's count is the population count of their AND.  Rate
+metrics read the same A and B, formed once per block: at each grid SNR a
+chain's SINR is the least A / (B + 1/rho) over its decodes, and a decode
+no SIC mode changes is evaluated once.  The delay-tolerant system rate is
+0.5 log2 of the product of the four factors 1 + SINR, one logarithm per
+SNR and mode, except at an SNR where the product could leave the float
+range, which sums four logarithms; the half of every rate is taken on the
+moments, which is exact.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Each chunk draws its
-gains in one call and the baseline's fades in another, each set the rows of
-one array, and one loop hands the statistics of both one block of BLOCK
-draws at a time, as views: every temporary is then a block long, small
-enough for the allocator to reuse and for the cache to hold, where
-chunk-long ones would be mapped in afresh each time.  Chunks and blocks
+gains in one call and each baseline request its fades in another, each set
+the rows of one array, and one loop per request hands the statistics of
+both one block of BLOCK draws at a time, as views: every temporary is then
+a block long, small enough for the allocator to reuse and for the cache to
+hold, where chunk-long ones would be mapped in afresh each time.  Chunks and blocks
 have fixed sizes, counts are summed exactly and moments merge in fixed
 (chunk, block) order, so results are bit-identical for any worker count.
 """
@@ -187,7 +192,12 @@ def _counted_stats(config, draw, pairs, modes, system, rhos):
 
     A system entry (mode, "system") is an int array of shape (4, 4, grid)
     whose [i, j] row counts draws where x_{i+1} and x_{j+1} both succeed;
-    its diagonal holds the per-signal success counts.
+    its diagonal holds the per-signal success counts.  Each signal's
+    outcomes at every grid SNR are one comparison, packed into 64-bit words,
+    and a co-count is the population count of two signals' words ANDed.  A
+    draw succeeds unless its margin is at most 1/rho, so a NaN margin (a
+    gain of exactly 0.0 against a zero target rate) counts as a success of
+    its own signal and pairs with the other signal's outcome.
     """
     margins = {}
     for idx, members in pairs.items():
@@ -197,13 +207,23 @@ def _counted_stats(config, draw, pairs, modes, system, rhos):
                 margins[mode, s] = strong if s == idx.l else weak
     if not system:
         return {key: _failures(u, rhos) for key, u in margins.items()}
+    inverse = (1.0 / rhos)[:, None]
+    size = draw.g1.size
+    # outcomes at every grid SNR, padded with failures to whole 64-bit words
+    outcomes = np.zeros((rhos.size, -(-size // 64) * 64), dtype=bool)
+    drawn = outcomes[:, :size]
     stats = {}
     for mode in modes:
+        ok = []
+        for s in SIGNALS:
+            np.less_equal(margins[mode, s], inverse, out=drawn)
+            np.logical_not(drawn, out=drawn)
+            ok.append(np.packbits(outcomes, axis=-1).view(np.uint64))
         both = np.empty((4, 4, rhos.size), dtype=np.int64)
         for i in range(4):
             for j in range(i, 4):
-                u = np.minimum(margins[mode, i + 1], margins[mode, j + 1])
-                both[i, j] = both[j, i] = draw.g1.size - _failures(u, rhos)
+                both[i, j] = both[j, i] = np.bitwise_count(ok[i] & ok[j]).sum(
+                    axis=-1, dtype=np.int64)
         stats[mode, "system"] = both
     return stats
 
@@ -374,8 +394,11 @@ def _scaled(est, scale):
 
 def check_run(n, seed, point_index=0, workers=None):
     """ConfigError unless ``n`` samples from master ``seed`` at ``point_index``
-    on ``workers`` threads (None or an int of at least 1) make a run: the one
-    check of a run's inputs."""
+    (integers, numpy's included) on ``workers`` threads (None or an int of
+    at least 1) make a run: the one check of a run's inputs."""
+    for name, value in (("sample count", n), ("seed", seed), ("point index", point_index)):
+        if not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1000:
         raise ConfigError(f"a Monte Carlo run needs at least 1000 samples to "
                           f"state a confidence interval, got {n!r}")
@@ -385,6 +408,90 @@ def check_run(n, seed, point_index=0, workers=None):
         raise ConfigError(f"point index must be nonnegative, got {point_index!r}")
     if workers is not None and not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be None or an int of at least 1, got {workers!r}")
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One request of a pass, checked, with what its chunks read."""
+
+    config: SystemConfig
+    metric: str
+    targets: tuple
+    modes: tuple
+    oma: bool
+    pairs: dict          # SignalIndex -> its requested signals
+    means: tuple         # of the five gains, g1..g4 and gI
+
+    @classmethod
+    def of(cls, config, metric, targets, modes, oma=False):
+        targets, modes, signals = check_request(metric, targets, modes, oma)
+        pairs = {}               # x1/x2 share one SignalIndex, x3/x4 the other
+        for s in signals:
+            pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
+        means = tuple(config.omega(i) for i in SIGNALS) + (config.omega_I,)
+        return cls(config, metric, targets, modes, oma, pairs, means)
+
+
+def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
+             workers=None) -> list:
+    """``mc_grid`` for several requests in one pass: one list of per-SNR dicts
+    per request, in order, each with the bits ``mc_grid`` gives it alone.
+
+    ``requests`` holds (config, metric, targets, modes, oma) tuples; they
+    share ``rhos``, ``n``, ``seed``, ``point_index`` and ``workers``.  Each
+    chunk makes one NOMA draw for all of them.  A gain row whose mean every
+    request shares is scaled in the draw; a row whose mean differs (fig4's
+    and fig5's gI) stays at unit mean, and each request scales it into one
+    spare row that the requests take in turn.  A request with the baseline
+    draws its own fades.  Nothing is kept between calls.
+    """
+    check_run(n, seed, point_index, workers)
+    rhos = linear_snr_grid(rhos)
+    jobs = [_Job.of(*request) for request in requests]
+    drawn = [job for job in jobs if job.pairs]
+    varying = [r for r in range(5) if len({job.means[r] for job in drawn}) > 1]
+
+    def run(chunk_index, size):
+        """Per job, one stats dict per block of the chunk, the last block
+        ragged; each block is a view of the chunk's draws."""
+        if drawn:            # one draw serves every job, rho and mode
+            draw = sample_channel_draw(
+                drawn[0].config, chunk_generator(seed, 2 * point_index, chunk_index),
+                size=size, unit=varying)
+            spare = np.empty((len(varying), size))
+        chunk = []
+        for job in jobs:
+            if job.pairs:
+                rows = [draw.g1, draw.g2, draw.g3, draw.g4, draw.gI]
+                for out, r in zip(spare, varying):
+                    rows[r] = np.multiply(rows[r], job.means[r], out=out)
+            if job.oma:
+                fades = _oma_fades(job.config, chunk_generator(
+                    seed, 2 * point_index + 1, chunk_index), size)
+            stats = _counted_stats if job.metric in COUNTED else _rate_stats
+            parts = []
+            for start in range(0, size, BLOCK):
+                b = slice(start, start + BLOCK)
+                part = stats(job.config, ChannelDraw(*(row[b] for row in rows)), job.pairs,
+                             job.modes, "system" in job.targets, rhos) if job.pairs else {}
+                if job.oma:
+                    part.update(_oma_stats(job.config, fades[:, b], rhos,
+                                           job.metric in COUNTED, job.targets))
+                parts.append(part)
+            chunk.append(parts)
+        return chunk
+
+    chunks = _map_chunks(n, run, workers)
+    grids = []
+    for k, job in enumerate(jobs):
+        grid = _reduce(job.config, [part for chunk in chunks for part in chunk[k]], n,
+                       seed, rhos.size)
+        if job.metric.startswith("ee_"):
+            scale = energy_efficiency(1.0, job.config)
+            grid = [{key: _scaled(est, scale) for key, est in point.items()}
+                    for point in grid]
+        grids.append(grid)
+    return grids
 
 
 def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
@@ -407,46 +514,12 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
 
     Each chunk draws the gains once, from the NOMA substream of
     ``point_index``, for every grid SNR, signal and mode, so calls that
-    differ only in ``metric`` or in ``rhos`` share their draws.  The
-    statistics read each chunk one block of BLOCK draws at a time.
+    differ only in ``metric`` or in ``rhos`` share their draws, and
+    ``mc_grids`` runs several requests on one draw.  The statistics read
+    each chunk one block of BLOCK draws at a time.
     """
-    check_run(n, seed, point_index, workers)
-    targets, modes, signals = check_request(metric, targets, modes, oma)
-    system = "system" in targets
-    pairs = {}                   # x1/x2 share one SignalIndex, x3/x4 the other
-    for s in signals:
-        pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
-    rhos = linear_snr_grid(rhos)
-    counted = metric in COUNTED
-    stats = _counted_stats if counted else _rate_stats
-
-    def run(chunk_index, size):
-        """One stats dict per block of the chunk, the last block ragged;
-        each block is a view of the chunk's draws."""
-        if pairs:            # one draw serves every rho and mode
-            draw = sample_channel_draw(
-                config, chunk_generator(seed, 2 * point_index, chunk_index), size=size)
-        if oma:
-            fades = _oma_fades(
-                config, chunk_generator(seed, 2 * point_index + 1, chunk_index), size)
-        parts = []
-        for start in range(0, size, BLOCK):
-            b = slice(start, start + BLOCK)
-            part = stats(config, ChannelDraw(draw.g1[b], draw.g2[b], draw.g3[b],
-                                             draw.g4[b], draw.gI[b]),
-                         pairs, modes, system, rhos) if pairs else {}
-            if oma:
-                part.update(_oma_stats(config, fades[:, b], rhos, counted, targets))
-            parts.append(part)
-        return parts
-
-    chunks = _map_chunks(n, run, workers)
-    grid = _reduce(config, [part for parts in chunks for part in parts], n, seed,
-                   rhos.size)
-    if not metric.startswith("ee_"):
-        return grid
-    scale = energy_efficiency(1.0, config)
-    return [{key: _scaled(est, scale) for key, est in point.items()} for point in grid]
+    return mc_grids([(config, metric, targets, modes, oma)], rhos, n, seed,
+                    point_index, workers)[0]
 
 
 def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,

@@ -2,19 +2,21 @@
 
 Every row carries the analytical value and a seeded Monte Carlo estimate
 side by side; the CSV is the cross-validation record, not just plot
-fodder.  A sweep makes one ``mc_grid`` call for its metric, targets and
-SIC modes: one channel draw per chunk serves every grid point, signal,
-SIC mode and system sum, and the orthogonal baseline draws its own fades
-once for all of its rows.  The substreams derive from the master seed
-and point index 0 alone, so every grid point reads the same draws
-(common random numbers), and reruns and different worker counts give
-identical bytes.  The analytic and asymptotic columns come from one
-``metrics.analytic_grid`` call with the same request, which also owns the
-reporting convention for the rate-style metrics.  Both calls answer
-exactly the (mode, target) keys of the request, and the simulation adds
-the baseline's ("oma", target) keys, so a row is one estimate and reads
-its closed form under the same key.  Neither call reads ``config.rho``,
-and the sweep makes no per-point copy of the config.
+fodder.  ``run_sweeps`` runs sweeps that share a grid, sample count and
+seed, as a preset's variants do, in one ``mc_grids`` pass, and
+``run_sweep`` is its one-sweep form: one channel draw per chunk serves
+every sweep, grid point, signal, SIC mode and system sum, and the
+orthogonal baseline draws its own fades once for all of a sweep's rows.
+The substreams derive from the master seed and point index 0 alone, so
+every grid point reads the same draws (common random numbers), and reruns
+and different worker counts give identical bytes.  Each sweep's analytic
+and asymptotic columns come from one ``metrics.analytic_grid`` call with
+its request, which also owns the reporting convention for the rate-style
+metrics.  The simulation and the closed forms answer exactly the
+(mode, target) keys of the request, and the simulation adds the
+baseline's ("oma", target) keys, so a row is one estimate and reads its
+closed form under the same key.  Neither reads ``config.rho``, and the
+sweep makes no per-point copy of the config.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from . import metrics
 from .metrics import PER_SIGNAL
 from .model import SIC_MODES, ConfigError, SystemConfig, is_linear_snr
-from .montecarlo import check_run, mc_grid
+from .montecarlo import check_run, mc_grids
 
 # more SNR points than any figure needs; a larger grid is refused unbuilt
 MAX_GRID_POINTS = 10_000
@@ -133,12 +135,34 @@ class MetricPoint:
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
-    grid = spec.grid_db()
+    return run_sweeps([(spec, config)], workers)[0]
+
+
+def run_sweeps(jobs, workers: int = 1):
+    """``run_sweep`` of each (spec, config) job, in one Monte Carlo pass: one
+    table per job, in order, each with the bytes it has alone.
+
+    The jobs share their SNR grid, sample count and master seed, as the
+    variants of a preset do, so each chunk's channel draw serves them all.
+    """
+    (first, _), *rest = jobs
+    shared = (first.snr, first.mc_iterations, first.master_seed)
+    if any((spec.snr, spec.mc_iterations, spec.master_seed) != shared for spec, _ in rest):
+        raise ConfigError("sweeps of one pass must share their SNR grid, "
+                          "sample count and seed")
+    grid = first.grid_db()
     rhos = [_linear(db) for db in grid]
-    targets = spec.signals if spec.metric in PER_SIGNAL else ("system",)
-    ests = mc_grid(config, rhos, spec.mc_iterations, spec.master_seed, workers=workers,
-                   metric=spec.metric, targets=targets, modes=spec.modes,
-                   oma=spec.with_oma)
+    targets = [spec.signals if spec.metric in PER_SIGNAL else ("system",)
+               for spec, _ in jobs]
+    ests = mc_grids([(config, spec.metric, t, spec.modes, spec.with_oma)
+                     for (spec, config), t in zip(jobs, targets)],
+                    rhos, first.mc_iterations, first.master_seed, workers=workers)
+    return [_table(spec, config, grid, rhos, t, e)
+            for (spec, config), t, e in zip(jobs, targets, ests)]
+
+
+def _table(spec, config, grid, rhos, targets, ests):
+    """The sorted rows of one sweep from its Monte Carlo grid."""
     values = metrics.analytic_grid(config, rhos, spec.metric, targets, spec.modes,
                                    spec.with_asymptotic)
     rows = []

@@ -110,6 +110,60 @@ def test_run_inputs_are_refused(baseline, kwargs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n, seed, message", [
+    (2000.5, 1, "sample count must be an integer, got 2000.5"),
+    (2000.0, 1, "sample count must be an integer, got 2000.0"),
+    (2000, 1.5, "seed must be an integer, got 1.5"),
+], ids=["n=2000.5", "n=2000.0", "seed=1.5"])
+def test_non_integer_run_inputs_are_refused(baseline, n, seed, message):
+    """A fractional sample count was drawn truncated but divided whole, and
+    a fractional seed failed inside numpy; both are ConfigErrors now."""
+    with pytest.raises(ConfigError) as info:
+        mc_grid(baseline, [1.0], n, seed, metric="outage", targets=(1,), modes=("ipsic",))
+    assert str(info.value) == message
+
+
+def test_numpy_integer_run_inputs_are_taken(baseline):
+    request = dict(metric="outage", targets=(1,), modes=("ipsic",))
+    assert (mc_grid(baseline, [1.0], np.int64(2000), np.uint32(1), np.int8(2), **request)
+            == mc_grid(baseline, [1.0], 2000, 1, 2, **request))
+
+
+def _minimum_co_counts(config, draw, mode, rhos):
+    """The (4, 4, grid) success co-counts rebuilt per pair as
+    n - count(min(u_i, u_j) <= 1/rho)."""
+    margins = []
+    for s in (1, 3):
+        (ours,) = inverse_critical_snrs(config, draw, SignalIndex.for_signal(s), (mode,))
+        margins += ours
+    both = np.empty((4, 4, rhos.size), dtype=np.int64)
+    for i in range(4):
+        for j in range(4):
+            u = np.minimum(margins[i], margins[j])
+            both[i, j] = [u.size - np.count_nonzero(u <= 1.0 / rho) for rho in rhos]
+    return both
+
+
+@pytest.mark.parametrize("rates", [{}, {"r1": 0.0, "r2": 0.0, "r3": 0.0, "r4": 0.0}],
+                         ids=["default", "zero-rates"])
+@pytest.mark.parametrize("size", [1000, 8193, 2 * CHUNK + 1000])
+def test_packed_co_counts_equal_the_minimum_rebuild(rates, size):
+    """The system co-counts from packed success bits are the integers the
+    pairwise minimum of inverse critical SNRs gives, on ragged sizes and
+    at zero target rates (infinite inverse thresholds), in both modes."""
+    cfg = SystemConfig(**rates)
+    draw = sample_channel_draw(cfg, chunk_generator(77, 0, 0), size=size)
+    rhos = np.array([10.0 ** (db / 10.0) for db in range(-10, 45, 5)])
+    modes = ("ipsic", "psic")
+    pairs = {SignalIndex.for_signal(1): [1, 2], SignalIndex.for_signal(3): [3, 4]}
+    stats = montecarlo._counted_stats(cfg, draw, pairs, modes, True, rhos)
+    assert set(stats) == {(mode, "system") for mode in modes}
+    for mode in modes:
+        assert stats[mode, "system"].dtype == np.int64
+        np.testing.assert_array_equal(stats[mode, "system"],
+                                      _minimum_co_counts(cfg, draw, mode, rhos))
+
+
 @pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
 def test_a_subnormal_snr_is_refused(baseline, metric):
     """At rho = 1e-310, 1/rho overflows, so no SINR A / (B + 1/rho) exists:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twrnoma.montecarlo as montecarlo
+from twrnoma import cli
 from twrnoma.configio import PRESETS
 from twrnoma.metrics import METRICS, PER_SIGNAL, energy_efficiency
 from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_threshold,
@@ -19,7 +20,7 @@ from twrnoma.model import (ConfigError, SignalIndex, SystemConfig, gamma_thresho
 from twrnoma.montecarlo import BLOCK, CHUNK, chunk_generator
 from twrnoma.sweep import (CSV_HEADER, MAX_GRID_POINTS, MetricPoint, OutputError,
                            SweepSpec, emit_outputs, emit_plot_script, render_csv,
-                           run_sweep)
+                           run_sweep, run_sweeps)
 from twrnoma.validate import DEFAULT_VALIDATE_SEED, validate
 
 
@@ -214,6 +215,64 @@ def test_one_channel_draw_per_sweep(baseline, monkeypatch, metric):
     assert len(rows) == 2 * (4 * 2 + 5)
     assert draws == [spec.mc_iterations]
     assert streams == [(spec.master_seed, 0, 0), (spec.master_seed, 1, 0)]
+
+
+def _preset_csvs(out_dir, preset, n, workers, *flags):
+    """The CSVs one ``twrnoma sweep --preset`` command writes, by file name."""
+    assert cli.main(["sweep", "--preset", preset, "--iterations", str(n),
+                     "--workers", str(workers), "--seed", "5",
+                     "--out", str(out_dir / f"{preset}.csv"), *flags]) == 0
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in out_dir.glob(f"{preset}*.csv")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2000, 2 * CHUNK + 1000])
+@pytest.mark.parametrize("preset, flags", [
+    ("fig3", ()), ("fig3", ("--with-oma", "--with-asymptotic")),
+    ("fig4", ()), ("fig5", ()), ("fig8", ()),
+], ids=["fig3", "fig3-oma", "fig4", "fig5", "fig8"])
+def test_a_preset_pass_gives_each_variant_its_own_bytes(tmp_path, capsys, preset,
+                                                        flags, n, workers):
+    """A preset's variants share each chunk's draw, yet every CSV has the
+    bytes of its variant's sweep run alone: fig3's and fig8's variants share
+    every mean, fig4's and fig5's differ in Omega_I, and with the baseline
+    each variant reads its own fades."""
+    shared = _preset_csvs(tmp_path, preset, n, workers, *flags)
+    spec = dataclasses.replace(PRESETS[preset], mc_iterations=n, master_seed=5,
+                               with_oma="--with-oma" in flags,
+                               with_asymptotic="--with-asymptotic" in flags)
+    assert len(shared) == len(spec.variants) > 1
+    for variant in spec.variants:
+        alone = run_sweep(dataclasses.replace(spec, metric=variant.metric or spec.metric),
+                          dataclasses.replace(SystemConfig(), **variant.overrides),
+                          workers=workers)
+        assert shared[f"{preset}_{variant.suffix}.csv"] == render_csv(alone)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_one_channel_draw_per_preset(tmp_path, capsys, monkeypatch, preset):
+    """All of a preset's CSVs read one NOMA draw per chunk, and a second
+    command draws again: nothing is kept from one call to the next."""
+    draws = []
+    original = montecarlo.sample_channel_draw
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["size"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
+    for _ in range(2):
+        _preset_csvs(tmp_path, preset, CHUNK + 1000, 1, "--snr", "0:5:5")
+    assert draws == [CHUNK, 1000] * 2
+
+
+def test_sweeps_of_one_pass_share_grid_size_and_seed(baseline):
+    spec = small_spec()
+    for other in (small_spec(stop_db=35.0), small_spec(mc_iterations=3000),
+                  small_spec(master_seed=12)):
+        with pytest.raises(ConfigError, match="share their SNR grid"):
+            run_sweeps([(spec, baseline), (other, baseline)])
 
 
 def test_config_copies_do_not_grow_with_the_grid(baseline, monkeypatch):
