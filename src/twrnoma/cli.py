@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 for configuration or usage problems, 2 when
 the validation battery reports a failing check.  SNR is taken in dB on
 the command line; ``SweepSpec`` checks the grid's end points, and
-``run_sweep`` converts the grid to the linear scale the library works in.
+``run_sweeps`` converts the grid to the linear scale the library works in.
 """
 
 from __future__ import annotations
@@ -109,11 +109,12 @@ def _load(args):
 
 
 def _sweep_jobs(args, base_config):
-    """Expand a preset, or a bare metric, into (spec, config, out path) jobs.
+    """Expand a preset, or a bare metric, into its spec and one (metric,
+    config) curve and out path per variant.
 
     A sweep flag's dest is the spec field it sets; each flag that was given
-    replaces its field, and every variant of the preset then makes one job.
-    A flag that no job would read is refused.
+    replaces its field, and every variant of the preset then makes one
+    curve.  A flag that no curve would read is refused.
     """
     if args.preset:
         base = PRESETS[args.preset]
@@ -131,24 +132,24 @@ def _sweep_jobs(args, base_config):
     spec = dataclasses.replace(base, **{
         f.name: getattr(args, f.name) for f in dataclasses.fields(base)
         if getattr(args, f.name, None) is not None})
+    if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
+        raise ConfigError(f"--out must name a file, not a directory, got {args.out!r}")
     root, ext = os.path.splitext(args.out or args.preset or "sweep")
     ext = ext or ".csv"
-    jobs = []
+    curves, paths = [], []
     for variant in spec.variants:
         metric = variant.metric or spec.metric
         if args.signals and metric not in PER_SIGNAL:
             raise ConfigError(f"--signals applies only to {' and '.join(PER_SIGNAL)}; "
                               f"{metric} always sums x1..x4")
-        path = f"{root}_{variant.suffix}{ext}" if variant.suffix else root + ext
-        jobs.append((dataclasses.replace(spec, metric=metric),
-                     dataclasses.replace(base_config, **variant.overrides), path))
-    return jobs
+        curves.append((metric, dataclasses.replace(base_config, **variant.overrides)))
+        paths.append(f"{root}_{variant.suffix}{ext}" if variant.suffix else root + ext)
+    return spec, curves, paths
 
 
 def _cmd_sweep(args):
-    jobs = _sweep_jobs(args, _load(args))
-    tables = run_sweeps([(spec, cfg) for spec, cfg, _ in jobs], workers=args.workers)
-    for (_, _, path), table in zip(jobs, tables):
+    spec, curves, paths = _sweep_jobs(args, _load(args))
+    for path, table in zip(paths, run_sweeps(spec, curves, workers=args.workers)):
         emit_outputs(table, path)
         print(f"wrote {path} ({len(table)} rows)")
         if args.emit_plot:

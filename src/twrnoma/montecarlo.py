@@ -159,8 +159,15 @@ def _merge_moments(parts):
 _OMA_PARTNER = {1: 3, 2: 4, 3: 1, 4: 2}
 
 
+def _check_oma_signal(signal):
+    if signal != "system" and signal not in (1, 2, 3, 4):
+        raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
+
+
 def oma_outage_exact(config: SystemConfig, signal) -> float:
     """Closed-form orthogonal-baseline outage, per signal or whole system."""
+    _check_oma_signal(signal)
+
     def exponent(i):
         gth = oma_threshold(config.rate(i))
         return gth * (1.0 / config.omega(i)
@@ -168,8 +175,6 @@ def oma_outage_exact(config: SystemConfig, signal) -> float:
 
     if signal == "system":
         return -math.expm1(-sum(exponent(i) for i in (1, 2, 3, 4)))
-    if signal not in (1, 2, 3, 4):
-        raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
     return -math.expm1(-exponent(signal))
 
 
@@ -548,8 +553,10 @@ def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
     the four per-slot-discounted rates.  Both are the baseline estimates of
     ``mc_grid`` at ``config.rho`` and read the same fades, from the baseline
     substream of ``point_index``.  No library route calls it; it stays only because
-    ``perfbench/tracing.py`` patches it.
+    ``perfbench/tracing.py`` patches it.  A signal other than 1..4 or
+    "system" is refused as ``oma_outage_exact`` refuses it, before any draw.
     """
+    _check_oma_signal(signal)
     targets = () if signal == "system" else (signal,)
     return tuple(mc_grid(config, (config.rho,), n, seed, point_index, workers,
                          metric=metric, targets=targets, modes=(),

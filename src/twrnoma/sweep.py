@@ -2,14 +2,14 @@
 
 Every row carries the analytical value and a seeded Monte Carlo estimate
 side by side; the CSV is the cross-validation record, not just plot
-fodder.  ``run_sweeps`` runs sweeps that share a grid, sample count and
-seed, as a preset's variants do, in one ``mc_grids`` pass, and
-``run_sweep`` is its one-sweep form: one channel draw per chunk serves
-every sweep, grid point, signal, SIC mode and system sum, and the
-orthogonal baseline draws its own fades once for all of a sweep's rows.
+fodder.  ``run_sweeps`` runs one ``SweepSpec`` over several (metric,
+config) curves, as a preset's variants are, in one ``mc_grids`` pass, and
+``run_sweep`` is its one-curve form: one channel draw per chunk serves
+every curve, grid point, signal, SIC mode and system sum, and the
+orthogonal baseline draws its own fades once for all of a curve's rows.
 The substreams derive from the master seed and point index 0 alone, so
 every grid point reads the same draws (common random numbers), and reruns
-and different worker counts give identical bytes.  Each sweep's analytic
+and different worker counts give identical bytes.  Each curve's analytic
 and asymptotic columns come from one ``metrics.analytic_grid`` call with
 its request, which also owns the reporting convention for the rate-style
 metrics.  The simulation and the closed forms answer exactly the
@@ -135,36 +135,31 @@ class MetricPoint:
 
 def run_sweep(spec: SweepSpec, config: SystemConfig, workers: int = 1):
     """Evaluate the sweep and return rows sorted by (snr, signal, metric, mode)."""
-    return run_sweeps([(spec, config)], workers)[0]
+    return run_sweeps(spec, [(spec.metric, config)], workers)[0]
 
 
-def run_sweeps(jobs, workers: int = 1):
-    """``run_sweep`` of each (spec, config) job, in one Monte Carlo pass: one
-    table per job, in order, each with the bytes it has alone.
+def run_sweeps(spec: SweepSpec, curves, workers: int = 1):
+    """``run_sweep`` of each (metric, config) curve over ``spec``'s grid, in
+    one Monte Carlo pass: one table per curve, in order, each with the bytes
+    it has alone.
 
-    The jobs share their SNR grid, sample count and master seed, as the
-    variants of a preset do, so each chunk's channel draw serves them all.
+    A curve's metric replaces ``spec.metric``; every other field of ``spec``
+    serves all curves, as a preset's variants share it, so each chunk's
+    channel draw serves them all.
     """
-    (first, _), *rest = jobs
-    shared = (first.snr, first.mc_iterations, first.master_seed)
-    if any((spec.snr, spec.mc_iterations, spec.master_seed) != shared for spec, _ in rest):
-        raise ConfigError("sweeps of one pass must share their SNR grid, "
-                          "sample count and seed")
-    grid = first.grid_db()
+    grid = spec.grid_db()
     rhos = [_linear(db) for db in grid]
-    targets = [spec.signals if spec.metric in PER_SIGNAL else ("system",)
-               for spec, _ in jobs]
-    ests = mc_grids([(config, spec.metric, t, spec.modes, spec.with_oma)
-                     for (spec, config), t in zip(jobs, targets)],
-                    rhos, first.mc_iterations, first.master_seed, workers=workers)
-    return [_table(spec, config, grid, rhos, t, e)
-            for (spec, config), t, e in zip(jobs, targets, ests)]
+    requests = [(config, metric, spec.signals if metric in PER_SIGNAL else ("system",),
+                 spec.modes, spec.with_oma) for metric, config in curves]
+    ests = mc_grids(requests, rhos, spec.mc_iterations, spec.master_seed, workers=workers)
+    return [_table(spec.with_asymptotic, grid, rhos, request, est)
+            for request, est in zip(requests, ests)]
 
 
-def _table(spec, config, grid, rhos, targets, ests):
-    """The sorted rows of one sweep from its Monte Carlo grid."""
-    values = metrics.analytic_grid(config, rhos, spec.metric, targets, spec.modes,
-                                   spec.with_asymptotic)
+def _table(asymptotic, grid, rhos, request, ests):
+    """The sorted rows of one curve from its request and Monte Carlo grid."""
+    config, metric, targets, modes, _ = request
+    values = metrics.analytic_grid(config, rhos, metric, targets, modes, asymptotic)
     rows = []
     for db, point_values, point_ests in zip(grid, values, ests):
         # a row per estimate; the baseline's have no closed form
@@ -172,7 +167,7 @@ def _table(spec, config, grid, rhos, targets, ests):
             value, asym, feasible = point_values.get((mode, target), (None, None, True))
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, f"oma:{name}" if mode == "oma" else name,
-                                    spec.metric, mode, value, asym, est.mean, est.ci_low,
+                                    metric, mode, value, asym, est.mean, est.ci_low,
                                     est.ci_high, feasible))
     rows.sort(key=lambda r: (r.snr_db, r.signal, r.metric, r.mode))
     return rows

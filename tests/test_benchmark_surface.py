@@ -4,7 +4,8 @@
 name and read fields of its records.  A name dropped or reshaped in the
 library would only surface as a crash of ``perfbench/run.py``; these checks
 fail first.  The workload file is parsed, not imported, and every call is
-bound to its signature, not made.
+bound to its signature, not made.  The preset fields they read are checked
+per preset in ``tests/test_preset_fields.py``.
 """
 
 import ast
@@ -63,19 +64,6 @@ def test_the_config_reads_of_the_workloads_and_oracles():
         assert isinstance(getattr(config, field), float)
     for i in (1, 2, 3, 4):
         assert all(isinstance(v, float) for v in (config.a(i), config.b(i), config.omega(i)))
-
-
-def test_the_preset_fields_the_workloads_read():
-    for preset in configio.PRESETS.values():
-        start, stop, step = preset.snr
-        assert start <= stop and step > 0
-        assert isinstance(preset.metric, str) and preset.metric
-        assert preset.signals and preset.modes and preset.variants
-        assert isinstance(preset.with_oma, bool)
-        for variant in preset.variants:
-            assert isinstance(variant.suffix, str)
-            assert variant.metric is None or variant.metric
-            dataclasses.replace(SystemConfig(), **variant.overrides)
 
 
 def test_the_report_fields_the_workloads_read():

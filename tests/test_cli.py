@@ -176,6 +176,21 @@ def test_out_path_with_a_dot_in_a_directory(tmp_path, out):
         "fig3_varpi_0.01.csv", "fig3_varpi_0.1.csv", "fig3_varpi_0.csv"]
 
 
+@pytest.mark.parametrize("out", ["d/", "d/.", ""])
+@pytest.mark.parametrize("argv", [["sweep", "--metric", "outage"],
+                                  ["sweep", "--preset", "fig3"]], ids=["metric", "preset"])
+def test_out_naming_a_directory_exits_one(tmp_path, capsys, argv, out):
+    """An --out without a file name would write hidden files such as d/.csv
+    and d/_varpi_0.csv."""
+    (tmp_path / "d").mkdir()
+    assert run_in(tmp_path, [*argv, "--snr", "0:0:5", "--iterations", "2000",
+                             "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --out must name a file, not a directory, got {out!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert not list((tmp_path / "d").iterdir())
+
+
 def test_plot_script_sits_next_to_a_dotted_out_path(tmp_path):
     (tmp_path / "runs.d").mkdir()
     code = run_in(tmp_path, ["sweep", "--preset", "fig2", "--snr", "10:10:5",

@@ -276,6 +276,23 @@ def test_oma_rejects_unknown_signal(baseline):
         mc_oma_baseline(baseline, 7, 10_000, 1)
 
 
+@pytest.mark.parametrize("signal", [7, "sys"])
+def test_both_baseline_routes_refuse_an_unknown_signal_alike(baseline, monkeypatch,
+                                                            signal):
+    """The simulated baseline refuses a signal outside 1..4 and "system"
+    before any draw, in the words of the closed form, not those of a metric
+    the caller never named."""
+    streams = []
+    monkeypatch.setattr(montecarlo, "chunk_generator", lambda *args: streams.append(args))
+    with pytest.raises(ValueError) as exact:
+        oma_outage_exact(baseline, signal)
+    with pytest.raises(ValueError) as simulated:
+        mc_oma_baseline(baseline, signal, 10_000, 1)
+    assert str(exact.value) == str(simulated.value) == (
+        f"signal must be 1..4 or 'system', got {signal!r}")
+    assert streams == []
+
+
 def test_oma_baseline_is_deterministic_across_workers(baseline):
     cfg = baseline.with_rho(100.0)
     a = mc_oma_baseline(cfg, "system", 150_000, 13, workers=1)

@@ -22,9 +22,10 @@ def test_preset_has_the_fields_the_benchmark_reads(name):
     assert start <= stop and step > 0
     assert len(preset.signals) * len(preset.modes) > 0
     assert isinstance(preset.with_oma, bool)
-    assert isinstance(preset.metric, str)
+    assert isinstance(preset.metric, str) and preset.metric
     assert preset.variants
     for variant in preset.variants:
         assert isinstance(variant.suffix, str)
-        assert variant.metric is None or isinstance(variant.metric, str)
+        assert variant.metric is None or (isinstance(variant.metric, str)
+                                          and variant.metric)
         dataclasses.replace(SystemConfig(), **variant.overrides)

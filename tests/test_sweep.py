@@ -267,12 +267,29 @@ def test_one_channel_draw_per_preset(tmp_path, capsys, monkeypatch, preset):
     assert draws == [CHUNK, 1000] * 2
 
 
-def test_sweeps_of_one_pass_share_grid_size_and_seed(baseline):
-    spec = small_spec()
-    for other in (small_spec(stop_db=35.0), small_spec(mc_iterations=3000),
-                  small_spec(master_seed=12)):
-        with pytest.raises(ConfigError, match="share their SNR grid"):
-            run_sweeps([(spec, baseline), (other, baseline)])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2000, 2 * CHUNK + 1000])
+@pytest.mark.parametrize("preset, with_oma", [("fig3", True), ("fig4", False),
+                                              ("fig8", False)],
+                         ids=["fig3-oma", "fig4", "fig8"])
+def test_one_spec_over_several_curves(preset, with_oma, n, workers):
+    """``run_sweeps`` of a preset's (metric, config) curves gives each curve
+    the bytes of ``run_sweep`` of that curve alone: fig3's leakage levels
+    with the baseline, fig4's three Omega_I and fig8's ee_dl and ee_dt."""
+    spec = dataclasses.replace(PRESETS[preset], mc_iterations=n, master_seed=5,
+                               with_oma=with_oma)
+    curves = [(variant.metric or spec.metric,
+               dataclasses.replace(SystemConfig(), **variant.overrides))
+              for variant in spec.variants]
+    tables = run_sweeps(spec, curves, workers=workers)
+    assert len(tables) == len(curves) > 1
+    for (metric, config), table in zip(curves, tables):
+        alone = run_sweep(dataclasses.replace(spec, metric=metric), config, workers=workers)
+        assert render_csv(table) == render_csv(alone)
+
+
+def test_no_curves_give_no_tables():
+    assert run_sweeps(small_spec(), []) == []
 
 
 def test_config_copies_do_not_grow_with_the_grid(baseline, monkeypatch):
