@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SignalIndex, SystemConfig, gamma_threshold, sic_epsilon
+from .model import (SignalIndex, SystemConfig, gamma_threshold, mirror_sources,
+                    sic_epsilon)
 from .specfun import hypoexp_laplace, term_rates
 
 # the linear SNR at which an asymptote is read as the error floor
@@ -199,13 +200,21 @@ def outage_grid(config: SystemConfig, rhos, signals, modes,
     Returns one dict per entry of ``rhos``, keyed (mode, signal), with
     values (p_exact, p_asymptotic, feasible); p_asymptotic is None unless
     ``asymptotic`` is set.  The intermediates are formed once per SNR and
-    pairing, and serve both of its signals and every mode.  ``config.rho``
-    is not read, and ``rhos`` are taken as given.
+    pairing, and serve both of its signals and every mode.  A signal whose
+    pairing mirrors an earlier one's (``mirror_sources``: x3 and x4 in a
+    symmetric config) copies that signal's values, which it equals bit for
+    bit, and forms nothing.  ``config.rho`` is not read, and ``rhos`` are
+    taken as given.
     """
+    sources = mirror_sources(config, signals)
     table = []
     for rho in rhos:
         inters, point = {}, {}
         for s in signals:
+            if sources[s] != s:
+                for mode in modes:
+                    point[mode, s] = point[mode, sources[s]]
+                continue
             idx = SignalIndex.for_signal(s)
             if idx not in inters:
                 inters[idx] = compute_outage_intermediates(config, idx, rho)

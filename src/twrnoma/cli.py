@@ -132,7 +132,8 @@ def _sweep_jobs(args, base_config):
     spec = dataclasses.replace(base, **{
         f.name: getattr(args, f.name) for f in dataclasses.fields(base)
         if getattr(args, f.name, None) is not None})
-    if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
+    # a name with no stem before its extension (d/, d/., d/.csv) names no file
+    if args.out is not None and not os.path.basename(args.out).rsplit(".", 1)[0].strip("."):
         raise ConfigError(f"--out must name a file, not a directory, got {args.out!r}")
     root, ext = os.path.splitext(args.out or args.preset or "sweep")
     ext = ext or ".csv"

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compute_outage_intermediates
-from .model import SignalIndex, SystemConfig, sic_epsilon
+from .model import SignalIndex, SystemConfig, mirror_sources, sic_epsilon
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
 _LN2 = math.log(2.0)
@@ -473,18 +473,25 @@ def rate_grid(config: SystemConfig, rhos, signals, modes,
     ``ergodic_rate_weak_numeric`` and the ceiling of
     ``ergodic_rate_weak_highsnr``.  The rate intermediates are formed once
     per pairing and mode, and the weak integrals of the whole grid share
-    one numpy pass.  Neither ``config.rho`` nor a leakage field is read,
+    one numpy pass.  A signal whose pairing mirrors an earlier one's
+    (``mirror_sources``) copies that signal's values, as in
+    ``outage_grid``.  Neither ``config.rho`` nor a leakage field is read,
     and ``rhos`` are taken as given.
     """
+    sources = mirror_sources(config, signals)
     keys = [(mode, s, SignalIndex.for_signal(s)) for mode in modes for s in signals]
     inters = {(mode, s): compute_rate_intermediates(config, idx, mode)
-              for mode, s, idx in keys}
+              for mode, s, idx in keys if sources[s] == s}
     weak = iter(_weak_rates(config, [(idx, inters[mode, s], rho) for rho in rhos
-                                     for mode, s, idx in keys if idx.t == s]))
+                                     for mode, s, idx in keys
+                                     if idx.t == s and sources[s] == s]))
     table = []
     for rho in rhos:
         point = {}
         for mode, s, idx in keys:
+            if sources[s] != s:
+                point[mode, s] = point[mode, sources[s]]
+                continue
             inter = inters[mode, s]
             if idx.l == s:
                 psi = _psi(config, idx, rho)

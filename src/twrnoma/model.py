@@ -23,7 +23,8 @@ convention, the check of an SNR grid, the SINR thresholds of a target rate,
 the channel sampler and the five SINR expressions the simulator reads: per
 draw, for every SIC mode at once, as the rho-free (A, B) of each decode,
 whose SINR is A / (B + 1/rho) at any SNR (``sinr_coefficients``), and as
-inverse critical SNRs (``inverse_critical_snrs``).  ``sinr_set`` rebuilds
+inverse critical SNRs (``inverse_critical_snrs``), each mode's taken from
+one residual-free margin base per pairing (``margin_base``).  ``sinr_set`` rebuilds
 them under one mode, for the tests.
 """
 
@@ -212,10 +213,34 @@ class SignalIndex:
         back the other way.
         """
         if signal in (1, 2):
-            return cls(l=1, k=3, t=2, r=4)
+            return _X1_X2
         if signal in (3, 4):
-            return cls(l=3, k=1, t=4, r=2)
+            return _X3_X4
         raise ValueError(f"signal must be 1..4, got {signal!r}")
+
+
+# the two pairings, built once: ``for_signal`` hands out these instances
+_X1_X2 = SignalIndex(l=1, k=3, t=2, r=4)
+_X3_X4 = SignalIndex(l=3, k=1, t=4, r=2)
+
+
+def mirror_sources(config: SystemConfig, signals) -> dict:
+    """Each of ``signals`` mapped to the first of them in the same role (strong
+    or weak) whose pairing has equal parameters: a, Omega, b and r of its
+    (l, k, t, r), the only per-user fields a closed form or a decode reads.
+
+    In a symmetric config x3 and x4 map to x1 and x2, whose values they
+    equal bit for bit, since every route forms a signal's value from
+    these parameters and the config-wide fields alone; a signal with no
+    earlier match maps to itself.
+    """
+    first, sources = {}, {}
+    for s in signals:
+        idx = SignalIndex.for_signal(s)
+        key = (s == idx.l, tuple((config.a(i), config.omega(i), config.b(i), config.rate(i))
+                                 for i in (idx.l, idx.k, idx.t, idx.r)))
+        sources[s] = first.setdefault(key, s)
+    return sources
 
 
 @dataclass(frozen=True)
@@ -379,22 +404,19 @@ def inverse_threshold(gamma):
     return 1.0 / gamma if gamma > 0 else math.inf
 
 
-def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
-                          idx: SignalIndex, modes) -> tuple:
-    """Per draw, the inverse critical SNR of one pairing's two signals under
-    each SIC mode.
+def margin_base(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> tuple:
+    """Per draw, the residual-free decode margins of one pairing that
+    ``inverse_critical_snrs`` combines: (shared, weak_free, own, relay_weak).
 
     Each SINR, A / (B + 1/rho) as in ``sinr_coefficients``, exceeds gamma
-    exactly when 1/rho < A/gamma - B.  A signal's chain succeeds at rho
-    exactly when 1/rho is below u, the least of these margins over its
-    decodes; its critical SNR is rho* = 1/u, and +inf where u <= 0, when
-    some decode fails at every SNR.  The strong signal x_l needs the relay's
-    decode of x_l and both of the near user's decodes; the weak signal x_t
-    needs the relay's two decodes, the near user's strip of x_t and the far
-    user's decode.  ``config.rho`` is not read.
-
-    Returns one (u_l, u_t) pair of arrays per entry of ``modes``; the terms
-    no mode changes are formed once for all of them.
+    exactly when 1/rho < A/gamma - B, its margin.  ``shared`` is the least
+    margin of the relay's decode of x_l and the near user's strip of x_t,
+    ``weak_free`` adds the far user's decode of x_t, ``own`` is the near
+    user's decode of x_l and ``relay_weak`` the relay's decode of x_t, the
+    last two before the residual eps gI is taken off.  Reads g1..g4, the
+    a, b and r of the pairing and both leakage levels, never gI or
+    ``config.rho``, so draws that differ only in the residual channel share
+    one base.
     """
     (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
     inv_l = inverse_threshold(gamma_threshold(config.rate(idx.l)))
@@ -408,9 +430,35 @@ def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
     weak_free = np.minimum(shared, strip * g_r)                   # D_r: x_t
     own = (b_l * inv_l - config.varpi2) * g_k                     # D_k: x_l
     relay_weak = a_t * inv_t * g_t - cross                        # relay: x_t
-    pairs = []
-    for mode in modes:
-        residual = sic_epsilon(mode) * draw.gI
-        pairs.append((np.minimum(shared, own - residual),
-                      np.minimum(weak_free, relay_weak - residual)))
-    return tuple(pairs)
+    return shared, weak_free, own, relay_weak
+
+
+def mode_margins(base, gI, modes) -> tuple:
+    """One (u_l, u_t) pair per entry of ``modes`` from a ``margin_base``: the
+    residual eps gI comes off the near user's own decode and the relay's
+    decode of x_t.  Under pSIC eps gI is 0.0, and x - 0.0 is x bit for bit,
+    so that mode subtracts nothing."""
+    shared, weak_free, own, relay_weak = base
+    return tuple((np.minimum(shared, own - gI), np.minimum(weak_free, relay_weak - gI))
+                 if sic_epsilon(mode) else
+                 (np.minimum(shared, own), np.minimum(weak_free, relay_weak))
+                 for mode in modes)
+
+
+def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
+                          idx: SignalIndex, modes) -> tuple:
+    """Per draw, the inverse critical SNR of one pairing's two signals under
+    each SIC mode.
+
+    A signal's chain succeeds at rho exactly when 1/rho is below u, the
+    least margin A/gamma - B (``margin_base``) over its decodes; its
+    critical SNR is rho* = 1/u, and +inf where u <= 0, when some decode
+    fails at every SNR.  The strong signal x_l needs the relay's decode of
+    x_l and both of the near user's decodes; the weak signal x_t needs the
+    relay's two decodes, the near user's strip of x_t and the far user's
+    decode.  ``config.rho`` is not read.
+
+    Returns one (u_l, u_t) pair of arrays per entry of ``modes``; the terms
+    no mode changes are formed once for all of them.
+    """
+    return mode_margins(margin_base(config, draw, idx), draw.gI, modes)

@@ -18,9 +18,12 @@ them all, scaled to each request's means.  Counted metrics (outage and
 the delay-limited ones) read each draw's inverse critical SNR: every SINR
 is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
 outcome at every grid SNR at once, and the failures at each grid SNR are
-one comparison count.  The delay-limited system sums need the draws where
-two signals both succeed: each signal's outcomes are packed into 64-bit
-words, and a pair's count is the population count of their AND.  Rate
+one comparison count.  Its residual-free part, a pairing's margin base,
+reads no gI, so requests that differ only in Omega_I (fig4's and fig5's
+variants) share one base per block, keyed on every input it reads.  The
+delay-limited system sums need the draws where two signals both succeed:
+the four signals' outcomes are packed into 64-bit words, and all pairs'
+counts are one population count of the words ANDed pairwise.  Rate
 metrics read the same A and B, formed once per block: at each grid SNR a
 chain's SINR is the least A / (B + 1/rho) over its decodes, and a decode
 no SIC mode changes is evaluated once.  The delay-tolerant system rate is
@@ -31,13 +34,16 @@ moments, which is exact.
 
 Every (point index, chunk) pair owns two counter-based substreams, NOMA
 and baseline; a sweep reads those of point index 0.  Each chunk draws its
-gains in one call and each baseline request its fades in another, each set
-the rows of one array, and one loop per request hands the statistics of
-both one block of BLOCK draws at a time, as views: every temporary is then
-a block long, small enough for the allocator to reuse and for the cache to
-hold, where chunk-long ones would be mapped in afresh each time.  Chunks and blocks
-have fixed sizes, counts are summed exactly and moments merge in fixed
-(chunk, block) order, so results are bit-identical for any worker count.
+gains in one call and the baseline its fades in another, once for all
+requests with the same link means, each set the rows of one array.  One
+loop then walks the chunk a block of BLOCK draws at a time, as views, and
+hands each block to every request in turn: every temporary is then a
+block long, small enough for the allocator to reuse and for the cache to
+hold, where chunk-long ones would be mapped in afresh each time, and a
+block's margin bases live only while the requests read that block.
+Chunks and blocks have fixed sizes, counts are summed exactly and
+moments merge in fixed (chunk, block) order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import COUNTED, PER_SIGNAL, SIGNALS, check_request, energy_efficiency
-from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig,
-                    inverse_critical_snrs, inverse_threshold, linear_snr_grid,
-                    oma_threshold, sample_channel_draw, sinr_coefficients)
+from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig, inverse_threshold,
+                    linear_snr_grid, margin_base, mode_margins, oma_threshold,
+                    sample_channel_draw, sinr_coefficients)
 
 CHUNK = 1 << 17
 BLOCK = 1 << 13
@@ -191,45 +197,46 @@ def _failures(margins, rhos):
                     dtype=np.int64)
 
 
-def _counted_stats(config, draw, pairs, modes, system, rhos):
+def _counted_stats(config, draw, pairs, modes, system, rhos, bases=None):
     """Failure counts per signal, or with ``system`` success co-counts of the
     four signals, at every grid SNR, every mode.
 
-    A system entry (mode, "system") is an int array of shape (4, 4, grid)
-    whose [i, j] row counts draws where x_{i+1} and x_{j+1} both succeed;
-    its diagonal holds the per-signal success counts.  Each signal's
-    outcomes at every grid SNR are one comparison, packed into 64-bit words,
-    and a co-count is the population count of two signals' words ANDed.  A
-    draw succeeds unless its margin is at most 1/rho, so a NaN margin (a
-    gain of exactly 0.0 against a zero target rate) counts as a success of
-    its own signal and pairs with the other signal's outcome.
+    Each signal's margins come from its pairing's ``margin_base``, taken
+    from ``bases`` (pairing -> base of this draw) when the caller shares
+    one among requests, else formed here; only the residual gI is this
+    draw's own.  A system entry (mode, "system") is an int array of shape
+    (4, 4, grid) whose [i, j] row counts draws where x_{i+1} and x_{j+1}
+    both succeed; its diagonal holds the per-signal success counts.  Per
+    mode, the four signals' failures at every grid SNR fill one (4, grid)
+    block of bits, packed into 64-bit words and inverted into successes,
+    and the co-counts of all pairs are one population count of the words
+    ANDed pairwise.  A draw succeeds unless its margin
+    is at most 1/rho, so a NaN margin (a gain of exactly 0.0 against a zero
+    target rate) counts as a success of its own signal and pairs with the
+    other signal's outcome.
     """
     margins = {}
     for idx, members in pairs.items():
-        for mode, (strong, weak) in zip(modes, inverse_critical_snrs(config, draw,
-                                                                     idx, modes)):
+        base = margin_base(config, draw, idx) if bases is None else bases[idx]
+        for mode, (strong, weak) in zip(modes, mode_margins(base, draw.gI, modes)):
             for s in members:
                 margins[mode, s] = strong if s == idx.l else weak
     if not system:
         return {key: _failures(u, rhos) for key, u in margins.items()}
     inverse = (1.0 / rhos)[:, None]
-    size = draw.g1.size
-    # outcomes at every grid SNR, padded with failures to whole 64-bit words
-    outcomes = np.zeros((rhos.size, -(-size // 64) * 64), dtype=bool)
-    drawn = outcomes[:, :size]
+    size = draw.gI.size
+    # failures of x1..x4 at every grid SNR, padded to whole 64-bit words with
+    # failures, which the inverted words read as no success
+    failed = np.empty((4, rhos.size, -(-size // 64) * 64), dtype=bool)
+    failed[..., size:] = True
     stats = {}
     for mode in modes:
-        ok = []
         for s in SIGNALS:
-            np.less_equal(margins[mode, s], inverse, out=drawn)
-            np.logical_not(drawn, out=drawn)
-            ok.append(np.packbits(outcomes, axis=-1).view(np.uint64))
-        both = np.empty((4, 4, rhos.size), dtype=np.int64)
-        for i in range(4):
-            for j in range(i, 4):
-                both[i, j] = both[j, i] = np.bitwise_count(ok[i] & ok[j]).sum(
-                    axis=-1, dtype=np.int64)
-        stats[mode, "system"] = both
+            np.less_equal(margins[mode, s], inverse, out=failed[s - 1, :, :size])
+        ok = np.packbits(failed, axis=-1).view(np.uint64)
+        np.invert(ok, out=ok)
+        stats[mode, "system"] = np.bitwise_count(ok[:, None] & ok).sum(axis=-1,
+                                                                        dtype=np.int64)
     return stats
 
 
@@ -352,18 +359,29 @@ def _moment_estimate(mean, m2, n, seed):
 
 
 def _delivered_moments(rates, both, n):
-    """(mean, M2) of sum_i 1{ok_i} R_i from exact success co-counts.
+    """Per grid point, the (mean, M2) of sum_i 1{ok_i} R_i from exact success
+    co-counts ``both`` of shape (4, 4, grid), as two lists of floats.
 
     With c_ij the draws where x_i and x_j both succeed (c_ii = c_i), the
     sum of squared deviations is sum_ij R_i R_j (n c_ij - c_i c_j) / n; the
-    brackets are formed in integers, so no E[S^2] - E[S]^2 cancellation
-    occurs.
+    brackets are formed in integers, int64 while n^2 fits and Python
+    integers past it, so no E[S^2] - E[S]^2 cancellation occurs.  Each sum
+    starts from 0.0 and adds its terms in (i, j) order, as a Python ``sum``
+    of the per-point terms would, and a negative M2 is clamped to 0.0.
     """
-    c = [int(both[i, i]) for i in range(4)]
-    mean = sum(r * ci for r, ci in zip(rates, c)) / n
-    m2 = sum(rates[i] * rates[j] * (n * int(both[i, j]) - c[i] * c[j])
-             for i in range(4) for j in range(4)) / n
-    return mean, max(m2, 0.0)
+    n = int(n)
+    c = both[range(4), range(4)]                                  # (4, grid)
+    if n * n >= 1 << 63:               # n c_ij and c_i c_j reach n^2
+        both, c = both.astype(object), c.astype(object)
+    brackets = (n * both - c[:, None] * c).astype(float)
+    counts = c.astype(float)
+    mean = m2 = 0.0
+    for i in range(4):
+        mean = mean + rates[i] * counts[i]
+        for j in range(4):
+            m2 = m2 + rates[i] * rates[j] * brackets[i, j]
+    m2 = m2 / float(n)
+    return (mean / float(n)).tolist(), np.where(m2 < 0.0, 0.0, m2).tolist()
 
 
 def _reduce(config, parts, n, seed, grid_size):
@@ -382,11 +400,12 @@ def _reduce(config, parts, n, seed, grid_size):
                 point[key] = _moment_estimate(mean, m2, n, seed)
             continue
         counts = sum(part[key] for part in parts)
-        for j, point in enumerate(grid):
-            point[key] = (_moment_estimate(*_delivered_moments(rates, counts[..., j], n),
-                                           n, seed)
-                          if counts.ndim == 3            # success co-counts
-                          else _count_estimate(int(counts[j]), n, seed))
+        if counts.ndim == 3:                     # success co-counts
+            for point, mean, m2 in zip(grid, *_delivered_moments(rates, counts, n)):
+                point[key] = _moment_estimate(mean, m2, n, seed)
+        else:
+            for point, failures in zip(grid, counts.tolist()):
+                point[key] = _count_estimate(failures, n, seed)
     return grid
 
 
@@ -426,6 +445,7 @@ class _Job:
     oma: bool
     pairs: dict          # SignalIndex -> its requested signals
     means: tuple         # of the five gains, g1..g4 and gI
+    base_key: tuple      # all a pairing's margin base reads but the draw's gains
 
     @classmethod
     def of(cls, config, metric, targets, modes, oma=False):
@@ -434,7 +454,9 @@ class _Job:
         for s in signals:
             pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
         means = tuple(config.omega(i) for i in SIGNALS) + (config.omega_I,)
-        return cls(config, metric, targets, modes, oma, pairs, means)
+        base_key = (means[:4] + tuple(config.a(i) for i in SIGNALS) + (config.b1, config.b3)
+                    + tuple(config.rate(i) for i in SIGNALS) + (config.varpi1, config.varpi2))
+        return cls(config, metric, targets, modes, oma, pairs, means, base_key)
 
 
 def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
@@ -446,9 +468,15 @@ def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
     share ``rhos``, ``n``, ``seed``, ``point_index`` and ``workers``.  Each
     chunk makes one NOMA draw for all of them.  A gain row whose mean every
     request shares is scaled in the draw; a row whose mean differs (fig4's
-    and fig5's gI) stays at unit mean, and each request scales it into one
-    spare row that the requests take in turn.  A request with the baseline
-    draws its own fades.  Nothing is kept between calls.
+    and fig5's gI) stays at unit mean, and each request scales it, a block
+    at a time, into one block-long spare row that the requests take in
+    turn.  The chunk is walked a block at a time, each block serving every
+    request in order: a counted request reads each pairing's
+    ``margin_base`` of the block, formed once for all requests with the
+    same g1..g4 means, a, b, r and leakage levels (fig4's and fig5's
+    Omega_I variants share theirs), so only the residual gI is its own.
+    Baseline requests with the same link means share one fades draw per
+    chunk.  Nothing is kept between calls.
     """
     check_run(n, seed, point_index, workers)
     rhos = linear_snr_grid(rhos)
@@ -463,27 +491,40 @@ def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
             draw = sample_channel_draw(
                 drawn[0].config, chunk_generator(seed, 2 * point_index, chunk_index),
                 size=size, unit=varying)
-            spare = np.empty((len(varying), size))
-        chunk = []
+            rows = (draw.g1, draw.g2, draw.g3, draw.g4, draw.gI)
+            spare = np.empty((len(varying), min(size, BLOCK)))
+        fades = {}           # baseline fades by link means, all of one substream
         for job in jobs:
-            if job.pairs:
-                rows = [draw.g1, draw.g2, draw.g3, draw.g4, draw.gI]
-                for out, r in zip(spare, varying):
-                    rows[r] = np.multiply(rows[r], job.means[r], out=out)
-            if job.oma:
-                fades = _oma_fades(job.config, chunk_generator(
+            if job.oma and job.means[:4] not in fades:
+                fades[job.means[:4]] = _oma_fades(job.config, chunk_generator(
                     seed, 2 * point_index + 1, chunk_index), size)
-            stats = _counted_stats if job.metric in COUNTED else _rate_stats
-            parts = []
-            for start in range(0, size, BLOCK):
-                b = slice(start, start + BLOCK)
-                part = stats(job.config, ChannelDraw(*(row[b] for row in rows)), job.pairs,
-                             job.modes, "system" in job.targets, rhos) if job.pairs else {}
+        chunk = [[] for _ in jobs]
+        for start in range(0, size, BLOCK):
+            b = slice(start, start + BLOCK)
+            bases = {}       # this block's margin bases, by what they read
+            for job, parts in zip(jobs, chunk):
+                part = {}
+                if job.pairs:
+                    block = [row[b] for row in rows]
+                    for out, r in zip(spare, varying):
+                        block[r] = np.multiply(block[r], job.means[r],
+                                               out=out[:block[r].size])
+                    block = ChannelDraw(*block)
+                    system = "system" in job.targets
+                    if job.metric in COUNTED:
+                        for idx in job.pairs:
+                            if (job.base_key, idx) not in bases:
+                                bases[job.base_key, idx] = margin_base(job.config, block, idx)
+                        part = _counted_stats(job.config, block, job.pairs, job.modes, system,
+                                              rhos, {idx: bases[job.base_key, idx]
+                                                     for idx in job.pairs})
+                    else:
+                        part = _rate_stats(job.config, block, job.pairs, job.modes, system,
+                                           rhos)
                 if job.oma:
-                    part.update(_oma_stats(job.config, fades[:, b], rhos,
+                    part.update(_oma_stats(job.config, fades[job.means[:4]][:, b], rhos,
                                            job.metric in COUNTED, job.targets))
                 parts.append(part)
-            chunk.append(parts)
         return chunk
 
     chunks = _map_chunks(n, run, workers)

@@ -176,12 +176,14 @@ def test_out_path_with_a_dot_in_a_directory(tmp_path, out):
         "fig3_varpi_0.01.csv", "fig3_varpi_0.1.csv", "fig3_varpi_0.csv"]
 
 
-@pytest.mark.parametrize("out", ["d/", "d/.", ""])
+@pytest.mark.parametrize("out", ["d/", "d/.", "", "d/.csv", "d/.x", "d/..csv"])
 @pytest.mark.parametrize("argv", [["sweep", "--metric", "outage"],
                                   ["sweep", "--preset", "fig3"]], ids=["metric", "preset"])
 def test_out_naming_a_directory_exits_one(tmp_path, capsys, argv, out):
     """An --out without a file name would write hidden files such as d/.csv
-    and d/_varpi_0.csv."""
+    and d/_varpi_0.csv, and one whose name is a bare extension, such as
+    d/.csv, would write d/.csv.csv or d/.csv_varpi_0.csv: all are refused
+    with one error line."""
     (tmp_path / "d").mkdir()
     assert run_in(tmp_path, [*argv, "--snr", "0:0:5", "--iterations", "2000",
                              "--out", out]) == 1

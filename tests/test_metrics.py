@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrnoma import montecarlo
+from twrnoma import analysis, ergodic, montecarlo
 from twrnoma.analysis import outage_probability
 from twrnoma.configio import PRESETS
 from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
-from twrnoma.metrics import (METRICS, PER_SIGNAL, analytic_grid, energy_efficiency,
+from twrnoma.metrics import (METRICS, PER_SIGNAL, SIGNALS, analytic_grid, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
 from twrnoma.model import SIC_MODES, SystemConfig
@@ -374,3 +374,44 @@ def test_analytic_grid_equals_the_per_point_route_on_random_configs(cfg, dbs, me
             analytic_grid(cfg, *args)
         return
     assert _grid(cfg, *args) == expected
+
+
+_MIRROR_RHOS = [0.1, 10.0, 1e3, 1e5]
+
+
+@pytest.mark.parametrize("metric", PER_SIGNAL)
+@pytest.mark.parametrize("field, value", [("a3", 0.7), ("b3", 0.3), ("r3", 0.05)],
+                         ids=["a1!=a3", "b1!=b3", "r1!=r3"])
+def test_an_asymmetric_pairing_is_formed_not_copied(metric, field, value):
+    """With x3/x4's pairing unlike x1/x2's, their cells are those of a grid
+    that asks for x3 or x4 alone, and differ from x1's and x2's, except
+    that no rate reads a target rate: there r3 leaves every rate as is."""
+    config = SystemConfig(**{field: value})
+    grid = analytic_grid(config, _MIRROR_RHOS, metric, SIGNALS, SIC_MODES, True)
+    for s in (3, 4):
+        alone = analytic_grid(config, _MIRROR_RHOS, metric, (s,), SIC_MODES, True)
+        assert [[repr(p[mode, s]) for mode in SIC_MODES] for p in grid] == [
+            [repr(p[mode, s]) for mode in SIC_MODES] for p in alone]
+    mirrored = [p[mode, s] == p[mode, s - 2] for p in grid for mode in SIC_MODES
+                for s in (3, 4)]
+    assert all(mirrored) if (metric, field) == ("ergodic_rate", "r3") else not all(mirrored)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_mirror_reuse_changes_no_bit(metric, monkeypatch):
+    """In the default config x3 and x4 equal x1 and x2 bit for bit, and the
+    copied cells give every metric, the four system ones included, the bits
+    of a grid that forms each signal itself."""
+    config = SystemConfig()
+    targets = SIGNALS if metric in PER_SIGNAL else ("system",)
+    reused = analytic_grid(config, _MIRROR_RHOS, metric, targets, SIC_MODES, True)
+    for module in (analysis, ergodic):
+        monkeypatch.setattr(module, "mirror_sources",
+                            lambda config, signals: {s: s for s in signals})
+    formed = analytic_grid(config, _MIRROR_RHOS, metric, targets, SIC_MODES, True)
+    assert repr(reused) == repr(formed)
+    if metric in PER_SIGNAL:
+        for point in formed:
+            for mode in SIC_MODES:
+                assert repr(point[mode, 3]) == repr(point[mode, 1])
+                assert repr(point[mode, 4]) == repr(point[mode, 2])

@@ -81,6 +81,9 @@ def test_signal_index_pairings():
         assert SignalIndex.for_signal(s).t == s
     with pytest.raises(ValueError):
         SignalIndex.for_signal(5)
+    # the two pairings are built once, not per call
+    assert SignalIndex.for_signal(1) is SignalIndex.for_signal(2)
+    assert SignalIndex.for_signal(3) is SignalIndex.for_signal(4)
 
 
 @pytest.mark.parametrize("lktr", [(1, 3, 4, 2), (3, 1, 2, 4), (1, 1, 2, 4), (1, 3, 2, 2)])

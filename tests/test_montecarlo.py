@@ -8,7 +8,7 @@ import pytest
 import twrnoma.montecarlo as montecarlo
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
-from twrnoma.model import (ConfigError, SignalIndex, SystemConfig,
+from twrnoma.model import (SIC_MODES, ConfigError, SignalIndex, SystemConfig,
                            inverse_critical_snrs, sample_channel_draw)
 from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
@@ -348,3 +348,72 @@ def test_share_of_draws_that_never_decode_is_the_outage_floor(varpi):
             sigma = math.sqrt(floor * (1.0 - floor) / n)
             assert floor > 0.0
             assert abs(np.count_nonzero(u <= 0.0) / n - floor) <= 4.0 * sigma
+
+
+# one field of each kind a margin base or a request's draw reads
+_SHARING_AXES = {"d1": {"d1": 3.0}, "alpha": {"alpha": 2.5},
+                 "varpi": {"varpi1": 0.1, "varpi2": 0.1}, "rate": {"r2": 0.05},
+                 "omega_I": {"omega_I": 1.0}}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [2000, 8193, 2 * CHUNK + 1000])
+@pytest.mark.parametrize("overrides", list(_SHARING_AXES.values()), ids=list(_SHARING_AXES))
+def test_a_pass_gives_each_request_the_bits_it_has_alone(overrides, n, workers):
+    """Requests of one ``mc_grids`` pass that differ in one field, a g1..g4
+    mean, the leakage, a target rate or Omega_I alone, each get the bits
+    ``mc_grid`` gives them alone: a shared margin base or baseline fade is
+    shared only where every input it reads is equal."""
+    requests = [(config, metric, targets, SIC_MODES, oma)
+                for config in (SystemConfig(), SystemConfig(**overrides))
+                for metric, targets, oma in (("outage", (1, 2, 3, 4), True),
+                                             ("throughput_dl", ("system",), False),
+                                             ("ergodic_rate", (2,), True))]
+    rhos = [1.0, 31.6, 1000.0]
+    grids = montecarlo.mc_grids(requests, rhos, n, 11, workers=workers)
+    for (config, metric, targets, modes, oma), grid in zip(requests, grids):
+        alone = mc_grid(config, rhos, n, 11, workers=workers, metric=metric,
+                        targets=targets, modes=modes, oma=oma)
+        assert repr(grid) == repr(alone)
+
+
+def _delivered_moments_per_point(rates, both, n):
+    """The per-point form the whole-array ``_delivered_moments`` replaced,
+    on Python integers: the reference it must equal bit for bit."""
+    c = [int(both[i, i]) for i in range(4)]
+    mean = sum(r * ci for r, ci in zip(rates, c)) / n
+    m2 = sum(rates[i] * rates[j] * (n * int(both[i, j]) - c[i] * c[j])
+             for i in range(4) for j in range(4)) / n
+    return mean, max(m2, 0.0)
+
+
+def _synthetic_co_counts(n, seed):
+    """(4, 4, grid) co-counts of n draws, as from 16-cell outcome tallies:
+    random joint laws, then one where every draw succeeds and one where
+    none does, the zero-variance cells."""
+    rng = np.random.default_rng(seed)
+    laws = [rng.dirichlet(np.full(16, 0.5)) for _ in range(6)] + [np.eye(16)[15],
+                                                                  np.eye(16)[0]]
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1           # cell -> outcomes
+    both = np.empty((4, 4, len(laws)), dtype=np.int64)
+    for j, law in enumerate(laws):
+        tally = rng.multinomial(n, law)
+        both[..., j] = np.einsum("c,ci,cj->ij", tally, bits, bits)
+    return both
+
+
+@pytest.mark.parametrize("rates", [(0.1, 0.01, 0.1, 0.01), (0.0, 0.0, 0.0, 0.0),
+                                   (0.0, 0.3, 1e-3, 0.0)],
+                         ids=["default", "zero", "mixed"])
+@pytest.mark.parametrize("n", [1000, 8193, 5 * 10 ** 9, 10 ** 10])
+def test_delivered_moments_equal_the_per_point_integers(rates, n):
+    """The whole-array delivered moments equal the per-point Python-integer
+    form bit for bit, -0.0 terms and zero-variance cells included, and past
+    n = 2^32, where n c_ij leaves int64.  A bracket is at most n^2/4 in
+    magnitude, so int64 arithmetic that wraps still lands on it up to about
+    6e9 draws; 10^10 is past that too."""
+    both = _synthetic_co_counts(n, seed=n % 97)
+    means, m2s = montecarlo._delivered_moments(list(rates), both, n)
+    for j, (mean, m2) in enumerate(zip(means, m2s)):
+        ref_mean, ref_m2 = _delivered_moments_per_point(rates, both[..., j], n)
+        assert (mean.hex(), m2.hex()) == (ref_mean.hex(), ref_m2.hex())

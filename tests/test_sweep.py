@@ -267,6 +267,38 @@ def test_one_channel_draw_per_preset(tmp_path, capsys, monkeypatch, preset):
     assert draws == [CHUNK, 1000] * 2
 
 
+@pytest.mark.parametrize("preset, pairings", [("fig4", 1), ("fig5", 2)])
+def test_omega_i_variants_share_each_blocks_margin_base(tmp_path, capsys, monkeypatch,
+                                                         preset, pairings):
+    """fig4's three and fig5's two Omega_I variants read one margin base per
+    pairing and block, not one per variant: the base reads no gI."""
+    built = []
+    original = montecarlo.margin_base
+
+    def counting(config, draw, idx):
+        built.append(draw.gI.size)
+        return original(config, draw, idx)
+
+    monkeypatch.setattr(montecarlo, "margin_base", counting)
+    _preset_csvs(tmp_path, preset, CHUNK + 1000, 1, "--snr", "0:5:5")
+    assert built == [BLOCK] * pairings * (CHUNK // BLOCK) + [1000] * pairings
+
+
+def test_baseline_variants_share_each_chunks_fades(tmp_path, capsys, monkeypatch):
+    """fig3's three leakage levels have equal link means, so the baseline
+    draws its fades once per chunk for all of them."""
+    drawn = []
+    original = montecarlo._oma_fades
+
+    def counting(config, stream, size):
+        drawn.append(size)
+        return original(config, stream, size)
+
+    monkeypatch.setattr(montecarlo, "_oma_fades", counting)
+    _preset_csvs(tmp_path, "fig3", CHUNK + 1000, 1, "--snr", "0:5:5", "--with-oma")
+    assert drawn == [CHUNK, 1000]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [2000, 2 * CHUNK + 1000])
 @pytest.mark.parametrize("preset, with_oma", [("fig3", True), ("fig4", False),
