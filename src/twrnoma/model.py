@@ -23,9 +23,9 @@ convention, the check of an SNR grid, the SINR thresholds of a target rate,
 the channel sampler and the five SINR expressions the simulator reads: per
 draw, for every SIC mode at once, as the rho-free (A, B) of each decode,
 whose SINR is A / (B + 1/rho) at any SNR (``sinr_coefficients``), and as
-inverse critical SNRs (``inverse_critical_snrs``), each mode's taken from
-one residual-free margin base per pairing (``margin_base``).  ``sinr_set`` rebuilds
-them under one mode, for the tests.
+inverse critical SNRs (``mode_margins``), each mode's taken from one
+residual-free margin base per pairing (``margin_base``).  ``sinr_set``
+rebuilds them under one mode, for the tests.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def sinr_set(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex,
     "ipsic", 0 under "psic").  Scalar and array gains are both accepted.
 
     No library route calls it: the tests check ``sinr_coefficients`` and
-    ``inverse_critical_snrs`` against this independent per-draw rebuild.
+    ``mode_margins`` against this independent per-draw rebuild.
     """
     rho = config.rho
     (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
@@ -406,10 +406,13 @@ def inverse_threshold(gamma):
 
 def margin_base(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> tuple:
     """Per draw, the residual-free decode margins of one pairing that
-    ``inverse_critical_snrs`` combines: (shared, weak_free, own, relay_weak).
+    ``mode_margins`` combines: (shared, weak_free, own, relay_weak).
 
     Each SINR, A / (B + 1/rho) as in ``sinr_coefficients``, exceeds gamma
-    exactly when 1/rho < A/gamma - B, its margin.  ``shared`` is the least
+    exactly when 1/rho < A/gamma - B, its margin.  The strong signal x_l
+    needs the relay's decode of x_l and both of the near user's decodes;
+    the weak signal x_t needs the relay's two decodes, the near user's
+    strip of x_t and the far user's decode.  ``shared`` is the least
     margin of the relay's decode of x_l and the near user's strip of x_t,
     ``weak_free`` adds the far user's decode of x_t, ``own`` is the near
     user's decode of x_l and ``relay_weak`` the relay's decode of x_t, the
@@ -434,31 +437,15 @@ def margin_base(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> tu
 
 
 def mode_margins(base, gI, modes) -> tuple:
-    """One (u_l, u_t) pair per entry of ``modes`` from a ``margin_base``: the
-    residual eps gI comes off the near user's own decode and the relay's
-    decode of x_t.  Under pSIC eps gI is 0.0, and x - 0.0 is x bit for bit,
-    so that mode subtracts nothing."""
+    """Per draw, the inverse critical SNRs u of a pairing's two signals, one
+    (u_l, u_t) pair per entry of ``modes``, from a ``margin_base``: a chain
+    succeeds at rho exactly when 1/rho < u, the least margin of its decodes,
+    and its critical SNR 1/u is +inf where u <= 0, when some decode fails at
+    every SNR.  The residual eps gI comes off the near user's own decode and
+    the relay's decode of x_t; under pSIC eps gI is 0.0, and x - 0.0 is x
+    bit for bit, so that mode subtracts nothing."""
     shared, weak_free, own, relay_weak = base
     return tuple((np.minimum(shared, own - gI), np.minimum(weak_free, relay_weak - gI))
                  if sic_epsilon(mode) else
                  (np.minimum(shared, own), np.minimum(weak_free, relay_weak))
                  for mode in modes)
-
-
-def inverse_critical_snrs(config: SystemConfig, draw: ChannelDraw,
-                          idx: SignalIndex, modes) -> tuple:
-    """Per draw, the inverse critical SNR of one pairing's two signals under
-    each SIC mode.
-
-    A signal's chain succeeds at rho exactly when 1/rho is below u, the
-    least margin A/gamma - B (``margin_base``) over its decodes; its
-    critical SNR is rho* = 1/u, and +inf where u <= 0, when some decode
-    fails at every SNR.  The strong signal x_l needs the relay's decode of
-    x_l and both of the near user's decodes; the weak signal x_t needs the
-    relay's two decodes, the near user's strip of x_t and the far user's
-    decode.  ``config.rho`` is not read.
-
-    Returns one (u_l, u_t) pair of arrays per entry of ``modes``; the terms
-    no mode changes are formed once for all of them.
-    """
-    return mode_margins(margin_base(config, draw, idx), draw.gI, modes)

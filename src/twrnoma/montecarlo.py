@@ -17,13 +17,13 @@ requests, a preset's variants, in one pass: each chunk's one draw serves
 them all, scaled to each request's means.  Counted metrics (outage and
 the delay-limited ones) read each draw's inverse critical SNR: every SINR
 is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
-outcome at every grid SNR at once, and the failures at each grid SNR are
-one comparison count.  Its residual-free part, a pairing's margin base,
-reads no gI, so requests that differ only in Omega_I (fig4's and fig5's
-variants) share one base per block, keyed on every input it reads.  The
-delay-limited system sums need the draws where two signals both succeed:
-the four signals' outcomes are packed into 64-bit words, and all pairs'
-counts are one population count of the words ANDed pairwise.  Rate
+outcome at every grid SNR at once.  Its residual-free part, a pairing's
+margin base, reads no gI, so requests that differ only in Omega_I (fig4's
+and fig5's variants) share one base per block, keyed on every input it
+reads.  Every count, the baseline's too, is a population count of packed
+failure bits, one 64-bit-word row per margin row and grid SNR: of a
+signal's own words, of two signals' words ANDed (the delay-limited system
+sums) or of the baseline's four rows ORed (any exchange fails).  Rate
 metrics read the same A and B, formed once per block: at each grid SNR a
 chain's SINR is the least A / (B + 1/rho) over its decodes, and a decode
 no SIC mode changes is evaluated once.  The delay-tolerant system rate is
@@ -123,11 +123,13 @@ def chunk_generator(master_seed: int, effective_point_index: int,
 
 
 def _map_chunks(n, worker_fn, workers):
-    """``worker_fn(chunk_index, size)`` over the chunks of ``n`` draws, in order."""
+    """``worker_fn(chunk_index, size)`` over the chunks of ``n`` draws, in order,
+    on at most one thread per chunk, and inline where that is one thread."""
     n = int(n)
     sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers or 1, len(sizes))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker_fn, range(len(sizes)), sizes))
     return [worker_fn(i, size) for i, size in enumerate(sizes)]
 
@@ -184,59 +186,55 @@ def oma_outage_exact(config: SystemConfig, signal) -> float:
     return -math.expm1(-exponent(signal))
 
 
-def _failures(margins, rhos):
-    """Per grid SNR, the draws whose critical SNR is not below it.
+def _failure_words(rows, rhos):
+    """The failure bits of each row of margins at every grid SNR, packed into
+    uint64 words of shape (rows, grid, words) and padded with zero bits.
 
-    A draw fails at rho exactly when its inverse critical SNR u is at most
-    1/rho.  One comparison pass per grid SNR is cheaper than a sort of the
-    draws on grids of up to about two dozen points (no preset has more
-    than 11), and cheaper than a binary search per draw on any grid, since
-    random keys defeat branch prediction.
+    A draw fails at rho exactly when its margin is at most 1/rho, so a NaN
+    margin (a gain of exactly 0.0 against a zero target rate) never fails.
     """
-    return np.array([np.count_nonzero(margins <= 1.0 / rho) for rho in rhos],
-                    dtype=np.int64)
+    size = rows[0].size
+    failed = np.zeros((rhos.size, -(-size // 64) * 64), dtype=bool)
+    inverse = (1.0 / rhos)[:, None]
+    packed = []
+    for row in rows:
+        np.less_equal(row, inverse, out=failed[:, :size])
+        packed.append(np.packbits(failed, axis=-1))
+    return np.stack(packed).view(np.uint64)
 
 
-def _counted_stats(config, draw, pairs, modes, system, rhos, bases=None):
+def _ones(words):
+    """The set bits of ``words`` over its last axis, as int64 counts."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _counted_stats(draw, pairs, modes, system, rhos, bases):
     """Failure counts per signal, or with ``system`` success co-counts of the
     four signals, at every grid SNR, every mode.
 
-    Each signal's margins come from its pairing's ``margin_base``, taken
-    from ``bases`` (pairing -> base of this draw) when the caller shares
-    one among requests, else formed here; only the residual gI is this
-    draw's own.  A system entry (mode, "system") is an int array of shape
-    (4, 4, grid) whose [i, j] row counts draws where x_{i+1} and x_{j+1}
-    both succeed; its diagonal holds the per-signal success counts.  Per
-    mode, the four signals' failures at every grid SNR fill one (4, grid)
-    block of bits, packed into 64-bit words and inverted into successes,
-    and the co-counts of all pairs are one population count of the words
-    ANDed pairwise.  A draw succeeds unless its margin
-    is at most 1/rho, so a NaN margin (a gain of exactly 0.0 against a zero
-    target rate) counts as a success of its own signal and pairs with the
-    other signal's outcome.
+    Each signal's margins come from its pairing's base in ``bases``
+    (pairing -> ``margin_base`` of this draw), which requests share; only
+    the residual gI is this draw's own.  A system entry (mode, "system") is
+    an int array of shape (4, 4, grid) whose [i, j] row counts draws where
+    x_{i+1} and x_{j+1} both succeed, n - f_i - f_j + f_ij with f_ij the
+    count of their failure words ANDed; its diagonal holds the per-signal
+    success counts.  A NaN margin is a success of its own signal alone.
     """
-    margins = {}
+    keys, rows = [], []
     for idx, members in pairs.items():
-        base = margin_base(config, draw, idx) if bases is None else bases[idx]
-        for mode, (strong, weak) in zip(modes, mode_margins(base, draw.gI, modes)):
+        for mode, (strong, weak) in zip(modes, mode_margins(bases[idx], draw.gI, modes)):
             for s in members:
-                margins[mode, s] = strong if s == idx.l else weak
+                keys.append((mode, s))
+                rows.append(strong if s == idx.l else weak)
+    words = _failure_words(rows, rhos)
     if not system:
-        return {key: _failures(u, rhos) for key, u in margins.items()}
-    inverse = (1.0 / rhos)[:, None]
-    size = draw.gI.size
-    # failures of x1..x4 at every grid SNR, padded to whole 64-bit words with
-    # failures, which the inverted words read as no success
-    failed = np.empty((4, rhos.size, -(-size // 64) * 64), dtype=bool)
-    failed[..., size:] = True
+        return dict(zip(keys, _ones(words)))
     stats = {}
     for mode in modes:
-        for s in SIGNALS:
-            np.less_equal(margins[mode, s], inverse, out=failed[s - 1, :, :size])
-        ok = np.packbits(failed, axis=-1).view(np.uint64)
-        np.invert(ok, out=ok)
-        stats[mode, "system"] = np.bitwise_count(ok[:, None] & ok).sum(axis=-1,
-                                                                        dtype=np.int64)
+        signals = words[[keys.index((mode, s)) for s in SIGNALS]]
+        failed = _ones(signals)
+        stats[mode, "system"] = (draw.gI.size - failed[:, None] - failed
+                                 + _ones(signals[:, None] & signals))
     return stats
 
 
@@ -326,11 +324,12 @@ def _oma_stats(config, fades, rhos, counted, signals):
     from the (4, size) fades it is handed, row i - 1 for signal i."""
     if counted:
         # rho fade > thr exactly when fade / thr > 1/rho
-        margins = fades * np.array([[inverse_threshold(oma_threshold(config.rate(i)))]
-                                    for i in SIGNALS])
-        stats = {("oma", i): _failures(margins[i - 1], rhos) for i in signals}
+        words = _failure_words(fades * np.array(
+            [[inverse_threshold(oma_threshold(config.rate(i)))] for i in SIGNALS]), rhos)
+        failed = _ones(words)
+        stats = {("oma", i): failed[i - 1] for i in signals}
         # the system fails at rho when any exchange does
-        stats["oma", "system"] = _failures(margins.min(axis=0), rhos)
+        stats["oma", "system"] = _ones(np.bitwise_or.reduce(words))
         return stats
     stats = {("oma", target): [] for target in signals + ("system",)}
     rates = np.empty(fades.shape)
@@ -418,10 +417,11 @@ def _scaled(est, scale):
 
 def check_run(n, seed, point_index=0, workers=None):
     """ConfigError unless ``n`` samples from master ``seed`` at ``point_index``
-    (integers, numpy's included) on ``workers`` threads (None or an int of
-    at least 1) make a run: the one check of a run's inputs."""
+    (integers, numpy's included, bools not) on ``workers`` threads (None or
+    an int of at least 1, not a bool) make a run: the one check of a run's
+    inputs."""
     for name, value in (("sample count", n), ("seed", seed), ("point index", point_index)):
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1000:
         raise ConfigError(f"a Monte Carlo run needs at least 1000 samples to "
@@ -430,7 +430,7 @@ def check_run(n, seed, point_index=0, workers=None):
         raise ConfigError(f"seed must be nonnegative, got {seed!r}")
     if point_index < 0:
         raise ConfigError(f"point index must be nonnegative, got {point_index!r}")
-    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+    if workers is not None and (type(workers) is not int or workers < 1):
         raise ConfigError(f"workers must be None or an int of at least 1, got {workers!r}")
 
 
@@ -515,9 +515,9 @@ def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
                         for idx in job.pairs:
                             if (job.base_key, idx) not in bases:
                                 bases[job.base_key, idx] = margin_base(job.config, block, idx)
-                        part = _counted_stats(job.config, block, job.pairs, job.modes, system,
-                                              rhos, {idx: bases[job.base_key, idx]
-                                                     for idx in job.pairs})
+                        part = _counted_stats(block, job.pairs, job.modes, system, rhos,
+                                              {idx: bases[job.base_key, idx]
+                                               for idx in job.pairs})
                     else:
                         part = _rate_stats(job.config, block, job.pairs, job.modes, system,
                                            rhos)

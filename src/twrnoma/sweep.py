@@ -22,11 +22,12 @@ sweep makes no per-point copy of the config.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 from . import metrics
-from .metrics import PER_SIGNAL
+from .metrics import PER_SIGNAL, SIGNALS
 from .model import SIC_MODES, ConfigError, SystemConfig, is_linear_snr
 from .montecarlo import check_run, mc_grids
 
@@ -47,9 +48,10 @@ class SweepSpec:
 
     ``snr`` is the (start, stop, step) grid in dB, at most MAX_GRID_POINTS
     points; at each point the linear SNR and its reciprocal are finite
-    floats.  ``modes`` are the SIC modes that get rows.  ``signals`` applies
-    only to the per-signal metrics (outage, ergodic_rate); the system
-    metrics always sum x1..x4.  The defaults are the command line's.
+    floats.  ``modes`` are the SIC modes that get rows.  ``signals``,
+    integers in 1..4 (bools not), apply only to the per-signal metrics
+    (outage, ergodic_rate); the system metrics always sum x1..x4.  The
+    defaults are the command line's.
     """
 
     metric: str = "outage"
@@ -84,12 +86,12 @@ class SweepSpec:
                 raise ConfigError(f"SNR grid point {db!r} dB is beyond the float "
                                   f"range of a linear SNR")
         check_run(self.mc_iterations, self.master_seed)
-        sigs = tuple(sorted(set(int(s) for s in self.signals)))
+        for s in self.signals:
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in SIGNALS:
+                raise ConfigError(f"signals must be integers in 1..4, got {s!r}")
+        sigs = tuple(sorted({int(s) for s in self.signals}))
         if not sigs:
             raise ConfigError("signal set must not be empty")
-        for s in sigs:
-            if s not in (1, 2, 3, 4):
-                raise ConfigError(f"signals must be in 1..4, got {s}")
         object.__setattr__(self, "signals", sigs)
         if not self.modes:
             raise ConfigError("modes must name at least one SIC mode")

@@ -9,7 +9,8 @@ import twrnoma.montecarlo as montecarlo
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
 from twrnoma.model import (SIC_MODES, ConfigError, SignalIndex, SystemConfig,
-                           inverse_critical_snrs, sample_channel_draw)
+                           inverse_threshold, margin_base, mode_margins,
+                           sample_channel_draw)
 from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _moments,
                                 chunk_generator, ci_bounds, mc_ergodic,
                                 mc_grid, mc_oma_baseline, mc_outage,
@@ -98,12 +99,15 @@ def test_run_shape_validation(baseline):
     ({"workers": 0}, "workers must be None or an int of at least 1, got 0"),
     ({"workers": -3}, "workers must be None or an int of at least 1, got -3"),
     ({"workers": 2.5}, "workers must be None or an int of at least 1, got 2.5"),
+    ({"workers": True}, "workers must be None or an int of at least 1, got True"),
     ({"point_index": -1}, "point index must be nonnegative, got -1"),
-], ids=["workers=0", "workers=-3", "workers=2.5", "point_index=-1"])
+    ({"point_index": True}, "point index must be an integer, got True"),
+], ids=["workers=0", "workers=-3", "workers=2.5", "workers=True", "point_index=-1",
+        "point_index=True"])
 def test_run_inputs_are_refused(baseline, kwargs, message):
-    """A worker count other than None or an int >= 1, or a negative point
-    index, is a ConfigError before any draw, not a serial run or a numpy
-    error."""
+    """A worker count other than None or an int >= 1, or a negative or bool
+    point index, is a ConfigError before any draw, not a serial run, a run
+    that reports a bool, or a numpy error."""
     with pytest.raises(ConfigError) as info:
         montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="outage", targets=(1,),
                            modes=("ipsic",), **kwargs)
@@ -114,10 +118,13 @@ def test_run_inputs_are_refused(baseline, kwargs, message):
     (2000.5, 1, "sample count must be an integer, got 2000.5"),
     (2000.0, 1, "sample count must be an integer, got 2000.0"),
     (2000, 1.5, "seed must be an integer, got 1.5"),
-], ids=["n=2000.5", "n=2000.0", "seed=1.5"])
+    (True, 1, "sample count must be an integer, got True"),
+    (2000, True, "seed must be an integer, got True"),
+], ids=["n=2000.5", "n=2000.0", "seed=1.5", "n=True", "seed=True"])
 def test_non_integer_run_inputs_are_refused(baseline, n, seed, message):
-    """A fractional sample count was drawn truncated but divided whole, and
-    a fractional seed failed inside numpy; both are ConfigErrors now."""
+    """A fractional sample count was drawn truncated but divided whole, a
+    fractional seed failed inside numpy, and a bool seed ran and was
+    reported as ``True``; all are ConfigErrors now."""
     with pytest.raises(ConfigError) as info:
         mc_grid(baseline, [1.0], n, seed, metric="outage", targets=(1,), modes=("ipsic",))
     assert str(info.value) == message
@@ -129,39 +136,122 @@ def test_numpy_integer_run_inputs_are_taken(baseline):
             == mc_grid(baseline, [1.0], 2000, 1, 2, **request))
 
 
+_PAIRS = {SignalIndex.for_signal(1): [1, 2], SignalIndex.for_signal(3): [3, 4]}
+
+
+def _bases(config, draw):
+    return {idx: margin_base(config, draw, idx) for idx in _PAIRS}
+
+
+def _margins(config, draw, mode):
+    """The inverse critical SNRs of x1..x4 under ``mode``, in signal order."""
+    margins = []
+    for base in _bases(config, draw).values():
+        (ours,) = mode_margins(base, draw.gI, (mode,))
+        margins += ours
+    return margins
+
+
+def _comparison_failures(u, rhos):
+    """count(u <= 1/rho) per grid SNR: one comparison pass per SNR."""
+    return np.array([np.count_nonzero(u <= 1.0 / rho) for rho in rhos], dtype=np.int64)
+
+
 def _minimum_co_counts(config, draw, mode, rhos):
     """The (4, 4, grid) success co-counts rebuilt per pair as
     n - count(min(u_i, u_j) <= 1/rho)."""
-    margins = []
-    for s in (1, 3):
-        (ours,) = inverse_critical_snrs(config, draw, SignalIndex.for_signal(s), (mode,))
-        margins += ours
+    margins = _margins(config, draw, mode)
     both = np.empty((4, 4, rhos.size), dtype=np.int64)
     for i in range(4):
         for j in range(4):
             u = np.minimum(margins[i], margins[j])
-            both[i, j] = [u.size - np.count_nonzero(u <= 1.0 / rho) for rho in rhos]
+            both[i, j] = u.size - _comparison_failures(u, rhos)
     return both
 
 
-@pytest.mark.parametrize("rates", [{}, {"r1": 0.0, "r2": 0.0, "r3": 0.0, "r4": 0.0}],
-                         ids=["default", "zero-rates"])
-@pytest.mark.parametrize("size", [1000, 8193, 2 * CHUNK + 1000])
+_RATES = pytest.mark.parametrize("rates", [{}, {"r1": 0.0, "r2": 0.0, "r3": 0.0, "r4": 0.0}],
+                                 ids=["default", "zero-rates"])
+_SIZES = pytest.mark.parametrize("size", [1000, 8193, 2 * CHUNK + 1000])
+_GRID = np.array([10.0 ** (db / 10.0) for db in range(-10, 45, 5)])
+
+
+@_RATES
+@_SIZES
 def test_packed_co_counts_equal_the_minimum_rebuild(rates, size):
-    """The system co-counts from packed success bits are the integers the
+    """The system co-counts from packed failure bits are the integers the
     pairwise minimum of inverse critical SNRs gives, on ragged sizes and
     at zero target rates (infinite inverse thresholds), in both modes."""
     cfg = SystemConfig(**rates)
     draw = sample_channel_draw(cfg, chunk_generator(77, 0, 0), size=size)
-    rhos = np.array([10.0 ** (db / 10.0) for db in range(-10, 45, 5)])
-    modes = ("ipsic", "psic")
-    pairs = {SignalIndex.for_signal(1): [1, 2], SignalIndex.for_signal(3): [3, 4]}
-    stats = montecarlo._counted_stats(cfg, draw, pairs, modes, True, rhos)
-    assert set(stats) == {(mode, "system") for mode in modes}
-    for mode in modes:
+    stats = montecarlo._counted_stats(draw, _PAIRS, SIC_MODES, True, _GRID,
+                                      _bases(cfg, draw))
+    assert set(stats) == {(mode, "system") for mode in SIC_MODES}
+    for mode in SIC_MODES:
         assert stats[mode, "system"].dtype == np.int64
         np.testing.assert_array_equal(stats[mode, "system"],
-                                      _minimum_co_counts(cfg, draw, mode, rhos))
+                                      _minimum_co_counts(cfg, draw, mode, _GRID))
+
+
+@_RATES
+@_SIZES
+def test_packed_failures_equal_the_comparison_counts(rates, size):
+    """The per-signal failures and both baseline counts from packed failure
+    bits are the integers of one comparison count per grid SNR, the
+    baseline system's of the least of the four exchanges' margins, on
+    ragged sizes and at zero target rates, in both modes."""
+    cfg = SystemConfig(**rates)
+    draw = sample_channel_draw(cfg, chunk_generator(77, 0, 0), size=size)
+    stats = montecarlo._counted_stats(draw, _PAIRS, SIC_MODES, False, _GRID,
+                                      _bases(cfg, draw))
+    assert set(stats) == {(mode, s) for mode in SIC_MODES for s in (1, 2, 3, 4)}
+    for mode in SIC_MODES:
+        for s, u in zip((1, 2, 3, 4), _margins(cfg, draw, mode)):
+            assert stats[mode, s].dtype == np.int64
+            np.testing.assert_array_equal(stats[mode, s], _comparison_failures(u, _GRID))
+    fades = montecarlo._oma_fades(cfg, chunk_generator(77, 1, 0), size)
+    oma = montecarlo._oma_stats(cfg, fades, _GRID, True, (1, 2, 3, 4))
+    margins = fades * np.array([[inverse_threshold(oma_threshold(cfg.rate(i)))]
+                                for i in (1, 2, 3, 4)])
+    for i in (1, 2, 3, 4):
+        np.testing.assert_array_equal(oma["oma", i],
+                                      _comparison_failures(margins[i - 1], _GRID))
+    np.testing.assert_array_equal(oma["oma", "system"],
+                                  _comparison_failures(margins.min(axis=0), _GRID))
+
+
+def test_a_nan_baseline_margin_leaves_the_other_exchanges_counted():
+    """A fade of exactly 0.0 against a zero target rate gives a NaN margin,
+    0 times infinity.  It counts as a success of its own exchange, and the
+    system still fails where another exchange does; a least margin taken
+    over the four would carry the NaN and count the system a success."""
+    cfg = SystemConfig(r1=0.0)
+    fades = np.array([[0.0, 1.0], [1e-9, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        stats = montecarlo._oma_stats(cfg, fades, np.array([1.0]), True, (1, 2))
+    assert stats["oma", 1].tolist() == [0]
+    assert stats["oma", 2].tolist() == [1]
+    assert stats["oma", "system"].tolist() == [1]
+
+
+@pytest.mark.parametrize("n, workers, pools", [
+    (16_384, 2, []), (2 * CHUNK + 1000, None, []), (2 * CHUNK + 1000, 1, []),
+    (2 * CHUNK + 1000, 2, [2]), (CHUNK + 1000, 5, [2]),
+], ids=["one-chunk", "workers=None", "workers=1", "three-chunks", "two-chunks"])
+def test_a_thread_pool_only_where_two_chunks_meet_two_workers(baseline, monkeypatch, n,
+                                                               workers, pools):
+    """A run starts a pool only when it has more than one chunk and more
+    than one worker, and never more threads than chunks."""
+    started = []
+    original = montecarlo.ThreadPoolExecutor
+
+    def counting(max_workers):
+        started.append(max_workers)
+        return original(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", counting)
+    mc_grid(baseline, [1.0], n, 1, workers=workers, metric="outage", targets=(1,),
+            modes=("ipsic",))
+    assert started == pools
 
 
 @pytest.mark.parametrize("metric", ["outage", "ergodic_rate"], ids=["outage", "rate"])
@@ -341,8 +431,9 @@ def test_share_of_draws_that_never_decode_is_the_outage_floor(varpi):
     cfg = SystemConfig(varpi1=varpi, varpi2=varpi)
     draw = sample_channel_draw(cfg, chunk_generator(2024, 0, 0), size=n)
     modes = ("ipsic", "psic")
-    for mode, margins in zip(modes, inverse_critical_snrs(
-            cfg, draw, SignalIndex.for_signal(1), modes)):
+    idx = SignalIndex.for_signal(1)
+    for mode, margins in zip(modes, mode_margins(margin_base(cfg, draw, idx), draw.gI,
+                                                 modes)):
         for s, u in zip((1, 2), margins):
             floor = outage_asymptotic(cfg, s, mode).floor
             sigma = math.sqrt(floor * (1.0 - floor) / n)

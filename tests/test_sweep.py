@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -51,6 +52,13 @@ def test_spec_validation():
         small_spec(signals=())
     with pytest.raises(ConfigError, match="1..4"):
         small_spec(signals=(1, 9))
+    # a signal is an integer: none is truncated, parsed or read as a bool
+    for signals, shown in (((1.7, 2), "1.7"), (("x1",), "'x1'"), ((True,), "True"),
+                           ((1, 2.0), "2.0")):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"signals must be integers in 1..4, got {shown}")):
+            small_spec(signals=signals)
+    assert small_spec(signals=(np.int64(2), 1, 2)).signals == (1, 2)
     with pytest.raises(ConfigError, match="1000"):
         small_spec(mc_iterations=10)
     with pytest.raises(ConfigError, match="metric"):
