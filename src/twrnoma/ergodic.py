@@ -412,7 +412,10 @@ def ergodic_rate_weak_highsnr(config: SystemConfig, idx: SignalIndex, mode: str)
 
     Perfect SIC: the cap alone binds and the ceiling keeps a residual rho
     dependence, e^c (Ei(-c/b_l) - Ei(-c)) / (2 ln 2) with
-    c = 1/(rho a_t Omega_t), growing like log(rho).  Both terms are formed
+    c = 1/(rho a_t Omega_t).  It does not grow without bound: as c -> 0 it
+    rises to ln(1/b_l) / (2 ln 2) = (1/2) log2(1 + b_t/b_l), since
+    b_l + b_t = 1; 1.1609640474 on the default config, which it reads
+    within 1e-9 relative at 120 dB.  Both terms are formed
     as e^s Ei(-s) products, e^{c(1 - 1/b_l)} e^{c/b_l} Ei(-c/b_l) and
     e^c Ei(-c), so a large c (low SNR, weak power share) cannot overflow.
     """
@@ -444,9 +447,13 @@ def ergodic_rate_strong_asymptotic(config: SystemConfig, idx: SignalIndex,
 
     and takes the same divided differences as the closed form:
     nu1 nu2 K~[1, nu1, nu2] / (2 ln 2), or -nu2 K~[1, nu2] / (2 ln 2) under
-    perfect SIC.  The residual channel keeps lambda1 > 0 and caps the rate;
-    with it removed the expression grows like (1/2) log2(rho), unit
-    multiplexing gain over the two slots.
+    perfect SIC.  The expansion converges in both modes.  Under imperfect
+    SIC the residual channel (lambda1 > 0) caps the rate.  Under perfect
+    SIC the chain's SINR tends to a_l g_l / (a_t g_t), a scaled ratio of
+    two unit exponentials, and the rate to c ln c / ((c - 1) 2 ln 2) with
+    c = a_l Omega_l / (a_t Omega_t), 1/(2 ln 2) at c = 1: 3.3554829241 on
+    the default config (c = 100), which the expansion and the closed form
+    read within 1.1e-8 relative at 120 dB.
     """
     return _strong_asymptotic(compute_rate_intermediates(config, idx, mode),
                               _psi(config, idx, config.rho))

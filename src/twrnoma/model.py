@@ -419,7 +419,9 @@ def margin_base(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> tu
     last two before the residual eps gI is taken off.  Reads g1..g4, the
     a, b and r of the pairing and both leakage levels, never gI or
     ``config.rho``, so draws that differ only in the residual channel share
-    one base.
+    one base.  A zero target rate's inverse threshold is +inf, so a gain of
+    exactly 0.0 gives a NaN margin (0 times inf), which never fails; numpy
+    is told not to warn of it.
     """
     (a_l, a_k, a_t, a_r, b_l, b_t), (g_l, g_k, g_t, g_r) = _pairing(config, draw, idx)
     inv_l = inverse_threshold(gamma_threshold(config.rate(idx.l)))
@@ -428,11 +430,12 @@ def margin_base(config: SystemConfig, draw: ChannelDraw, idx: SignalIndex) -> tu
     cross = config.varpi1 * (a_k * g_k + a_r * g_r)
     # the downlink decodes scale with the decoding user's own gain alone
     strip = b_t * inv_t - b_l - config.varpi2       # x_t beside x_l, per unit gain
-    shared = np.minimum(a_l * inv_l * g_l - (a_t * g_t + cross),  # relay: x_l
-                        strip * g_k)                              # D_k strips x_t
-    weak_free = np.minimum(shared, strip * g_r)                   # D_r: x_t
-    own = (b_l * inv_l - config.varpi2) * g_k                     # D_k: x_l
-    relay_weak = a_t * inv_t * g_t - cross                        # relay: x_t
+    with np.errstate(invalid="ignore"):             # 0 * inf, as above
+        shared = np.minimum(a_l * inv_l * g_l - (a_t * g_t + cross),  # relay: x_l
+                            strip * g_k)                              # D_k strips x_t
+        weak_free = np.minimum(shared, strip * g_r)                   # D_r: x_t
+        own = (b_l * inv_l - config.varpi2) * g_k                     # D_k: x_l
+        relay_weak = a_t * inv_t * g_t - cross                        # relay: x_t
     return shared, weak_free, own, relay_weak
 
 

@@ -13,10 +13,11 @@ random numbers), and the orthogonal baseline's fades once for all of its
 targets; the estimates at one SNR are a one-point grid.  The caller names
 one metric with its targets and SIC modes, as for ``metrics.analytic_grid``,
 and the kernel builds only those estimates.  ``mc_grids`` runs several such
-requests, a preset's variants, in one pass: each chunk's one draw serves
-them all, scaled to each request's means.  Counted metrics (outage and
-the delay-limited ones) read each draw's inverse critical SNR: every SINR
-is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
+requests, each on its own grid, in one pass (a preset's variants, or the
+outage, rate and baseline checks of ``validate``): each chunk's one draw
+serves them all, scaled to each request's means.  Counted metrics (outage
+and the delay-limited ones) read each draw's inverse critical SNR: every
+SINR is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
 outcome at every grid SNR at once.  Its residual-free part, a pairing's
 margin base, reads no gI, so requests that differ only in Omega_I (fig4's
 and fig5's variants) share one base per block, keyed on every input it
@@ -323,9 +324,13 @@ def _oma_stats(config, fades, rhos, counted, signals):
     rate moments, for each of ``signals`` and for the system of all four,
     from the (4, size) fades it is handed, row i - 1 for signal i."""
     if counted:
-        # rho fade > thr exactly when fade / thr > 1/rho
-        words = _failure_words(fades * np.array(
-            [[inverse_threshold(oma_threshold(config.rate(i)))] for i in SIGNALS]), rhos)
+        # rho fade > thr exactly when fade / thr > 1/rho; a zero target's 1/thr
+        # is +inf, and a fade of exactly 0.0 then a NaN margin, which never fails
+        inverse = np.array([[inverse_threshold(oma_threshold(config.rate(i)))]
+                            for i in SIGNALS])
+        with np.errstate(invalid="ignore"):
+            margins = fades * inverse
+        words = _failure_words(margins, rhos)
         failed = _ones(words)
         stats = {("oma", i): failed[i - 1] for i in signals}
         # the system fails at rho when any exchange does
@@ -439,6 +444,7 @@ class _Job:
     """One request of a pass, checked, with what its chunks read."""
 
     config: SystemConfig
+    rhos: np.ndarray     # its own grid of linear SNRs
     metric: str
     targets: tuple
     modes: tuple
@@ -448,7 +454,8 @@ class _Job:
     base_key: tuple      # all a pairing's margin base reads but the draw's gains
 
     @classmethod
-    def of(cls, config, metric, targets, modes, oma=False):
+    def of(cls, config, rhos, metric, targets, modes, oma=False):
+        rhos = linear_snr_grid(rhos)
         targets, modes, signals = check_request(metric, targets, modes, oma)
         pairs = {}               # x1/x2 share one SignalIndex, x3/x4 the other
         for s in signals:
@@ -456,30 +463,30 @@ class _Job:
         means = tuple(config.omega(i) for i in SIGNALS) + (config.omega_I,)
         base_key = (means[:4] + tuple(config.a(i) for i in SIGNALS) + (config.b1, config.b3)
                     + tuple(config.rate(i) for i in SIGNALS) + (config.varpi1, config.varpi2))
-        return cls(config, metric, targets, modes, oma, pairs, means, base_key)
+        return cls(config, rhos, metric, targets, modes, oma, pairs, means, base_key)
 
 
-def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
+def mc_grids(requests, n: int, seed: int, point_index: int = 0,
              workers=None) -> list:
     """``mc_grid`` for several requests in one pass: one list of per-SNR dicts
     per request, in order, each with the bits ``mc_grid`` gives it alone.
 
-    ``requests`` holds (config, metric, targets, modes, oma) tuples; they
-    share ``rhos``, ``n``, ``seed``, ``point_index`` and ``workers``.  Each
-    chunk makes one NOMA draw for all of them.  A gain row whose mean every
-    request shares is scaled in the draw; a row whose mean differs (fig4's
-    and fig5's gI) stays at unit mean, and each request scales it, a block
-    at a time, into one block-long spare row that the requests take in
-    turn.  The chunk is walked a block at a time, each block serving every
-    request in order: a counted request reads each pairing's
-    ``margin_base`` of the block, formed once for all requests with the
-    same g1..g4 means, a, b, r and leakage levels (fig4's and fig5's
-    Omega_I variants share theirs), so only the residual gI is its own.
-    Baseline requests with the same link means share one fades draw per
-    chunk.  Nothing is kept between calls.
+    ``requests`` holds (config, rhos, metric, targets, modes, oma) tuples,
+    each with its own grid ``rhos``; they share ``n``, ``seed``,
+    ``point_index`` and ``workers``.  Each chunk makes one NOMA draw for all
+    of them, whatever their grids.  A gain row whose mean every request
+    shares is scaled in the draw; a row whose mean differs (fig4's and
+    fig5's gI) stays at unit mean, and each request scales it, a block at a
+    time, into one block-long spare row that the requests take in turn.
+    The chunk is walked a block at a time, each block serving every request
+    in order, at the request's own grid SNRs: a counted request reads each
+    pairing's ``margin_base`` of the block, formed once for all requests
+    with the same g1..g4 means, a, b, r and leakage levels (fig4's and
+    fig5's Omega_I variants share theirs), so only the residual gI is its
+    own.  Baseline requests with the same link means share one fades draw
+    per chunk.  Nothing is kept between calls.
     """
     check_run(n, seed, point_index, workers)
-    rhos = linear_snr_grid(rhos)
     jobs = [_Job.of(*request) for request in requests]
     drawn = [job for job in jobs if job.pairs]
     varying = [r for r in range(5) if len({job.means[r] for job in drawn}) > 1]
@@ -515,14 +522,14 @@ def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
                         for idx in job.pairs:
                             if (job.base_key, idx) not in bases:
                                 bases[job.base_key, idx] = margin_base(job.config, block, idx)
-                        part = _counted_stats(block, job.pairs, job.modes, system, rhos,
+                        part = _counted_stats(block, job.pairs, job.modes, system, job.rhos,
                                               {idx: bases[job.base_key, idx]
                                                for idx in job.pairs})
                     else:
                         part = _rate_stats(job.config, block, job.pairs, job.modes, system,
-                                           rhos)
+                                           job.rhos)
                 if job.oma:
-                    part.update(_oma_stats(job.config, fades[job.means[:4]][:, b], rhos,
+                    part.update(_oma_stats(job.config, fades[job.means[:4]][:, b], job.rhos,
                                            job.metric in COUNTED, job.targets))
                 parts.append(part)
         return chunk
@@ -531,7 +538,7 @@ def mc_grids(requests, rhos, n: int, seed: int, point_index: int = 0,
     grids = []
     for k, job in enumerate(jobs):
         grid = _reduce(job.config, [part for chunk in chunks for part in chunk[k]], n,
-                       seed, rhos.size)
+                       seed, job.rhos.size)
         if job.metric.startswith("ee_"):
             scale = energy_efficiency(1.0, job.config)
             grid = [{key: _scaled(est, scale) for key, est in point.items()}
@@ -561,10 +568,10 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     Each chunk draws the gains once, from the NOMA substream of
     ``point_index``, for every grid SNR, signal and mode, so calls that
     differ only in ``metric`` or in ``rhos`` share their draws, and
-    ``mc_grids`` runs several requests on one draw.  The statistics read
-    each chunk one block of BLOCK draws at a time.
+    ``mc_grids`` runs several requests, each on its own grid, on one draw.
+    The statistics read each chunk one block of BLOCK draws at a time.
     """
-    return mc_grids([(config, metric, targets, modes, oma)], rhos, n, seed,
+    return mc_grids([(config, rhos, metric, targets, modes, oma)], n, seed,
                     point_index, workers)[0]
 
 

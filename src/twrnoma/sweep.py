@@ -151,16 +151,16 @@ def run_sweeps(spec: SweepSpec, curves, workers: int = 1):
     """
     grid = spec.grid_db()
     rhos = [_linear(db) for db in grid]
-    requests = [(config, metric, spec.signals if metric in PER_SIGNAL else ("system",),
+    requests = [(config, rhos, metric, spec.signals if metric in PER_SIGNAL else ("system",),
                  spec.modes, spec.with_oma) for metric, config in curves]
-    ests = mc_grids(requests, rhos, spec.mc_iterations, spec.master_seed, workers=workers)
-    return [_table(spec.with_asymptotic, grid, rhos, request, est)
+    ests = mc_grids(requests, spec.mc_iterations, spec.master_seed, workers=workers)
+    return [_table(spec.with_asymptotic, grid, request, est)
             for request, est in zip(requests, ests)]
 
 
-def _table(asymptotic, grid, rhos, request, ests):
+def _table(asymptotic, grid, request, ests):
     """The sorted rows of one curve from its request and Monte Carlo grid."""
-    config, metric, targets, modes, _ = request
+    config, rhos, metric, targets, modes, _ = request
     values = metrics.analytic_grid(config, rhos, metric, targets, modes, asymptotic)
     rows = []
     for db, point_values, point_ests in zip(grid, values, ests):

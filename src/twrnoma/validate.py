@@ -8,18 +8,21 @@ is expected to surface the checks that sit close to their band edge.
 Every check returns (passed, tolerance, observed, detail) and is named in
 ``validate``'s table, so a check that raises is reported under its name.
 
-The checks pass every SNR to ``analytic_grid`` and ``mc_grid``; only the
+The checks pass every SNR to ``analytic_grid`` and ``mc_grids``; only the
 checks of a one-point route (the strong-rate quadrature reference and the
 baseline's closed form) build a config at their SNR.
-The simulation checks read their own substreams of the master seed: the
-outage check reads point index 0 for all three of its SNRs, from one
-``mc_grid`` draw (common random numbers), the rate check point index 5
-and the orthogonal-baseline check point index 7.
+The three simulation checks read one ``mc_grids`` pass over the
+substreams of point index 0 of the master seed, each on its own grid: the
+outage check at 10, 25 and 40 dB, the rate check, leakage off, at 20 dB
+and the orthogonal-baseline check at 10 dB.  Each chunk draws the NOMA
+gains once for the outage and the rate check, whose configs have equal
+means (common random numbers), and the baseline's fades once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +32,7 @@ from .analysis import FLOOR_RHO, diversity_order_estimate
 from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
 from .metrics import analytic_grid
 from .model import SIC_MODES, SignalIndex, SystemConfig
-from .montecarlo import check_run, mc_grid, oma_outage_exact
+from .montecarlo import check_run, mc_grids, oma_outage_exact
 from .specfun import expint_ei, hypoexp_laplace
 
 PROFILES = {"default": 1.0, "strict": 0.5}
@@ -75,16 +78,29 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _check_outage_vs_mc(config, scale, iterations, seed, workers):
-    rhos = [10.0 ** (db / 10.0) for db in (10.0, 25.0, 40.0)]
-    grid = mc_grid(config, rhos, iterations, seed, workers=workers,
-                   metric="outage", targets=(1, 2), modes=SIC_MODES)
-    exacts = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
+# the SNRs of the simulation checks: outage, rate and orthogonal baseline
+_OUTAGE_RHOS = tuple(10.0 ** (db / 10.0) for db in (10.0, 25.0, 40.0))
+_RATE_RHO = 100.0
+_OMA_RHO = 10.0
+
+
+def _simulate(config, iterations, seed, workers):
+    """The Monte Carlo grids of the outage, rate and baseline checks, in that
+    order, from one ``mc_grids`` pass of point index 0."""
+    return mc_grids([(config, _OUTAGE_RHOS, "outage", (1, 2), SIC_MODES, False),
+                     (config.without_leakage(), (_RATE_RHO,), "ergodic_rate", (1, 2),
+                      SIC_MODES, False),
+                     (config, (_OMA_RHO,), "outage", (), (), True)],
+                    iterations, seed, workers=workers)
+
+
+def _check_outage_vs_mc(config, scale, grid):
+    exacts = analytic_grid(config, _OUTAGE_RHOS, "outage", (1, 2), SIC_MODES)
     worst, band = 0.0, math.inf
     for values, ests in zip(exacts, grid):
         for key, est in ests.items():
             exact = values[key][0]
-            sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / iterations)
+            sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / est.n)
             allowed = scale * max(3.0 * sigma, 0.005)
             gap = abs(est.mean - exact)
             if gap * band > worst * allowed:
@@ -141,14 +157,11 @@ def _check_rate_quadrature(config, scale):
     return worst <= tol, tol, worst, "20 dB, leakage off, both modes"
 
 
-def _check_rate_vs_mc(config, scale, iterations, seed, workers):
+def _check_rate_vs_mc(config, scale, grid):
     tol = 0.02 * scale
     worst = 0.0
-    ests = mc_grid(config.without_leakage(), (100.0,), iterations, seed, point_index=5,
-                   workers=workers, metric="ergodic_rate", targets=(1, 2),
-                   modes=SIC_MODES)[0]
-    closed = analytic_grid(config, (100.0,), "ergodic_rate", (1, 2), SIC_MODES)[0]
-    for key, est in ests.items():
+    closed = analytic_grid(config, (_RATE_RHO,), "ergodic_rate", (1, 2), SIC_MODES)[0]
+    for key, est in grid[0].items():
         worst = max(worst, _rel(closed[key][0], est.mean))
     return worst <= tol, tol, worst, "20 dB, leakage off, x1/x2, both modes"
 
@@ -192,11 +205,10 @@ def _check_expint(scale):
             "exponential integral against scipy.special.expi")
 
 
-def _check_oma(config, scale, iterations, seed, workers):
-    exact = oma_outage_exact(config.with_rho(10.0), "system")
-    est = mc_grid(config, (10.0,), iterations, seed, point_index=7, workers=workers,
-                  metric="outage", targets=(), modes=(), oma=True)[0]["oma", "system"]
-    sigma = math.sqrt(exact * (1.0 - exact) / iterations)
+def _check_oma(config, scale, grid):
+    exact = oma_outage_exact(config.with_rho(_OMA_RHO), "system")
+    est = grid[0]["oma", "system"]
+    sigma = math.sqrt(exact * (1.0 - exact) / est.n)
     band = scale * max(3.0 * sigma, 0.005)
     gap = abs(est.mean - exact)
     return gap <= band, band, gap, "orthogonal baseline system outage at 10 dB"
@@ -237,26 +249,30 @@ def _check_ee(config, scale):
 def validate(config: SystemConfig, profile: str = "default",
              iterations: int = 200_000, seed: int = DEFAULT_VALIDATE_SEED,
              workers=None) -> ValidationReport:
-    """Run every consistency check and collect one result per check."""
+    """Run every consistency check and collect one result per check.
+
+    The outage, rate and baseline checks read one Monte Carlo pass, which
+    the first of them makes; a pass that raises is reported under each of
+    the three names.
+    """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choose from {sorted(PROFILES)}")
     check_run(iterations, seed, workers=workers)
     scale = PROFILES[profile]
+    simulated = functools.cache(lambda: _simulate(config, iterations, seed, workers))
     checks = (
         ("outage_closed_vs_mc",
-         lambda: _check_outage_vs_mc(config, scale, iterations, seed, workers)),
+         lambda: _check_outage_vs_mc(config, scale, simulated()[0])),
         ("outage_floor_vs_asymptote", lambda: _check_floor(config, scale)),
         ("diversity_order_zero", lambda: _check_diversity(config, scale)),
         ("psic_limit_recovery", lambda: _check_psic_limit(config, scale)),
         ("strong_rate_closed_vs_quadrature",
          lambda: _check_rate_quadrature(config, scale)),
-        ("rate_closed_vs_mc",
-         lambda: _check_rate_vs_mc(config, scale, iterations, seed, workers)),
+        ("rate_closed_vs_mc", lambda: _check_rate_vs_mc(config, scale, simulated()[1])),
         ("hypoexp_laplace_vs_mc", lambda: _check_laplace(scale, seed)),
         ("expint_vs_scipy", lambda: _check_expint(scale)),
-        ("oma_baseline_mc_vs_exact",
-         lambda: _check_oma(config, scale, iterations, seed, workers)),
+        ("oma_baseline_mc_vs_exact", lambda: _check_oma(config, scale, simulated()[2])),
         ("throughput_ceiling", lambda: _check_throughput_ceiling(config, scale)),
         ("energy_efficiency_modes", lambda: _check_ee(config, scale)),
     )

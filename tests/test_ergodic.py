@@ -654,6 +654,25 @@ def test_asymptote_approaches_closed_form():
             assert abs(closed - asym) / closed < 5e-3
 
 
+def test_psic_high_snr_rates_converge_to_their_limits():
+    """Without the residual neither pSIC rate grows with rho.  The strong
+    chain tends to a_l g_l / (a_t g_t), whose rate is c ln c / ((c - 1) 2 ln 2)
+    with c = a_l Omega_l / (a_t Omega_t); the weak SINR to its cap b_t/b_l,
+    whose rate is 1/2 log2(1 + b_t/b_l).  At 120 dB the expansion and the
+    closed form, the ceiling and the integral, sit on those limits."""
+    cfg = _cfg(120)
+    c = cfg.a(IDX1.l) * cfg.omega(IDX1.l) / (cfg.a(IDX1.t) * cfg.omega(IDX1.t))
+    strong = c * math.log(c) / ((c - 1.0) * 2.0 * math.log(2.0))
+    weak = 0.5 * math.log2(1.0 + cfg.b(IDX2.t) / cfg.b(IDX2.l))
+    assert (strong, weak) == pytest.approx((3.3554829241, 1.1609640474), rel=1e-10)
+    assert ergodic_rate_strong_asymptotic(cfg, IDX1, "psic") == pytest.approx(strong,
+                                                                             rel=1e-7)
+    assert ergodic_rate_weak_highsnr(cfg, IDX2, "psic") == pytest.approx(weak, rel=1e-7)
+    (point,) = rate_grid(cfg, [cfg.rho], (1, 2), ("psic",), asymptotic=True)
+    assert point["psic", 1] == pytest.approx((strong, strong), rel=1e-7)
+    assert point["psic", 2] == pytest.approx((weak, weak), rel=1e-7)
+
+
 def test_high_snr_slope_estimate():
     rhos = [1e5, 1e6]
     # rate = log2(rho)/2 has slope 1/2 per octave of log2 rho

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twrnoma.montecarlo as montecarlo
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
-from twrnoma.model import (SIC_MODES, ConfigError, SignalIndex, SystemConfig,
+from twrnoma.model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex, SystemConfig,
                            inverse_threshold, margin_base, mode_margins,
                            sample_channel_draw)
 from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _moments,
@@ -226,11 +228,37 @@ def test_a_nan_baseline_margin_leaves_the_other_exchanges_counted():
     over the four would carry the NaN and count the system a success."""
     cfg = SystemConfig(r1=0.0)
     fades = np.array([[0.0, 1.0], [1e-9, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    with np.errstate(invalid="ignore"):
-        stats = montecarlo._oma_stats(cfg, fades, np.array([1.0]), True, (1, 2))
+    stats = montecarlo._oma_stats(cfg, fades, np.array([1.0]), True, (1, 2))
     assert stats["oma", 1].tolist() == [0]
     assert stats["oma", 2].tolist() == [1]
     assert stats["oma", "system"].tolist() == [1]
+
+
+def test_a_zero_rate_against_a_zero_gain_counts_without_a_warning():
+    """A zero target rate's inverse threshold is +inf, so a gain of exactly
+    0.0 forms a NaN margin, 0 times inf, in the NOMA margin base and in the
+    baseline's margins alike.  Neither route warns, which the suite's
+    warning filter would turn into an error, and the NaN is a success of
+    its own signal alone: x1 and x2 (zero rates, zero gains) succeed, x3
+    and x4 (default rates, zero gains) fail, and the co-counts say so."""
+    cfg = SystemConfig(r1=0.0, r2=0.0)
+    draw = ChannelDraw(*np.array([[0.0]] * 4 + [[1.0]]))       # g1..g4 = 0, gI = 1
+    rhos = np.array([1.0])
+    base = margin_base(cfg, draw, SignalIndex.for_signal(1))
+    assert all(np.isnan(margin).all() for margin in base)
+    stats = montecarlo._counted_stats(draw, _PAIRS, SIC_MODES, False, rhos, _bases(cfg, draw))
+    assert {key: count.tolist() for key, count in stats.items()} == {
+        (mode, s): [int(s > 2)] for mode in SIC_MODES for s in (1, 2, 3, 4)}
+    system = montecarlo._counted_stats(draw, _PAIRS, SIC_MODES, True, rhos, _bases(cfg, draw))
+    both = np.zeros((4, 4, 1), dtype=np.int64)
+    both[:2, :2] = 1                                  # x1 and x2 succeed together
+    for mode in SIC_MODES:
+        np.testing.assert_array_equal(system[mode, "system"], both)
+    fades = np.array([[0.0], [0.0], [0.0], [1.0]])
+    oma = montecarlo._oma_stats(cfg, fades, rhos, True, (1, 2, 3, 4))
+    assert {key: count.tolist() for key, count in oma.items()} == {
+        ("oma", 1): [0], ("oma", 2): [0], ("oma", 3): [1], ("oma", 4): [0],
+        ("oma", "system"): [1]}
 
 
 @pytest.mark.parametrize("n, workers, pools", [
@@ -455,17 +483,50 @@ def test_a_pass_gives_each_request_the_bits_it_has_alone(overrides, n, workers):
     mean, the leakage, a target rate or Omega_I alone, each get the bits
     ``mc_grid`` gives them alone: a shared margin base or baseline fade is
     shared only where every input it reads is equal."""
-    requests = [(config, metric, targets, SIC_MODES, oma)
+    rhos = [1.0, 31.6, 1000.0]
+    requests = [(config, rhos, metric, targets, SIC_MODES, oma)
                 for config in (SystemConfig(), SystemConfig(**overrides))
                 for metric, targets, oma in (("outage", (1, 2, 3, 4), True),
                                              ("throughput_dl", ("system",), False),
                                              ("ergodic_rate", (2,), True))]
-    rhos = [1.0, 31.6, 1000.0]
-    grids = montecarlo.mc_grids(requests, rhos, n, 11, workers=workers)
-    for (config, metric, targets, modes, oma), grid in zip(requests, grids):
+    grids = montecarlo.mc_grids(requests, n, 11, workers=workers)
+    for (config, rhos, metric, targets, modes, oma), grid in zip(requests, grids):
         alone = mc_grid(config, rhos, n, 11, workers=workers, metric=metric,
                         targets=targets, modes=modes, oma=oma)
         assert repr(grid) == repr(alone)
+
+
+_DEFAULT = SystemConfig()
+# (metric, targets, modes, oma) of a request, the baseline alone among them
+_SHAPES = (("outage", (1, 2), SIC_MODES, False), ("ergodic_rate", (1, 2), SIC_MODES, False),
+           ("outage", (), (), True), ("ergodic_rate", (3,), ("psic",), True),
+           ("throughput_dl", ("system",), ("ipsic",), False),
+           ("throughput_dt", ("system",), SIC_MODES, False))
+_REQUESTS = st.builds(
+    lambda config, snrs_db, shape: (config, [10.0 ** (db / 10.0) for db in snrs_db], *shape),
+    st.sampled_from([_DEFAULT, _DEFAULT.without_leakage(), SystemConfig(omega_I=1.0)]),
+    st.lists(st.sampled_from([-5.0, 10.0, 20.0, 25.0, 40.0]), min_size=1, max_size=3,
+             unique=True),
+    st.sampled_from(_SHAPES))
+# the validate battery's pass: outage, leakage-free rate and baseline, three grids
+_BATTERY = [(_DEFAULT, [10.0, 10.0 ** 2.5, 1e4], "outage", (1, 2), SIC_MODES, False),
+            (_DEFAULT.without_leakage(), [100.0], "ergodic_rate", (1, 2), SIC_MODES, False),
+            (_DEFAULT, [10.0], "outage", (), (), True)]
+
+
+@given(requests=st.lists(_REQUESTS, min_size=1, max_size=4),
+       n=st.sampled_from([1000, BLOCK + 5]), point_index=st.sampled_from([0, 5]))
+@example(requests=_BATTERY, n=2000, point_index=0)
+@settings(max_examples=25, deadline=None)
+def test_requests_on_their_own_grids_get_the_bits_they_have_alone(requests, n, point_index):
+    """Each request of a pass, on its own grid, beside leaky and leakage-free
+    configs and baseline-only requests, gets the bits ``mc_grid`` gives it
+    alone at the same point index."""
+    grids = montecarlo.mc_grids(requests, n, 11, point_index)
+    for (config, rhos, metric, targets, modes, oma), grid in zip(requests, grids):
+        alone = mc_grid(config, rhos, n, 11, point_index, metric=metric, targets=targets,
+                        modes=modes, oma=oma)
+        assert len(grid) == len(rhos) and repr(grid) == repr(alone)
 
 
 def _delivered_moments_per_point(rates, both, n):

@@ -15,13 +15,28 @@ def test_a_raising_check_is_reported_under_its_own_name(monkeypatch):
         raise ValueError("no expint today")
 
     monkeypatch.setattr(battery, "_check_expint", broken)
-    report = battery.validate(SystemConfig(), iterations=2000)
+    report = battery.validate(SystemConfig())
     failed = [r for r in report.results if not r.passed]
     assert [r.name for r in failed] == ["expint_vs_scipy"]
     assert failed[0].line() == ("FAIL expint_vs_scipy: observed nan against "
                                 "tolerance 0.000e+00 (ValueError: no expint today)")
     assert [r.name for r in report.results][:2] == ["outage_closed_vs_mc",
                                                     "outage_floor_vs_asymptote"]
+
+
+def test_a_raising_pass_is_reported_under_each_simulation_check(monkeypatch):
+    """The outage, rate and baseline checks share one pass; when it raises,
+    each of them reports the error under its own name, and the other checks
+    still run."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("no draws today")
+
+    monkeypatch.setattr(battery, "mc_grids", broken)
+    report = battery.validate(SystemConfig(), iterations=2000)
+    failed = [r for r in report.results if not r.passed]
+    assert [r.name for r in failed] == ["outage_closed_vs_mc", "rate_closed_vs_mc",
+                                        "oma_baseline_mc_vs_exact"]
+    assert {r.detail for r in failed} == {"RuntimeError: no draws today"}
 
 
 def test_too_few_iterations_are_refused_up_front():
@@ -82,41 +97,56 @@ def test_rate_quadrature_check_catches_wrong_rate_intermediates(monkeypatch):
     assert not passed and gap > band
 
 
+def _draw_sizes(monkeypatch):
+    """The sizes of every NOMA draw and baseline fades draw, as they are made."""
+    sizes = {"gains": [], "fades": []}
+    draw, fades = montecarlo.sample_channel_draw, montecarlo._oma_fades
+
+    def counting_draw(*args, **kwargs):
+        sizes["gains"].append(kwargs["size"])
+        return draw(*args, **kwargs)
+
+    def counting_fades(config, stream, size):
+        sizes["fades"].append(size)
+        return fades(config, stream, size)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting_draw)
+    monkeypatch.setattr(montecarlo, "_oma_fades", counting_fades)
+    return sizes
+
+
 def test_outage_check_draws_once_for_all_three_snrs(monkeypatch):
-    calls = []
-    real = montecarlo.sample_channel_draw
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("size"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "sample_channel_draw", counting)
-    assert battery._check_outage_vs_mc(SystemConfig(), 1.0, 2000,
-                                       battery.DEFAULT_VALIDATE_SEED, 1)[0]
-    assert calls == [2000]
-    # the whole battery draws channels for the outage and the rate check only
-    calls.clear()
-    assert battery.validate(SystemConfig(), iterations=2000).passed
-    assert calls == [2000, 2000]
+    """The battery's one pass draws the gains once per chunk for the outage
+    check's three SNRs and the rate check alike, and the baseline's fades
+    once per chunk: 200 000 draws are two chunks."""
+    sizes = _draw_sizes(monkeypatch)
+    assert battery.validate(SystemConfig()).passed
+    chunks = [montecarlo.CHUNK, 200_000 - montecarlo.CHUNK]
+    assert sizes == {"gains": chunks, "fades": chunks}
 
 
-def test_outage_check_reads_point_index_zero_at_10_db(monkeypatch):
-    """The 10 dB cells are the one-point estimates of point index 0, bit for
-    bit: a grid adds SNRs to a draw, it does not change the draw."""
-    grids = []
-    real = battery.mc_grid
+def test_a_battery_draws_once_per_chunk(monkeypatch):
+    """One chunk of 2000 draws: one gain draw and one fades draw serve the
+    whole battery."""
+    sizes = _draw_sizes(monkeypatch)
+    battery.validate(SystemConfig(), iterations=2000)
+    assert sizes == {"gains": [2000], "fades": [2000]}
 
-    def keep(*args, **kwargs):
-        grids.append(real(*args, **kwargs))
-        return grids[-1]
 
-    monkeypatch.setattr(battery, "mc_grid", keep)
+def test_outage_check_reads_point_index_zero_at_10_db():
+    """The battery's three grids are those ``mc_grid`` gives each request
+    alone at point index 0, bit for bit, and the outage check's 10 dB cells
+    are the one-point estimates: a grid adds SNRs to a draw, it does not
+    change the draw."""
     cfg = SystemConfig()
-    battery._check_outage_vs_mc(cfg, 1.0, 3000, 11, 1)
-    assert len(grids) == 1 and len(grids[0]) == 3
-    assert grids[0][0] == mc_grid(cfg, [10.0], 3000, 11, point_index=0,
-                                  metric="outage", targets=(1, 2),
-                                  modes=("ipsic", "psic"))[0]
+    outage, rate, oma = battery._simulate(cfg, 3000, 11, 1)
+    assert (len(outage), len(rate), len(oma)) == (3, 1, 1)
+    assert outage[0] == mc_grid(cfg, [10.0], 3000, 11, point_index=0, metric="outage",
+                                targets=(1, 2), modes=("ipsic", "psic"))[0]
+    assert rate == mc_grid(cfg.without_leakage(), [100.0], 3000, 11, point_index=0,
+                           metric="ergodic_rate", targets=(1, 2), modes=("ipsic", "psic"))
+    assert oma == mc_grid(cfg, [10.0], 3000, 11, point_index=0, metric="outage",
+                          targets=(), modes=(), oma=True)
 
 
 def test_battery_moves_the_snr_by_argument(monkeypatch):
@@ -134,12 +164,17 @@ def test_battery_moves_the_snr_by_argument(monkeypatch):
 
     config = SystemConfig()
     monkeypatch.setattr(SystemConfig, "__post_init__", counting)
-    assert battery.validate(config, iterations=2000).passed
+    assert battery.validate(config).passed
     assert len(built) <= 4
 
 
 @pytest.mark.parametrize("seed", [battery.DEFAULT_VALIDATE_SEED, 1, 2])
 def test_outage_check_passes_at_three_seeds(seed):
-    passed, band, gap, _ = battery._check_outage_vs_mc(
-        SystemConfig(), battery.PROFILES["default"], 200_000, seed, 1)
-    assert passed and 0.0 <= gap <= band
+    """The outage, rate and baseline checks pass on the shared pass at the
+    default 200 000 draws, where their bands are sized."""
+    cfg, scale = SystemConfig(), battery.PROFILES["default"]
+    outage, rate, oma = battery._simulate(cfg, 200_000, seed, 1)
+    for passed, band, gap, _ in (battery._check_outage_vs_mc(cfg, scale, outage),
+                                 battery._check_rate_vs_mc(cfg, scale, rate),
+                                 battery._check_oma(cfg, scale, oma)):
+        assert passed and 0.0 <= gap <= band
