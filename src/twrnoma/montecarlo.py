@@ -19,12 +19,12 @@ serves them all, scaled to each request's means.  Counted metrics (outage
 and the delay-limited ones) read each draw's inverse critical SNR: every
 SINR is rho A / (rho B + 1) with A and B free of rho, so one draw decides its
 outcome at every grid SNR at once.  Its residual-free part, a pairing's
-margin base, reads no gI, so requests that differ only in Omega_I (fig4's
-and fig5's variants) share one base per block, keyed on every input it
-reads.  Every count, the baseline's too, is a population count of packed
-failure bits, one 64-bit-word row per margin row and grid SNR: of a
-signal's own words, of two signals' words ANDed (the delay-limited system
-sums) or of the baseline's four rows ORed (any exchange fails).  Rate
+margin base, reads no gI, so requests whose configs differ only in Omega_I
+(fig4's and fig5's variants) share one base per block.  Every count, the
+baseline's too, is a population count of packed failure bits, one
+64-bit-word row per margin row and grid SNR: of a signal's own words, of
+two signals' words ANDed (the delay-limited system sums) or of the
+baseline's four rows ORed (any exchange fails).  Rate
 metrics read the same A and B, formed once per block: at each grid SNR a
 chain's SINR is the least A / (B + 1/rho) over its decodes, and a decode
 no SIC mode changes is evaluated once.  The delay-tolerant system rate is
@@ -33,8 +33,9 @@ SNR and mode, except at an SNR where the product could leave the float
 range, which sums four logarithms; the half of every rate is taken on the
 moments, which is exact.
 
-Every (point index, chunk) pair owns two counter-based substreams, NOMA
-and baseline; a sweep reads those of point index 0.  Each chunk draws its
+A run is its sample count, master seed and worker count.  Every chunk
+owns two counter-based substreams of the seed, NOMA (stream 0) and
+baseline (stream 1), which every caller reads alike.  Each chunk draws its
 gains in one call and the baseline its fades in another, once for all
 requests with the same link means, each set the rows of one array.  One
 loop then walks the chunk a block of BLOCK draws at a time, as views, and
@@ -115,11 +116,10 @@ def ci_bounds(successes: int, n: int):
     return max(0.0, min(lo, p)), min(1.0, max(hi, p))
 
 
-def chunk_generator(master_seed: int, effective_point_index: int,
-                    chunk_index: int) -> np.random.Generator:
-    """Counter-based substream for one chunk at one effective point index."""
-    seq = np.random.SeedSequence(master_seed,
-                                 spawn_key=(effective_point_index, chunk_index))
+def chunk_generator(master_seed: int, stream: int, chunk_index: int) -> np.random.Generator:
+    """Counter-based substream of one chunk: ``stream`` 0 draws the NOMA gains,
+    1 the orthogonal baseline's fades."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(stream, chunk_index))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -128,7 +128,7 @@ def _map_chunks(n, worker_fn, workers):
     on at most one thread per chunk, and inline where that is one thread."""
     n = int(n)
     sizes = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
-    threads = min(workers or 1, len(sizes))
+    threads = min(workers, len(sizes))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker_fn, range(len(sizes)), sizes))
@@ -420,12 +420,11 @@ def _scaled(est, scale):
                       ci_high=est.ci_high * scale)
 
 
-def check_run(n, seed, point_index=0, workers=None):
-    """ConfigError unless ``n`` samples from master ``seed`` at ``point_index``
-    (integers, numpy's included, bools not) on ``workers`` threads (None or
-    an int of at least 1, not a bool) make a run: the one check of a run's
-    inputs."""
-    for name, value in (("sample count", n), ("seed", seed), ("point index", point_index)):
+def check_run(n, seed, workers=1):
+    """ConfigError unless ``n`` samples from master ``seed`` (integers, numpy's
+    included, bools not) on ``workers`` threads (an int of at least 1, not a
+    bool) make a run: the one check of a run's inputs."""
+    for name, value in (("sample count", n), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1000:
@@ -433,10 +432,8 @@ def check_run(n, seed, point_index=0, workers=None):
                           f"state a confidence interval, got {n!r}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed!r}")
-    if point_index < 0:
-        raise ConfigError(f"point index must be nonnegative, got {point_index!r}")
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise ConfigError(f"workers must be None or an int of at least 1, got {workers!r}")
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers must be an int of at least 1, got {workers!r}")
 
 
 @dataclass(frozen=True)
@@ -451,7 +448,7 @@ class _Job:
     oma: bool
     pairs: dict          # SignalIndex -> its requested signals
     means: tuple         # of the five gains, g1..g4 and gI
-    base_key: tuple      # all a pairing's margin base reads but the draw's gains
+    base_key: tuple      # its config's fields but Omega_I: a margin base reads no gI
 
     @classmethod
     def of(cls, config, rhos, metric, targets, modes, oma=False):
@@ -461,32 +458,30 @@ class _Job:
         for s in signals:
             pairs.setdefault(SignalIndex.for_signal(s), []).append(s)
         means = tuple(config.omega(i) for i in SIGNALS) + (config.omega_I,)
-        base_key = (means[:4] + tuple(config.a(i) for i in SIGNALS) + (config.b1, config.b3)
-                    + tuple(config.rate(i) for i in SIGNALS) + (config.varpi1, config.varpi2))
+        base_key = tuple(v for k, v in vars(config).items() if k != "omega_I")
         return cls(config, rhos, metric, targets, modes, oma, pairs, means, base_key)
 
 
-def mc_grids(requests, n: int, seed: int, point_index: int = 0,
-             workers=None) -> list:
+def mc_grids(requests, n: int, seed: int, workers: int = 1) -> list:
     """``mc_grid`` for several requests in one pass: one list of per-SNR dicts
     per request, in order, each with the bits ``mc_grid`` gives it alone.
 
     ``requests`` holds (config, rhos, metric, targets, modes, oma) tuples,
-    each with its own grid ``rhos``; they share ``n``, ``seed``,
-    ``point_index`` and ``workers``.  Each chunk makes one NOMA draw for all
-    of them, whatever their grids.  A gain row whose mean every request
-    shares is scaled in the draw; a row whose mean differs (fig4's and
-    fig5's gI) stays at unit mean, and each request scales it, a block at a
-    time, into one block-long spare row that the requests take in turn.
-    The chunk is walked a block at a time, each block serving every request
-    in order, at the request's own grid SNRs: a counted request reads each
-    pairing's ``margin_base`` of the block, formed once for all requests
-    with the same g1..g4 means, a, b, r and leakage levels (fig4's and
-    fig5's Omega_I variants share theirs), so only the residual gI is its
-    own.  Baseline requests with the same link means share one fades draw
-    per chunk.  Nothing is kept between calls.
+    each with its own grid ``rhos``; they share ``n``, ``seed`` and
+    ``workers``.  Each chunk makes one NOMA draw for all of them, whatever
+    their grids.  A gain row whose mean every request shares is scaled in
+    the draw; a row whose mean differs (fig4's and fig5's gI) stays at unit
+    mean, and each request scales it, a block at a time, into one
+    block-long spare row that the requests take in turn.  The chunk is
+    walked a block at a time, each block serving every request in order,
+    at the request's own grid SNRs: a counted request reads each pairing's
+    ``margin_base`` of the block, formed once for all requests whose
+    configs differ at most in Omega_I (fig4's and fig5's variants share
+    theirs), so only the residual gI is its own.  Baseline requests with
+    the same link means share one fades draw per chunk.  Nothing is kept
+    between calls.
     """
-    check_run(n, seed, point_index, workers)
+    check_run(n, seed, workers)
     jobs = [_Job.of(*request) for request in requests]
     drawn = [job for job in jobs if job.pairs]
     varying = [r for r in range(5) if len({job.means[r] for job in drawn}) > 1]
@@ -496,7 +491,7 @@ def mc_grids(requests, n: int, seed: int, point_index: int = 0,
         ragged; each block is a view of the chunk's draws."""
         if drawn:            # one draw serves every job, rho and mode
             draw = sample_channel_draw(
-                drawn[0].config, chunk_generator(seed, 2 * point_index, chunk_index),
+                drawn[0].config, chunk_generator(seed, 0, chunk_index),
                 size=size, unit=varying)
             rows = (draw.g1, draw.g2, draw.g3, draw.g4, draw.gI)
             spare = np.empty((len(varying), min(size, BLOCK)))
@@ -504,7 +499,7 @@ def mc_grids(requests, n: int, seed: int, point_index: int = 0,
         for job in jobs:
             if job.oma and job.means[:4] not in fades:
                 fades[job.means[:4]] = _oma_fades(job.config, chunk_generator(
-                    seed, 2 * point_index + 1, chunk_index), size)
+                    seed, 1, chunk_index), size)
         chunk = [[] for _ in jobs]
         for start in range(0, size, BLOCK):
             b = slice(start, start + BLOCK)
@@ -547,8 +542,8 @@ def mc_grids(requests, n: int, seed: int, point_index: int = 0,
     return grids
 
 
-def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
-            workers=None, *, metric, targets, modes, oma=False) -> list:
+def mc_grid(config: SystemConfig, rhos, n: int, seed: int, workers: int = 1, *,
+            metric, targets, modes, oma=False) -> list:
     """The Monte Carlo estimates of ``metric`` for each target and SIC mode at
     every SNR of a grid.
 
@@ -565,48 +560,47 @@ def mc_grid(config: SystemConfig, rhos, n: int, seed: int, point_index: int = 0,
     any exchange fails or the sum of the four rates, as in
     ``mc_oma_baseline``; no other baseline statistic is built.
 
-    Each chunk draws the gains once, from the NOMA substream of
-    ``point_index``, for every grid SNR, signal and mode, so calls that
-    differ only in ``metric`` or in ``rhos`` share their draws, and
+    Each chunk draws the gains once, from the seed's NOMA substream, for
+    every grid SNR, signal and mode, so calls that differ only in
+    ``metric`` or in ``rhos`` share their draws, and
     ``mc_grids`` runs several requests, each on its own grid, on one draw.
     The statistics read each chunk one block of BLOCK draws at a time.
     """
-    return mc_grids([(config, rhos, metric, targets, modes, oma)], n, seed,
-                    point_index, workers)[0]
+    return mc_grids([(config, rhos, metric, targets, modes, oma)], n, seed, workers)[0]
 
 
 def mc_outage(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
-              point_index: int = 0, workers=None) -> McEstimate:
+              workers: int = 1) -> McEstimate:
     """Simulated outage probability of one signal's exchange.  No library route
     calls it; it stays only because ``perfbench/tracing.py`` patches it."""
-    return mc_grid(config, (config.rho,), n, seed, point_index, workers,
+    return mc_grid(config, (config.rho,), n, seed, workers,
                    metric="outage", targets=(signal,), modes=(mode,))[0][mode, signal]
 
 
 def mc_ergodic(config: SystemConfig, signal: int, mode: str, n: int, seed: int,
-               point_index: int = 0, workers=None) -> McEstimate:
+               workers: int = 1) -> McEstimate:
     """Simulated ergodic rate of one signal's exchange, bits/s/Hz.  No library route
     calls it; it stays only because ``perfbench/tracing.py`` patches it."""
-    return mc_grid(config, (config.rho,), n, seed, point_index, workers,
+    return mc_grid(config, (config.rho,), n, seed, workers,
                    metric="ergodic_rate", targets=(signal,),
                    modes=(mode,))[0][mode, signal]
 
 
 def mc_oma_baseline(config: SystemConfig, signal, n: int, seed: int,
-                    point_index: int = 0, workers=None):
+                    workers: int = 1):
     """Simulated orthogonal baseline: (outage, rate) estimate pair.
 
     signal is 1..4 for a single exchange or "system" for all four jointly:
     system outage is the event any exchange fails, system rate the sum of
     the four per-slot-discounted rates.  Both are the baseline estimates of
     ``mc_grid`` at ``config.rho`` and read the same fades, from the baseline
-    substream of ``point_index``.  No library route calls it; it stays only because
+    substream of the seed.  No library route calls it; it stays only because
     ``perfbench/tracing.py`` patches it.  A signal other than 1..4 or
     "system" is refused as ``oma_outage_exact`` refuses it, before any draw.
     """
     _check_oma_signal(signal)
     targets = () if signal == "system" else (signal,)
-    return tuple(mc_grid(config, (config.rho,), n, seed, point_index, workers,
+    return tuple(mc_grid(config, (config.rho,), n, seed, workers,
                          metric=metric, targets=targets, modes=(),
                          oma=True)[0]["oma", signal]
                  for metric in PER_SIGNAL)

@@ -7,9 +7,9 @@ config) curves, as a preset's variants are, in one ``mc_grids`` pass, and
 ``run_sweep`` is its one-curve form: one channel draw per chunk serves
 every curve, grid point, signal, SIC mode and system sum, and the
 orthogonal baseline draws its own fades once for all of a curve's rows.
-The substreams derive from the master seed and point index 0 alone, so
-every grid point reads the same draws (common random numbers), and reruns
-and different worker counts give identical bytes.  Each curve's analytic
+The substreams derive from the master seed alone, so every grid point
+reads the same draws (common random numbers), and reruns and different
+worker counts give identical bytes.  Each curve's analytic
 and asymptotic columns come from one ``metrics.analytic_grid`` call with
 its request, which also owns the reporting convention for the rate-style
 metrics.  The simulation and the closed forms answer exactly the

@@ -265,18 +265,14 @@ def test_a07_exponential_integral_accuracy():
 def test_a08_orthogonal_baseline_crossover(baseline):
     low = baseline.with_rho(_rho(10.0))
     high = baseline.with_rho(_rho(40.0))
-    oma_low, _ = mc_oma_baseline(low, "system", N_MC, 1729, point_index=0,
-                                 workers=WORKERS)
-    oma_high, _ = mc_oma_baseline(high, "system", N_MC, 1729, point_index=1,
-                                  workers=WORKERS)
+    oma_low, _ = mc_oma_baseline(low, "system", N_MC, 1729, workers=WORKERS)
+    oma_high, _ = mc_oma_baseline(high, "system", N_MC, 1730, workers=WORKERS)
     ok = True
     notes = []
     for mode in MODES:
         for signal in (1, 2):
-            noma_low = mc_outage(low, signal, mode, N_MC, 1729,
-                                 point_index=0, workers=WORKERS)
-            noma_high = mc_outage(high, signal, mode, N_MC, 1729,
-                                  point_index=1, workers=WORKERS)
+            noma_low = mc_outage(low, signal, mode, N_MC, 1729, workers=WORKERS)
+            noma_high = mc_outage(high, signal, mode, N_MC, 1730, workers=WORKERS)
             ok = ok and noma_low.mean < oma_low.mean
             ok = ok and noma_high.mean > oma_high.mean
             notes.append(f"x{signal}/{mode} {noma_low.mean:.3f}<{oma_low.mean:.3f}"

@@ -79,14 +79,15 @@ def test_moment_merge_keeps_digits_at_a_large_mean():
 
 
 def test_substreams_look_independent():
-    """Adjacent counter-derived streams should show negligible correlation."""
-    a = chunk_generator(1729, 5, 0).random(100_000)
-    b = chunk_generator(1729, 6, 0).random(100_000)
-    c = chunk_generator(1729, 5, 1).random(100_000)
+    """A chunk's NOMA and baseline streams, and adjacent chunks of one
+    stream, should show negligible correlation."""
+    a = chunk_generator(1729, 0, 0).random(100_000)
+    b = chunk_generator(1729, 1, 0).random(100_000)
+    c = chunk_generator(1729, 0, 1).random(100_000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.01
     # identical coordinates reproduce the identical stream
-    again = chunk_generator(1729, 5, 0).random(100_000)
+    again = chunk_generator(1729, 0, 0).random(100_000)
     assert np.array_equal(a, again)
 
 
@@ -98,18 +99,16 @@ def test_run_shape_validation(baseline):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"workers": 0}, "workers must be None or an int of at least 1, got 0"),
-    ({"workers": -3}, "workers must be None or an int of at least 1, got -3"),
-    ({"workers": 2.5}, "workers must be None or an int of at least 1, got 2.5"),
-    ({"workers": True}, "workers must be None or an int of at least 1, got True"),
-    ({"point_index": -1}, "point index must be nonnegative, got -1"),
-    ({"point_index": True}, "point index must be an integer, got True"),
-], ids=["workers=0", "workers=-3", "workers=2.5", "workers=True", "point_index=-1",
-        "point_index=True"])
+    ({"workers": 0}, "workers must be an int of at least 1, got 0"),
+    ({"workers": -3}, "workers must be an int of at least 1, got -3"),
+    ({"workers": 2.5}, "workers must be an int of at least 1, got 2.5"),
+    ({"workers": True}, "workers must be an int of at least 1, got True"),
+    ({"workers": None}, "workers must be an int of at least 1, got None"),
+], ids=["workers=0", "workers=-3", "workers=2.5", "workers=True", "workers=None"])
 def test_run_inputs_are_refused(baseline, kwargs, message):
-    """A worker count other than None or an int >= 1, or a negative or bool
-    point index, is a ConfigError before any draw, not a serial run, a run
-    that reports a bool, or a numpy error."""
+    """A worker count other than an int >= 1 is a ConfigError before any
+    draw, not a serial run, a run that reports a bool, or a numpy error;
+    serial is spelt 1 alone."""
     with pytest.raises(ConfigError) as info:
         montecarlo.mc_grid(baseline, [1.0], 2000, 1, metric="outage", targets=(1,),
                            modes=("ipsic",), **kwargs)
@@ -134,8 +133,8 @@ def test_non_integer_run_inputs_are_refused(baseline, n, seed, message):
 
 def test_numpy_integer_run_inputs_are_taken(baseline):
     request = dict(metric="outage", targets=(1,), modes=("ipsic",))
-    assert (mc_grid(baseline, [1.0], np.int64(2000), np.uint32(1), np.int8(2), **request)
-            == mc_grid(baseline, [1.0], 2000, 1, 2, **request))
+    assert (mc_grid(baseline, [1.0], np.int64(2000), np.uint32(1), **request)
+            == mc_grid(baseline, [1.0], 2000, 1, **request))
 
 
 _PAIRS = {SignalIndex.for_signal(1): [1, 2], SignalIndex.for_signal(3): [3, 4]}
@@ -262,9 +261,9 @@ def test_a_zero_rate_against_a_zero_gain_counts_without_a_warning():
 
 
 @pytest.mark.parametrize("n, workers, pools", [
-    (16_384, 2, []), (2 * CHUNK + 1000, None, []), (2 * CHUNK + 1000, 1, []),
+    (16_384, 2, []), (2 * CHUNK + 1000, 1, []),
     (2 * CHUNK + 1000, 2, [2]), (CHUNK + 1000, 5, [2]),
-], ids=["one-chunk", "workers=None", "workers=1", "three-chunks", "two-chunks"])
+], ids=["one-chunk", "workers=1", "three-chunks", "two-chunks"])
 def test_a_thread_pool_only_where_two_chunks_meet_two_workers(baseline, monkeypatch, n,
                                                                workers, pools):
     """A run starts a pool only when it has more than one chunk and more
@@ -295,10 +294,10 @@ def test_a_subnormal_snr_is_refused(baseline, metric):
 
 def test_outage_estimator_is_deterministic(baseline):
     cfg = baseline.with_rho(10.0)
-    one = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=3)
-    two = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=3)
+    one = mc_outage(cfg, 1, "ipsic", 50_000, 42)
+    two = mc_outage(cfg, 1, "ipsic", 50_000, 42)
     assert one == two
-    moved = mc_outage(cfg, 1, "ipsic", 50_000, 42, point_index=4)
+    moved = mc_outage(cfg, 1, "ipsic", 50_000, 43)
     assert moved.mean != one.mean
 
 
@@ -421,22 +420,23 @@ def test_oma_baseline_is_deterministic_across_workers(baseline):
 @pytest.mark.parametrize("target", ["system", 1, 4])
 def test_oma_pair_equals_the_two_kind_requests(baseline, target):
     """The pair is bit for bit the baseline estimates of an outage and an
-    ergodic-rate request for the target on the same substream, at two point
-    indices; the system needs no signal target."""
+    ergodic-rate request for the target on the same substream, at two
+    seeds; the system needs no signal target."""
     cfg = baseline.with_rho(100.0)
-    n, seed = 2 * CHUNK + 1000, 13
+    n = 2 * CHUNK + 1000
     targets = () if target == "system" else (target,)
-    for point in (0, 2):
-        pair = mc_oma_baseline(cfg, target, n, seed, point_index=point)
+    for seed in (13, 14):
+        pair = mc_oma_baseline(cfg, target, n, seed)
         assert pair == tuple(
-            mc_grid(cfg, [100.0], n, seed, point, metric=metric, targets=targets,
+            mc_grid(cfg, [100.0], n, seed, metric=metric, targets=targets,
                     modes=(), oma=True)[0]["oma", target]
             for metric in ("outage", "ergodic_rate"))
 
 
 def test_oma_pair_reads_the_baseline_substream(baseline, monkeypatch):
-    """Each estimate of the pair reads the chunks of the baseline
-    substream 2 point_index + 1, the same fades."""
+    """A run reads its seed alone: each estimate of the pair reads stream 1
+    of each chunk, the same fades, and the NOMA draw stream 0, one call per
+    chunk and stream, whatever the worker count."""
     streams = []
     original = montecarlo.chunk_generator
 
@@ -445,9 +445,17 @@ def test_oma_pair_reads_the_baseline_substream(baseline, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(montecarlo, "chunk_generator", counting)
-    mc_oma_baseline(baseline.with_rho(10.0), "system", 2 * CHUNK + 1000, 13,
-                    point_index=2)
-    assert streams == [(13, 5, 0), (13, 5, 1), (13, 5, 2)] * 2
+    n, chunks = 2 * CHUNK + 1000, range(3)
+    mc_oma_baseline(baseline.with_rho(10.0), "system", n, 13)
+    assert streams == [(13, 1, k) for k in chunks] * 2
+    streams.clear()
+    mc_outage(baseline, 1, "ipsic", n, 13)
+    assert streams == [(13, 0, k) for k in chunks]
+    for workers in (1, 3):
+        streams.clear()
+        mc_grid(baseline, [10.0], n, 13, workers, metric="outage", targets=(1,),
+                modes=("ipsic",), oma=True)
+        assert sorted(streams) == [(13, s, k) for s in (0, 1) for k in chunks]
 
 
 @pytest.mark.parametrize("varpi", [0.0, 0.01])
@@ -515,16 +523,16 @@ _BATTERY = [(_DEFAULT, [10.0, 10.0 ** 2.5, 1e4], "outage", (1, 2), SIC_MODES, Fa
 
 
 @given(requests=st.lists(_REQUESTS, min_size=1, max_size=4),
-       n=st.sampled_from([1000, BLOCK + 5]), point_index=st.sampled_from([0, 5]))
-@example(requests=_BATTERY, n=2000, point_index=0)
+       n=st.sampled_from([1000, BLOCK + 5]), seed=st.sampled_from([11, 16]))
+@example(requests=_BATTERY, n=2000, seed=11)
 @settings(max_examples=25, deadline=None)
-def test_requests_on_their_own_grids_get_the_bits_they_have_alone(requests, n, point_index):
+def test_requests_on_their_own_grids_get_the_bits_they_have_alone(requests, n, seed):
     """Each request of a pass, on its own grid, beside leaky and leakage-free
     configs and baseline-only requests, gets the bits ``mc_grid`` gives it
-    alone at the same point index."""
-    grids = montecarlo.mc_grids(requests, n, 11, point_index)
+    alone at the same seed."""
+    grids = montecarlo.mc_grids(requests, n, seed)
     for (config, rhos, metric, targets, modes, oma), grid in zip(requests, grids):
-        alone = mc_grid(config, rhos, n, 11, point_index, metric=metric, targets=targets,
+        alone = mc_grid(config, rhos, n, seed, metric=metric, targets=targets,
                         modes=modes, oma=oma)
         assert len(grid) == len(rhos) and repr(grid) == repr(alone)
 

@@ -407,7 +407,7 @@ def test_system_interval_is_that_of_the_per_draw_sum(baseline, metric):
                       master_seed=seed)
     rows = {r.mode: r for r in run_sweep(spec, baseline)}
     cfg = baseline.with_rho(100.0)
-    # grid point 0, one chunk: the NOMA gains come from substream (0, 0)
+    # one chunk: the NOMA gains come from stream 0 of chunk 0
     draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
     for mode in ("ipsic", "psic"):
         x = _per_draw_system_sum(cfg, draw, metric, mode)
@@ -460,12 +460,12 @@ def test_kernel_equals_the_per_mode_rebuild_on_a_ragged_block(baseline, metric):
 
 
 def _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, n):
-    seed, point = 3, 2
+    seed = 3
     cfg = baseline.with_rho(10.0 ** 1.5)
-    ests = montecarlo.mc_grid(cfg, [cfg.rho], n, seed, point_index=point, metric=metric,
+    ests = montecarlo.mc_grid(cfg, [cfg.rho], n, seed, metric=metric,
                               targets=(1, 2, 3, 4), modes=("ipsic", "psic"))[0]
     sizes = [CHUNK] * (n // CHUNK) + [n % CHUNK]
-    draws = [sample_channel_draw(cfg, chunk_generator(seed, 2 * point, c), size=size)
+    draws = [sample_channel_draw(cfg, chunk_generator(seed, 0, c), size=size)
              for c, size in enumerate(sizes)]
     assert len(ests) == 2 * 4
     for mode in ("ipsic", "psic"):
@@ -489,9 +489,9 @@ def _assert_kernel_equals_the_per_mode_rebuild(baseline, metric, n):
 @given(varpi=st.sampled_from([0.0, 0.01, 0.3]), omega_I=st.sampled_from([1e-2, 1.0]),
        zero_rate=st.sampled_from([None, 1, 2, 3, 4]),
        dbs=st.lists(st.floats(-10.0, 60.0), min_size=1, max_size=5),
-       seed=st.integers(0, 2 ** 32), point=st.integers(0, 3))
+       seed=st.integers(0, 2 ** 32))
 def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
-                                                      dbs, seed, point):
+                                                      dbs, seed):
     """On one shared draw, mc_grid's counts at every grid SNR, in any order,
     equal masks rebuilt from sinr_set at that SNR, both modes; the delivered
     throughput equals the per-draw sum's mean and interval."""
@@ -500,11 +500,11 @@ def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
     cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I, **zero)
     rhos = [10.0 ** (db / 10.0) for db in dbs]
     modes = ("ipsic", "psic")
-    outage = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="outage",
+    outage = montecarlo.mc_grid(cfg, rhos, n, seed, metric="outage",
                                 targets=(1, 2, 3, 4), modes=modes)
-    delivered = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="throughput_dl",
+    delivered = montecarlo.mc_grid(cfg, rhos, n, seed, metric="throughput_dl",
                                    targets=("system",), modes=modes)
-    draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
     for rho, counts, system in zip(rhos, outage, delivered):
         for mode in modes:
             mcfg = cfg.with_rho(rho)
@@ -522,9 +522,9 @@ def test_critical_snr_counts_equal_per_point_rebuilds(varpi, omega_I, zero_rate,
 @given(varpi=st.sampled_from([0.0, 0.01, 0.3]), omega_I=st.sampled_from([1e-2, 1.0]),
        dbs=st.lists(st.sampled_from([-10.0, 0.0, 25.0, 60.0]) | st.floats(-10.0, 60.0),
                     min_size=1, max_size=5),
-       seed=st.integers(0, 2 ** 32), point=st.integers(0, 3))
-@example(varpi=0.0, omega_I=1e-2, dbs=[60.0, -10.0, 60.0], seed=0, point=0)
-def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, point):
+       seed=st.integers(0, 2 ** 32))
+@example(varpi=0.0, omega_I=1e-2, dbs=[60.0, -10.0, 60.0], seed=0)
+def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed):
     """On one shared draw, mc_grid's rate and delay-tolerant throughput
     estimates at every grid SNR, in any order and with repeats, equal the
     means and intervals of per-draw samples rebuilt from sinr_set at that
@@ -534,11 +534,11 @@ def test_rate_estimates_equal_per_point_rebuilds(varpi, omega_I, dbs, seed, poin
     cfg = SystemConfig(varpi1=varpi, varpi2=varpi, omega_I=omega_I)
     rhos = [10.0 ** (db / 10.0) for db in dbs]
     modes = ("ipsic", "psic")
-    rates = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="ergodic_rate",
+    rates = montecarlo.mc_grid(cfg, rhos, n, seed, metric="ergodic_rate",
                                targets=(1, 2, 3, 4), modes=modes)
-    sums = montecarlo.mc_grid(cfg, rhos, n, seed, point, metric="throughput_dt",
+    sums = montecarlo.mc_grid(cfg, rhos, n, seed, metric="throughput_dt",
                               targets=("system",), modes=modes)
-    draw = sample_channel_draw(cfg, chunk_generator(seed, 2 * point, 0), size=n)
+    draw = sample_channel_draw(cfg, chunk_generator(seed, 0, 0), size=n)
 
     def assert_agrees(est, x):
         assert est.mean == pytest.approx(x.mean(), rel=1e-12)
