@@ -277,8 +277,8 @@ def diversity_order_estimate(rho_grid, outage_values) -> float:
         raise ValueError("need at least two points for a slope")
     r0, r1 = rho_grid[-2], rho_grid[-1]
     p0, p1 = outage_values[-2], outage_values[-1]
-    if r0 <= 0 or r1 <= 0 or r0 == r1:
+    if not (r0 > 0 and r1 > 0) or r0 == r1:
         raise ValueError("SNR points must be positive and distinct")
-    if p0 <= 0 or p1 <= 0:
+    if not (p0 > 0 and p1 > 0):
         raise ValueError("outage values must be positive to take logs")
     return -(math.log(p1) - math.log(p0)) / (math.log(r1) - math.log(r0))

@@ -522,6 +522,6 @@ def high_snr_slope_estimate(rho_grid, rate_values) -> float:
     if len(rho_grid) < 2:
         raise ValueError("need at least two points for a slope")
     r0, r1 = rho_grid[-2], rho_grid[-1]
-    if r0 <= 0 or r1 <= 0 or r0 == r1:
+    if not (r0 > 0 and r1 > 0) or r0 == r1:
         raise ValueError("SNR points must be positive and distinct")
     return (rate_values[-1] - rate_values[-2]) / (math.log2(r1) - math.log2(r0))

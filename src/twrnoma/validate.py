@@ -5,8 +5,12 @@ Each check compares an analytical quantity with an independent route
 pass/fail line.  The default profile is sized so a healthy build passes
 with the pinned seed; the strict profile halves every tolerance band and
 is expected to surface the checks that sit close to their band edge.
-Every check returns (passed, tolerance, observed, detail) and is named in
-``validate``'s table, so a check that raises is reported under its name.
+Every check yields (gap, band) pairs to one pass rule, ``_verdict``: it
+reports the pair furthest outside its band, by gap/band, and passes when
+that gap is at most its band; a NaN gap or band is furthest out and fails
+as observed nan.  Each check returns (passed, tolerance, observed, detail)
+and is named in ``validate``'s table, so a check that raises is reported
+under its name, as observed nan.
 
 The checks pass every SNR to ``analytic_grid`` and ``mc_grids``; only the
 checks of a one-point route (the strong-rate quadrature reference and the
@@ -78,6 +82,19 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _verdict(pairs):
+    """(passed, band, gap) of the first (gap, band) pair holding a NaN, else
+    of the first of largest gap/band, compared cross-multiplied."""
+    worst = None
+    for gap, band in pairs:
+        if math.isnan(gap) or math.isnan(band):
+            return False, band, gap
+        if worst is None or gap * worst[1] > worst[0] * band:
+            worst = gap, band
+    gap, band = worst
+    return gap <= band, band, gap
+
+
 # the SNRs of the simulation checks: outage, rate and orthogonal baseline
 _OUTAGE_RHOS = tuple(10.0 ** (db / 10.0) for db in (10.0, 25.0, 40.0))
 _RATE_RHO = 100.0
@@ -96,44 +113,35 @@ def _simulate(config, iterations, seed, workers):
 
 def _check_outage_vs_mc(config, scale, grid):
     exacts = analytic_grid(config, _OUTAGE_RHOS, "outage", (1, 2), SIC_MODES)
-    worst, band = 0.0, math.inf
+    pairs = []
     for values, ests in zip(exacts, grid):
         for key, est in ests.items():
             exact = values[key][0]
             sigma = math.sqrt(max(exact * (1.0 - exact), 0.0) / est.n)
-            allowed = scale * max(3.0 * sigma, 0.005)
-            gap = abs(est.mean - exact)
-            if gap * band > worst * allowed:
-                worst, band = gap, allowed
-    return (worst <= band, band, worst,
+            pairs.append((abs(est.mean - exact), scale * max(3.0 * sigma, 0.005)))
+    return (*_verdict(pairs),
             "worst |mc - exact| over 10/25/40 dB, x1/x2, both modes")
 
 
 def _check_floor(config, scale):
-    tol = 0.05 * scale
-    worst = 0.0
     at60, at_floor = analytic_grid(config, (1e6, FLOOR_RHO), "outage", (1, 2),
                                    SIC_MODES, asymptotic=True)
-    for key, (value, _, _) in at60.items():
-        worst = max(worst, _rel(value, at_floor[key][1]))
-    return worst <= tol, tol, worst, "60 dB exact vs floor, x1/x2, both modes"
+    return (*_verdict((_rel(value, at_floor[key][1]), 0.05 * scale)
+                      for key, (value, _, _) in at60.items()),
+            "60 dB exact vs floor, x1/x2, both modes")
 
 
 def _check_diversity(config, scale):
-    tol = 0.1 * scale
     rhos = [1e5, 1e6]
     values = analytic_grid(config, rhos, "outage", (1, 2), SIC_MODES)
-    worst = 0.0
-    for key in values[0]:
-        probs = [point[key][0] for point in values]
-        worst = max(worst, abs(diversity_order_estimate(rhos, probs)))
-    return (worst <= tol, tol, worst,
+    slopes = (diversity_order_estimate(rhos, [point[key][0] for point in values])
+              for key in values[0])
+    return (*_verdict((abs(slope), 0.1 * scale) for slope in slopes),
             "|slope| of log outage between 50 and 60 dB")
 
 
 def _check_psic_limit(config, scale):
-    tol = 1e-6 * scale
-    worst = 0.0
+    pairs = []
     tiny = dataclasses.replace(config, omega_I=1e-12)
     for metric, rhos, signals in (("outage", (10.0, 1e3), (1, 2)),
                                   ("ergodic_rate", (100.0,), (1,))):
@@ -141,32 +149,28 @@ def _check_psic_limit(config, scale):
         p = analytic_grid(config, rhos, metric, signals, ("psic",))
         for ip_point, p_point in zip(ip, p):
             for s in signals:
-                worst = max(worst, _rel(ip_point["ipsic", s][0], p_point["psic", s][0]))
-    return (worst <= tol, tol, worst,
-            "residual power 1e-12 reproduces perfect SIC")
+                pairs.append((_rel(ip_point["ipsic", s][0], p_point["psic", s][0]),
+                              1e-6 * scale))
+    return (*_verdict(pairs), "residual power 1e-12 reproduces perfect SIC")
 
 
 def _check_rate_quadrature(config, scale):
-    tol = 1e-8 * scale
-    worst = 0.0
     idx = SignalIndex.for_signal(1)
     cfg = dataclasses.replace(config, rho=100.0, varpi1=0.0, varpi2=0.0)
-    for mode in SIC_MODES:
-        worst = max(worst, _rel(ergodic_rate_strong_closed(cfg, idx, mode),
-                                ergodic_rate_strong_quadrature(cfg, idx, mode)))
-    return worst <= tol, tol, worst, "20 dB, leakage off, both modes"
+    return (*_verdict((_rel(ergodic_rate_strong_closed(cfg, idx, mode),
+                            ergodic_rate_strong_quadrature(cfg, idx, mode)), 1e-8 * scale)
+                      for mode in SIC_MODES),
+            "20 dB, leakage off, both modes")
 
 
 def _check_rate_vs_mc(config, scale, grid):
     closed = analytic_grid(config, (_RATE_RHO,), "ergodic_rate", (1, 2), SIC_MODES)[0]
-    worst, band = 0.0, math.inf
+    pairs = []
     for key, est in grid[0].items():
         exact = closed[key][0]
-        allowed = scale * max(0.02, 3.0 * est.half_width_95 / _Z95 / exact)
-        gap = _rel(exact, est.mean)
-        if gap * band > worst * allowed:
-            worst, band = gap, allowed
-    return worst <= band, band, worst, "20 dB, leakage off, x1/x2, both modes"
+        pairs.append((_rel(exact, est.mean),
+                      scale * max(0.02, 3.0 * est.half_width_95 / _Z95 / exact)))
+    return (*_verdict(pairs), "20 dB, leakage off, x1/x2, both modes")
 
 
 def _check_laplace(scale, seed):
@@ -179,7 +183,7 @@ def _check_laplace(scale, seed):
     cases = [tuple(float(v) for v in rng.uniform(0.05, 20.0, size=3))
              for _ in range(3)]
     cases += [(2.0, 2.0, 5.0), ()]
-    worst, band = 0.0, math.inf
+    pairs = []
     for rates in cases:
         z = np.zeros(n)
         for lam in rates:
@@ -188,23 +192,18 @@ def _check_laplace(scale, seed):
         for c in (0.25, 1.0, 4.0):
             s = c / mean_z
             sample = np.exp(-s * z)
-            allowed = scale * 8.0 * float(sample.std()) / math.sqrt(n)
-            gap = abs(float(sample.mean()) - hypoexp_laplace(rates, s))
-            if gap * band > worst * allowed:
-                worst, band = gap, allowed
-    return (worst <= band, band, worst,
+            pairs.append((abs(float(sample.mean()) - hypoexp_laplace(rates, s)),
+                          scale * 8.0 * float(sample.std()) / math.sqrt(n)))
+    return (*_verdict(pairs),
             "transform against sample means of exp(-sZ), random, tied "
             "and empty rate sets")
 
 
 def _check_expint(scale):
     from scipy.special import expi
-    tol = 1e-10 * scale
     grid = np.logspace(-6, math.log10(30.0), 60)
-    worst = 0.0
-    for x in np.concatenate([-grid, grid]):
-        worst = max(worst, _rel(expint_ei(float(x)), float(expi(x))))
-    return (worst <= tol, tol, worst,
+    return (*_verdict((_rel(expint_ei(float(x)), float(expi(x))), 1e-10 * scale)
+                      for x in np.concatenate([-grid, grid])),
             "exponential integral against scipy.special.expi")
 
 
@@ -212,9 +211,8 @@ def _check_oma(config, scale, grid):
     exact = oma_outage_exact(config.with_rho(_OMA_RHO), "system")
     est = grid[0]["oma", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / est.n)
-    band = scale * max(3.0 * sigma, 0.005)
-    gap = abs(est.mean - exact)
-    return gap <= band, band, gap, "orthogonal baseline system outage at 10 dB"
+    return (*_verdict([(abs(est.mean - exact), scale * max(3.0 * sigma, 0.005))]),
+            "orthogonal baseline system outage at 10 dB")
 
 
 def _system_values(config, metric, rhos):
@@ -225,28 +223,22 @@ def _system_values(config, metric, rhos):
 
 
 def _check_throughput_ceiling(config, scale):
-    tol = 0.02 * scale
-    worst = 0.0
     t50, t60 = _system_values(config, "throughput_dt", (1e5, 1e6))
-    for mode in SIC_MODES:
-        worst = max(worst, _rel(t50[mode], t60[mode]))
-    return (worst <= tol, tol, worst,
+    return (*_verdict((_rel(t50[mode], t60[mode]), 0.02 * scale) for mode in SIC_MODES),
             "delay tolerant throughput change from 50 to 60 dB")
 
 
 def _check_ee(config, scale):
-    tol = 0.05 * scale
-    worst = 0.0
-    for ee in _system_values(config, "ee_dl", [10.0 ** (db / 10.0) for db in
-                                               (0.0, 10.0, 20.0, 30.0, 40.0)]):
-        worst = max(worst, _rel(ee["ipsic"], ee["psic"]))
+    rhos = [10.0 ** (db / 10.0) for db in (0.0, 10.0, 20.0, 30.0, 40.0)]
+    passed, band, gap = _verdict((_rel(ee["ipsic"], ee["psic"]), 0.05 * scale)
+                                 for ee in _system_values(config, "ee_dl", rhos))
     # perfect SIC can only raise the delay tolerant efficiency
     ordered = all(ee["psic"] >= ee["ipsic"]
                   for ee in _system_values(config, "ee_dt", (1e3, 1e5)))
     detail = "delay limited efficiency gap between SIC modes, 0 to 40 dB"
     if not ordered:
         detail += "; delay tolerant ordering violated"
-    return ordered and worst <= tol, tol, worst, detail
+    return ordered and passed, band, gap, detail
 
 
 def validate(config: SystemConfig, profile: str = "default",

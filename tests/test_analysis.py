@@ -194,6 +194,13 @@ def test_diversity_estimate_validation():
         diversity_order_estimate([1.0, 1.0], [0.1, 0.1])
     with pytest.raises(ValueError, match="positive"):
         diversity_order_estimate([1.0, 2.0], [0.1, 0.0])
+    # a NaN is not positive, so it is refused, not carried into the slope
+    for probs in ([math.nan, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError, match="outage values must be positive"):
+            diversity_order_estimate([1e5, 1e6], probs)
+    for rhos in ([math.nan, 1e6], [1e5, math.nan]):
+        with pytest.raises(ValueError, match="positive and distinct"):
+            diversity_order_estimate(rhos, [0.2, 0.1])
 
 
 def test_diversity_estimate_recovers_slope():

@@ -680,6 +680,10 @@ def test_high_snr_slope_estimate():
     assert high_snr_slope_estimate(rhos, rates) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         high_snr_slope_estimate([1e5], [1.0])
+    # a NaN SNR is not positive, so it is refused, not carried into the slope
+    for bad in ([math.nan, 1e6], [1e5, math.nan]):
+        with pytest.raises(ValueError, match="positive and distinct"):
+            high_snr_slope_estimate(bad, rates)
 
 
 def test_preconditions_route_to_the_right_entry_point(baseline):

@@ -1,10 +1,11 @@
 """The self-check battery's report."""
 
 import dataclasses
+import math
 
 import pytest
 
-from twrnoma import ergodic, montecarlo
+from twrnoma import cli, ergodic, montecarlo
 from twrnoma import validate as battery
 from twrnoma.model import ConfigError, SystemConfig
 from twrnoma.montecarlo import mc_grid
@@ -203,3 +204,57 @@ def test_rate_check_band_is_its_floor_at_the_default_draws(profile):
     scale = battery.PROFILES[profile]
     _, rate, _ = battery._simulate(SystemConfig(), 200_000, battery.DEFAULT_VALIDATE_SEED, 1)
     assert battery._check_rate_vs_mc(SystemConfig(), scale, rate)[1] == 0.02 * scale
+
+
+def test_verdict_reports_the_pair_furthest_outside_its_band():
+    """One rule judges every check: the largest gap/band wins, the first of
+    equals is kept, a zero band is passed by a zero gap alone, and a NaN
+    gap or band is furthest out and fails."""
+    assert battery._verdict([(1.0, 2.0), (3.0, 4.0), (1.5, 2.0)]) == (True, 4.0, 3.0)
+    assert battery._verdict([(1.0, 2.0), (2.0, 4.0)]) == (True, 2.0, 1.0)
+    assert battery._verdict([(0.0, 5.0), (0.0, 1.0)]) == (True, 5.0, 0.0)
+    assert battery._verdict([(0.5, 1.0), (0.0, 0.0)]) == (True, 1.0, 0.5)
+    assert battery._verdict([(0.5, 1.0), (1e-300, 0.0)]) == (False, 0.0, 1e-300)
+    assert battery._verdict([(3.0, 1.0)]) == (False, 1.0, 3.0)
+    passed, band, gap = battery._verdict([(3.0, 1.0), (math.nan, 2.0), (5.0, 1.0)])
+    assert (passed, band) == (False, 2.0) and math.isnan(gap)
+    passed, band, gap = battery._verdict([(0.0, 1.0), (0.0, math.nan)])
+    assert (passed, gap) == (False, 0.0) and math.isnan(band)
+
+
+def _nan_values(real):
+    """``analytic_grid`` with every value and asymptote NaN."""
+    def grid(*args, **kwargs):
+        return [{key: (math.nan, math.nan, feasible) for key, (_, _, feasible) in point.items()}
+                for point in real(*args, **kwargs)]
+    return grid
+
+
+# each closed form or reference the battery reads, and the checks that read
+# it, in the battery's order
+NAN_SOURCES = {
+    "analytic_grid": ("outage_closed_vs_mc", "outage_floor_vs_asymptote",
+                      "diversity_order_zero", "psic_limit_recovery", "rate_closed_vs_mc",
+                      "throughput_ceiling", "energy_efficiency_modes"),
+    "ergodic_rate_strong_quadrature": ("strong_rate_closed_vs_quadrature",),
+    "expint_ei": ("expint_vs_scipy",),
+    "hypoexp_laplace": ("hypoexp_laplace_vs_mc",),
+    "oma_outage_exact": ("oma_baseline_mc_vs_exact",),
+}
+
+
+@pytest.mark.parametrize("source", sorted(NAN_SOURCES))
+def test_a_nan_fails_every_check_that_reads_it(monkeypatch, capsys, source):
+    """A NaN from any source fails each check that reads it, reported as
+    observed nan, and the battery exits 2; every other check still passes."""
+    real = getattr(battery, source)
+    monkeypatch.setattr(battery, source, _nan_values(real) if source == "analytic_grid"
+                        else lambda *args, **kwargs: math.nan)
+    assert cli.main(["validate", "--iterations", "2000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert [line.split(":")[0] for line in failed] == [
+        f"FAIL {name}" for name in NAN_SOURCES[source]]
+    assert all(line.split(": ", 1)[1].startswith("observed nan against") for line in failed)
+    assert len(lines) == 12 and lines[-1] == (f"profile default: {len(failed)} "
+                                              f"check(s) failed")
