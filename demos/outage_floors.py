@@ -8,8 +8,8 @@ to trade accuracy for speed.
 
 import argparse
 
-from twrnoma import (SIC_MODES, SystemConfig, diversity_order_estimate, mc_grid,
-                     metrics, oma_outage_exact, outage_asymptotic, outage_probability)
+from twrnoma import SIC_MODES, SystemConfig, diversity_order_estimate, mc_grid, metrics
+from twrnoma.analysis import FLOOR_RHO
 
 
 def sweep(cfg, n_mc, seed=1729):
@@ -32,28 +32,28 @@ def sweep(cfg, n_mc, seed=1729):
 
 def floors(cfg):
     print("\nerror floors at 60 dB (exact vs asymptotic):")
-    c = cfg.with_rho(1e6)
+    at60, at_floor = metrics.analytic_grid(cfg, (1e6, FLOOR_RHO), "outage", (1, 2),
+                                           SIC_MODES, asymptotic=True)
     for mode in SIC_MODES:
         for sig in (1, 2):
-            exact = outage_probability(c, sig, mode).p_exact
-            floor = outage_asymptotic(c, sig, mode).floor
-            print(f"  x{sig} {mode}: exact {exact:.6e}  floor {floor:.6e}")
+            print(f"  x{sig} {mode}: exact {at60[mode, sig][0]:.6e}  "
+                  f"floor {at_floor[mode, sig][1]:.6e}")
 
     rhos = [1e5, 1e6]
+    values = metrics.analytic_grid(cfg, rhos, "outage", (1,), SIC_MODES)
     for mode in SIC_MODES:
-        probs = [outage_probability(cfg.with_rho(r), 1, mode).p_exact
-                 for r in rhos]
-        d = diversity_order_estimate(rhos, probs)
+        d = diversity_order_estimate(rhos, [point[mode, 1][0] for point in values])
         print(f"  diversity order, x1 {mode}: {d:+.4f}")
 
 
 def oma_crossover(cfg):
     # the orthogonal baseline keeps its diversity, so it wins eventually
     print("\northogonal baseline comparison (system outage):")
-    for db in (10, 20, 30, 40):
-        c = cfg.with_rho(10.0 ** (db / 10.0))
-        noma = outage_probability(c, 1, "ipsic").p_exact
-        oma = oma_outage_exact(c, "system")
+    dbs = (10, 20, 30, 40)
+    closed = metrics.analytic_grid(cfg, [10.0 ** (db / 10.0) for db in dbs], "outage",
+                                   (1,), ("ipsic",), oma=True)
+    for db, point in zip(dbs, closed):
+        noma, oma = point["ipsic", 1][0], point["oma", "system"][0]
         tag = "noma ahead" if noma < oma else "baseline ahead"
         print(f"  {db} dB: noma x1 {noma:.5f}  baseline {oma:.5f}  ({tag})")
 

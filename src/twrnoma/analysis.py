@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (SignalIndex, SystemConfig, gamma_threshold, mirror_sources,
-                    sic_epsilon)
+from .model import SignalIndex, SystemConfig, gamma_threshold, sic_epsilon
 from .specfun import hypoexp_laplace, term_rates
 
 # the linear SNR at which an asymptote is read as the error floor
@@ -200,21 +199,13 @@ def outage_grid(config: SystemConfig, rhos, signals, modes,
     Returns one dict per entry of ``rhos``, keyed (mode, signal), with
     values (p_exact, p_asymptotic, feasible); p_asymptotic is None unless
     ``asymptotic`` is set.  The intermediates are formed once per SNR and
-    pairing, and serve both of its signals and every mode.  A signal whose
-    pairing mirrors an earlier one's (``mirror_sources``: x3 and x4 in a
-    symmetric config) copies that signal's values, which it equals bit for
-    bit, and forms nothing.  ``config.rho`` is not read, and ``rhos`` are
-    taken as given.
+    pairing, and serve both of its signals and every mode.  ``config.rho``
+    is not read, and ``rhos`` are taken as given.
     """
-    sources = mirror_sources(config, signals)
     table = []
     for rho in rhos:
         inters, point = {}, {}
         for s in signals:
-            if sources[s] != s:
-                for mode in modes:
-                    point[mode, s] = point[mode, sources[s]]
-                continue
             idx = SignalIndex.for_signal(s)
             if idx not in inters:
                 inters[idx] = compute_outage_intermediates(config, idx, rho)
@@ -277,8 +268,8 @@ def diversity_order_estimate(rho_grid, outage_values) -> float:
         raise ValueError("need at least two points for a slope")
     r0, r1 = rho_grid[-2], rho_grid[-1]
     p0, p1 = outage_values[-2], outage_values[-1]
-    if not (r0 > 0 and r1 > 0) or r0 == r1:
-        raise ValueError("SNR points must be positive and distinct")
-    if not (p0 > 0 and p1 > 0):
-        raise ValueError("outage values must be positive to take logs")
+    if not (0 < r0 < math.inf and 0 < r1 < math.inf) or r0 == r1:
+        raise ValueError("SNR points must be finite, positive and distinct")
+    if not (0 < p0 < math.inf and 0 < p1 < math.inf):
+        raise ValueError("outage values must be positive and finite to take logs")
     return -(math.log(p1) - math.log(p0)) / (math.log(r1) - math.log(r0))

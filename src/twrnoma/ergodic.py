@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import compute_outage_intermediates
-from .model import SignalIndex, SystemConfig, mirror_sources, sic_epsilon
+from .model import SignalIndex, SystemConfig, sic_epsilon
 from .specfun import EULER_GAMMA, expei_neg, hypoexp_laplace, term_rates
 
 _LN2 = math.log(2.0)
@@ -302,8 +302,9 @@ def _strong_ccdf(config: SystemConfig, idx: SignalIndex, mode: str, rho: float):
     return ccdf, 1.0 / (1.0 / d_z + 1.0 / d_w)
 
 
-def _strong_rate_by_quadrature(config, idx, mode):
-    ccdf, scale = _strong_ccdf(config, idx, mode, config.rho)
+def _strong_rate_by_quadrature(config, idx, mode, rho):
+    """The strong rate at linear SNR ``rho`` by one quadrature of ``_strong_ccdf``."""
+    ccdf, scale = _strong_ccdf(config, idx, mode, rho)
     return _integrate_log_trapezoid_grid(lambda x, _sizes: ccdf(x) / (1.0 + x),
                                          (scale,))[0] / (2.0 * _LN2)
 
@@ -316,7 +317,7 @@ def ergodic_rate_strong_quadrature(config: SystemConfig, idx: SignalIndex,
     agreement with the closed form is the primary correctness check for both.
     """
     _require_no_leakage(config, "the quadrature strong-user rate")
-    return _strong_rate_by_quadrature(config, idx, mode)
+    return _strong_rate_by_quadrature(config, idx, mode, config.rho)
 
 
 def strong_rate_ccdf_leakage(config: SystemConfig, idx: SignalIndex, x) -> float:
@@ -350,7 +351,7 @@ def ergodic_rate_strong_numeric(config: SystemConfig, idx: SignalIndex) -> float
         raise ValueError("the leakage-path rate needs both leakage fractions "
                          "positive; with them at zero use "
                          "ergodic_rate_strong_closed")
-    return _strong_rate_by_quadrature(config, idx, "ipsic")
+    return _strong_rate_by_quadrature(config, idx, "ipsic", config.rho)
 
 
 def ergodic_rate_weak_numeric(config: SystemConfig, idx: SignalIndex, mode: str) -> float:
@@ -473,40 +474,33 @@ def rate_grid(config: SystemConfig, rhos, signals, modes,
     of ``rhos``.
 
     Returns one dict per entry of ``rhos``, keyed (mode, signal), with
-    values (rate, asymptote); the asymptote is None unless ``asymptotic``
-    is set.  A strong signal takes the closed form of
-    ``ergodic_rate_strong_closed`` and the expansion of
-    ``ergodic_rate_strong_asymptotic``, a weak one the integral of
-    ``ergodic_rate_weak_numeric`` and the ceiling of
+    values (rate, asymptote, True), as ``analysis.outage_grid`` gives its
+    outages; the asymptote is None unless ``asymptotic`` is set.  A strong
+    signal takes the closed form of ``ergodic_rate_strong_closed`` and the
+    expansion of ``ergodic_rate_strong_asymptotic``, a weak one the integral
+    of ``ergodic_rate_weak_numeric`` and the ceiling of
     ``ergodic_rate_weak_highsnr``.  The rate intermediates are formed once
-    per pairing and mode, and the weak integrals of the whole grid share
-    one numpy pass.  A signal whose pairing mirrors an earlier one's
-    (``mirror_sources``) copies that signal's values, as in
-    ``outage_grid``.  Neither ``config.rho`` nor a leakage field is read,
-    and ``rhos`` are taken as given.
+    per signal and mode, and the weak integrals of the whole grid share one
+    numpy pass.  Neither ``config.rho`` nor a leakage field is read, and
+    ``rhos`` are taken as given.
     """
-    sources = mirror_sources(config, signals)
     keys = [(mode, s, SignalIndex.for_signal(s)) for mode in modes for s in signals]
     inters = {(mode, s): compute_rate_intermediates(config, idx, mode)
-              for mode, s, idx in keys if sources[s] == s}
+              for mode, s, idx in keys}
     weak = iter(_weak_rates(config, [(idx, inters[mode, s], rho) for rho in rhos
-                                     for mode, s, idx in keys
-                                     if idx.t == s and sources[s] == s]))
+                                     for mode, s, idx in keys if idx.t == s]))
     table = []
     for rho in rhos:
         point = {}
         for mode, s, idx in keys:
-            if sources[s] != s:
-                point[mode, s] = point[mode, sources[s]]
-                continue
             inter = inters[mode, s]
             if idx.l == s:
                 psi = _psi(config, idx, rho)
                 point[mode, s] = (_strong_closed(inter, psi),
-                                  _strong_asymptotic(inter, psi) if asymptotic else None)
+                                  _strong_asymptotic(inter, psi) if asymptotic else None, True)
             else:
                 point[mode, s] = (next(weak), _weak_ceiling(config, idx, mode, inter, rho)
-                                  if asymptotic else None)
+                                  if asymptotic else None, True)
         table.append(point)
     return table
 
@@ -522,6 +516,8 @@ def high_snr_slope_estimate(rho_grid, rate_values) -> float:
     if len(rho_grid) < 2:
         raise ValueError("need at least two points for a slope")
     r0, r1 = rho_grid[-2], rho_grid[-1]
-    if not (r0 > 0 and r1 > 0) or r0 == r1:
-        raise ValueError("SNR points must be positive and distinct")
+    if not (0 < r0 < math.inf and 0 < r1 < math.inf) or r0 == r1:
+        raise ValueError("SNR points must be finite, positive and distinct")
+    if not (math.isfinite(rate_values[-2]) and math.isfinite(rate_values[-1])):
+        raise ValueError("rate values must be finite")
     return (rate_values[-1] - rate_values[-2]) / (math.log2(r1) - math.log2(r0))

@@ -9,8 +9,10 @@ the transmit SNR of the statistical model and the Watt-level power budget
 are independent knobs, matching how the curves are usually reported.
 
 ``analytic_grid`` decides how every closed-form value is formed, at every
-SNR of a grid in one call; a one-point grid is the value at one SNR.
-Rate-style metrics follow the reporting convention of the reference
+SNR of a grid in one call; a one-point grid is the value at one SNR.  It
+takes the request ``mc_grid`` takes and answers it key for key, the
+orthogonal baseline's outage and rate included, and it alone decides which
+signals mirror others (``mirror_sources``).  Rate-style metrics follow the reporting convention of the reference
 curves: the analytic value is the leakage-free closed form (strong signals
 by ``ergodic_rate_strong_closed``, weak ones by
 ``ergodic_rate_weak_numeric``, both through ``rate_grid``, which reads no
@@ -20,9 +22,13 @@ the gap between the two the visible cost of cross-antenna interference.
 
 from __future__ import annotations
 
+import math
+
 from .analysis import outage_grid
-from .ergodic import rate_grid
-from .model import ConfigError, SystemConfig, linear_snr_grid, sic_epsilon
+from .ergodic import _LN2, rate_grid
+from .model import (OMA_PARTNER, ConfigError, SystemConfig, linear_snr_grid, mirror_sources,
+                    oma_threshold, sic_epsilon)
+from .specfun import expei_neg
 
 METRICS = ("outage", "ergodic_rate", "throughput_dl", "throughput_dt",
            "ee_dl", "ee_dt")
@@ -104,32 +110,55 @@ def check_request(metric: str, targets, modes, oma: bool = False):
 
 
 def analytic_grid(config: SystemConfig, rhos, metric: str, targets, modes,
-                  asymptotic: bool = False) -> list:
+                  asymptotic: bool = False, *, oma: bool = False) -> list:
     """Closed-form values of ``metric`` for each target and SIC mode at every
     linear SNR of ``rhos``.
 
-    ``metric``, ``targets`` and ``modes`` are those of ``check_request``.
-    Returns one dict per entry of ``rhos``, in that order, holding exactly
-    the keys (mode, target) of the request, as ``mc_grid`` does without
-    ``oma``, with values (value, asymptote, feasible); the asymptote is None
-    unless ``asymptotic`` is set, and feasible is False only where an
-    outage target rate is out of reach for the power split.  As in
+    ``metric``, ``targets``, ``modes`` and ``oma`` are those of
+    ``check_request``.  Returns one dict per entry of ``rhos``, in that
+    order, holding exactly the keys of the request, as ``mc_grid`` does,
+    with values (value, asymptote, feasible); the asymptote is None unless
+    ``asymptotic`` is set, and always for the baseline, and feasible is
+    False only where an outage target rate is out of reach for the power
+    split.  ``outage_grid`` or ``rate_grid`` forms only the signals
+    ``mirror_sources`` maps to themselves; the others copy them.  As in
     ``mc_grid``, each entry of ``rhos`` must be positive with a finite
     reciprocal, and ``config.rho`` is not read.
     """
-    targets, modes, signals = check_request(metric, targets, modes)
+    targets, modes, signals = check_request(metric, targets, modes, oma)
     rhos = linear_snr_grid(rhos).tolist()
-    if metric in COUNTED:
-        points = outage_grid(config, rhos, signals, modes, asymptotic)
+    sources = mirror_sources(config, signals)
+    formed = (outage_grid if metric in COUNTED else rate_grid)(
+        config, rhos, tuple(s for s in signals if sources[s] == s), modes, asymptotic)
+    points = [{(mode, s): point[mode, sources[s]] for s in signals for mode in modes}
+              for point in formed]
+    if "system" in targets:
+        scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
+        points = [{(mode, "system"): _system(config, metric, [point[mode, s] for s in SIGNALS],
+                                             asymptotic, scale)
+                   for mode in modes} for point in points]
+    if oma:
+        for point, rho in zip(points, rhos):
+            point.update(_oma(config, rho, metric, targets))
+    return points
+
+
+def _oma(config, rho, metric, targets):
+    """The baseline's (value, None, True) at linear SNR ``rho``, keyed ("oma",
+    target) per signal target and ("oma", "system").  Signal i's end-to-end
+    fade X is exponential with rate d = 1/Omega_i + 1/Omega_p, p its partner,
+    so its outage is 1 - exp(-gth d / rho), gth its ``oma_threshold``, and its
+    rate 0.2 E log2(1 + rho X) = -0.2 e^s Ei(-s) / ln 2, s = d / rho.  The
+    system fails unless all four pass, and its rate is the sum of the four."""
+    decay = [1.0 / config.omega(i) + 1.0 / config.omega(OMA_PARTNER[i]) for i in SIGNALS]
+    if metric == "outage":
+        exponents = [oma_threshold(config.rate(i)) * d / rho for i, d in zip(SIGNALS, decay)]
+        values = [-math.expm1(-e) for e in exponents] + [-math.expm1(-sum(exponents))]
     else:
-        points = [{key: (value, asym, True) for key, (value, asym) in point.items()}
-                  for point in rate_grid(config, rhos, signals, modes, asymptotic)]
-    if "system" not in targets:
-        return points
-    scale = energy_efficiency(1.0, config) if metric.startswith("ee_") else None
-    return [{(mode, "system"): _system(config, metric, [point[mode, s] for s in SIGNALS],
-                                       asymptotic, scale)
-             for mode in modes} for point in points]
+        values = [-0.2 * expei_neg(d / rho) / _LN2 for d in decay]
+        values.append(sum(values))
+    return {("oma", t): (values[-1 if t == "system" else t - 1], None, True)
+            for t in targets + ("system",)}
 
 
 def _system(config, metric, results, asymptotic, scale):

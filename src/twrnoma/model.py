@@ -300,6 +300,12 @@ def oma_threshold(rate_bpcu: float) -> float:
     return 2.0 ** (5.0 * rate_bpcu) - 1.0
 
 
+# The orthogonal baseline's partner map: each of its five slots sees its own
+# fade, so signal i's end-to-end SNR is rho times the weaker of its uplink's
+# fade and its partner OMA_PARTNER[i]'s downlink's.
+OMA_PARTNER = {1: 3, 2: 4, 3: 1, 4: 2}
+
+
 def sample_channel_draw(config: SystemConfig, stream, size: int,
                         unit=()) -> ChannelDraw:
     """Draw ``size`` of each of the five exponential channel gains from ``stream``.

@@ -5,7 +5,8 @@ exponential laws, evaluates the same SINR expressions the analysis
 started from, and reduces threshold tests or rate samples to estimates
 with 95% confidence intervals.  Nothing here reuses the analytical
 manipulations, which is the point: agreement between the two routes is
-the evidence either one is right.
+the evidence either one is right.  No closed form lives here either;
+``oma_outage_exact`` is a one-point view of ``metrics.analytic_grid``.
 
 One kernel, ``mc_grid``, serves a whole SNR grid: each chunk draws the
 gains once for every grid SNR, signal, SIC mode and system sum (common
@@ -56,10 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import COUNTED, PER_SIGNAL, SIGNALS, check_request, energy_efficiency
-from .model import (ChannelDraw, ConfigError, SignalIndex, SystemConfig, inverse_threshold,
-                    linear_snr_grid, margin_base, mode_margins, oma_threshold,
-                    sample_channel_draw, sinr_coefficients)
+from .metrics import (COUNTED, PER_SIGNAL, SIGNALS, analytic_grid, check_request,
+                      energy_efficiency)
+from .model import (OMA_PARTNER, ChannelDraw, ConfigError, SignalIndex, SystemConfig,
+                    inverse_threshold, linear_snr_grid, margin_base, mode_margins,
+                    oma_threshold, sample_channel_draw, sinr_coefficients)
 
 CHUNK = 1 << 17
 BLOCK = 1 << 13
@@ -158,33 +160,20 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
-# Orthogonal baseline.  The same exchange takes five slots: all four
-# uplinks land at the relay in the first (each on its own orthogonal
-# resource at full power), then the relay forwards one symbol per slot.
-# Every transmission sees an independent fade of its link, so signal i's
-# end-to-end SNR is the minimum of two independent exponentials and its
-# threshold reflects the 5x bandwidth expansion, 2^{5 R} - 1.
-
-_OMA_PARTNER = {1: 3, 2: 4, 3: 1, 4: 2}
-
-
 def _check_oma_signal(signal):
     if signal != "system" and signal not in (1, 2, 3, 4):
         raise ValueError(f"signal must be 1..4 or 'system', got {signal!r}")
 
 
 def oma_outage_exact(config: SystemConfig, signal) -> float:
-    """Closed-form orthogonal-baseline outage, per signal or whole system."""
+    """Closed-form orthogonal-baseline outage at ``config.rho``, per signal or
+    whole system: the baseline cell of ``metrics.analytic_grid`` at one SNR.
+    No library route calls it; it stays only because ``perfbench/workloads.py``
+    calls it."""
     _check_oma_signal(signal)
-
-    def exponent(i):
-        gth = oma_threshold(config.rate(i))
-        return gth * (1.0 / config.omega(i)
-                      + 1.0 / config.omega(_OMA_PARTNER[i])) / config.rho
-
-    if signal == "system":
-        return -math.expm1(-sum(exponent(i) for i in (1, 2, 3, 4)))
-    return -math.expm1(-exponent(signal))
+    targets = () if signal == "system" else (signal,)
+    return analytic_grid(config, (config.rho,), "outage", targets, (),
+                         oma=True)[0]["oma", signal][0]
 
 
 def _failure_words(rows, rhos):
@@ -314,7 +303,7 @@ def _oma_fades(config, stream, size):
     scale = [config.omega(i) for i in SIGNALS] * 2
     links = stream.standard_exponential((8, size))
     links *= np.reshape(scale, (8, 1))
-    for i, partner in _OMA_PARTNER.items():
+    for i, partner in OMA_PARTNER.items():
         np.minimum(links[i - 1], links[3 + partner], out=links[i - 1])
     return links[:4]
 

@@ -12,11 +12,10 @@ reads the same draws (common random numbers), and reruns and different
 worker counts give identical bytes.  Each curve's analytic
 and asymptotic columns come from one ``metrics.analytic_grid`` call with
 its request, which also owns the reporting convention for the rate-style
-metrics.  The simulation and the closed forms answer exactly the
-(mode, target) keys of the request, and the simulation adds the
-baseline's ("oma", target) keys, so a row is one estimate and reads its
-closed form under the same key.  Neither reads ``config.rho``, and the
-sweep makes no per-point copy of the config.
+metrics.  The simulation and the closed forms answer exactly the keys of
+the request, the baseline's ("oma", target) keys included, so a row is
+one estimate and reads its closed form under the same key.  Neither reads
+``config.rho``, and the sweep makes no per-point copy of the config.
 """
 
 from __future__ import annotations
@@ -160,13 +159,12 @@ def run_sweeps(spec: SweepSpec, curves, workers: int = 1):
 
 def _table(asymptotic, grid, request, ests):
     """The sorted rows of one curve from its request and Monte Carlo grid."""
-    config, rhos, metric, targets, modes, _ = request
-    values = metrics.analytic_grid(config, rhos, metric, targets, modes, asymptotic)
+    config, rhos, metric, targets, modes, oma = request
+    values = metrics.analytic_grid(config, rhos, metric, targets, modes, asymptotic, oma=oma)
     rows = []
     for db, point_values, point_ests in zip(grid, values, ests):
-        # a row per estimate; the baseline's have no closed form
         for (mode, target), est in point_ests.items():
-            value, asym, feasible = point_values.get((mode, target), (None, None, True))
+            value, asym, feasible = point_values[mode, target]
             name = target if target == "system" else f"x{target}"
             rows.append(MetricPoint(db, f"oma:{name}" if mode == "oma" else name,
                                     metric, mode, value, asym, est.mean, est.ci_low,

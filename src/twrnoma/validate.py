@@ -12,12 +12,11 @@ as observed nan.  Each check returns (passed, tolerance, observed, detail)
 and is named in ``validate``'s table, so a check that raises is reported
 under its name, as observed nan.
 
-The checks pass every SNR to ``analytic_grid`` and ``mc_grids``; only the
-checks of a one-point route (the strong-rate quadrature reference and the
-baseline's closed form) build a config at their SNR.
-The three simulation checks read one ``mc_grids`` pass, each on its own
-grid: the outage check at 10, 25 and 40 dB, the rate check, leakage off,
-at 20 dB and the orthogonal-baseline check at 10 dB.  Each chunk draws the
+The checks pass every SNR to ``analytic_grid``, ``mc_grids`` and the
+strong-rate quadrature reference, and build no config at an SNR.  The
+three simulation checks read one ``mc_grids`` pass, each on its own grid:
+the outage check at 10, 25 and 40 dB, the rate check, leakage off, at
+20 dB and the orthogonal-baseline check at 10 dB.  Each chunk draws the
 NOMA gains once for the outage and the rate check, whose configs have
 equal means (common random numbers), and the baseline's fades once.  Each
 band is a floor or three standard errors, whichever is wider.
@@ -33,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FLOOR_RHO, diversity_order_estimate
-from .ergodic import ergodic_rate_strong_closed, ergodic_rate_strong_quadrature
+from .ergodic import _strong_rate_by_quadrature
 from .metrics import analytic_grid
 from .model import SIC_MODES, SignalIndex, SystemConfig
-from .montecarlo import _Z95, check_run, mc_grids, oma_outage_exact
+from .montecarlo import _Z95, check_run, mc_grids
 from .specfun import expint_ei, hypoexp_laplace
 
 PROFILES = {"default": 1.0, "strict": 0.5}
@@ -155,11 +154,11 @@ def _check_psic_limit(config, scale):
 
 
 def _check_rate_quadrature(config, scale):
-    idx = SignalIndex.for_signal(1)
-    cfg = dataclasses.replace(config, rho=100.0, varpi1=0.0, varpi2=0.0)
-    return (*_verdict((_rel(ergodic_rate_strong_closed(cfg, idx, mode),
-                            ergodic_rate_strong_quadrature(cfg, idx, mode)), 1e-8 * scale)
-                      for mode in SIC_MODES),
+    closed = analytic_grid(config, (_RATE_RHO,), "ergodic_rate", (1,), SIC_MODES)[0]
+    idx, leakage_free = SignalIndex.for_signal(1), config.without_leakage()
+    return (*_verdict((_rel(closed[mode, 1][0],
+                            _strong_rate_by_quadrature(leakage_free, idx, mode, _RATE_RHO)),
+                       1e-8 * scale) for mode in SIC_MODES),
             "20 dB, leakage off, both modes")
 
 
@@ -208,7 +207,8 @@ def _check_expint(scale):
 
 
 def _check_oma(config, scale, grid):
-    exact = oma_outage_exact(config.with_rho(_OMA_RHO), "system")
+    (closed,) = analytic_grid(config, (_OMA_RHO,), "outage", (), (), oma=True)
+    exact = closed["oma", "system"][0]
     est = grid[0]["oma", "system"]
     sigma = math.sqrt(exact * (1.0 - exact) / est.n)
     return (*_verdict([(abs(est.mean - exact), scale * max(3.0 * sigma, 0.005))]),

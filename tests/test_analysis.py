@@ -201,6 +201,13 @@ def test_diversity_estimate_validation():
     for rhos in ([math.nan, 1e6], [1e5, math.nan]):
         with pytest.raises(ValueError, match="positive and distinct"):
             diversity_order_estimate(rhos, [0.2, 0.1])
+    # no slope exists at an infinite SNR or through an infinite outage value
+    for rhos in ([1e5, math.inf], [math.inf, 1e6]):
+        with pytest.raises(ValueError, match="finite, positive and distinct"):
+            diversity_order_estimate(rhos, [0.2, 0.1])
+    for probs in ([0.2, math.inf], [math.inf, 0.1]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            diversity_order_estimate([1e5, 1e6], probs)
 
 
 def test_diversity_estimate_recovers_slope():

@@ -669,8 +669,9 @@ def test_psic_high_snr_rates_converge_to_their_limits():
                                                                              rel=1e-7)
     assert ergodic_rate_weak_highsnr(cfg, IDX2, "psic") == pytest.approx(weak, rel=1e-7)
     (point,) = rate_grid(cfg, [cfg.rho], (1, 2), ("psic",), asymptotic=True)
-    assert point["psic", 1] == pytest.approx((strong, strong), rel=1e-7)
-    assert point["psic", 2] == pytest.approx((weak, weak), rel=1e-7)
+    assert point["psic", 1][:2] == pytest.approx((strong, strong), rel=1e-7)
+    assert point["psic", 2][:2] == pytest.approx((weak, weak), rel=1e-7)
+    assert point["psic", 1][2] is point["psic", 2][2] is True
 
 
 def test_high_snr_slope_estimate():
@@ -684,6 +685,13 @@ def test_high_snr_slope_estimate():
     for bad in ([math.nan, 1e6], [1e5, math.nan]):
         with pytest.raises(ValueError, match="positive and distinct"):
             high_snr_slope_estimate(bad, rates)
+    # no slope exists at an infinite SNR, nor through an infinite or NaN rate
+    for bad in ([1e5, math.inf], [math.inf, 1e6]):
+        with pytest.raises(ValueError, match="finite, positive and distinct"):
+            high_snr_slope_estimate(bad, [1.0, 2.0])
+    for bad in ([math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="rate values must be finite"):
+            high_snr_slope_estimate(rhos, bad)
 
 
 def test_preconditions_route_to_the_right_entry_point(baseline):

@@ -3,18 +3,19 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrnoma import analysis, ergodic, montecarlo
+from twrnoma import metrics, montecarlo
 from twrnoma.analysis import outage_probability
 from twrnoma.configio import PRESETS
 from twrnoma.ergodic import QuadratureError, ergodic_rate_weak_numeric
 from twrnoma.metrics import (METRICS, PER_SIGNAL, SIGNALS, analytic_grid, energy_efficiency,
                              throughput_delay_limited,
                              throughput_delay_tolerant)
-from twrnoma.model import SIC_MODES, SystemConfig
+from twrnoma.model import OMA_PARTNER, SIC_MODES, ConfigError, SystemConfig
 from twrnoma.montecarlo import mc_grid, mc_outage
 
 
@@ -241,8 +242,8 @@ def test_analytic_grid_refuses_what_mc_grid_refuses(baseline, rhos, metric, targ
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_mc_grid_keys_its_estimates_as_analytic_grid_does(name):
     """Every preset variant's request, with its baseline where the preset
-    draws one: the two grids answer under the same (mode, target) keys, and
-    the baseline adds ("oma", target) keys only."""
+    draws one: the two grids answer under the same keys, the baseline's
+    ("oma", target) keys included."""
     preset = PRESETS[name]
     rhos = [10.0 ** (db / 10.0) for db in preset.grid_db()[:2]]
     for variant in preset.variants:
@@ -250,13 +251,12 @@ def test_mc_grid_keys_its_estimates_as_analytic_grid_does(name):
         metric = variant.metric or preset.metric
         targets = preset.signals if metric in PER_SIGNAL else ("system",)
         oma = preset.with_oma and metric in PER_SIGNAL
-        values = analytic_grid(cfg, rhos, metric, targets, preset.modes)
+        values = analytic_grid(cfg, rhos, metric, targets, preset.modes, oma=oma)
         ests = mc_grid(cfg, rhos, 1000, 1, metric=metric, targets=targets,
                        modes=preset.modes, oma=oma)
         for point_values, point_ests in zip(values, ests):
-            noma = {key for key in point_ests if key[0] != "oma"}
-            assert noma == set(point_values)
-            assert (len(point_ests) > len(noma)) == oma
+            assert set(point_ests) == set(point_values)
+            assert any(key[0] == "oma" for key in point_values) == oma
 
 
 _MODE_SETS = [(), ("ipsic",), ("psic",), SIC_MODES]
@@ -264,21 +264,61 @@ _MODE_SETS = [(), ("ipsic",), ("psic",), SIC_MODES]
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_both_grids_answer_exactly_the_keys_asked_for(baseline, metric):
-    """Every mode set and target set, the empty ones too: both grids answer
-    (mode, target) for each mode and target and nothing else; the baseline
-    adds ("oma", t) for each signal target and ("oma", "system")."""
+    """Key for key: every mode set and target set, the empty ones too, with
+    the baseline on and off wherever the metric has one.  At every grid SNR
+    both grids answer (mode, target) for each mode and target and nothing
+    else, and with the baseline ("oma", t) for each signal target and
+    ("oma", "system").  A metric without a baseline is refused it by both,
+    word for word."""
     per_signal = metric in PER_SIGNAL
     rhos = [10.0, 1e3]
     for modes in _MODE_SETS:
         for targets in [(), (1,), (4, 2), (1, 2, 3, 4)] if per_signal else [(), ("system",)]:
-            asked = {(mode, t) for mode in modes for t in targets}
-            for point in analytic_grid(baseline, rhos, metric, targets, modes):
-                assert set(point) == asked, (modes, targets)
             for oma in (False, True) if per_signal else (False,):
-                extra = {("oma", t) for t in targets + ("system",)} if oma else set()
-                for point in mc_grid(baseline, rhos, 1000, 1, metric=metric,
-                                     targets=targets, modes=modes, oma=oma):
-                    assert set(point) == asked | extra, (modes, targets, oma)
+                asked = {(mode, t) for mode in modes for t in targets}
+                if oma:
+                    asked |= {("oma", t) for t in targets + ("system",)}
+                values = analytic_grid(baseline, rhos, metric, targets, modes, oma=oma)
+                ests = mc_grid(baseline, rhos, 1000, 1, metric=metric, targets=targets,
+                               modes=modes, oma=oma)
+                assert len(values) == len(ests) == len(rhos)
+                for point_values, point_ests in zip(values, ests):
+                    assert set(point_values) == set(point_ests) == asked, (modes, targets, oma)
+    if not per_signal:
+        with pytest.raises(ConfigError, match="orthogonal baseline") as analytic:
+            analytic_grid(baseline, rhos, metric, ("system",), SIC_MODES, oma=True)
+        with pytest.raises(ConfigError, match="orthogonal baseline") as simulated:
+            mc_grid(baseline, rhos, 1000, 1, metric=metric, targets=("system",),
+                    modes=SIC_MODES, oma=True)
+        assert str(simulated.value) == str(analytic.value)
+
+
+# The baseline rate's special function, e^s Ei(-s), cancels for s in (1, 6]
+# (ROADMAP item 3: tests/test_specfun.py's strict xfail); tighten the band
+# there to 1e-14 when that item lands.
+_BASELINE_RATE_BANDS = {True: 1e-11, False: 1e-14}
+
+
+@pytest.mark.parametrize("config", [SystemConfig(), SystemConfig(a3=0.7, b3=0.3, d1=1.5,
+                                                                  d2=30.0, alpha=3.0)],
+                         ids=["default", "asymmetric"])
+def test_baseline_rate_matches_mpmath(config):
+    """Each baseline rate, -10 to 60 dB in 0.5 dB steps, is 0.2 e^s E1(s) / ln 2
+    with s = (1/Omega_i + 1/Omega_p) / rho at 40 digits, and the system rate is
+    the sum of the four."""
+    dbs = [-10.0 + 0.5 * k for k in range(141)]
+    rhos = [10.0 ** (db / 10.0) for db in dbs]
+    grid = analytic_grid(config, rhos, "ergodic_rate", SIGNALS, (), oma=True)
+    for db, rho, point in zip(dbs, rhos, grid):
+        for i in SIGNALS:
+            with mpmath.workdps(40):
+                s = (1 / mpmath.mpf(config.omega(i))
+                     + 1 / mpmath.mpf(config.omega(OMA_PARTNER[i]))) / mpmath.mpf(rho)
+                reference = float(0.2 * mpmath.exp(s) * mpmath.e1(s) / mpmath.log(2))
+            assert point["oma", i] == (pytest.approx(reference, rel=_BASELINE_RATE_BANDS[
+                1 < s <= 6]), None, True), (db, i)
+        assert point["oma", "system"] == (sum(point["oma", i][0] for i in SIGNALS),
+                                          None, True)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -405,9 +445,8 @@ def test_mirror_reuse_changes_no_bit(metric, monkeypatch):
     config = SystemConfig()
     targets = SIGNALS if metric in PER_SIGNAL else ("system",)
     reused = analytic_grid(config, _MIRROR_RHOS, metric, targets, SIC_MODES, True)
-    for module in (analysis, ergodic):
-        monkeypatch.setattr(module, "mirror_sources",
-                            lambda config, signals: {s: s for s in signals})
+    monkeypatch.setattr(metrics, "mirror_sources",
+                        lambda config, signals: {s: s for s in signals})
     formed = analytic_grid(config, _MIRROR_RHOS, metric, targets, SIC_MODES, True)
     assert repr(reused) == repr(formed)
     if metric in PER_SIGNAL:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import twrnoma.montecarlo as montecarlo
 from twrnoma.analysis import outage_asymptotic, outage_probability
 from twrnoma.ergodic import ergodic_rate_strong_closed, ergodic_rate_weak_numeric
+from twrnoma.metrics import analytic_grid
 from twrnoma.model import (SIC_MODES, ChannelDraw, ConfigError, SignalIndex, SystemConfig,
                            inverse_threshold, margin_base, mode_margins,
                            sample_channel_draw)
@@ -17,6 +18,7 @@ from twrnoma.montecarlo import (BLOCK, CHUNK, McEstimate, _merge_moments, _momen
                                 chunk_generator, ci_bounds, mc_ergodic,
                                 mc_grid, mc_oma_baseline, mc_outage,
                                 oma_outage_exact, oma_threshold)
+from twrnoma.sweep import SweepSpec, run_sweep
 
 
 def test_estimate_invariant():
@@ -359,6 +361,30 @@ def test_oma_exact_outage_values(baseline):
         0.2820611278923062, rel=1e-12)
     assert oma_outage_exact(baseline.with_rho(10.0 ** 4), "system") == \
         pytest.approx(0.002071, abs=2e-6)
+
+
+@pytest.mark.parametrize("config", [SystemConfig(), SystemConfig(d1=1.5, d2=30.0, alpha=3.0,
+                                                                  r2=0.05, r3=0.2)],
+                         ids=["default", "asymmetric"])
+def test_oma_exact_is_the_baseline_cell_of_the_grid_and_the_csv(config):
+    """The benchmark's presets gate checks a CSV's baseline rows against
+    ``oma_outage_exact``, while the CSV ships ``analytic_grid``'s baseline
+    cell: the two agree bit for bit at every SNR, per signal and system."""
+    dbs = (-10.0, 0.0, 7.5, 10.0, 25.0, 40.0, 60.0)
+    rhos = [10.0 ** (db / 10.0) for db in dbs]
+    grid = analytic_grid(config, rhos, "outage", (1, 2, 3, 4), (), oma=True)
+    for rho, point in zip(rhos, grid):
+        for target in (1, 2, 3, 4, "system"):
+            assert repr(oma_outage_exact(config.with_rho(rho), target)) == \
+                repr(point["oma", target][0])
+    spec = SweepSpec(signals=(1, 2, 3, 4), snr=(0.0, 40.0, 5.0), with_oma=True,
+                     mc_iterations=1000, master_seed=3)
+    rows = [row for row in run_sweep(spec, config) if row.mode == "oma"]
+    assert len(rows) == 45
+    for row in rows:
+        target = "system" if row.signal == "oma:system" else int(row.signal[len("oma:x"):])
+        exact = oma_outage_exact(config.with_rho(10.0 ** (row.snr_db / 10.0)), target)
+        assert repr(row.analytic) == repr(exact)
 
 
 def test_oma_simulation_matches_exact(baseline):

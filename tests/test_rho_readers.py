@@ -1,11 +1,12 @@
 """The library functions that read or set a config's own SNR are pinned.
 
-The sweeps, the grid routes and the simulator take their linear SNRs as
-arguments.  Only the one-point routes the benchmark calls, ``SystemConfig``
-itself and two validation checks still read ``config.rho``, copy a config
-with ``rho=`` or move it with ``with_rho``.  A new function that does so
-would grow that one-point layer, so it fails here.  The outage
-intermediates carry their own ``rho``, a grid SNR, and are not counted.
+The sweeps, the grid routes, the simulator and the ``validate`` battery
+take their linear SNRs as arguments: ``validate`` reads no config SNR.
+Only the one-point routes and ``SystemConfig`` itself still read
+``config.rho``, copy a config with ``rho=`` or move it with ``with_rho``.
+A new function that does so would grow that one-point layer, so it fails
+here.  The outage intermediates carry their own ``rho``, a grid SNR, and
+are not counted.
 """
 
 import ast
@@ -15,13 +16,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twrnoma"
 
 RHO_READERS = {
     "analysis.outage_asymptotic", "analysis.outage_probability",
-    "ergodic._strong_rate_by_quadrature", "ergodic.ergodic_rate_strong_asymptotic",
-    "ergodic.ergodic_rate_strong_closed", "ergodic.ergodic_rate_weak_highsnr",
-    "ergodic.ergodic_rate_weak_numeric", "ergodic.strong_rate_ccdf_leakage",
+    "ergodic.ergodic_rate_strong_asymptotic", "ergodic.ergodic_rate_strong_closed",
+    "ergodic.ergodic_rate_strong_numeric", "ergodic.ergodic_rate_strong_quadrature",
+    "ergodic.ergodic_rate_weak_highsnr", "ergodic.ergodic_rate_weak_numeric",
+    "ergodic.strong_rate_ccdf_leakage",
     "model.SystemConfig", "model.sinr_set",
     "montecarlo.mc_ergodic", "montecarlo.mc_oma_baseline", "montecarlo.mc_outage",
     "montecarlo.oma_outage_exact",
-    "validate._check_oma", "validate._check_rate_quadrature",
 }
 
 

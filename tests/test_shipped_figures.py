@@ -4,8 +4,8 @@ Every preset runs as ``twrnoma sweep --preset`` runs it: one
 ``run_sweeps`` pass over its variants at its own sample count (1e6 draws)
 and seed (1729), one worker.  Every feasible cell with an analytic value
 must hold its closed form within 2.5 half-widths of the Monte Carlo mean,
-about 4.9 standard errors: over the presets' 344 such cells an unbiased
-simulator trips that band with a chance of at most about 3e-4.  A cell
+about 4.9 standard errors: over the presets' 371 such cells an unbiased
+simulator trips that band with a chance of at most about 4e-4.  A cell
 whose half-width is 0 must match its closed form exactly.
 
 The counted presets (fig2..fig5, fig8_dl) run at their configured leakage.

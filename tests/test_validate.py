@@ -234,12 +234,13 @@ def _nan_values(real):
 # it, in the battery's order
 NAN_SOURCES = {
     "analytic_grid": ("outage_closed_vs_mc", "outage_floor_vs_asymptote",
-                      "diversity_order_zero", "psic_limit_recovery", "rate_closed_vs_mc",
-                      "throughput_ceiling", "energy_efficiency_modes"),
-    "ergodic_rate_strong_quadrature": ("strong_rate_closed_vs_quadrature",),
+                      "diversity_order_zero", "psic_limit_recovery",
+                      "strong_rate_closed_vs_quadrature", "rate_closed_vs_mc",
+                      "oma_baseline_mc_vs_exact", "throughput_ceiling",
+                      "energy_efficiency_modes"),
+    "_strong_rate_by_quadrature": ("strong_rate_closed_vs_quadrature",),
     "expint_ei": ("expint_vs_scipy",),
     "hypoexp_laplace": ("hypoexp_laplace_vs_mc",),
-    "oma_outage_exact": ("oma_baseline_mc_vs_exact",),
 }
 
 
